@@ -96,7 +96,8 @@ class _Snapshot:
     worker_busy: int
     bytes_moved: int
     noc_transactions: int
-    dm_active: int
+    #: Length of the trace log: stop() reads only the records after it.
+    trace_length: int
 
 
 class EnergyMeter:
@@ -130,29 +131,45 @@ class EnergyMeter:
                           for worker in cluster.workers)
         bytes_moved = (system.read_channel.bytes_moved
                        + system.write_channel.bytes_moved)
-        dm_active = self._dm_active_cycles()
         return _Snapshot(
             cycle=system.sim.now,
             host_slept=system.host.slept_cycles,
             worker_busy=worker_busy,
             bytes_moved=bytes_moved,
             noc_transactions=len(system.noc.transactions),
-            dm_active=dm_active,
+            trace_length=len(system.trace.records),
         )
 
-    def _dm_active_cycles(self) -> int:
-        """Total DM-core active time: doorbell to completion, per job."""
+    def _dm_active_since(self, first: int) -> int:
+        """DM-core active time (doorbell to completion) of the jobs
+        that complete in the trace records from index ``first`` on.
+
+        Reads only those records, so the cost does not grow with the
+        jobs the system served before the window.  A doorbell still
+        open at ``first`` is carried over: the first completion of a
+        cluster that rang no doorbell inside the window looks back for
+        the doorbell it closes.
+        """
+        records = self.system.trace.records
         active = 0
         opened: typing.Dict[str, int] = {}
-        for record in self.system.trace.records:
-            if not record.source.startswith("cluster"):
+        seen: typing.Set[str] = set()
+        for record in records[first:]:
+            label = record.label
+            if label != "doorbell" and label != "completion_signalled":
                 continue
-            if record.label == "doorbell":
-                opened[record.source] = record.cycle
-            elif record.label == "completion_signalled":
-                start = opened.pop(record.source, None)
+            source = record.source
+            if not source.startswith("cluster"):
+                continue
+            if label == "doorbell":
+                opened[source] = record.cycle
+            else:
+                start = opened.pop(source, None)
+                if start is None and source not in seen:
+                    start = _open_doorbell(records, source, first)
                 if start is not None:
                     active += record.cycle - start
+            seen.add(source)
         return active
 
     # ------------------------------------------------------------------
@@ -188,7 +205,7 @@ class EnergyMeter:
         workers = (budget.worker_active * worker_busy
                    + budget.worker_idle * worker_idle)
 
-        dm_busy = end.dm_active - begin.dm_active
+        dm_busy = self._dm_active_since(begin.trace_length)
         dm_idle = max(0, len(self.system.clusters) * window - dm_busy)
         dm_cores = (budget.dm_core_active * dm_busy
                     + budget.dm_core_idle * dm_idle)
@@ -203,6 +220,20 @@ class EnergyMeter:
             window_cycles=window, host=host, workers=workers,
             dm_cores=dm_cores, memory=memory, interconnect=interconnect,
             uncore=uncore)
+
+
+def _open_doorbell(records: typing.Sequence, source: str,
+                   before: int) -> typing.Optional[int]:
+    """Cycle of ``source``'s doorbell if it is still open just before
+    index ``before`` (its last doorbell has no completion yet)."""
+    for position in range(before - 1, -1, -1):
+        record = records[position]
+        if record.source == source:
+            if record.label == "doorbell":
+                return record.cycle
+            if record.label == "completion_signalled":
+                return None
+    return None
 
 
 def measure_offload_energy(config, kernel_name: str, n: int,

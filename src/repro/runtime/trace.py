@@ -113,18 +113,17 @@ def build_offload_trace(recorder: TraceRecorder, start_cycle: int,
         names the window bounds and the markers that *are* present, so
         a mis-sliced window is diagnosable without dumping the trace.
     """
-    # One pass over the window builds the same first-record-wins index
-    # the per-source scans used to recompute per cluster (the scans were
-    # O(clusters x records), the dominant cost of summarizing a wide
-    # offload).
+    # One pass over the window builds the first-record-wins index per
+    # source.  The window is found by binary search in the sorted log,
+    # so a long-lived system's per-offload cost does not grow with the
+    # records earlier jobs left behind.
     by_source: typing.Dict[str, typing.Dict[str, int]] = {}
-    for record in recorder.records:
-        if start_cycle <= record.cycle < end_cycle:
-            marks = by_source.get(record.source)
-            if marks is None:
-                by_source[record.source] = marks = {}
-            if record.label not in marks:
-                marks[record.label] = record.cycle
+    for record in recorder.window(start_cycle, end_cycle):
+        marks = by_source.get(record.source)
+        if marks is None:
+            by_source[record.source] = marks = {}
+        if record.label not in marks:
+            marks[record.label] = record.cycle
 
     host_marks = by_source.get("host", {})
 

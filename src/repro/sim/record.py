@@ -41,7 +41,15 @@ class TraceRecord(typing.NamedTuple):
 
 
 class TraceRecorder:
-    """Append-only, queryable log of :class:`TraceRecord` entries."""
+    """Append-only, queryable log of :class:`TraceRecord` entries.
+
+    The log is sorted by ``cycle``: :meth:`record` stamps the
+    simulator's ``now``, which only moves forward while the simulation
+    runs.  Whoever rewinds the clock must :meth:`clear` or
+    :meth:`restore` the log with it, as ``ManticoreSystem.reset()`` and
+    ``ManticoreSystem.restore()`` do.  :meth:`window` relies on that
+    order to find a cycle range by binary search instead of a scan.
+    """
 
     def __init__(self, sim: "Simulator", enabled: bool = True) -> None:
         self.sim = sim
@@ -63,6 +71,36 @@ class TraceRecorder:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+    def window(self, start_cycle: int,
+               end_cycle: int) -> typing.Iterator[TraceRecord]:
+        """Records with ``start_cycle <= cycle < end_cycle``, in log order.
+
+        O(log L + W) for a log of L records and a window of W: the
+        window is one contiguous run of the sorted log, whose bounds
+        are found by binary search.  Returns an iterator over that run
+        rather than a copy, so reading a window allocates nothing per
+        record; do not append to the log while iterating.
+        """
+        first = self._lower_bound(start_cycle, 0)
+        stop = self._lower_bound(end_cycle, first)
+        return map(self.records.__getitem__, range(first, stop))
+
+    def _lower_bound(self, cycle: int, low: int) -> int:
+        """Index of the first record at or after ``low`` with
+        ``record.cycle >= cycle`` (``len`` if none).
+
+        Hand-written because ``bisect``'s ``key=`` needs Python 3.10.
+        """
+        records = self.records
+        high = len(records)
+        while low < high:
+            middle = (low + high) // 2
+            if records[middle].cycle < cycle:
+                low = middle + 1
+            else:
+                high = middle
+        return low
+
     def filter(self, source: typing.Optional[str] = None,
                label: typing.Optional[str] = None) -> typing.List[TraceRecord]:
         """All records matching the given source and/or label."""

@@ -437,15 +437,7 @@ class SoCConfig:
         the span is genuinely heterogeneous (the batch planner then
         falls back to event simulation for it).
         """
-        if count < 1 or first_cluster < 0 or (
-                first_cluster + count > self.num_clusters):
-            raise ConfigError(
-                f"invalid cluster span [{first_cluster}, "
-                f"{first_cluster + count}) in a {self.num_clusters}-cluster "
-                "fabric")
-        tiles = {self.tile_of(cluster_id)
-                 for cluster_id in range(first_cluster,
-                                         first_cluster + count)}
+        tiles = set(self._span_tiles(first_cluster, count))
         if len(tiles) == 1:
             return next(iter(tiles))
         return None
@@ -457,15 +449,27 @@ class SoCConfig:
         tile, so the binding constraint is the smallest TCDM in the
         span (for homogeneous spans this is exactly ``tcdm_bytes``).
         """
-        if count < 1 or first_cluster < 0 or (
-                first_cluster + count > self.num_clusters):
+        return min(tile.tcdm_bytes
+                   for tile in self._span_tiles(first_cluster, count))
+
+    def _span_tiles(self, first_cluster: int,
+                    count: int) -> typing.List[ResolvedTile]:
+        """The tiles of the groups overlapping a cluster span, in fabric
+        order: one pass over the groups, not one lookup per cluster.
+
+        Raises
+        ------
+        ConfigError
+            If the span is empty or leaves the fabric.
+        """
+        end = first_cluster + count
+        if count < 1 or first_cluster < 0 or end > self.num_clusters:
             raise ConfigError(
-                f"invalid cluster span [{first_cluster}, "
-                f"{first_cluster + count}) in a {self.num_clusters}-cluster "
-                "fabric")
-        return min(self.tile_of(cluster_id).tcdm_bytes
-                   for cluster_id in range(first_cluster,
-                                           first_cluster + count))
+                f"invalid cluster span [{first_cluster}, {end}) in a "
+                f"{self.num_clusters}-cluster fabric")
+        return [group.tile for group in self.groups()
+                if group.start < end
+                and first_cluster < group.start + group.count]
 
     @property
     def total_cores(self) -> int:

@@ -225,6 +225,11 @@ def characterize_platform(
     """
     m_values = [m for m in m_values if m <= config.num_clusters]
     offload_models, host_models = {}, {}
+    # One SoC serves every host point: reset() returns it to boot state,
+    # timing-identical to a fresh instance (property-tested).  A fresh
+    # SoC per point would leave each one, with its cluster memories, for
+    # the cyclic garbage collector to free.
+    host_system = ManticoreSystem(config)
     for kernel in kernels:
         grid = sweep(config, kernel, n_values, m_values, verify=False,
                      jobs=jobs)
@@ -232,8 +237,8 @@ def characterize_platform(
             grid.triples(), label=f"platform/{kernel}")
         host_points = []
         for n in n_values:
-            result = run_on_host(ManticoreSystem(config), kernel, n,
-                                 verify=False)
+            result = run_on_host(host_system, kernel, n, verify=False)
+            host_system.reset()
             host_points.append((n, float(result.runtime_cycles)))
         host_models[kernel] = HostExecutionModel.fit(host_points)
     return ModelDriven(offload_models, host_models)

@@ -120,3 +120,77 @@ def test_custom_budget_scales_components():
     # Baseline host never sleeps: host energy == active power x window.
     assert breakdown.total == pytest.approx(breakdown.host)
     assert breakdown.host == pytest.approx(1.0 * breakdown.window_cycles)
+
+
+def full_scan_dm_active(system):
+    """DM-core active time over the whole log (the meter's old scan)."""
+    active = 0
+    opened = {}
+    for record in system.trace.records:
+        if not record.source.startswith("cluster"):
+            continue
+        if record.label == "doorbell":
+            opened[record.source] = record.cycle
+        elif record.label == "completion_signalled":
+            start = opened.pop(record.source, None)
+            if start is not None:
+                active += record.cycle - start
+    return active
+
+
+class NoScanList(list):
+    """A trace log that fails the test if anything iterates all of it."""
+
+    def __iter__(self):
+        raise AssertionError("the whole trace log was scanned")
+
+
+#: Charges only DM-core active cycles, so ``dm_cores`` is the busy time.
+DM_ONLY = PowerBudget(host_active=0.0, host_idle=0.0, worker_active=0.0,
+                      worker_idle=0.0, dm_core_active=1.0, dm_core_idle=0.0,
+                      memory_per_byte=0.0, noc_per_transaction=0.0,
+                      uncore_static=0.0)
+
+
+def test_dm_time_on_a_used_system_matches_the_full_scan():
+    from repro.core.concurrent import ConcurrentJob, offload_concurrent
+    system = ext_system()
+    for job in range(6):
+        offload_daxpy(system, n=256, num_clusters=1 + job, seed=job)
+    run_on_host(system, "daxpy", 64)
+    meter = EnergyMeter(system, DM_ONLY)
+    before = full_scan_dm_active(system)
+    # Neither the meter nor the offloads may iterate the whole log.
+    system.trace.records = NoScanList(system.trace.records)
+    meter.start()
+    offload_daxpy(system, n=512, num_clusters=8)
+    offload_concurrent(system, [ConcurrentJob("daxpy", 256, 3, seed=1),
+                                ConcurrentJob("scale", 256, 5, seed=2)])
+    report = meter.stop()
+    system.trace.records = system.trace.records[:]
+    busy = full_scan_dm_active(system) - before
+    assert busy > 0
+    assert report.dm_cores == busy
+    assert report.total == busy
+
+
+def test_doorbell_open_at_start_is_carried_over():
+    system = ext_system()
+    offload_daxpy(system, n=256, num_clusters=8)
+    meter = EnergyMeter(system, DM_ONLY)
+    before = {}
+
+    def start_mid_job(_argument):
+        before["busy"] = full_scan_dm_active(system)
+        before["records"] = len(system.trace.records)
+        meter.start()
+
+    # Open the window while the next job's DM cores are between their
+    # doorbell and their completion signal.
+    system.sim.schedule(400, start_mid_job)
+    result = offload_daxpy(system, n=2048, num_clusters=8)
+    report = meter.stop()
+    opened_before = [r for r in system.trace.records[:before["records"]]
+                     if r.label == "doorbell" and r.cycle >= result.start_cycle]
+    assert opened_before, "the meter must start after some doorbells"
+    assert report.dm_cores == full_scan_dm_active(system) - before["busy"]

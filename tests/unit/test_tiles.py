@@ -182,6 +182,51 @@ def test_span_tile_detects_mixed_spans():
         config.span_tile(3, 4)
 
 
+def per_cluster_span(config, first, count):
+    """Span queries answered one ``tile_of`` lookup per cluster."""
+    tiles = [config.tile_of(cluster) for cluster in range(first, first + count)]
+    return (min(tile.tcdm_bytes for tile in tiles),
+            tiles[0] if len(set(tiles)) == 1 else None)
+
+
+def test_span_queries_walk_groups_on_a_mixed_fabric():
+    small = TileClass(name="small", tcdm_bytes=32 * 1024)
+    config = SoCConfig.with_fabric(
+        [TileGroup(name="little", tile=SNITCH, count=3),
+         TileGroup(name="small", tile=small, count=2),
+         TileGroup(name="big", tile=VECWIDE, count=3)])
+    assert config.min_tcdm_bytes(0, 8) == 32 * 1024
+    assert config.min_tcdm_bytes(4, 1) == 32 * 1024
+    assert config.span_tile(3, 2).class_name == "small"
+    for first in range(8):
+        for count in range(1, 9 - first):
+            assert (config.min_tcdm_bytes(first, count),
+                    config.span_tile(first, count)) == per_cluster_span(
+                        config, first, count)
+    for first, count in ((0, 0), (-1, 2), (7, 2), (0, 9)):
+        for query in (config.min_tcdm_bytes, config.span_tile):
+            with pytest.raises(
+                    ConfigError,
+                    match=rf"invalid cluster span \[{first}, "
+                          rf"{first + count}\) in a 8-cluster fabric"):
+                query(first, count)
+
+
+def test_span_queries_agree_under_explicit_fabric(monkeypatch):
+    config = SoCConfig.extended(num_clusters=6)
+    monkeypatch.delenv("REPRO_EXPLICIT_FABRIC", raising=False)
+    implicit = [(config.min_tcdm_bytes(first, count),
+                 config.span_tile(first, count))
+                for first in range(6) for count in range(1, 7 - first)]
+    monkeypatch.setenv("REPRO_EXPLICIT_FABRIC", "1")
+    explicit = [(config.min_tcdm_bytes(first, count),
+                 config.span_tile(first, count))
+                for first in range(6) for count in range(1, 7 - first)]
+    assert explicit == implicit
+    assert explicit == [per_cluster_span(config, first, count)
+                        for first in range(6) for count in range(1, 7 - first)]
+
+
 def test_homogeneous_config_resolves_to_one_implicit_group(monkeypatch):
     monkeypatch.delenv("REPRO_EXPLICIT_FABRIC", raising=False)
     config = SoCConfig.extended(num_clusters=4)
