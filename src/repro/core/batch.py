@@ -72,11 +72,20 @@ input DMAs back to back: ``din_i = T_rel + dma_setup + Σ ceil(bytes_in_j
 / read_width)`` over working clusters ``j ≤ i``.  The compute phase is
 the barrier's closed-form crossing (wake + max per-core cycles +
 latency).  Output DMAs commit in ``(compute_done, cluster_id)`` order
-and chain the same way on the write channel.  Completion is either the
-serial AMO unit (service chain in commit order, then the host's
+and chain on the write channel: with ``C`` the running sum of write
+cycles ``w``, they finish at ``C + max-accumulate(max(issue − (C − w),
+0))``.  Completion is either the serial AMO unit (increments served in
+``(signal, cluster_id)`` order, ``s`` cycles each, the ``k``-th done at
+``(k+1)·s + max-accumulate(max(arrival_k − k·s, 0))``, then the host's
 analytic poll schedule) or the sync unit's credit counter (threshold
 match on the last delivery, IRQ after the wire + raise latency, WFI
-wake).  Every term is an integer from :class:`~repro.soc.config.SoCConfig`.
+wake).  Every term is an integer from the config, and both chains are
+max-plus scans, so :func:`predict_grid` times a batch of ``(N, M,
+prefix)`` rows in one NumPy evaluation: rows padded to the widest M,
+masks for ``cluster < M`` and non-empty slices, padded clusters sorted
+last, empty ones signalling at ``T_rel``.  The planner runs one
+evaluation per sweep call and tile class; :func:`predict_point` is its
+one-row case, used by the residual check.
 """
 
 from __future__ import annotations
@@ -380,16 +389,79 @@ def extract_prefix(config: SoCConfig, trace: "OffloadTrace", m: int,
                    release_cycle=release)
 
 
-def predict_point(config: SoCConfig, kernel: Kernel, spec: VariantSpec,
-                  prefix: _Prefix, n: int, m: int,
-                  tile: typing.Optional["ResolvedTile"] = None,
-                  ) -> typing.Optional[_Prediction]:
-    """Time one grid point with the closed-form tail algebra.
+@dataclasses.dataclass(frozen=True)
+class _Grid:
+    """The tail algebra evaluated for R rows padded to the widest M.
 
-    Returns ``None`` when the completion schedule is ambiguous against
-    the host's observation (same-cycle races the event engine resolves
-    through queue internals the algebra does not model); callers fall
-    such points back to the event engine.
+    Row-shaped fields are ``(R,)``; cluster-shaped ones are ``(R, W)``
+    and only meaningful where ``working`` (non-empty slice: the DMA and
+    compute markers) or ``cluster < m`` (the completion signal) holds.
+    ``ok`` is ``False`` for rows whose completion schedule is ambiguous.
+    """
+
+    kernel_name: str
+    variant: str
+    n: numpy.ndarray
+    m: numpy.ndarray
+    ok: numpy.ndarray
+    phases: typing.Tuple[numpy.ndarray, ...]
+    end: numpy.ndarray
+    working: numpy.ndarray
+    dma_in_done: numpy.ndarray
+    compute_done: numpy.ndarray
+    dma_out_done: numpy.ndarray
+    completion: numpy.ndarray
+
+    def points(self, rows: slice = slice(None),
+               ) -> typing.List[typing.Optional[SweepPoint]]:
+        """One :class:`SweepPoint` per row of ``rows`` (all by default),
+        ``None`` where refused."""
+        names = ("setup", "dispatch", "completion_wait", "sync_overhead",
+                 "total")
+        return [SweepPoint(kernel_name=self.kernel_name, n=n, num_clusters=m,
+                           variant=self.variant, runtime_cycles=phases[-1],
+                           phases=dict(zip(names, phases)))
+                if ok else None
+                for ok, n, m, *phases in zip(
+                    self.ok[rows].tolist(), self.n[rows].tolist(),
+                    self.m[rows].tolist(),
+                    *(column[rows].tolist() for column in self.phases))]
+
+    def prediction(self, row: int) -> typing.Optional[_Prediction]:
+        """Row ``row`` with the per-cluster markers the residual check
+        (:func:`matches_trace`) compares; ``None`` where refused."""
+        if not self.ok[row]:
+            return None
+        m = int(self.m[row])
+
+        def markers(values: numpy.ndarray) -> typing.Tuple:
+            return tuple(numpy.where(self.working[row, :m],
+                                     values[row, :m], None).tolist())
+
+        return _Prediction(
+            point=self.points(slice(row, row + 1))[0], end_cycle=int(self.end[row]),
+            dma_in_done=markers(self.dma_in_done),
+            compute_done=markers(self.compute_done),
+            dma_out_done=markers(self.dma_out_done),
+            completion_signalled=tuple(self.completion[row, :m].tolist()))
+
+
+#: Sort key that places padded clusters after every real one.
+_LAST = numpy.iinfo(numpy.int64).max // 4
+
+
+def predict_grid(config: SoCConfig, kernel: Kernel, spec: VariantSpec,
+                 rows: typing.Sequence[typing.Tuple[int, int, _Prefix]],
+                 tile: typing.Optional["ResolvedTile"] = None) -> _Grid:
+    """Time ``(n, m, prefix)`` rows with the closed-form tail algebra.
+
+    One NumPy evaluation for the whole batch: rows are padded to the
+    widest M, cluster ``c`` of a row is real when ``c < m`` and working
+    when its slice is non-empty.  Rows whose completion schedule is
+    ambiguous against the host's observation (same-cycle races the
+    event engine resolves through queue internals the algebra does not
+    model) come back with ``ok`` false; callers fall them back to the
+    event engine.
 
     ``tile`` supplies the per-tile-class knobs (core count, DMA setup,
     wake/barrier latencies, kernel compute rates); ``None`` reads the
@@ -410,123 +482,134 @@ def predict_point(config: SoCConfig, kernel: Kernel, spec: VariantSpec,
         worker_wake = tile.worker_wake_latency
         barrier = tile.barrier_latency
         timing = tile.timing_for(kernel.name)
-    slices = split_range(n, m)
-    elems = numpy.fromiter((s.hi - s.lo for s in slices),
-                           dtype=numpy.int64, count=m)
-    nonempty = elems > 0
-    ids = numpy.flatnonzero(nonempty)
-    if ids.size == 0:
-        return None
-    release = prefix.release_cycle
+    n, m = numpy.array([row[:2] for row in rows], dtype=numpy.int64).T
+    start, dispatch_start, dispatch_done, release = numpy.array(
+        [row[2].fields() for row in rows], dtype=numpy.int64).T
+    cid = numpy.arange(int(m.max()))
+    in_range = cid < m[:, None]
+    row_ids = numpy.arange(m.size)[:, None]
+
+    # split_range's static block schedule: the first n mod m slices
+    # take one extra element, so working clusters are a prefix.
+    base, extra = numpy.divmod(n, m)
+    elems = numpy.where(in_range, base[:, None] + (cid < extra[:, None]), 0)
+    working = elems > 0
+    lo = (cid * base[:, None] + numpy.minimum(cid, extra[:, None]))[working]
+    row_n = numpy.broadcast_to(n[:, None], elems.shape)[working]
+    bounds = (lo.tolist(), (lo + elems[working]).tolist(), row_n.tolist())
+
+    def cells(method) -> numpy.ndarray:
+        return numpy.fromiter(map(method, *bounds), dtype=numpy.int64,
+                              count=lo.size)
 
     # Input DMA: every working cluster issues its read reservation at
     # release + dma_setup; the shared channel serves them in cluster-id
-    # order, so finishes are one cumulative sum.
-    b_in = numpy.fromiter(
-        (kernel.slice_bytes_in(slices[i].lo, slices[i].hi, n) for i in ids),
-        dtype=numpy.int64, count=ids.size)
-    read_cycles = -(-b_in // config.mem_read_width_bytes)
-    din = (release + dma_setup + numpy.cumsum(read_cycles))
+    # order, so finishes are one cumulative sum along the row.
+    read = numpy.zeros_like(elems)
+    read[working] = -(-cells(kernel.slice_bytes_in)
+                      // config.mem_read_width_bytes)
+    din = release[:, None] + dma_setup + numpy.cumsum(read, axis=1)
 
     # Compute: the barrier's closed-form crossing.  Per-core counts are
     # q+1 (the first e mod cores workers) and q, so the phase maximum
     # needs at most two vectorized timing evaluations per cluster.
-    q, r = numpy.divmod(elems[ids], cores)
-    if timing is None:
-        cyc_lo = kernel.compute_cycles_array(q, n)
-        cyc_hi = kernel.compute_cycles_array(q + 1, n)
-    else:
-        cyc_lo = timing.cycles_array(q)
-        cyc_hi = timing.cycles_array(q + 1)
-    phase_max = numpy.where(r > 0, numpy.maximum(cyc_hi, cyc_lo), cyc_lo)
-    compute_done = din + worker_wake + phase_max + barrier
+    # A tile rate ignores N; the kernel's own rate may not (gemv), so
+    # it is evaluated once per distinct N.
+    def compute_cycles(elements: numpy.ndarray) -> numpy.ndarray:
+        if timing is not None:
+            return timing.cycles_array(elements)
+        cycles = numpy.empty_like(elements)
+        for value in set(n.tolist()):
+            same_n = row_n == value
+            cycles[same_n] = kernel.compute_cycles_array(elements[same_n],
+                                                         value)
+        return cycles
+
+    q, r = numpy.divmod(elems[working], cores)
+    cyc_lo, cyc_hi = compute_cycles(q), compute_cycles(q + 1)
+    compute_done = numpy.full_like(elems, _LAST)
+    compute_done[working] = (
+        din[working] + worker_wake + barrier
+        + numpy.where(r > 0, numpy.maximum(cyc_hi, cyc_lo), cyc_lo))
 
     # Output DMA: reservations commit in (compute_done, cluster_id)
-    # order and chain on the otherwise-idle write channel.
-    b_out = numpy.fromiter(
-        (kernel.slice_bytes_out(slices[i].lo, slices[i].hi, n) for i in ids),
-        dtype=numpy.int64, count=ids.size)
-    write_cycles = -(-b_out // config.mem_write_width_bytes)
-    dout = numpy.empty_like(compute_done)
-    next_free = 0
-    for k in numpy.lexsort((ids, compute_done)):
-        issue = int(compute_done[k]) + dma_setup
-        start = issue if issue > next_free else next_free
-        next_free = start + int(write_cycles[k])
-        dout[k] = next_free
+    # order (a stable sort; idle clusters sort last) and chain on the
+    # write channel — a max-plus scan: with C the running sum of write
+    # cycles w, finish = C + max-accumulate(max(issue - (C - w), 0)).
+    order = numpy.argsort(compute_done, axis=1, kind="stable")
+    write = numpy.zeros_like(elems)
+    write[working] = -(-cells(kernel.slice_bytes_out)
+                       // config.mem_write_width_bytes)
+    w = write[row_ids, order]
+    issue = compute_done[row_ids, order] + dma_setup
+    total = numpy.cumsum(w, axis=1)
+    dout = numpy.empty_like(elems)
+    dout[row_ids, order] = total + numpy.maximum.accumulate(
+        numpy.maximum(issue - (total - w), 0), axis=1)
 
     # Completion-store commit cycle per cluster: empty slices signal
     # straight from the start-barrier release, working ones after their
-    # write-back lands.
-    signal = numpy.full(m, release, dtype=numpy.int64)
-    signal[ids] = dout
+    # write-back lands; padded clusters never signal.
+    signal = numpy.where(working, dout,
+                         numpy.where(in_range, release[:, None], _LAST))
     port_occ = config.noc_cluster_port_occupancy
     req = config.noc_request_latency
     resp = config.noc_response_latency
-    dispatch_done = prefix.dispatch_done
 
     if isinstance(spec.completion, AmoPollCompletion):
-        # The memory's AMO unit services increments in commit order;
-        # the host's poll schedule is the analytic fast-forward form.
-        arrival = signal + port_occ + req
-        completion = numpy.empty(m, dtype=numpy.int64)
-        finish = 0
-        for cid in sorted(range(m), key=lambda c: (int(signal[c]), c)):
-            at = int(arrival[cid])
-            finish = (at if at > finish else finish) \
-                + config.noc_amo_service_cycles
-            completion[cid] = finish + resp
-        crossing_write = finish
+        # The memory's AMO unit services increments in (signal, cluster)
+        # order, one per s cycles — the second max-plus scan:
+        # finish_k = (k+1)s + max-accumulate(max(arrival_k - ks, 0)).
+        # The host's poll schedule is the analytic fast-forward form.
+        service = config.noc_amo_service_cycles
+        order = numpy.argsort(signal, axis=1, kind="stable")
+        arrival = signal[row_ids, order] + port_occ + req
+        k = numpy.arange(cid.size) * service
+        finish = k + service + numpy.maximum.accumulate(
+            numpy.maximum(arrival - k, 0), axis=1)
+        completion = numpy.empty_like(elems)
+        completion[row_ids, order] = finish + resp
+        crossing_write = finish[row_ids[:, 0], m - 1]
         read0 = dispatch_done + config.noc_load_occupancy + req
         period = (config.noc_load_occupancy + req + resp
                   + config.host_poll_gap_cycles)
-        if crossing_write <= read0:
-            # The threshold may cross before (or on the very cycle) the
-            # first poll read observes the flag — the first-iteration
-            # path, which the algebra does not model.
-            return None
-        success = (crossing_write - read0) // period + 1
-        end = read0 + success * period + resp
+        # The threshold may cross before (or on the very cycle) the
+        # first poll read observes the flag — the first-iteration
+        # path, which the algebra does not model.
+        ok = crossing_write > read0
+        end = read0 + ((crossing_write - read0) // period + 1) * period + resp
     else:
         # Sync unit: posted increments issue one port-occupancy after
         # commit; the threshold matches on the last delivery and the
         # IRQ raises after the raise latency.  WFI always pays the wake
         # latency from whichever of (raise, entry) comes last.
-        issued = signal + port_occ
-        completion = issued.copy()
-        raise_cycle = (int(issued.max()) + req
-                       + config.syncunit_irq_latency)
-        if raise_cycle == dispatch_done:
-            # Same-cycle IRQ-vs-WFI entry: ordering depends on queue
-            # internals, not on the algebra's inputs.
-            return None
-        latest = raise_cycle if raise_cycle > dispatch_done else dispatch_done
-        end = latest + config.host_wfi_wake_latency
+        completion = signal + port_occ
+        raise_cycle = (numpy.where(in_range, completion, 0).max(axis=1)
+                       + req + config.syncunit_irq_latency)
+        # Same-cycle IRQ-vs-WFI entry: ordering depends on queue
+        # internals, not on the algebra's inputs.
+        ok = raise_cycle != dispatch_done
+        end = (numpy.maximum(raise_cycle, dispatch_done)
+               + config.host_wfi_wake_latency)
 
-    last_signal = int(completion.max())
-    phases = {
-        "setup": int(prefix.dispatch_start - prefix.start_cycle),
-        "dispatch": int(dispatch_done - prefix.dispatch_start),
-        "completion_wait": int(end - dispatch_done),
-        "sync_overhead": int(end - last_signal),
-        "total": int(end - prefix.start_cycle),
-    }
-    point = SweepPoint(
-        kernel_name=kernel.name, n=n, num_clusters=m, variant=spec.name,
-        runtime_cycles=phases["total"], phases=phases)
+    last_signal = numpy.where(in_range, completion, 0).max(axis=1)
+    phases = (dispatch_start - start, dispatch_done - dispatch_start,
+              end - dispatch_done, end - last_signal, end - start)
+    return _Grid(kernel_name=kernel.name, variant=spec.name, n=n, m=m,
+                 ok=ok & working.any(axis=1), phases=phases,
+                 end=end, working=working, dma_in_done=din,
+                 compute_done=compute_done, dma_out_done=dout,
+                 completion=completion)
 
-    def full(values: numpy.ndarray) -> typing.Tuple[
-            typing.Optional[int], ...]:
-        out: typing.List[typing.Optional[int]] = [None] * m
-        for slot, cid in enumerate(ids):
-            out[int(cid)] = int(values[slot])
-        return tuple(out)
 
-    return _Prediction(
-        point=point, end_cycle=int(end),
-        dma_in_done=full(din), compute_done=full(compute_done),
-        dma_out_done=full(dout),
-        completion_signalled=tuple(int(c) for c in completion))
+def predict_point(config: SoCConfig, kernel: Kernel, spec: VariantSpec,
+                  prefix: _Prefix, n: int, m: int,
+                  tile: typing.Optional["ResolvedTile"] = None,
+                  ) -> typing.Optional[_Prediction]:
+    """Time one grid point: the one-row case of :func:`predict_grid`,
+    with the per-cluster markers; ``None`` when ambiguous."""
+    return predict_grid(config, kernel, spec, [(n, m, prefix)],
+                        tile).prediction(0)
 
 
 def matches_trace(prediction: _Prediction, trace: "OffloadTrace",
@@ -559,6 +642,35 @@ def matches_trace(prediction: _Prediction, trace: "OffloadTrace",
                 != cluster.completion_signalled:
             return False
     return True
+
+
+#: One pending grid point, ``(slot_index, n, m)`` as the executor builds it.
+_Entry = typing.Tuple[int, int, int]
+
+
+@dataclasses.dataclass
+class _Call:
+    """One :meth:`BatchPlanner.consume` call: its inputs and outcome."""
+
+    config: SoCConfig
+    kernel: Kernel
+    spec: VariantSpec
+    #: Keyword arguments of every calibration ``offload``.
+    run: typing.Dict[str, typing.Any]
+    first: int
+    #: Calibration-store coordinates.
+    store: typing.Tuple
+    slots: typing.List[typing.Optional[SweepPoint]]
+    #: M -> the tile its span runs on (``None``: mixed classes).
+    tiles: typing.Dict[int, typing.Optional["ResolvedTile"]] = (
+        dataclasses.field(default_factory=dict))
+    #: Entries handed back to the event engine.
+    remaining: typing.List[_Entry] = dataclasses.field(default_factory=list)
+    #: M group -> (trusted prefix, entries the closed form times).
+    timed: typing.Dict[int, typing.Tuple[_Prefix, typing.List[_Entry]]] = (
+        dataclasses.field(default_factory=dict))
+    #: M groups that ran a calibration simulation.
+    calibrated: typing.Set[int] = dataclasses.field(default_factory=set)
 
 
 class BatchPlanner:
@@ -605,11 +717,10 @@ class BatchPlanner:
 
     def consume(self, config: SoCConfig, kernel_name: str, variant: str,
                 scalars: typing.Optional[typing.Mapping[str, float]],
-                seed: int, verify: bool,
-                pending: typing.Sequence[typing.Tuple[int, int, int]],
+                seed: int, verify: bool, pending: typing.Sequence[_Entry],
                 slots: typing.List[typing.Optional[SweepPoint]],
                 tile_group: typing.Optional[str] = None,
-                ) -> typing.List[typing.Tuple[int, int, int]]:
+                ) -> typing.List[_Entry]:
         """Fill predictable ``slots`` entries; return the leftovers.
 
         ``pending`` holds ``(slot_index, n, m)`` triples exactly as the
@@ -619,9 +730,11 @@ class BatchPlanner:
         Per M group the prefix comes from the cheapest trustworthy
         source: a stored per-M prefix (no simulation), a stored or
         freshly fitted-and-holdout-checked affine M-model (no
-        simulation), or a calibration simulation (the PR-7 path, which
-        also residual-checks the tail algebra and feeds the store).
+        simulation), or a calibration simulation (which also
+        residual-checks the tail algebra and feeds the store).
         ``REPRO_NAIVE_MPREDICT`` pins every group to the last source.
+        Once every group's prefix is resolved, all entries sharing a
+        tile class are timed by one :func:`predict_grid` evaluation.
 
         ``tile_group`` names the fabric group the sweep targets; the
         planner then proves and predicts with that group's tile class
@@ -640,224 +753,164 @@ class BatchPlanner:
         kernel = get_kernel(kernel_name)
         resolved = resolve_scalars(kernel, scalars)
         mpredict = not flags.naive_mpredict()
-
         group = (config.tile_group(tile_group)
                  if tile_group is not None else None)
-        first = group.start if group is not None else 0
-
-        groups: typing.Dict[int, typing.List[
-            typing.Tuple[int, int, int]]] = {}
-        for entry in pending:
-            groups.setdefault(entry[2], []).append(entry)
-
-        remaining: typing.List[typing.Tuple[int, int, int]] = []
-        provable_by_m: typing.Dict[int, typing.List[
-            typing.Tuple[int, int, int]]] = {}
-        tiles_by_m: typing.Dict[int, "ResolvedTile"] = {}
-        for m, members in groups.items():
-            tile = (group.tile if group is not None
-                    else config.span_tile(0, m))
-            if tile is None:
-                # Mixed tile classes across clusters 0..M-1: the
-                # per-cluster knobs differ mid-span, which the uniform
-                # tail algebra does not model.
-                self.fallback_points += len(members)
-                remaining.extend(members)
-                continue
-            provable = [entry for entry in members
-                        if point_provable(config, kernel, entry[1], m,
-                                          resolved, tile)]
-            refused = [entry for entry in members if entry not in provable]
-            self.fallback_points += len(refused)
-            remaining.extend(refused)
-            if provable:
-                provable_by_m[m] = provable
-                tiles_by_m[m] = tile
-
         # The store speaks the *resolved* variant and scalars, so
         # "auto" and the explicit name (or default and explicit
         # scalars) share calibration entries.  The group name joins the
         # coordinates because one config digest covers every group of a
         # heterogeneous fabric.
-        store_coords = (config, kernel.name, spec.name, resolved, seed,
-                        tile_group or "")
+        call = _Call(config, kernel, spec,
+                     dict(scalars=scalars, variant=variant, seed=seed,
+                          verify=verify, tile_group=tile_group),
+                     group.start if group is not None else 0,
+                     (config, kernel.name, spec.name, resolved, seed,
+                      tile_group or ""), slots)
+
+        provable_by_m: typing.Dict[int, typing.List[_Entry]] = {}
+        for entry in pending:
+            m = entry[2]
+            if m not in call.tiles:
+                # ``None`` means mixed tile classes across clusters
+                # 0..M-1: the per-cluster knobs differ mid-span, which
+                # the uniform tail algebra does not model.
+                call.tiles[m] = (group.tile if group is not None
+                                 else config.span_tile(0, m))
+            tile = call.tiles[m]
+            if tile is not None and point_provable(config, kernel, entry[1],
+                                                   m, resolved, tile):
+                provable_by_m.setdefault(m, []).append(entry)
+            else:
+                self.fallback_points += 1
+                call.remaining.append(entry)
+
         prefixes: typing.Dict[int, _Prefix] = {}
         model: typing.Optional[MPrefixModel] = None
-        handled: typing.Set[int] = set()
         if mpredict:
             for m in provable_by_m:
-                stored = self._load_prefix(store_coords, m)
+                stored = self._load_prefix(call.store, m)
                 if stored is not None:
                     prefixes[m] = stored
-            model = self._load_model(store_coords)
+            model = self._load_model(call.store)
             if model is None:
-                model = self._fit_model(
-                    config, kernel, spec, store_coords, provable_by_m,
-                    tiles_by_m, first, tile_group, prefixes, handled,
-                    variant, scalars, seed, verify, slots, remaining)
+                model = self._fit_model(call, provable_by_m, prefixes)
 
         for m, provable in provable_by_m.items():
-            if m in handled:
+            if m in call.calibrated:
                 continue
             prefix = prefixes.get(m)
             if prefix is None and model is not None:
                 prefix = model.predict(m)
             if mpredict and prefix is not None:
                 self.prefixes_predicted += 1
-                remaining.extend(self._predict_group(
-                    config, kernel, spec, prefix, m, tiles_by_m[m],
-                    provable, slots))
+                call.timed[m] = (prefix, provable)
                 continue
             if len(provable) < 2:
                 # A lone provable point gains nothing from calibrating
                 # itself (and no trusted prefix reached us).
                 self.fallback_points += len(provable)
-                remaining.extend(provable)
+                call.remaining.extend(provable)
                 continue
-            fallbacks, validated = self._plan_group(
-                config, kernel, spec, m, tiles_by_m[m], first,
-                tile_group, provable, variant, scalars, seed, verify,
-                slots)
-            remaining.extend(fallbacks)
-            self.prefixes_calibrated += 1
+            validated = self._calibrate_group(call, m, provable)
             if mpredict and validated is not None:
-                self._store_prefix(store_coords, m, validated)
+                self._store_prefix(call.store, m, validated)
 
+        self._time_rows(call)
         order = {id(entry): rank for rank, entry in enumerate(pending)}
-        remaining.sort(key=lambda entry: order[id(entry)])
-        return remaining
+        call.remaining.sort(key=lambda entry: order[id(entry)])
+        return call.remaining
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _calibrate(self, config: SoCConfig, kernel_name: str, n: int,
-                   m: int, variant: str,
-                   scalars: typing.Optional[typing.Mapping[str, float]],
-                   seed: int, verify: bool,
-                   tile_group: typing.Optional[str] = None):
+    def _time_rows(self, call: _Call) -> None:
+        """Time every trusted entry: one evaluation per tile class."""
+        by_tile: typing.Dict["ResolvedTile", typing.List[
+            typing.Tuple[_Entry, _Prefix]]] = {}
+        for m, (prefix, members) in call.timed.items():
+            by_tile.setdefault(call.tiles[m], []).extend(
+                (entry, prefix) for entry in members)
+        for tile, rows in by_tile.items():
+            grid = predict_grid(call.config, call.kernel, call.spec,
+                                [(entry[1], entry[2], prefix)
+                                 for entry, prefix in rows], tile)
+            for (entry, _prefix), point in zip(rows, grid.points()):
+                if point is None:
+                    self.fallback_points += 1
+                    call.remaining.append(entry)
+                else:
+                    call.slots[entry[0]] = point
+                    self.planned_points += 1
+
+    def _calibrate(self, call: _Call, n: int, m: int):
         """One event-engine simulation, keeping the full trace."""
         from repro.core.offload import offload
         from repro.soc.manticore import ManticoreSystem
 
         if self.reuse:
-            with self.pool.lease(config) as system:
-                result = offload(system, kernel_name, n, m,
-                                 scalars=scalars, variant=variant,
-                                 seed=seed, verify=verify,
-                                 tile_group=tile_group)
+            with self.pool.lease(call.config) as system:
+                result = offload(system, call.kernel.name, n, m, **call.run)
         else:
-            system = ManticoreSystem(config)
-            result = offload(system, kernel_name, n, m, scalars=scalars,
-                             variant=variant, seed=seed, verify=verify,
-                             tile_group=tile_group)
+            result = offload(ManticoreSystem(call.config), call.kernel.name,
+                             n, m, **call.run)
         self.calibration_points += 1
         return result
 
-    def _plan_group(self, config: SoCConfig, kernel: Kernel,
-                    spec: VariantSpec, m: int, tile: "ResolvedTile",
-                    first: int, tile_group: typing.Optional[str],
-                    members: typing.List[typing.Tuple[int, int, int]],
-                    variant: str,
-                    scalars: typing.Optional[typing.Mapping[str, float]],
-                    seed: int, verify: bool,
-                    slots: typing.List[typing.Optional[SweepPoint]],
-                    ) -> typing.Tuple[
-                        typing.List[typing.Tuple[int, int, int]],
-                        typing.Optional[_Prefix]]:
-        """Calibrate one member, predict the rest.
+    def _calibrate_group(self, call: _Call, m: int,
+                         members: typing.List[_Entry],
+                         ) -> typing.Optional[_Prefix]:
+        """Calibrate one member and residual-check the algebra on it.
 
-        Returns ``(fallbacks, prefix)`` where ``prefix`` is the
-        calibration's extracted prefix *only* when the residual check
-        passed — i.e. exactly when it is safe to reuse as an M-model
-        anchor or a calibration-store entry.
+        The other members join ``call.timed`` under the calibration's
+        prefix when the residual check passes, ``call.remaining``
+        otherwise.  Returns the prefix *only* when the check passed —
+        i.e. exactly when it is safe to reuse as an M-model anchor or a
+        calibration-store entry.
         """
         calibration = min(members, key=lambda entry: entry[0])
         cal_index, cal_n, _m = calibration
-        result = self._calibrate(config, kernel.name, cal_n, m, variant,
-                                 scalars, seed, verify, tile_group)
+        result = self._calibrate(call, cal_n, m)
+        self.prefixes_calibrated += 1
+        call.calibrated.add(m)
         measured = SweepPoint(
-            kernel_name=kernel.name, n=cal_n, num_clusters=m,
+            kernel_name=call.kernel.name, n=cal_n, num_clusters=m,
             variant=result.variant,
             runtime_cycles=result.runtime_cycles,
             phases=result.trace.phase_summary())
-        slots[cal_index] = measured
+        call.slots[cal_index] = measured
         rest = [entry for entry in members if entry is not calibration]
 
-        prefix = (extract_prefix(config, result.trace, m, first)
-                  if result.variant == spec.name else None)
-        residual = (predict_point(config, kernel, spec, prefix, cal_n, m,
-                                  tile)
+        prefix = (extract_prefix(call.config, result.trace, m, call.first)
+                  if result.variant == call.spec.name else None)
+        residual = (predict_point(call.config, call.kernel, call.spec,
+                                  prefix, cal_n, m, call.tiles[m])
                     if prefix is not None else None)
         if residual is None or not matches_trace(residual, result.trace,
-                                                 measured, first):
+                                                 measured, call.first):
             self.fallback_points += len(rest)
-            return rest, None
+            call.remaining.extend(rest)
+            return None
+        if rest:
+            call.timed[m] = (prefix, rest)
+        return prefix
 
-        fallbacks: typing.List[typing.Tuple[int, int, int]] = []
-        for entry in rest:
-            index, n, _m = entry
-            prediction = predict_point(config, kernel, spec, prefix, n, m,
-                                       tile)
-            if prediction is None:
-                self.fallback_points += 1
-                fallbacks.append(entry)
-                continue
-            slots[index] = prediction.point
-            self.planned_points += 1
-        return fallbacks, prefix
-
-    def _predict_group(self, config: SoCConfig, kernel: Kernel,
-                       spec: VariantSpec, prefix: _Prefix, m: int,
-                       tile: "ResolvedTile",
-                       members: typing.List[typing.Tuple[int, int, int]],
-                       slots: typing.List[typing.Optional[SweepPoint]],
-                       ) -> typing.List[typing.Tuple[int, int, int]]:
-        """Predict a whole M group from a trusted prefix — no simulation.
-
-        The prefix arrived from the calibration store or the affine
-        M-model, both of which rest on residual-checked calibrations;
-        per-point ambiguity refusals (``predict_point`` → ``None``)
-        still fall back individually.
-        """
-        fallbacks: typing.List[typing.Tuple[int, int, int]] = []
-        for entry in members:
-            index, n, _m = entry
-            prediction = predict_point(config, kernel, spec, prefix, n, m,
-                                       tile)
-            if prediction is None:
-                self.fallback_points += 1
-                fallbacks.append(entry)
-                continue
-            slots[index] = prediction.point
-            self.planned_points += 1
-        return fallbacks
-
-    def _fit_model(self, config: SoCConfig, kernel: Kernel,
-                   spec: VariantSpec,
-                   coords: typing.Tuple, provable_by_m: typing.Dict[
-                       int, typing.List[typing.Tuple[int, int, int]]],
-                   tiles_by_m: typing.Dict[int, "ResolvedTile"],
-                   first: int, tile_group: typing.Optional[str],
+    def _fit_model(self, call: _Call,
+                   provable_by_m: typing.Dict[int, typing.List[_Entry]],
                    prefixes: typing.Dict[int, _Prefix],
-                   handled: typing.Set[int], variant: str,
-                   scalars: typing.Optional[typing.Mapping[str, float]],
-                   seed: int, verify: bool,
-                   slots: typing.List[typing.Optional[SweepPoint]],
-                   remaining: typing.List[typing.Tuple[int, int, int]],
                    ) -> typing.Optional[MPrefixModel]:
         """Fit and holdout-validate the affine M-model for this sweep.
 
         Anchors are the smallest and largest in-domain M values of the
         sweep (so every other M interpolates), the holdout the median
-        in between.  Each of the three takes a full PR-7 calibration
-        (residual check included) unless the store already holds its
-        prefix.  Any failure — out-of-domain strategies, fewer than
-        four in-domain M groups (three calibrations would not beat
+        in between.  Each of the three takes a full per-group
+        calibration (residual check included) unless the store already
+        holds its prefix.  Any failure — out-of-domain strategies, fewer
+        than four in-domain M groups (three calibrations would not beat
         per-group calibrating them), anchor residual failure,
         non-integer slope, holdout mismatch — returns ``None`` and the
         sweep stays on per-group calibration.
         """
-        floor = affine_domain(spec)
+        floor = affine_domain(call.spec)
         if floor is None:
             return None
         eligible = sorted(m for m in provable_by_m if m >= floor)
@@ -865,34 +918,24 @@ class BatchPlanner:
             return None
         m_lo, m_hi = eligible[0], eligible[-1]
         m_mid = eligible[len(eligible) // 2]
-        anchors: typing.Dict[int, _Prefix] = {}
         for m in (m_lo, m_mid, m_hi):
-            known = prefixes.get(m)
-            if known is not None:
+            if m in prefixes:
                 # A stored prefix is residual-checked evidence already;
                 # anchoring on it keeps the fit simulation-free.
-                anchors[m] = known
                 continue
-            fallbacks, validated = self._plan_group(
-                config, kernel, spec, m, tiles_by_m[m], first,
-                tile_group, provable_by_m[m], variant, scalars, seed,
-                verify, slots)
-            remaining.extend(fallbacks)
-            handled.add(m)
-            self.prefixes_calibrated += 1
+            validated = self._calibrate_group(call, m, provable_by_m[m])
             if validated is None:
                 self.holdout_fallbacks += 1
                 return None
-            anchors[m] = validated
             prefixes[m] = validated
-            self._store_prefix(coords, m, validated)
-        model = fit_prefix_model(floor, m_lo, anchors[m_lo], m_hi,
-                                 anchors[m_hi])
-        if model is None or model.predict(m_mid) != anchors[m_mid]:
+            self._store_prefix(call.store, m, validated)
+        model = fit_prefix_model(floor, m_lo, prefixes[m_lo], m_hi,
+                                 prefixes[m_hi])
+        if model is None or model.predict(m_mid) != prefixes[m_mid]:
             self.holdout_fallbacks += 1
             return None
         self.mmodels_fitted += 1
-        self._store_model(coords, model)
+        self._store_model(call.store, model)
         return model
 
     # ------------------------------------------------------------------

@@ -55,7 +55,10 @@ def test_classes_time_differently_and_cross(mixed_config):
     assert wide[(4096, 2)] < cycles[(4096, 2)]
 
 
-def test_planner_engages_per_tile_class(mixed_config):
+def test_planner_engages_per_tile_class(mixed_config, monkeypatch):
+    # The planner's own engagement is under test: pin it on even when
+    # the ambient environment selects the event-engine reference.
+    monkeypatch.delenv("REPRO_NAIVE_BATCH", raising=False)
     collect_run_stats()
     try:
         _group_sweeps(mixed_config)
@@ -97,9 +100,10 @@ def test_hetero_planned_path_matches_naive(mixed_config, tile_group,
 
 
 def test_ungrouped_mixed_sweep_falls_back_only_on_mixed_spans(
-        mixed_config):
+        mixed_config, monkeypatch):
     """m ≤ 4 stays inside the snitch span (plans); m > 4 crosses into
     the vecwide span (mixed: falls back, still correct)."""
+    monkeypatch.delenv("REPRO_NAIVE_BATCH", raising=False)
     collect_run_stats()
     try:
         sweep(mixed_config, "daxpy", (256, 1024), (2, 4, 6, 8),

@@ -134,12 +134,9 @@ def test_predicted_matches_calibrated_on_wide_fabric_with_empty_slices():
 # ----------------------------------------------------------------------
 # The holdout check: a bad fit must be caught, never believed
 # ----------------------------------------------------------------------
-def test_sabotaged_fit_is_caught_by_the_holdout_and_falls_back(
-        monkeypatch):
-    """Corrupt every fitted slope by one cycle: the held-out anchor no
-    longer lies on the line, so the planner must discard the model,
-    calibrate per group (the PR-7 rule), and still match the
-    reference stream bit for bit."""
+def _sabotage_fit(monkeypatch):
+    """Corrupt every fitted slope by one cycle, so the held-out anchor
+    no longer lies on the line."""
     genuine = batch.fit_prefix_model
 
     def sabotaged(min_m, m_lo, prefix_lo, m_hi, prefix_hi):
@@ -152,6 +149,15 @@ def test_sabotaged_fit_is_caught_by_the_holdout_and_falls_back(
             slope=tuple(s + 1 for s in model.slope))
 
     monkeypatch.setattr(batch, "fit_prefix_model", sabotaged)
+
+
+def test_sabotaged_fit_is_caught_by_the_holdout_and_falls_back(
+        monkeypatch):
+    """Corrupt every fitted slope by one cycle: the held-out anchor no
+    longer lies on the line, so the planner must discard the model,
+    calibrate per group (the PR-7 rule), and still match the
+    reference stream bit for bit."""
+    _sabotage_fit(monkeypatch)
     naive, fast, executor = _ab_sweep(CFG, "daxpy", N_VALUES, M_VALUES,
                                       "extended")
     assert fast == naive
@@ -159,6 +165,21 @@ def test_sabotaged_fit_is_caught_by_the_holdout_and_falls_back(
     assert executor.holdout_fallbacks == 1
     assert executor.prefixes_predicted == 0
     # Every M group paid its own calibration, PR-7 style.
+    assert executor.simulated_points == len(M_VALUES)
+
+
+def test_sabotaged_fit_on_a_single_n_falls_back_point_by_point(
+        monkeypatch):
+    """One N over every M: each anchor group is its own calibration
+    point with nothing left to time, and once the fit is discarded the
+    other one-point groups go to the event engine.  No group reaches
+    the grid evaluation with an empty row list."""
+    _sabotage_fit(monkeypatch)
+    naive, fast, executor = _ab_sweep(CFG, "daxpy", [256], M_VALUES,
+                                      "extended")
+    assert fast == naive
+    assert executor.holdout_fallbacks == 1
+    assert executor.planned_points == 0
     assert executor.simulated_points == len(M_VALUES)
 
 

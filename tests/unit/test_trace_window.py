@@ -56,7 +56,10 @@ def test_builder_reads_only_the_window_after_many_offloads():
     assert rebuilt == last.trace
 
 
-def test_log_stays_sorted_across_every_entry_point():
+def test_log_stays_sorted_across_every_entry_point(monkeypatch):
+    # The snapshot-restore entry point is part of what is covered, so
+    # the copy-on-write snapshot path stays on under any ambient gate.
+    monkeypatch.delenv("REPRO_NAIVE_SNAPSHOT", raising=False)
     config = SoCConfig.extended(num_clusters=8)
     pool = SystemPool()
     for round_ in range(3):  # build, then reset, then snapshot restore

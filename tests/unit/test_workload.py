@@ -230,7 +230,9 @@ def test_workload_error_on_host_placement():
     assert not err.value.placement.offload
 
 
-def test_pool_release_is_safe_after_a_failed_job():
+def test_pool_release_is_safe_after_a_failed_job(monkeypatch):
+    # The release audit is under test; fresh-systems mode skips it.
+    monkeypatch.delenv("REPRO_FRESH_SYSTEMS", raising=False)
     from repro.errors import WorkloadError
     from repro.soc.pool import SystemPool
     pool = SystemPool()

@@ -160,12 +160,12 @@ def _markdown(args, sides):
         f"reference and eliminated {resume_cut:.0%} of event-engine\n"
         "resumes.  Each resume is one generator re-entry in\n"
         "`repro/sim/process.py:_resume`; its inclusive share above is\n"
-        "the interpreter cost the `BatchPlanner` converts into a few\n"
-        "NumPy array expressions per (variant, M) group — one\n"
-        "calibration simulation still pays full price, every other N\n"
-        "in the group is predicted closed-form and residual-checked\n"
-        "against the calibration trace (see `docs/architecture.md`,\n"
-        "section 12).\n")
+        "the interpreter cost the `BatchPlanner` converts into NumPy\n"
+        "array algebra.  A few calibration simulations still pay full\n"
+        "price (each residual-checked against the closed form); every\n"
+        "other point of the sweep call is timed by one `predict_grid`\n"
+        "evaluation per tile class (see `docs/architecture.md`,\n"
+        "sections 12 and 13).\n")
     return out.getvalue()
 
 
