@@ -2,8 +2,8 @@
 
 Not a paper artifact: this tracks how many grid points per second the
 sweep machinery measures, with every throughput mechanism — bisect +
-hit-cache routing, pooled SoC reuse with copy-on-write boot snapshots,
-virtualized host polling, bulk channel timing, closed-form
+hit-cache routing, pooled SoC reuse through ``reset()``, virtualized
+host polling, bulk channel timing, closed-form
 barrier/compute-phase crossings, and the batch planner that times most
 grid points as array arithmetic seeded from a handful of calibration
 runs (the M axis itself predicted via affine prefix models) — toggled
@@ -25,16 +25,15 @@ import time
 
 from repro.core.sweep import sweep
 from repro.flags import (
+    FRESH_SYSTEMS_ENV,
     NAIVE_BARRIER_ENV,
     NAIVE_BATCH_ENV,
     NAIVE_CHANNEL_ENV,
     NAIVE_MPREDICT_ENV,
-    NAIVE_SNAPSHOT_ENV,
 )
 from repro.mem.map import LINEAR_ROUTING_ENV
 from repro.runtime.protocol import NAIVE_POLL_ENV
 from repro.soc.config import SoCConfig
-from repro.soc.pool import FRESH_SYSTEMS_ENV
 
 #: The acceptance grid: both paper variants over three problem sizes
 #: and every fabric width.  384 simulations per A/B pass (192 a side).
@@ -43,8 +42,8 @@ M_VALUES = list(range(1, 33))
 VARIANTS = ["baseline", "extended"]
 
 _ALL_GATES = (NAIVE_POLL_ENV, FRESH_SYSTEMS_ENV, LINEAR_ROUTING_ENV,
-              NAIVE_CHANNEL_ENV, NAIVE_BARRIER_ENV, NAIVE_SNAPSHOT_ENV,
-              NAIVE_BATCH_ENV, NAIVE_MPREDICT_ENV)
+              NAIVE_CHANNEL_ENV, NAIVE_BARRIER_ENV, NAIVE_BATCH_ENV,
+              NAIVE_MPREDICT_ENV)
 
 
 @contextlib.contextmanager
@@ -65,14 +64,14 @@ def _gates(enabled, names=_ALL_GATES):
                 os.environ[name] = value
 
 
-def _run_grid(reuse):
+def _run_grid():
     """Measure the full grid; returns the flat list of sweep points."""
     config = SoCConfig.extended(num_clusters=32)
     points = []
     for variant in VARIANTS:
         variant_config = config.for_variant(variant)
         result = sweep(variant_config, "daxpy", N_VALUES, M_VALUES,
-                       variant=variant, reuse=reuse)
+                       variant=variant)
         points.extend(result.points)
     return points
 
@@ -87,8 +86,7 @@ def test_sweep_point_throughput(benchmark):
     earlier snapshots of this entry swing by >20%).
     """
     with _gates(enabled=False):
-        points = benchmark.pedantic(_run_grid, args=(True,),
-                                    rounds=5, iterations=1)
+        points = benchmark.pedantic(_run_grid, rounds=5, iterations=1)
     assert len(points) == len(N_VALUES) * len(M_VALUES) * len(VARIANTS)
     if benchmark.stats is not None:  # absent under --benchmark-disable
         best = benchmark.stats.stats.min
@@ -118,15 +116,15 @@ def test_optimizations_are_bit_identical_and_faster(benchmark):
             gc.collect()
             start = time.perf_counter()
             if index == 0:
-                naive_points = benchmark.pedantic(_run_grid, args=(False,),
+                naive_points = benchmark.pedantic(_run_grid,
                                                   rounds=1, iterations=1)
             else:
-                naive_points = _run_grid(False)
+                naive_points = _run_grid()
             naive_times.append(time.perf_counter() - start)
         with _gates(enabled=False):
             gc.collect()
             start = time.perf_counter()
-            fast_points = _run_grid(True)
+            fast_points = _run_grid()
             fast_times.append(time.perf_counter() - start)
         # The whole point: not one measured cycle may move.
         assert fast_points == naive_points
@@ -147,7 +145,7 @@ def test_batch_planner_is_bit_identical_and_faster(benchmark):
     A/B'd.
 
     ``REPRO_NAIVE_BATCH`` alone is toggled, so both sides enjoy pooled
-    systems, snapshot restores and bulk timing — the measured ratio is
+    systems and bulk timing — the measured ratio is
     the planner's full contribution on the acceptance grid, affine
     M-axis prefix prediction included (a handful of anchor calibrations
     per variant, everything else timed closed-form).  Interleaved
@@ -163,15 +161,15 @@ def test_batch_planner_is_bit_identical_and_faster(benchmark):
             gc.collect()
             start = time.perf_counter()
             if index == 0:
-                event_points = benchmark.pedantic(_run_grid, args=(True,),
+                event_points = benchmark.pedantic(_run_grid,
                                                   rounds=1, iterations=1)
             else:
-                event_points = _run_grid(True)
+                event_points = _run_grid()
             event_times.append(time.perf_counter() - start)
         with _gates(enabled=False):
             gc.collect()
             start = time.perf_counter()
-            batched_points = _run_grid(True)
+            batched_points = _run_grid()
             batched_times.append(time.perf_counter() - start)
         assert batched_points == event_points
 
@@ -210,14 +208,14 @@ def test_mpredict_layer_is_bit_identical_and_faster(benchmark):
             start = time.perf_counter()
             if index == 0:
                 calibrated_points = benchmark.pedantic(
-                    _run_grid, args=(True,), rounds=1, iterations=1)
+                    _run_grid, rounds=1, iterations=1)
             else:
-                calibrated_points = _run_grid(True)
+                calibrated_points = _run_grid()
             calibrated_times.append(time.perf_counter() - start)
         with _gates(enabled=False):
             gc.collect()
             start = time.perf_counter()
-            predicted_points = _run_grid(True)
+            predicted_points = _run_grid()
             predicted_times.append(time.perf_counter() - start)
         assert predicted_points == calibrated_points
 

@@ -305,8 +305,7 @@ def _print_run_stats(out: typing.TextIO) -> None:
         f"  calib store {total['calibration_store_hits']} hits, "
         f"{total['calibration_store_misses']} misses, "
         f"{total['cache_evictions']} disk evictions\n"
-        f"  pool        {total['pool_hits']} reused "
-        f"({total['pool_restores']} snapshot restores), "
+        f"  pool        {total['pool_hits']} reused, "
         f"{total['pool_builds']} built, {total['pool_dropped']} dropped\n"
         f"  resumes     {total['sim_resumes']} process wake-ups in the "
         f"event engine\n")

@@ -150,24 +150,6 @@ class Barrier:
         self._release = self.sim.event(name=f"{self.name}.gen0")
         self.ff_crossings = 0
 
-    def snapshot(self) -> typing.Tuple[int, int]:
-        """Capture crossing state; only legal with nobody waiting."""
-        if self._arrived:
-            raise SimulationError(
-                f"{self.name}: cannot snapshot with {self._arrived} "
-                "parties waiting")
-        return (self._generation, self.ff_crossings)
-
-    def restore(self, state: typing.Tuple[int, int]) -> None:
-        """Restore a :meth:`snapshot`; only legal with nobody waiting."""
-        if self._arrived:
-            raise SimulationError(
-                f"{self.name}: cannot restore with {self._arrived} "
-                "parties waiting")
-        self._generation, self.ff_crossings = state
-        self._release = self.sim.event(
-            name=f"{self.name}.gen{self._generation}")
-
     @property
     def generation(self) -> int:
         """Number of fully-crossed generations so far."""

@@ -213,29 +213,6 @@ class Cluster:
             worker.reset()
         self.tcdm.reset()
 
-    def snapshot(self) -> typing.Tuple:
-        """Capture cluster state for warm restore (quiescent only)."""
-        return (
-            self.jobs_completed,
-            self.ff_compute_phases,
-            self.mailbox.snapshot(),
-            self.dma.snapshot(),
-            self.barrier.snapshot(),
-            tuple(worker.snapshot() for worker in self.workers),
-            self.tcdm.snapshot(),
-        )
-
-    def restore(self, state: typing.Tuple) -> None:
-        """Restore a :meth:`snapshot` (quiescent states only)."""
-        (self.jobs_completed, self.ff_compute_phases, mailbox, dma,
-         barrier, workers, tcdm) = state
-        self.mailbox.restore(mailbox)
-        self.dma.restore(dma)
-        self.barrier.restore(barrier)
-        for worker, wstate in zip(self.workers, workers):
-            worker.restore(wstate)
-        self.tcdm.restore(tcdm)
-
     @property
     def num_workers(self) -> int:
         return len(self.workers)

@@ -57,16 +57,6 @@ class DmaEngine:
         self.ff_transfers = 0
         self.ff_fallbacks = 0
 
-    def snapshot(self) -> typing.Tuple[int, ...]:
-        """Capture the statistics counters; pair with :meth:`restore`."""
-        return (self.transfers_in, self.transfers_out, self.bytes_in,
-                self.bytes_out, self.ff_transfers, self.ff_fallbacks)
-
-    def restore(self, state: typing.Tuple[int, ...]) -> None:
-        """Restore a :meth:`snapshot` of the statistics counters."""
-        (self.transfers_in, self.transfers_out, self.bytes_in,
-         self.bytes_out, self.ff_transfers, self.ff_fallbacks) = state
-
     def transfer_in(self, nbytes: int) -> typing.Generator:
         """Stage ``nbytes`` from main memory into the TCDM.
 

@@ -82,15 +82,6 @@ class Mailbox(MmioDevice):
         self.job_ptr = 0
         self.jobs_received = 0
 
-    def snapshot(self) -> typing.Tuple[int, int]:
-        """Capture latch and statistics (waiters are live state, kept)."""
-        return (self.job_ptr, self.jobs_received)
-
-    def restore(self, state: typing.Tuple[int, int]) -> None:
-        """Restore a :meth:`snapshot`; parked waiters survive, as in
-        :meth:`reset`."""
-        self.job_ptr, self.jobs_received = state
-
     @property
     def waiters(self) -> int:
         """Number of processes parked on the doorbell (boot state: 1)."""

@@ -73,15 +73,6 @@ class WorkerCore:
         self.jobs_executed = 0
         self.busy_cycles = 0
 
-    def snapshot(self) -> typing.Tuple[int, int]:
-        """Capture the statistics counters; pair with :meth:`restore`."""
-        return (self.jobs_executed, self.busy_cycles)
-
-    def restore(self, state: typing.Tuple[int, int]) -> None:
-        """Restore a :meth:`snapshot` of the statistics counters."""
-        self.jobs_executed, self.busy_cycles = state
-
-
 @functools.lru_cache(maxsize=4096)
 def _split_among_cores_cached(
         elements: int, lo: int,

@@ -700,10 +700,9 @@ class BatchPlanner:
       :class:`~repro.core.cache.SweepCache`.
     """
 
-    def __init__(self, pool: "SystemPool", reuse: bool = True,
+    def __init__(self, pool: "SystemPool",
                  cache: typing.Optional["SweepCache"] = None) -> None:
         self.pool = pool
-        self.reuse = reuse
         self.cache = cache
         self.planned_points = 0
         self.calibration_points = 0
@@ -845,14 +844,9 @@ class BatchPlanner:
     def _calibrate(self, call: _Call, n: int, m: int):
         """One event-engine simulation, keeping the full trace."""
         from repro.core.offload import offload
-        from repro.soc.manticore import ManticoreSystem
 
-        if self.reuse:
-            with self.pool.lease(call.config) as system:
-                result = offload(system, call.kernel.name, n, m, **call.run)
-        else:
-            result = offload(ManticoreSystem(call.config), call.kernel.name,
-                             n, m, **call.run)
+        with self.pool.lease(call.config) as system:
+            result = offload(system, call.kernel.name, n, m, **call.run)
         self.calibration_points += 1
         return result
 

@@ -16,8 +16,8 @@ share no state and any execution order yields the same measurements.
   :class:`~repro.soc.pool.SystemPool`, so successive same-config
   points reuse one constructed SoC via the bit-identical
   :meth:`~repro.soc.manticore.ManticoreSystem.reset` instead of paying
-  construction per point (disable with ``reuse=False`` or the
-  ``REPRO_FRESH_SYSTEMS`` environment variable).
+  construction per point (disable with the ``REPRO_FRESH_SYSTEMS``
+  environment variable).
 
 Determinism guarantee
 ---------------------
@@ -43,7 +43,6 @@ from repro.core.offload import offload
 from repro.core.sweep import SweepPoint, SweepResult
 from repro.errors import OffloadError
 from repro.soc.config import SoCConfig
-from repro.soc.manticore import ManticoreSystem
 from repro.soc.pool import SystemPool
 
 
@@ -86,24 +85,18 @@ def drain_run_stats() -> typing.List[typing.Dict[str, typing.Any]]:
 def measure_point(config: SoCConfig, kernel_name: str, n: int, m: int,
                   variant: str,
                   scalars: typing.Optional[typing.Mapping[str, float]],
-                  seed: int, verify: bool, reuse: bool = True,
+                  seed: int, verify: bool,
                   tile_group: typing.Optional[str] = None) -> SweepPoint:
     """Simulate one grid point on a boot-state SoC and summarize it.
 
-    With ``reuse`` (the default) the SoC is leased from the process's
-    :class:`~repro.soc.pool.SystemPool` — measurements are bit-identical
-    to a fresh construction (property-tested), just cheaper.  Pass
-    ``reuse=False`` or set ``REPRO_FRESH_SYSTEMS`` to force fresh
-    construction per point.  ``tile_group`` targets one fabric group of
-    a heterogeneous config (see :func:`repro.core.offload.offload`).
+    The SoC is leased from the process's :class:`~repro.soc.pool.SystemPool`
+    — measurements are bit-identical to a fresh construction
+    (property-tested), just cheaper.  Set ``REPRO_FRESH_SYSTEMS`` to
+    force fresh construction per point.  ``tile_group`` targets one
+    fabric group of a heterogeneous config (see
+    :func:`repro.core.offload.offload`).
     """
-    if reuse:
-        with _SYSTEM_POOL.lease(config) as system:
-            result = offload(system, kernel_name, n, m, scalars=scalars,
-                             variant=variant, seed=seed, verify=verify,
-                             tile_group=tile_group)
-    else:
-        system = ManticoreSystem(config)
+    with _SYSTEM_POOL.lease(config) as system:
         result = offload(system, kernel_name, n, m, scalars=scalars,
                          variant=variant, seed=seed, verify=verify,
                          tile_group=tile_group)
@@ -118,12 +111,11 @@ def _measure_chunk(config: SoCConfig, kernel_name: str,
                    variant: str,
                    scalars: typing.Optional[typing.Mapping[str, float]],
                    seed: int, verify: bool,
-                   reuse: bool = True,
                    tile_group: typing.Optional[str] = None
                    ) -> typing.List[SweepPoint]:
     """Worker-process entry point: simulate a chunk of (N, M) coords."""
     return [measure_point(config, kernel_name, n, m, variant, scalars,
-                          seed, verify, reuse=reuse, tile_group=tile_group)
+                          seed, verify, tile_group=tile_group)
             for n, m in coords]
 
 
@@ -170,16 +162,12 @@ class SweepExecutor:
 
     def __init__(self, jobs: int = 1,
                  cache: typing.Optional[SweepCache] = None,
-                 chunk_size: typing.Optional[int] = None,
-                 reuse: bool = True) -> None:
+                 chunk_size: typing.Optional[int] = None) -> None:
         if chunk_size is not None and chunk_size < 1:
             raise OffloadError(f"chunk_size must be >= 1, got {chunk_size}")
         self.jobs = resolve_jobs(jobs)
         self.cache = cache
         self.chunk_size = chunk_size
-        #: Lease SoC instances from the per-process SystemPool instead
-        #: of constructing one per point (bit-identical, faster).
-        self.reuse = reuse
         self.cache_hits = 0
         self.cache_misses = 0
         self.simulated_points = 0
@@ -240,8 +228,7 @@ class SweepExecutor:
         self.calibration_store_misses = 0
         started = time.perf_counter()
         pool_before = (_SYSTEM_POOL.hits, _SYSTEM_POOL.builds,
-                       _SYSTEM_POOL.restores, _SYSTEM_POOL.dropped,
-                       _SYSTEM_POOL.resume_count())
+                       _SYSTEM_POOL.dropped, _SYSTEM_POOL.resume_count())
         evictions_before = (self.cache.evictions
                             if self.cache is not None else 0)
 
@@ -287,8 +274,7 @@ class SweepExecutor:
             if flags.naive_batch():
                 remaining = pending
             else:
-                planner = BatchPlanner(_SYSTEM_POOL, reuse=self.reuse,
-                                       cache=self.cache)
+                planner = BatchPlanner(_SYSTEM_POOL, cache=self.cache)
                 remaining = planner.consume(
                     config, kernel_name, variant, scalars, seed, verify,
                     pending, slots, tile_group=tile_group)
@@ -326,7 +312,7 @@ class SweepExecutor:
         return SweepResult(points=tuple(points))
 
     def _collect_stats(self, total_points: int, elapsed: float,
-                       pool_before: typing.Tuple[int, int, int, int, int],
+                       pool_before: typing.Tuple[int, int, int, int],
                        cache_evictions: int,
                        tile_group: typing.Optional[str] = None,
                        tile_class: str = "snitch"
@@ -338,7 +324,7 @@ class SweepExecutor:
         the parent's share of a multi-process fan-out (worker pools
         live in their own processes).
         """
-        hits0, builds0, restores0, dropped0, resumes0 = pool_before
+        hits0, builds0, dropped0, resumes0 = pool_before
         predictable = self.planned_points + self.batch_fallback_points
         return {
             "points": total_points,
@@ -363,7 +349,6 @@ class SweepExecutor:
             "cache_evictions": cache_evictions,
             "pool_hits": _SYSTEM_POOL.hits - hits0,
             "pool_builds": _SYSTEM_POOL.builds - builds0,
-            "pool_restores": _SYSTEM_POOL.restores - restores0,
             "pool_dropped": _SYSTEM_POOL.dropped - dropped0,
             "sim_resumes": _SYSTEM_POOL.resume_count() - resumes0,
         }
@@ -377,7 +362,6 @@ class SweepExecutor:
         for index, n, m in pending:
             slots[index] = measure_point(config, kernel_name, n, m,
                                          variant, scalars, seed, verify,
-                                         reuse=self.reuse,
                                          tile_group=tile_group)
             self.simulated_points += 1
             emit_ready()
@@ -396,8 +380,7 @@ class SweepExecutor:
             futures = {
                 pool.submit(_measure_chunk, config, kernel_name,
                             [(n, m) for _i, n, m in part], variant,
-                            scalars, seed, verify, self.reuse,
-                            tile_group): part
+                            scalars, seed, verify, tile_group): part
                 for part in chunks
             }
             for future in concurrent.futures.as_completed(futures):

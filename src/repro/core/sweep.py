@@ -167,7 +167,6 @@ def sweep(config: SoCConfig, kernel_name: str,
           seed: int = 0, verify: bool = True,
           progress: typing.Optional[typing.Callable[[SweepPoint], None]] = None,
           jobs: int = 1, cache: typing.Optional["SweepCache"] = None,
-          reuse: bool = True,
           tile_group: typing.Optional[str] = None) -> SweepResult:
     """Measure a full (N, M) grid, one boot-state SoC per point.
 
@@ -193,11 +192,6 @@ def sweep(config: SoCConfig, kernel_name: str,
     cache:
         Optional :class:`~repro.core.cache.SweepCache`; previously
         measured points are replayed from it instead of re-simulated.
-    reuse:
-        Lease SoC instances from a per-process
-        :class:`~repro.soc.pool.SystemPool` (default) instead of
-        constructing one per point; measurements are bit-identical
-        either way.  ``REPRO_FRESH_SYSTEMS`` overrides to fresh.
     tile_group:
         Name of the fabric group to sweep over (heterogeneous fabrics);
         every ``m`` must fit within that group's tile count.  ``None``
@@ -205,7 +199,7 @@ def sweep(config: SoCConfig, kernel_name: str,
     """
     from repro.core.executor import SweepExecutor
 
-    executor = SweepExecutor(jobs=jobs, cache=cache, reuse=reuse)
+    executor = SweepExecutor(jobs=jobs, cache=cache)
     return executor.run(config, kernel_name, n_values, m_values,
                         variant=variant, scalars=scalars, seed=seed,
                         verify=verify, progress=progress,

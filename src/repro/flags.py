@@ -18,9 +18,6 @@ variable                  effect
                           worker core and fabric-barrier arrivals pay
                           their wire latency as simulated waits,
                           instead of the closed-form release schedule
-``REPRO_NAIVE_SNAPSHOT``  system pools recycle instances through the
-                          full ``reset()`` component walk instead of
-                          restoring the captured boot snapshot
 ``REPRO_NAIVE_BATCH``     sweeps simulate every grid point through the
                           event engine instead of batching
                           contention-free points through the vectorized
@@ -37,12 +34,6 @@ variable                  effect
                           the homogeneous-equivalence A/B lever
                           proving fabric composition changes nothing
                           for default-class tiles
-``REPRO_LEGACY_JOB_SEEDS``  ``generate_workload`` derives per-job
-                          input seeds as ``stream seed + index`` (the
-                          historical scheme, under which streams with
-                          adjacent seeds share almost every job seed)
-                          instead of drawing them from a dedicated
-                          per-stream RNG
 ``REPRO_LINEAR_ROUTING``  address maps fall back to the unsorted
                           linear region scan (pre-bisect routing);
                           sampled at map construction time
@@ -95,11 +86,6 @@ NAIVE_CHANNEL_ENV = "REPRO_NAIVE_CHANNEL"
 #: max-of-known-delays release schedule.
 NAIVE_BARRIER_ENV = "REPRO_NAIVE_BARRIER"
 
-#: Environment variable: when set (non-empty), system pools recycle
-#: instances through the full ``reset()`` component walk instead of
-#: restoring a captured boot snapshot.
-NAIVE_SNAPSHOT_ENV = "REPRO_NAIVE_SNAPSHOT"
-
 #: Environment variable: when set (non-empty), ``SweepExecutor`` runs
 #: every grid point through the full event engine instead of letting
 #: the ``BatchPlanner`` time contention-free points as vectorized
@@ -124,13 +110,6 @@ NAIVE_MPREDICT_ENV = "REPRO_NAIVE_MPREDICT"
 #: cycle-identity suite uses to prove fabric composition is timing-
 #: neutral for homogeneous configs.
 EXPLICIT_FABRIC_ENV = "REPRO_EXPLICIT_FABRIC"
-
-#: Environment variable: when set (non-empty), ``generate_workload``
-#: restores the historical ``seed + index`` per-job seed derivation.
-#: That scheme makes neighbouring stream seeds share almost all job
-#: seeds (and every multi-tenant stream overlap), so it exists only as
-#: a compatibility lever for artifacts recorded before the fix.
-LEGACY_JOB_SEEDS_ENV = "REPRO_LEGACY_JOB_SEEDS"
 
 #: Environment variable: when set (non-empty) at map construction time,
 #: ``region_at`` falls back to the unsorted linear scan (and port
@@ -162,10 +141,9 @@ STRICT_ENV = "REPRO_STRICT"
 #: Every gate this module owns, for introspection and for benchmarks
 #: that must run with a known-clean environment.
 ALL_GATES = (NAIVE_POLL_ENV, NAIVE_CHANNEL_ENV, NAIVE_BARRIER_ENV,
-             NAIVE_SNAPSHOT_ENV, NAIVE_BATCH_ENV, NAIVE_MPREDICT_ENV,
-             EXPLICIT_FABRIC_ENV, LEGACY_JOB_SEEDS_ENV, LINEAR_ROUTING_ENV,
-             FRESH_SYSTEMS_ENV, CACHE_DIR_ENV, CACHE_MAX_ENTRIES_ENV,
-             STRICT_ENV)
+             NAIVE_BATCH_ENV, NAIVE_MPREDICT_ENV, EXPLICIT_FABRIC_ENV,
+             LINEAR_ROUTING_ENV, FRESH_SYSTEMS_ENV, CACHE_DIR_ENV,
+             CACHE_MAX_ENTRIES_ENV, STRICT_ENV)
 
 
 def _enabled(name: str) -> bool:
@@ -187,11 +165,6 @@ def naive_barrier() -> bool:
     return _enabled(NAIVE_BARRIER_ENV)
 
 
-def naive_snapshot() -> bool:
-    """Whether ``REPRO_NAIVE_SNAPSHOT`` forces full pool resets."""
-    return _enabled(NAIVE_SNAPSHOT_ENV)
-
-
 def naive_batch() -> bool:
     """Whether ``REPRO_NAIVE_BATCH`` disables batched sweep timing."""
     return _enabled(NAIVE_BATCH_ENV)
@@ -205,11 +178,6 @@ def naive_mpredict() -> bool:
 def explicit_fabric() -> bool:
     """Whether ``REPRO_EXPLICIT_FABRIC`` expands implicit fabrics."""
     return _enabled(EXPLICIT_FABRIC_ENV)
-
-
-def legacy_job_seeds() -> bool:
-    """Whether ``REPRO_LEGACY_JOB_SEEDS`` restores seed+index job seeds."""
-    return _enabled(LEGACY_JOB_SEEDS_ENV)
 
 
 def linear_routing() -> bool:

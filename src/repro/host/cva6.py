@@ -126,16 +126,6 @@ class HostCore:
         self.slept_cycles = 0
         self.lsu.reset()
 
-    def snapshot(self) -> typing.Tuple:
-        """Capture execution statistics (core + LSU)."""
-        return (self.retired_operations, self.slept_cycles,
-                self.lsu.snapshot())
-
-    def restore(self, state: typing.Tuple) -> None:
-        """Restore a :meth:`snapshot`."""
-        self.retired_operations, self.slept_cycles, lsu = state
-        self.lsu.restore(lsu)
-
     # ------------------------------------------------------------------
     # Program execution
     # ------------------------------------------------------------------

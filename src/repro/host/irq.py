@@ -106,29 +106,6 @@ class InterruptController:
             self._pending[name] = False
             self._raise_counts[name] = 0
 
-    def snapshot(self) -> typing.Tuple:
-        """Capture pending bits and raise counts (no parked waiters)."""
-        for name, waiters in self._waiters.items():
-            if waiters:
-                raise SimulationError(
-                    f"cannot snapshot: {len(waiters)} waiter(s) parked on "
-                    f"interrupt line {name!r}")
-        return tuple(
-            (name, self._pending[name], self._raise_counts[name])
-            for name in self._pending)
-
-    def restore(self, state: typing.Tuple) -> None:
-        """Restore a :meth:`snapshot` (no parked waiters on either side)."""
-        for name, waiters in self._waiters.items():
-            if waiters:
-                raise SimulationError(
-                    f"cannot restore: {len(waiters)} waiter(s) parked on "
-                    f"interrupt line {name!r}")
-        for name, pending, count in state:
-            self._check_line(name)
-            self._pending[name] = pending
-            self._raise_counts[name] = count
-
     def _check_line(self, name: str) -> None:
         if name not in self._pending:
             raise SimulationError(f"unknown interrupt line {name!r}")

@@ -38,16 +38,6 @@ class LoadStoreUnit:
         self.multicast_stores_issued = 0
         self.loads_issued = 0
 
-    def snapshot(self) -> typing.Tuple[int, int, int]:
-        """Capture the issue counters."""
-        return (self.stores_issued, self.multicast_stores_issued,
-                self.loads_issued)
-
-    def restore(self, state: typing.Tuple[int, int, int]) -> None:
-        """Restore a :meth:`snapshot`."""
-        (self.stores_issued, self.multicast_stores_issued,
-         self.loads_issued) = state
-
     def store(self, addr: int, value: int) -> WriteHandle:
         """Issue a unicast store."""
         self.stores_issued += 1

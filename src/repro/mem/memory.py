@@ -192,31 +192,6 @@ class MainMemory:
             self._data[:used] = 0
         self._next_alloc = self.base
 
-    def snapshot(self) -> tuple:
-        """Capture allocator position and allocated-prefix contents.
-
-        Relies on the same invariant as :meth:`reset`: the bump
-        allocator is monotonic and every functional write lands below
-        ``_next_alloc``, so the prefix *is* the dirty state.  Cost is
-        O(allocated), not O(capacity).
-        """
-        used = self._next_alloc - self.base
-        return (self._next_alloc, self._data[:used].copy())
-
-    def restore(self, state: tuple) -> None:
-        """Restore a :meth:`snapshot` in O(dirty state).
-
-        Bytes dirtied since the snapshot but beyond its allocated
-        prefix are re-zeroed; bytes inside the prefix are overwritten
-        from the captured copy.
-        """
-        next_alloc, prefix = state
-        used = self._next_alloc - self.base
-        if used > prefix.size:
-            self._data[prefix.size:used] = 0
-        self._data[:prefix.size] = prefix
-        self._next_alloc = next_alloc
-
     @property
     def allocated_bytes(self) -> int:
         """Bytes handed out by the allocator so far (including padding)."""

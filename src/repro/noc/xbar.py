@@ -493,27 +493,6 @@ class Interconnect:
         for port in self.cluster_ports:
             port.reset()
 
-    def snapshot(self) -> tuple:
-        """Capture port accounting and the transaction log."""
-        return (
-            self.host_port.snapshot(),
-            self.amo_port.snapshot(),
-            tuple(port.snapshot() for port in self.cluster_ports),
-            tuple(self.transactions),
-            self.ff_store_runs,
-            self.ff_stores,
-        )
-
-    def restore(self, state: tuple) -> None:
-        """Restore a :meth:`snapshot` (quiescent states only)."""
-        (host_port, amo_port, cluster_ports, transactions,
-         self.ff_store_runs, self.ff_stores) = state
-        self.host_port.restore(host_port)
-        self.amo_port.restore(amo_port)
-        for port, pstate in zip(self.cluster_ports, cluster_ports):
-            port.restore(pstate)
-        self.transactions[:] = transactions
-
     def _log(self, kind: TransactionKind, source: str,
              addresses: typing.Tuple[int, ...],
              value: typing.Optional[int]) -> None:

@@ -56,8 +56,8 @@ class Simulator:
         #: Total process-body resumptions (generator ``send`` calls).
         #: Monotonic diagnostics counter — the interpreter cost of a run
         #: is dominated by these, so sweep statistics and the profiling
-        #: helper report it; deliberately *not* part of snapshot/reset
-        #: state (it measures host work, not simulated state).
+        #: helper report it; deliberately *not* part of reset state
+        #: (it measures host work, not simulated state).
         self.resumes = 0
         #: Live (unfinished) processes; parked DM cores stay here for
         #: the lifetime of the system, which is exactly what deadlock
@@ -250,36 +250,6 @@ class Simulator:
             raise SimulationError("cannot reset while running")
         self.now = 0
         self._sequence = 0
-
-    def snapshot(self) -> typing.Tuple[int, int, int]:
-        """Capture the kernel's clock state (drained queues only).
-
-        Like :meth:`reset`, only legal between runs: queued callbacks
-        carry absolute cycles, so a snapshot with work in flight could
-        never be restored coherently.
-        """
-        if self._queue or self._now_queue:
-            raise SimulationError(
-                f"cannot snapshot with {self.pending} pending callbacks; "
-                "run the simulator to completion first"
-            )
-        return (self.now, self._sequence, self._spawned)
-
-    def restore(self, state: typing.Tuple[int, int, int]) -> None:
-        """Restore a :meth:`snapshot` (drained queues only).
-
-        Component ``restore`` methods run *after* this one so that any
-        absolute cycles inside their states are meaningful against the
-        restored clock.
-        """
-        if self._queue or self._now_queue:
-            raise SimulationError(
-                f"cannot restore with {self.pending} pending callbacks; "
-                "run the simulator to completion first"
-            )
-        if self._running:
-            raise SimulationError("cannot restore while running")
-        self.now, self._sequence, self._spawned = state
 
     @property
     def pending(self) -> int:

@@ -45,10 +45,9 @@ class TraceRecorder:
 
     The log is sorted by ``cycle``: :meth:`record` stamps the
     simulator's ``now``, which only moves forward while the simulation
-    runs.  Whoever rewinds the clock must :meth:`clear` or
-    :meth:`restore` the log with it, as ``ManticoreSystem.reset()`` and
-    ``ManticoreSystem.restore()`` do.  :meth:`window` relies on that
-    order to find a cycle range by binary search instead of a scan.
+    runs.  Whoever rewinds the clock must :meth:`clear` the log with
+    it, as ``ManticoreSystem.reset()`` does.  :meth:`window` relies on
+    that order to find a cycle range by binary search instead of a scan.
     """
 
     def __init__(self, sim: "Simulator", enabled: bool = True) -> None:
@@ -152,14 +151,6 @@ class TraceRecorder:
     def clear(self) -> None:
         """Drop all records."""
         self.records.clear()
-
-    def snapshot(self) -> typing.Tuple[TraceRecord, ...]:
-        """Capture the current log (records are immutable, so no copy)."""
-        return tuple(self.records)
-
-    def restore(self, state: typing.Tuple[TraceRecord, ...]) -> None:
-        """Restore a :meth:`snapshot`."""
-        self.records[:] = state
 
     def __len__(self) -> int:
         return len(self.records)

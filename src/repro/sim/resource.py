@@ -266,24 +266,6 @@ class SerialResource:
         self._reserve_horizon = 0
         self._reserve_poisoned = False
 
-    def snapshot(self) -> typing.Tuple[int, ...]:
-        """Capture occupancy and statistics (see the Snapshot protocol
-        in ``docs/architecture.md`` §11); pair with :meth:`restore`.
-        """
-        return (self._next_free, self._busy_cycles, self._requests,
-                self.ff_requests, self.ff_conflicts,
-                self._reserve_horizon, int(self._reserve_poisoned))
-
-    def restore(self, state: typing.Tuple[int, ...]) -> None:
-        """Restore a :meth:`snapshot`; the simulator clock must already
-        be back at the cycle the snapshot was taken (absolute times in
-        the state are only meaningful against that clock).
-        """
-        (self._next_free, self._busy_cycles, self._requests,
-         self.ff_requests, self.ff_conflicts,
-         self._reserve_horizon, poisoned) = state
-        self._reserve_poisoned = bool(poisoned)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<SerialResource {self.name} next_free={self._next_free} "
@@ -337,10 +319,3 @@ class ThroughputChannel(SerialResource):
         """Restore boot state, including the byte counter."""
         super().reset()
         self._bytes_moved = 0
-
-    def snapshot(self) -> typing.Tuple[int, ...]:
-        return super().snapshot() + (self._bytes_moved,)
-
-    def restore(self, state: typing.Tuple[int, ...]) -> None:
-        super().restore(state[:-1])
-        self._bytes_moved = state[-1]

@@ -168,22 +168,6 @@ class FabricBarrier:
         self.generations = 0
         self.ff_arrivals = 0
 
-    def snapshot(self) -> typing.Tuple[int, int]:
-        """Capture crossing state; only legal with no open groups."""
-        if self._groups:
-            raise SimulationError(
-                f"cannot snapshot fabric barrier with open groups "
-                f"{self.open_groups}")
-        return (self.generations, self.ff_arrivals)
-
-    def restore(self, state: typing.Tuple[int, int]) -> None:
-        """Restore a :meth:`snapshot`; only legal with no open groups."""
-        if self._groups:
-            raise SimulationError(
-                f"cannot restore fabric barrier with open groups "
-                f"{self.open_groups}")
-        self.generations, self.ff_arrivals = state
-
     def waiting(self, group: int = 0) -> int:
         """Clusters currently blocked in ``group``'s open generation."""
         if group not in self._groups:

@@ -18,9 +18,9 @@ System address map::
 
 Construction is the expensive part of a measurement at sweep scale, so
 instances are reusable: :meth:`ManticoreSystem.reset` restores boot
-state bit-identically once a run has drained, and
-:class:`repro.soc.pool.SystemPool` hands the same instance to
-successive same-config measurements.
+state bit-identically once a run has drained, in O(dirty state), and
+:class:`repro.soc.pool.SystemPool` recycles the same instance through it
+for successive same-config measurements.
 """
 
 from __future__ import annotations
@@ -232,16 +232,6 @@ class ManticoreSystem:
                          cluster.mailbox.waiters)
         return audit.report()
 
-    def _require_quiescent(self, action: str) -> None:
-        """Run the quiescence audit and raise if the system is dirty."""
-        quiescence = self.audit_quiescence()
-        if not quiescence.ok:
-            error = QuiescenceError(
-                f"cannot {action} a non-quiescent system\n"
-                + quiescence.describe())
-            error.report = quiescence
-            raise error
-
     def reset(self, audited: bool = False) -> None:
         """Restore the system to boot state for the next measurement.
 
@@ -269,7 +259,13 @@ class ManticoreSystem:
         it.
         """
         if not audited:
-            self._require_quiescent("reset")
+            quiescence = self.audit_quiescence()
+            if not quiescence.ok:
+                error = QuiescenceError(
+                    "cannot reset a non-quiescent system\n"
+                    + quiescence.describe())
+                error.report = quiescence
+                raise error
         self.sim.reset()  # validates the queues are drained
         self.trace.clear()
         self.address_map.clear_watchpoints()
@@ -283,65 +279,6 @@ class ManticoreSystem:
         self.host.reset()
         for cluster in self.clusters:
             cluster.reset()
-        self.auditor.clear()
-
-    def snapshot(self, audited: bool = False) -> tuple:
-        """Capture the whole system's state between runs.
-
-        Only legal on a quiescent system (same audit as :meth:`reset`):
-        with nothing in flight, the complete mutable state is the
-        components' counters, registers, logs, and allocated memory
-        prefixes, all of which the component ``snapshot()`` methods
-        capture.  The captured tuple is opaque; hand it back to
-        :meth:`restore` on *this* instance (or a structurally identical
-        one).  :class:`repro.soc.pool.SystemPool` uses a post-reset
-        snapshot to hand out boot-state systems in O(dirty state);
-        warm-state snapshots fork a partially-run system instead of
-        replaying its prefix.  ``audited=True`` skips the audit for
-        callers that just ran it themselves.
-        """
-        if not audited:
-            self._require_quiescent("snapshot")
-        return (
-            self.sim.snapshot(),
-            self.trace.snapshot(),
-            self.memory.snapshot(),
-            self.read_channel.snapshot(),
-            self.write_channel.snapshot(),
-            self.noc.snapshot(),
-            self.irq.snapshot(),
-            self.syncunit.snapshot(),
-            self.fabric_barrier.snapshot(),
-            self.host.snapshot(),
-            tuple(cluster.snapshot() for cluster in self.clusters),
-        )
-
-    def restore(self, state: tuple, audited: bool = False) -> None:
-        """Restore a :meth:`snapshot`, bit-identically.
-
-        Only legal on a quiescent system.  The simulation clock is
-        restored first so absolute cycles inside component states are
-        meaningful; watchpoints and audit findings are cleared exactly
-        as :meth:`reset` clears them.  ``audited=True`` skips the
-        audit for callers that just ran it themselves.
-        """
-        if not audited:
-            self._require_quiescent("restore onto")
-        (sim, trace, memory, read_channel, write_channel, noc, irq,
-         syncunit, fabric_barrier, host, clusters) = state
-        self.sim.restore(sim)
-        self.trace.restore(trace)
-        self.address_map.clear_watchpoints()
-        self.memory.restore(memory)
-        self.read_channel.restore(read_channel)
-        self.write_channel.restore(write_channel)
-        self.noc.restore(noc)
-        self.irq.restore(irq)
-        self.syncunit.restore(syncunit)
-        self.fabric_barrier.restore(fabric_barrier)
-        self.host.restore(host)
-        for cluster, cstate in zip(self.clusters, clusters):
-            cluster.restore(cstate)
         self.auditor.clear()
 
     # ------------------------------------------------------------------

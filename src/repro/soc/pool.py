@@ -7,7 +7,8 @@ hardware (every sweep in the paper) can instead lease one system per
 configuration from a :class:`SystemPool`: a leased system is handed out
 after :meth:`~repro.soc.manticore.ManticoreSystem.reset`, which
 restores boot state bit-identically (property-tested in
-``tests/property/test_system_reuse.py``).
+``tests/property/test_system_reuse.py``) and zeroes only the allocated
+memory prefix, so recycling costs O(dirty state), not O(capacity).
 
 Pooling is transparent to measurement code and can be disabled globally
 for A/B verification by setting the ``REPRO_FRESH_SYSTEMS`` environment
@@ -26,15 +27,6 @@ from repro.errors import QuiescenceError
 from repro.sim import IntegrityWarning
 from repro.soc.config import SoCConfig
 from repro.soc.manticore import ManticoreSystem
-
-#: Re-exported from :mod:`repro.flags`, the single source of truth for
-#: every ``REPRO_*`` gate; kept here for backwards compatibility.
-FRESH_SYSTEMS_ENV = flags.FRESH_SYSTEMS_ENV
-
-
-def pooling_disabled() -> bool:
-    """Whether ``REPRO_FRESH_SYSTEMS`` forces fresh construction."""
-    return flags.fresh_systems()
 
 
 class SystemPool:
@@ -55,61 +47,38 @@ class SystemPool:
             raise ValueError(f"max_idle must be >= 1, got {max_idle}")
         self.max_idle = max_idle
         self._idle: typing.Dict[str, collections.deque] = {}
-        #: One post-reset (boot-state) snapshot per config digest,
-        #: captured from the first recycled instance; later acquires
-        #: restore it in O(dirty state) instead of walking the full
-        #: reset.  ``REPRO_NAIVE_SNAPSHOT`` disables the restore path.
-        self._boot_snapshots: typing.Dict[str, tuple] = {}
         #: Number of acquires served by reusing an idle instance.
         self.hits = 0
         #: Number of acquires that had to construct a system.
         self.builds = 0
-        #: Number of reused acquires served by restoring the digest's
-        #: boot snapshot (subset of :attr:`hits`).
+        #: Always 0 (pooled systems recycle through reset()); kept
+        #: because ``perfbench/layers.py`` reads it.
         self.restores = 0
         #: Number of released systems dropped for failing the
         #: quiescence audit (non-zero means a measurement leaked
         #: in-flight state — see :meth:`release`).
         self.dropped = 0
 
-    def acquire(self, config: SoCConfig,
-                record_trace: bool = True) -> ManticoreSystem:
+    def acquire(self, config: SoCConfig) -> ManticoreSystem:
         """Lease a boot-state system for ``config``.
 
         The caller owns the instance until :meth:`release`; an idle
         pooled instance is reset before being handed out.  With
         ``REPRO_FRESH_SYSTEMS`` set, always constructs.
         """
-        if not pooling_disabled():
-            digest = config.digest()
-            queue = self._idle.get(digest)
-            while queue:
-                system = queue.pop()
-                # Trace recording is a construction-time choice; only
-                # reuse an instance whose choice matches.
-                if system.trace.enabled != record_trace:
-                    continue
-                boot = (None if flags.naive_snapshot()
-                        else self._boot_snapshots.get(digest))
-                # ``audited=True``: this instance entered the idle pool
-                # through :meth:`release`'s quiescence audit and nothing
-                # has run since, so re-auditing here would repeat the
-                # exact walk that just passed.
-                if boot is not None:
-                    # Boot state is the same for every instance of a
-                    # digest, so the captured snapshot applies to any
-                    # of them (property-tested against reset()).
-                    system.restore(boot, audited=True)
-                    self.restores += 1
-                else:
-                    system.reset(audited=True)
-                    if not flags.naive_snapshot():
-                        self._boot_snapshots[digest] = \
-                            system.snapshot(audited=True)
-                self.hits += 1
-                return system
+        queue = (None if flags.fresh_systems()
+                 else self._idle.get(config.digest()))
+        if queue:
+            system = queue.pop()
+            # ``audited=True``: this instance entered the idle pool
+            # through :meth:`release`'s quiescence audit and nothing has
+            # run since, so re-auditing here would repeat the exact walk
+            # that just passed.
+            system.reset(audited=True)
+            self.hits += 1
+            return system
         self.builds += 1
-        return ManticoreSystem(config, record_trace=record_trace)
+        return ManticoreSystem(config)
 
     def release(self, system: ManticoreSystem) -> None:
         """Return a leased system to the pool.
@@ -126,7 +95,7 @@ class SystemPool:
         ``REPRO_FRESH_SYSTEMS`` set, the instance is dropped without an
         audit — fresh-construction mode never recycles.
         """
-        if pooling_disabled():
+        if flags.fresh_systems():
             return
         report = system.audit_quiescence()
         if not report.ok:
@@ -151,25 +120,24 @@ class SystemPool:
             queue.append(system)
 
     @contextlib.contextmanager
-    def lease(self, config: SoCConfig, record_trace: bool = True):
+    def lease(self, config: SoCConfig):
         """``with pool.lease(cfg) as system:`` acquire/release pairing.
 
         On an exception the instance is discarded, not returned.
         """
-        system = self.acquire(config, record_trace=record_trace)
+        system = self.acquire(config)
         yield system
         self.release(system)
 
     def clear(self) -> None:
-        """Drop every idle instance and captured boot snapshot."""
+        """Drop every idle instance."""
         self._idle.clear()
-        self._boot_snapshots.clear()
 
     def resume_count(self) -> int:
         """Total process-body resumptions across idle instances.
 
         :attr:`~repro.sim.Simulator.resumes` is monotonic and survives
-        reset/restore, so sweep statistics difference this across a run
+        reset, so sweep statistics difference this across a run
         to report how much interpreter work the event engine did
         (instances leased out at call time are not visible; call
         between runs).

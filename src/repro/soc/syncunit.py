@@ -163,20 +163,3 @@ class SyncUnit(MmioDevice):
         self.stale_credits = 0
         self._armed = False
         self._epoch += 1
-
-    def snapshot(self) -> typing.Tuple[int, int, int, int, bool]:
-        """Capture register and statistics state."""
-        return (self.threshold, self.count, self.interrupts_fired,
-                self.stale_credits, self._armed)
-
-    def restore(self, state: typing.Tuple[int, int, int, int, bool]) -> None:
-        """Restore a :meth:`snapshot`.
-
-        Like ``CLEAR`` and :meth:`reset`, bumps the delivery epoch so an
-        interrupt somehow still in flight can never fire into the
-        restored state (a quiescent system has none; the bump is the
-        same defense-in-depth reset applies).
-        """
-        (self.threshold, self.count, self.interrupts_fired,
-         self.stale_credits, self._armed) = state
-        self._epoch += 1

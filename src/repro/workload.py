@@ -26,7 +26,6 @@ import typing
 
 import numpy
 
-from repro import flags
 from repro.core.decision import HostExecutionModel
 from repro.core.model import OffloadModel
 from repro.core.offload import DEFAULT_MAX_CYCLES, offload, run_on_host
@@ -88,8 +87,7 @@ def generate_workload(num_jobs: int,
     Per-job input seeds are drawn from a dedicated RNG keyed on
     ``(seed, stream constant)``, so two streams with different seeds
     share no job seeds.  (The historical ``seed + index`` derivation
-    made streams with seeds 0 and 1 share almost every job seed; set
-    ``REPRO_LEGACY_JOB_SEEDS`` to restore it for old artifacts.)
+    made streams with seeds 0 and 1 share almost every job seed.)
     ``tenant`` tags every job in the stream — callers generating one
     stream per tenant should vary ``seed`` per tenant too, or the
     streams will be identical.
@@ -102,14 +100,12 @@ def generate_workload(num_jobs: int,
     # A separate stream for job seeds keeps the kernel/size draws on
     # the historical sequence (E9's committed numbers depend on them).
     seed_rng = numpy.random.default_rng((seed, _JOB_SEED_STREAM))
-    legacy_seeds = flags.legacy_job_seeds()
     jobs = []
     for index in range(num_jobs):
         kernel = str(rng.choice(list(kernels)))
         n = int(numpy.exp(rng.uniform(numpy.log(min_n), numpy.log(max_n))))
         n = max(min_n, min(max_n, n))
-        job_seed = (seed + index if legacy_seeds
-                    else int(seed_rng.integers(0, 2**63)))
+        job_seed = int(seed_rng.integers(0, 2**63))
         jobs.append(JobSpec(kernel_name=kernel, n=n, seed=job_seed,
                             tenant=tenant))
     return jobs

@@ -8,9 +8,8 @@ Three timing invariants back the fast-forward layer:
 2. Closed-form barrier/compute-phase crossings measure exactly what
    spawning one process per worker core and simulating every arrival
    measures (``REPRO_NAIVE_BARRIER`` selects the reference).
-3. Restoring a copy-on-write boot snapshot yields a system
-   indistinguishable from a field-by-field ``reset()`` and from fresh
-   construction (``REPRO_NAIVE_SNAPSHOT`` selects the reset path).
+3. A pooled system recycled through ``reset()`` yields a system
+   indistinguishable from fresh construction.
 
 Each invariant is sampled over grid points and program shapes (plain,
 overlapped, concurrent) with the full observable fingerprint compared:
@@ -32,7 +31,6 @@ from repro.flags import (
     FRESH_SYSTEMS_ENV,
     NAIVE_BARRIER_ENV,
     NAIVE_CHANNEL_ENV,
-    NAIVE_SNAPSHOT_ENV,
 )
 from repro.soc.config import SoCConfig
 from repro.soc.manticore import ManticoreSystem
@@ -60,8 +58,7 @@ def _fast_paths_on(monkeypatch):
     ``REPRO_*`` gate set; these tests enable the reference paths
     *explicitly* per invariant, so the ambient environment must not
     pre-disable the fast side they compare against."""
-    for name in (NAIVE_CHANNEL_ENV, NAIVE_BARRIER_ENV,
-                 NAIVE_SNAPSHOT_ENV, FRESH_SYSTEMS_ENV):
+    for name in (NAIVE_CHANNEL_ENV, NAIVE_BARRIER_ENV, FRESH_SYSTEMS_ENV):
         monkeypatch.delenv(name, raising=False)
 
 
@@ -216,13 +213,12 @@ def test_fastforward_skips_simulated_events():
 
 
 # ----------------------------------------------------------------------
-# Invariant 3: snapshot restore == reset() == fresh construction
+# Invariant 3: pooled reset() recycling == fresh construction
 # ----------------------------------------------------------------------
 def _pooled_fingerprint(config, n, m, variant):
     """Dirty a pooled system on two points, then measure a third on the
-    re-leased instance.  The first reuse resets field by field (and, on
-    the fast path, captures the digest's boot snapshot); the second
-    reuse is the one the snapshot-restore path can serve."""
+    re-leased instance, so the measured lease follows two recycles
+    through ``reset()``."""
     pool = SystemPool()
     with pool.lease(config) as system:
         offload(system, "daxpy", 2 * n, 1, variant=variant)
@@ -237,46 +233,17 @@ def _pooled_fingerprint(config, n, m, variant):
 @SETTINGS
 @hypothesis.given(n=st.sampled_from(N_VALUES), m=st.sampled_from(M_VALUES),
                   variant=st.sampled_from(VARIANTS))
-def test_snapshot_restore_matches_reset_and_fresh(n, m, variant):
+def test_pooled_recycle_matches_fresh(n, m, variant):
     config = SoCConfig.extended(num_clusters=4)
 
     fresh = ManticoreSystem(config)
     result = offload(fresh, "daxpy", n, m, variant=variant)
     print_fresh = _fingerprint(fresh, result.runtime_cycles)
 
-    with _env(NAIVE_SNAPSHOT_ENV, "1"):
-        naive_pool, print_reset = _pooled_fingerprint(config, n, m, variant)
-    fast_pool, print_restored = _pooled_fingerprint(config, n, m, variant)
+    pool, print_pooled = _pooled_fingerprint(config, n, m, variant)
 
-    # The reference path resets field by field; the fast path restores
-    # the boot snapshot.  Both must engage their own mechanism...
-    assert naive_pool.restores == 0
-    assert fast_pool.restores == 1
-    # ...and neither may be distinguishable from a fresh system.
-    assert print_restored == print_reset == print_fresh
-
-
-@SETTINGS
-@hypothesis.given(n=st.sampled_from(N_VALUES), m=st.sampled_from(M_VALUES))
-def test_warm_state_fork_replays_identically(n, m):
-    """Snapshots taken on a *warm* quiescent system fork its timeline:
-    restore must make diverged futures replay bit-identically."""
-    config = SoCConfig.baseline(num_clusters=4)
-    system = ManticoreSystem(config)
-    offload(system, "daxpy", 2 * n, 1)  # warm the system up
-    warm = system.snapshot()
-
-    first = offload(system, "daxpy", n, m)
-    print_first = _fingerprint(system, first.runtime_cycles)
-
-    system.restore(warm)
-    other = offload(system, "daxpy", 3 * n, 2)  # diverge: different future
-    print_other = _fingerprint(system, other.runtime_cycles)
-
-    system.restore(warm)
-    replay = offload(system, "daxpy", n, m)
-    print_replay = _fingerprint(system, replay.runtime_cycles)
-
-    assert print_replay == print_first
-    assert print_other != print_first
-    assert first.trace.phase_summary() == replay.trace.phase_summary()
+    # One construction, two recycles: the third lease really is the
+    # reused instance...
+    assert (pool.builds, pool.hits) == (1, 2)
+    # ...and it is indistinguishable from a fresh system.
+    assert print_pooled == print_fresh

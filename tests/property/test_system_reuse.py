@@ -23,10 +23,11 @@ import pytest
 from repro.core.concurrent import ConcurrentJob, offload_concurrent
 from repro.core.offload import offload
 from repro.core.overlap import offload_overlapped
+from repro.flags import FRESH_SYSTEMS_ENV
 from repro.runtime.protocol import NAIVE_POLL_ENV
 from repro.soc.config import SoCConfig
 from repro.soc.manticore import ManticoreSystem
-from repro.soc.pool import FRESH_SYSTEMS_ENV, SystemPool
+from repro.soc.pool import SystemPool
 
 SETTINGS = hypothesis.settings(
     max_examples=5, deadline=None,

@@ -110,7 +110,7 @@ def _stats_run(tile_class, tile_group, *, points, planned, fallbacks,
         "mmodels_fitted": 1, "holdout_fallbacks": 0,
         "calibration_store_hits": 0, "calibration_store_misses": 1,
         "cache_evictions": 0, "pool_hits": 2, "pool_builds": 1,
-        "pool_restores": 2, "pool_dropped": 0, "sim_resumes": 10,
+        "pool_dropped": 0, "sim_resumes": 10,
     }
 
 

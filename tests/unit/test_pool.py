@@ -5,6 +5,7 @@ import os
 import pytest
 
 from repro import flags
+from repro.flags import FRESH_SYSTEMS_ENV
 from repro.errors import (
     ConfigError,
     OffloadError,
@@ -18,7 +19,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.resource import SerialResource
 from repro.soc.config import SoCConfig, VARIANT_FEATURES
 from repro.soc.manticore import ManticoreSystem
-from repro.soc.pool import FRESH_SYSTEMS_ENV, SystemPool
+from repro.soc.pool import SystemPool
 
 CFG = SoCConfig.baseline(num_clusters=2)
 
@@ -115,20 +116,6 @@ def test_pool_max_idle_bounds_retention():
     assert pool.idle_count == 0
     with pytest.raises(ValueError):
         SystemPool(max_idle=0)
-
-
-def test_pool_respects_trace_recording_choice():
-    pool = SystemPool()
-    with pool.lease(CFG, record_trace=True) as system:
-        _drain(system)
-    assert pool.idle_count == 1
-    # The retained instance records traces; a no-trace lease must not
-    # get it back.
-    with pool.lease(CFG, record_trace=False) as system:
-        assert not system.trace.enabled
-        system.run()   # drain the spawn kick-offs so release retains it
-    assert pool.builds == 2
-    assert pool.hits == 0
 
 
 def test_fresh_systems_env_disables_pooling():

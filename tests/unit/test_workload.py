@@ -72,34 +72,29 @@ def test_generate_workload_validation():
         generate_workload(5, min_n=100, max_n=50)
 
 
-def test_job_seeds_do_not_collide_across_streams(monkeypatch):
+def test_job_seeds_do_not_collide_across_streams():
     # The old seed + index derivation made streams with adjacent seeds
     # share almost every job seed (stream 0 job 5 == stream 1 job 4).
-    from repro import flags
-    monkeypatch.delenv(flags.LEGACY_JOB_SEEDS_ENV, raising=False)
     first = {job.seed for job in generate_workload(50, seed=0)}
     second = {job.seed for job in generate_workload(50, seed=1)}
     assert not first & second
 
 
-def test_legacy_job_seed_gate_restores_old_derivation(monkeypatch):
-    from repro import flags
-    monkeypatch.setenv(flags.LEGACY_JOB_SEEDS_ENV, "1")
-    jobs = generate_workload(10, seed=3)
-    assert [job.seed for job in jobs] == [3 + i for i in range(10)]
-
-
-def test_seed_fix_leaves_kernel_and_size_stream_unchanged(monkeypatch):
-    # E9's committed numbers depend on the kernel/size draws; only the
-    # per-job input seeds may differ between the schemes.
-    from repro import flags
-    monkeypatch.delenv(flags.LEGACY_JOB_SEEDS_ENV, raising=False)
-    fixed = generate_workload(30, seed=3)
-    monkeypatch.setenv(flags.LEGACY_JOB_SEEDS_ENV, "1")
-    legacy = generate_workload(30, seed=3)
-    assert [(j.kernel_name, j.n) for j in fixed] == \
-        [(j.kernel_name, j.n) for j in legacy]
-    assert [j.seed for j in fixed] != [j.seed for j in legacy]
+def test_seed_fix_leaves_kernel_and_size_stream_unchanged():
+    # E9's committed numbers depend on the kernel/size draws, which
+    # must stay on the sequence the historical seed + index scheme
+    # drew; only the per-job input seeds moved to their own RNG.
+    jobs = generate_workload(30, seed=3)
+    assert [(j.kernel_name, j.n) for j in jobs] == [
+        ("dot", 59), ("daxpy", 1360), ("dot", 26), ("scale", 176),
+        ("scale", 38), ("memcpy", 940), ("daxpy", 140), ("daxpy", 280),
+        ("memcpy", 414), ("memcpy", 957), ("dot", 77), ("dot", 583),
+        ("scale", 81), ("scale", 16), ("daxpy", 83), ("dot", 91),
+        ("daxpy", 410), ("dot", 218), ("daxpy", 18), ("dot", 806),
+        ("scale", 26), ("memcpy", 623), ("scale", 50), ("dot", 526),
+        ("daxpy", 978), ("memcpy", 877), ("scale", 1594), ("daxpy", 613),
+        ("daxpy", 1510), ("scale", 172)]
+    assert [j.seed for j in jobs] != [3 + i for i in range(30)]
 
 
 def test_jobspec_tenant_and_arrival_annotations():
