@@ -156,17 +156,14 @@ def traffic_experiment(num_jobs: int = 160, tenants: int = 3,
     """
     from repro.traffic import (
         BurstyArrivals,
+        DeadlineAware,
         PoissonArrivals,
         TraceArrivals,
-        TrafficAlwaysHost,
-        TrafficAlwaysOffload,
-        TrafficDeadlineAware,
         TrafficEngine,
-        TrafficModelDriven,
         compute_metrics,
         generate_traffic,
     )
-    from repro.workload import characterize_platform
+    from repro.workload import AlwaysHost, AlwaysOffload, characterize_platform
 
     config = SoCConfig.extended(num_clusters=num_clusters,
                                 **config_overrides)
@@ -180,12 +177,9 @@ def traffic_experiment(num_jobs: int = 160, tenants: int = 3,
             mean_idle_cycles=mean_interarrival_cycles * 8),
         TraceArrivals(RECORDED_TRACE, period_cycles=RECORDED_TRACE_PERIOD),
     )
-    policies = (
-        TrafficAlwaysHost(),
-        TrafficAlwaysOffload(num_clusters),
-        TrafficModelDriven(),
-        TrafficDeadlineAware(),
-    )
+    # The characterized platform is E9's model-driven policy itself.
+    policies = (AlwaysHost(), AlwaysOffload(num_clusters), platform,
+                DeadlineAware())
     engine = TrafficEngine.from_platform(platform, capacity=num_clusters,
                                          slack=slack)
     metrics = []

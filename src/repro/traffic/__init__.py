@@ -1,8 +1,8 @@
 """Traffic-driven scenario engine: multi-tenant job streams served online.
 
-ROADMAP item 4 — turn the paper's decision model from a figure into a
-*served policy*.  The package layers four pieces on top of the workload
-and decision layers:
+Turns the paper's decision model from a figure into a *served policy*.
+The package layers four pieces on top of the workload and decision
+layers:
 
 - :mod:`repro.traffic.arrivals` — stochastic arrival processes
   (Poisson, Markov-modulated bursty, recorded-trace replay) generating
@@ -11,7 +11,10 @@ and decision layers:
 - :mod:`repro.traffic.occupancy` — a virtual-time occupancy model of
   the cluster fabric (clusters as a reservable resource over arrival
   time);
-- :mod:`repro.traffic.engine` — the admission/scheduling loop: each
+- :mod:`repro.traffic.engine` — the admission/scheduling loop, a
+  second server for the placement policies of :mod:`repro.workload`
+  (``AlwaysHost``, ``AlwaysOffload``, ``ModelDriven``) plus the one
+  that needs the occupancy model, :class:`DeadlineAware`: each
   arriving job gets a deadline (slack × predicted host runtime), and
   the deadline-aware policy inverts the fitted Eq.-1 model online
   (:func:`repro.core.decision.min_clusters_for_deadline`) to admit it
@@ -39,13 +42,9 @@ from repro.traffic.arrivals import (
     generate_traffic,
 )
 from repro.traffic.engine import (
-    TrafficAlwaysHost,
-    TrafficAlwaysOffload,
-    TrafficDeadlineAware,
+    DeadlineAware,
     TrafficEngine,
-    TrafficModelDriven,
     TrafficOutcome,
-    TrafficPolicy,
     TrafficResult,
 )
 from repro.traffic.metrics import (
@@ -54,6 +53,13 @@ from repro.traffic.metrics import (
     compute_metrics,
 )
 from repro.traffic.occupancy import FabricOccupancy
+from repro.workload import AlwaysHost, AlwaysOffload, ModelDriven
+
+# The policies' former traffic-layer names: perfbench imports them.
+TrafficAlwaysHost = AlwaysHost
+TrafficAlwaysOffload = AlwaysOffload
+TrafficModelDriven = ModelDriven
+TrafficDeadlineAware = DeadlineAware
 
 __all__ = [
     "ArrivalProcess",
@@ -62,11 +68,7 @@ __all__ = [
     "TraceArrivals",
     "generate_traffic",
     "FabricOccupancy",
-    "TrafficPolicy",
-    "TrafficAlwaysHost",
-    "TrafficAlwaysOffload",
-    "TrafficModelDriven",
-    "TrafficDeadlineAware",
+    "DeadlineAware",
     "TrafficEngine",
     "TrafficOutcome",
     "TrafficResult",

@@ -28,7 +28,7 @@ import typing
 import numpy
 
 from repro.errors import TrafficError
-from repro.workload import JobSpec
+from repro.workload import JobSpec, job_shape_sampler
 
 
 class ArrivalProcess:
@@ -170,17 +170,12 @@ def generate_traffic(process: ArrivalProcess, num_jobs: int,
     """
     if tenants <= 0:
         raise TrafficError(f"traffic needs at least one tenant, got {tenants}")
-    if not kernels:
-        raise TrafficError("traffic needs at least one kernel")
-    if not 0 < min_n <= max_n:
-        raise TrafficError(f"invalid size range [{min_n}, {max_n}]")
+    draw = job_shape_sampler(kernels, min_n, max_n, TrafficError)
     rng = numpy.random.default_rng(seed)
     times = process.arrival_cycles(num_jobs, rng)
     jobs = []
     for arrival in times:
-        kernel = str(rng.choice(list(kernels)))
-        n = int(numpy.exp(rng.uniform(numpy.log(min_n), numpy.log(max_n))))
-        n = max(min_n, min(max_n, n))
+        kernel, n = draw(rng)
         jobs.append(JobSpec(
             kernel_name=kernel, n=n,
             seed=int(rng.integers(0, 2**63)),

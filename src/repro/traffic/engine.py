@@ -1,20 +1,20 @@
 """The admission/scheduling loop: Eq. 3 as a served policy.
 
-:class:`TrafficEngine` replays a timestamped job stream against the
-fitted platform models (an Eq.-1 :class:`~repro.core.model.OffloadModel`
-plus a :class:`~repro.core.decision.HostExecutionModel` per kernel —
-exactly what :func:`repro.workload.characterize_platform` fits) and a
+:class:`TrafficEngine` is the virtual-time server of the
+:class:`repro.workload.Policy` policies.  It replays a timestamped job
+stream against the fitted platform models (an Eq.-1
+:class:`~repro.core.model.OffloadModel` plus a
+:class:`~repro.core.decision.HostExecutionModel` per kernel — exactly
+what :func:`repro.workload.characterize_platform` fits) and a
 virtual-time :class:`~repro.traffic.occupancy.FabricOccupancy`.  Each
 job gets a deadline ``arrival + slack × t̂_host(N)``; the policy under
 test decides where it runs:
 
-- :class:`TrafficAlwaysHost` / :class:`TrafficAlwaysOffload` — the
-  static baselines.  The host is one serial server (a FIFO queue);
-  offloads reserve clusters.
-- :class:`TrafficModelDriven` — E9's policy applied online: per job,
-  the faster *predicted* side at the runtime-optimal width, blind to
-  queues and deadlines.
-- :class:`TrafficDeadlineAware` — the paper's Eq. 3 served online:
+- ``AlwaysHost`` / ``AlwaysOffload`` — the static baselines.  The
+  host is one serial server (a FIFO queue); offloads reserve clusters.
+- ``ModelDriven`` — E9's policy applied online: per job, the faster
+  *predicted* side at the runtime-optimal width, blind to queues.
+- :class:`DeadlineAware` — the paper's Eq. 3 served online:
   :func:`~repro.core.decision.min_clusters_for_deadline` gives the
   minimum width meeting the job's remaining budget, the occupancy
   model widens it past queued reservations if needed, the host absorbs
@@ -37,7 +37,7 @@ from repro.core.decision import HostExecutionModel, min_clusters_for_deadline
 from repro.core.model import OffloadModel
 from repro.errors import DecisionError, TrafficError
 from repro.traffic.occupancy import FabricOccupancy
-from repro.workload import JobSpec
+from repro.workload import JobSpec, Policy, characterized
 
 #: Placement kinds a :class:`TrafficOutcome` can record.
 PLACEMENT_OFFLOAD = "offload"
@@ -107,75 +107,7 @@ class TrafficResult:
         return self.busy_cluster_cycles / (self.capacity * horizon)
 
 
-class TrafficPolicy:
-    """Base class: answers "where does this job run, and when"."""
-
-    name = "traffic_policy"
-
-    def resolved_name(self, capacity: int) -> str:
-        """The policy's name on a ``capacity``-cluster fabric (fixed
-        widths report the width that actually runs, as in the workload
-        layer)."""
-        return self.name
-
-    def place(self, job: JobSpec, deadline: int,
-              engine: "TrafficEngine") -> TrafficOutcome:
-        raise NotImplementedError
-
-
-class TrafficAlwaysHost(TrafficPolicy):
-    """Queue every job on the single host server."""
-
-    name = "always_host"
-
-    def place(self, job: JobSpec, deadline: int,
-              engine: "TrafficEngine") -> TrafficOutcome:
-        return engine.host_outcome(job, deadline)
-
-
-class TrafficAlwaysOffload(TrafficPolicy):
-    """Offload every job at one fixed width (clamped to the fabric)."""
-
-    name = "always_offload"
-
-    def __init__(self, num_clusters: int = 32) -> None:
-        if num_clusters <= 0:
-            raise TrafficError(
-                f"offload width must be positive, got {num_clusters}")
-        self.num_clusters = num_clusters
-        self.name = f"always_offload_{num_clusters}"
-
-    def resolved_name(self, capacity: int) -> str:
-        return f"always_offload_{min(self.num_clusters, capacity)}"
-
-    def place(self, job: JobSpec, deadline: int,
-              engine: "TrafficEngine") -> TrafficOutcome:
-        width = min(self.num_clusters, engine.capacity)
-        return engine.offload_outcome(job, deadline, width)
-
-
-class TrafficModelDriven(TrafficPolicy):
-    """E9's adaptive policy served online, blind to queues.
-
-    Per job: offload at the runtime-optimal width when the model
-    predicts that beats the host's *service time*, else run on the
-    host.  No deadline or occupancy awareness — this is what a system
-    with the paper's model but no admission control would do.
-    """
-
-    name = "model_driven"
-
-    def place(self, job: JobSpec, deadline: int,
-              engine: "TrafficEngine") -> TrafficOutcome:
-        model = engine.offload_model(job)
-        host = engine.host_model(job)
-        best_m = model.best_m(job.n, engine.capacity)
-        if model.predict(best_m, job.n) < host.predict(job.n):
-            return engine.offload_outcome(job, deadline, best_m)
-        return engine.host_outcome(job, deadline)
-
-
-class TrafficDeadlineAware(TrafficPolicy):
+class DeadlineAware(Policy):
     """Online Eq. 3: admit at the minimum width meeting the deadline.
 
     The offline inversion
@@ -186,7 +118,8 @@ class TrafficDeadlineAware(TrafficPolicy):
     deadline (a wider offload is shorter, and a different width may
     find a different hole).  Jobs whose deadline Eq. 3 cannot meet at
     any width fall back to the host; when the host queue cannot meet
-    it either, the job is shed at admission.
+    it either, the job is shed at admission.  Only
+    :class:`TrafficEngine` serves it: it needs the occupancy model.
     """
 
     name = "deadline_aware"
@@ -258,20 +191,10 @@ class TrafficEngine:
     # Model access and timing helpers (the policies' vocabulary)
     # ------------------------------------------------------------------
     def offload_model(self, job: JobSpec) -> OffloadModel:
-        try:
-            return self.offload_models[job.kernel_name]
-        except KeyError:
-            raise TrafficError(
-                f"platform was not characterized for kernel "
-                f"{job.kernel_name!r}") from None
+        return characterized(self.offload_models, job, TrafficError)
 
     def host_model(self, job: JobSpec) -> HostExecutionModel:
-        try:
-            return self.host_models[job.kernel_name]
-        except KeyError:
-            raise TrafficError(
-                f"platform was not characterized for kernel "
-                f"{job.kernel_name!r}") from None
+        return characterized(self.host_models, job, TrafficError)
 
     @staticmethod
     def duration(model: OffloadModel, m: int, n: int) -> int:
@@ -320,7 +243,7 @@ class TrafficEngine:
     # ------------------------------------------------------------------
     # The loop
     # ------------------------------------------------------------------
-    def run(self, jobs: typing.Sequence[JobSpec], policy: TrafficPolicy,
+    def run(self, jobs: typing.Sequence[JobSpec], policy: Policy,
             arrival_name: str = "") -> TrafficResult:
         """Admit every job in arrival order and return the outcomes.
 

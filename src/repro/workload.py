@@ -1,4 +1,4 @@
-"""Workload-level execution: job streams and placement policies.
+"""Workload-level execution: job streams, placement policies, servers.
 
 The paper's introduction motivates offload-overhead reduction with
 applications that issue many small, heterogeneous data-parallel jobs.
@@ -12,7 +12,10 @@ This module provides that workload layer:
   Eq.-1 family per kernel plus a host model from measurements) and then
   decides per job whether and how wide to offload;
 - :func:`run_workload` — execute a stream on one simulated system and
-  account makespan and per-job placements.
+  account makespan and per-job placements.  Its back-to-back,
+  event-simulated :class:`WorkloadServer` is one of the policies' two
+  servers; the virtual-time :class:`repro.traffic.TrafficEngine` is
+  the other.
 
 ``repro.experiments.scheduler_experiment`` compares the policies; the
 adaptive one wins because it sends fine-grained jobs to the host (the
@@ -73,6 +76,28 @@ class JobSpec:
 _JOB_SEED_STREAM = 0x6A0B_5EED
 
 
+def job_shape_sampler(
+        kernels: typing.Sequence[str], min_n: int, max_n: int,
+        error: typing.Type[ReproError] = OffloadError,
+        ) -> typing.Callable[[numpy.random.Generator], typing.Tuple[str, int]]:
+    """Validate a stream's kernels and size range (raising ``error``),
+    and return ``draw(rng)``: one job's uniform kernel and log-uniform
+    size.  Both job generators draw their job shapes through it."""
+    kernels = list(kernels)
+    if not kernels:
+        raise error("a job stream needs at least one kernel")
+    if not 0 < min_n <= max_n:
+        raise error(f"invalid size range [{min_n}, {max_n}]")
+    log_min, log_max = numpy.log(min_n), numpy.log(max_n)
+
+    def draw(rng: numpy.random.Generator) -> typing.Tuple[str, int]:
+        kernel = str(rng.choice(kernels))
+        n = int(numpy.exp(rng.uniform(log_min, log_max)))
+        return kernel, max(min_n, min(max_n, n))
+
+    return draw
+
+
 def generate_workload(num_jobs: int,
                       kernels: typing.Sequence[str] = ("daxpy", "memcpy",
                                                        "scale", "dot"),
@@ -94,17 +119,14 @@ def generate_workload(num_jobs: int,
     """
     if num_jobs <= 0:
         raise OffloadError(f"workload needs at least one job, got {num_jobs}")
-    if not 0 < min_n <= max_n:
-        raise OffloadError(f"invalid size range [{min_n}, {max_n}]")
+    draw = job_shape_sampler(kernels, min_n, max_n)
     rng = numpy.random.default_rng(seed)
     # A separate stream for job seeds keeps the kernel/size draws on
     # the historical sequence (E9's committed numbers depend on them).
     seed_rng = numpy.random.default_rng((seed, _JOB_SEED_STREAM))
     jobs = []
-    for index in range(num_jobs):
-        kernel = str(rng.choice(list(kernels)))
-        n = int(numpy.exp(rng.uniform(numpy.log(min_n), numpy.log(max_n))))
-        n = max(min_n, min(max_n, n))
+    for _index in range(num_jobs):
+        kernel, n = draw(rng)
         job_seed = int(seed_rng.integers(0, 2**63))
         jobs.append(JobSpec(kernel_name=kernel, n=n, seed=job_seed,
                             tenant=tenant))
@@ -114,24 +136,35 @@ def generate_workload(num_jobs: int,
 # ----------------------------------------------------------------------
 # Placement policies
 # ----------------------------------------------------------------------
-@dataclasses.dataclass(frozen=True)
-class Placement:
-    """Where one job should run: the host, or M clusters."""
-
-    offload: bool
-    num_clusters: int
+def characterized(models: typing.Mapping[str, typing.Any], job: JobSpec,
+                  error: typing.Type[ReproError] = OffloadError):
+    """``models[job.kernel_name]``, or ``error`` naming a kernel the
+    platform was not characterized for."""
+    try:
+        return models[job.kernel_name]
+    except KeyError:
+        raise error(f"platform was not characterized for kernel "
+                    f"{job.kernel_name!r}") from None
 
 
 class Policy:
-    """Base class: maps a job to a :class:`Placement`."""
+    """Base class: decides where one job runs on a server.
+
+    ``place`` returns the server's outcome from one of its primitives,
+    ``host_outcome(job, deadline)`` or ``offload_outcome(job, deadline,
+    m)``, on a fabric of ``server.capacity`` clusters.  The servers are
+    :class:`WorkloadServer` (back to back, no deadlines: ``None``) and
+    :class:`repro.traffic.TrafficEngine`.
+    """
 
     name = "policy"
 
-    def place(self, job: JobSpec, fabric_clusters: int) -> Placement:
+    def place(self, job: JobSpec, deadline: typing.Optional[int],
+              server: typing.Any) -> typing.Any:
         raise NotImplementedError
 
-    def resolved_name(self, fabric_clusters: int) -> str:
-        """The policy's name *on this fabric*.
+    def resolved_name(self, capacity: int) -> str:
+        """The policy's name *on a ``capacity``-cluster fabric*.
 
         Policies whose behaviour depends on the fabric (e.g. a fixed
         offload width clamped to a smaller fabric) override this so
@@ -145,8 +178,8 @@ class AlwaysHost(Policy):
 
     name = "always_host"
 
-    def place(self, job: JobSpec, fabric_clusters: int) -> Placement:
-        return Placement(offload=False, num_clusters=0)
+    def place(self, job, deadline, server):
+        return server.host_outcome(job, deadline)
 
 
 class AlwaysOffload(Policy):
@@ -168,12 +201,12 @@ class AlwaysOffload(Policy):
         self.num_clusters = num_clusters
         self.name = f"always_offload_{num_clusters}"
 
-    def resolved_name(self, fabric_clusters: int) -> str:
-        return f"always_offload_{min(self.num_clusters, fabric_clusters)}"
+    def resolved_name(self, capacity: int) -> str:
+        return f"always_offload_{min(self.num_clusters, capacity)}"
 
-    def place(self, job: JobSpec, fabric_clusters: int) -> Placement:
-        return Placement(offload=True,
-                         num_clusters=min(self.num_clusters, fabric_clusters))
+    def place(self, job, deadline, server):
+        return server.offload_outcome(
+            job, deadline, min(self.num_clusters, server.capacity))
 
 
 class ModelDriven(Policy):
@@ -182,28 +215,30 @@ class ModelDriven(Policy):
     Holds a fitted :class:`OffloadModel` and a fitted
     :class:`HostExecutionModel` per kernel (see
     :func:`characterize_platform`) and picks the faster predicted
-    option, choosing the runtime-optimal M for offloads.
+    option, choosing the runtime-optimal M for offloads, blind to queues
+    and deadlines.  Built without models, it reads the server's.
     """
 
     name = "model_driven"
 
-    def __init__(self, offload_models: typing.Mapping[str, OffloadModel],
-                 host_models: typing.Mapping[str, HostExecutionModel]) -> None:
-        self.offload_models = dict(offload_models)
-        self.host_models = dict(host_models)
+    def __init__(self,
+                 offload_models: typing.Optional[
+                     typing.Mapping[str, OffloadModel]] = None,
+                 host_models: typing.Optional[
+                     typing.Mapping[str, HostExecutionModel]] = None,
+                 ) -> None:
+        self.offload_models = (None if offload_models is None
+                               else dict(offload_models))
+        self.host_models = None if host_models is None else dict(host_models)
 
-    def place(self, job: JobSpec, fabric_clusters: int) -> Placement:
-        try:
-            model = self.offload_models[job.kernel_name]
-            host = self.host_models[job.kernel_name]
-        except KeyError:
-            raise OffloadError(
-                f"platform was not characterized for kernel "
-                f"{job.kernel_name!r}") from None
-        best_m = model.best_m(job.n, fabric_clusters)
+    def place(self, job, deadline, server):
+        platform = server if self.offload_models is None else self
+        model = characterized(platform.offload_models, job)
+        host = characterized(platform.host_models, job)
+        best_m = model.best_m(job.n, server.capacity)
         if model.predict(best_m, job.n) < host.predict(job.n):
-            return Placement(offload=True, num_clusters=best_m)
-        return Placement(offload=False, num_clusters=0)
+            return server.offload_outcome(job, deadline, best_m)
+        return server.host_outcome(job, deadline)
 
 
 def characterize_platform(
@@ -244,6 +279,14 @@ def characterize_platform(
 # Execution
 # ----------------------------------------------------------------------
 @dataclasses.dataclass(frozen=True)
+class Placement:
+    """Where one job ran: the host, or M clusters."""
+
+    offload: bool
+    num_clusters: int
+
+
+@dataclasses.dataclass(frozen=True)
 class JobOutcome:
     """One executed job: its placement and measured cycles."""
 
@@ -273,6 +316,76 @@ class WorkloadResult:
         return len(self.outcomes) - self.offloaded_jobs
 
 
+class WorkloadServer:
+    """Serves a job stream back to back on one event-simulated system.
+
+    The second server of the :class:`Policy` protocol, beside the
+    virtual-time :class:`repro.traffic.TrafficEngine`: each primitive
+    runs the job to completion on :attr:`system` before the next job
+    starts, and returns a :class:`JobOutcome` with the measured cycles.
+    """
+
+    def __init__(self, system: ManticoreSystem, verify: bool = False,
+                 max_cycles: int = DEFAULT_MAX_CYCLES) -> None:
+        self.system = system
+        self.capacity = system.config.num_clusters
+        self.verify = verify
+        self.max_cycles = max_cycles
+        # It executes rather than predicts: no models for ModelDriven().
+        self.offload_models = self.host_models = {}
+        # The job being served, for a failing job's WorkloadError.
+        self._index, self._total, self._policy_name = 0, 0, ""
+
+    def host_outcome(self, job: JobSpec,
+                     deadline: typing.Optional[int]) -> JobOutcome:
+        return self._execute(job, Placement(offload=False, num_clusters=0))
+
+    def offload_outcome(self, job: JobSpec, deadline: typing.Optional[int],
+                        m: int) -> JobOutcome:
+        return self._execute(job, Placement(offload=True, num_clusters=m))
+
+    def _execute(self, job: JobSpec, placement: Placement) -> JobOutcome:
+        try:
+            if placement.offload:
+                result = offload(self.system, job.kernel_name, job.n,
+                                 placement.num_clusters, scalars=job.scalars,
+                                 seed=job.seed, verify=self.verify,
+                                 max_cycles=self.max_cycles)
+            else:
+                result = run_on_host(self.system, job.kernel_name, job.n,
+                                     scalars=job.scalars, seed=job.seed,
+                                     verify=self.verify,
+                                     max_cycles=self.max_cycles)
+        except ReproError as err:
+            where = (f"{placement.num_clusters} clusters"
+                     if placement.offload else "the host")
+            error = WorkloadError(
+                f"job {self._index}/{self._total} of policy "
+                f"{self._policy_name!r} failed: {job.kernel_name}"
+                f"(n={job.n}) on {where}: {err}")
+            error.job = job
+            error.job_index = self._index
+            error.placement = placement
+            error.report = getattr(err, "report", None)
+            raise error from err
+        return JobOutcome(spec=job, placement=placement,
+                          cycles=result.runtime_cycles)
+
+    def run(self, jobs: typing.Sequence[JobSpec],
+            policy: Policy) -> WorkloadResult:
+        """Place and execute every job in stream order."""
+        if not jobs:
+            raise OffloadError("empty workload")
+        self._total = len(jobs)
+        self._policy_name = policy.resolved_name(self.capacity)
+        outcomes = []
+        for index, job in enumerate(jobs):
+            self._index = index
+            outcomes.append(policy.place(job, None, self))
+        return WorkloadResult(policy_name=self._policy_name,
+                              outcomes=tuple(outcomes))
+
+
 def run_workload(system: ManticoreSystem, jobs: typing.Sequence[JobSpec],
                  policy: Policy, verify: bool = False,
                  max_cycles: int = DEFAULT_MAX_CYCLES) -> WorkloadResult:
@@ -295,37 +408,4 @@ def run_workload(system: ManticoreSystem, jobs: typing.Sequence[JobSpec],
         (it drops dirty systems instead of recycling them), so
         releasing after a failure is safe.
     """
-    if not jobs:
-        raise OffloadError("empty workload")
-    outcomes = []
-    for index, job in enumerate(jobs):
-        placement = policy.place(job, system.config.num_clusters)
-        where = (f"{placement.num_clusters} clusters" if placement.offload
-                 else "the host")
-        try:
-            if placement.offload:
-                result = offload(system, job.kernel_name, job.n,
-                                 placement.num_clusters, scalars=job.scalars,
-                                 seed=job.seed, verify=verify,
-                                 max_cycles=max_cycles)
-                cycles = result.runtime_cycles
-            else:
-                result = run_on_host(system, job.kernel_name, job.n,
-                                     scalars=job.scalars, seed=job.seed,
-                                     verify=verify, max_cycles=max_cycles)
-                cycles = result.runtime_cycles
-        except ReproError as err:
-            error = WorkloadError(
-                f"job {index}/{len(jobs)} of policy "
-                f"{policy.resolved_name(system.config.num_clusters)!r} "
-                f"failed: {job.kernel_name}(n={job.n}) on {where}: {err}")
-            error.job = job
-            error.job_index = index
-            error.placement = placement
-            error.report = getattr(err, "report", None)
-            raise error from err
-        outcomes.append(JobOutcome(spec=job, placement=placement,
-                                   cycles=cycles))
-    return WorkloadResult(
-        policy_name=policy.resolved_name(system.config.num_clusters),
-        outcomes=tuple(outcomes))
+    return WorkloadServer(system, verify, max_cycles).run(jobs, policy)

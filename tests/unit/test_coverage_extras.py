@@ -10,6 +10,7 @@ from repro.errors import OffloadError
 from repro.soc.config import SoCConfig
 from repro.soc.manticore import ManticoreSystem
 from repro.workload import JobSpec, ModelDriven
+from tests.unit.test_workload import DecisionServer
 
 
 def ext_system(**overrides):
@@ -52,7 +53,8 @@ def test_model_driven_picks_interior_m_with_dispatch_term():
                          dispatch_coeff=11.0)
     host = HostExecutionModel(cycles_per_element=4.0)
     policy = ModelDriven({"daxpy": model}, {"daxpy": host})
-    placement = policy.place(JobSpec("daxpy", 4096), fabric_clusters=32)
+    placement = policy.place(JobSpec("daxpy", 4096), None,
+                             DecisionServer(32))
     assert placement.offload
     # sqrt(0.325*4096/11) = 11: interior, not the full fabric.
     assert 8 <= placement.num_clusters <= 14

@@ -5,22 +5,19 @@ import pytest
 
 from repro.core.decision import HostExecutionModel, min_clusters_for_deadline
 from repro.core.model import OffloadModel
-from repro.errors import TrafficError
+from repro.errors import OffloadError, TrafficError
 from repro.traffic import (
     BurstyArrivals,
+    DeadlineAware,
     FabricOccupancy,
     PoissonArrivals,
     TraceArrivals,
-    TrafficAlwaysHost,
-    TrafficAlwaysOffload,
-    TrafficDeadlineAware,
     TrafficEngine,
-    TrafficModelDriven,
     compute_metrics,
     generate_traffic,
 )
 from repro.traffic.metrics import jain_index
-from repro.workload import JobSpec
+from repro.workload import AlwaysHost, AlwaysOffload, JobSpec, ModelDriven
 
 # Synthetic fitted models with round coefficients: offload floor ~364
 # cycles, host at 4 cycles/element.  Small jobs can never offload in
@@ -110,6 +107,20 @@ def test_generate_traffic_is_deterministic_and_sorted():
     assert len({j.seed for j in first}) == 50   # per-job input seeds
 
 
+def test_generate_traffic_stream_is_pinned():
+    # E13's committed numbers depend on this draw order: arrival gaps
+    # first, then kernel, size, input seed and tenant inline per job.
+    jobs = generate_traffic(PoissonArrivals(500.0), 12, seed=3)
+    assert [(j.kernel_name, j.n, j.tenant, j.arrival_cycle)
+            for j in jobs] == [
+        ("daxpy", 414, 0, 55), ("memcpy", 77, 1, 249),
+        ("memcpy", 81, 1, 949), ("daxpy", 83, 1, 2049),
+        ("daxpy", 410, 1, 2221), ("daxpy", 18, 1, 2350),
+        ("memcpy", 26, 0, 2567), ("memcpy", 50, 1, 2618),
+        ("daxpy", 978, 0, 3119), ("memcpy", 1594, 0, 3152),
+        ("daxpy", 1510, 1, 3378), ("memcpy", 2087, 1, 5051)]
+
+
 def test_generate_traffic_validation():
     process = PoissonArrivals(10.0)
     with pytest.raises(TrafficError):
@@ -192,22 +203,30 @@ def test_engine_validation():
         TrafficEngine({}, {}, capacity=0)
     with pytest.raises(TrafficError):
         TrafficEngine({}, {}, capacity=8, slack=0.0)
+    with pytest.raises(OffloadError, match="positive"):
+        AlwaysOffload(0)
     with pytest.raises(TrafficError):
-        TrafficAlwaysOffload(0)
-    with pytest.raises(TrafficError):
-        engine().run([], TrafficAlwaysHost())
+        engine().run([], AlwaysHost())
+
+
+def test_traffic_policy_names_alias_the_workload_policies():
+    import repro.traffic as trf
+    assert trf.TrafficAlwaysHost is AlwaysHost
+    assert trf.TrafficAlwaysOffload is AlwaysOffload
+    assert trf.TrafficModelDriven is ModelDriven
+    assert trf.TrafficDeadlineAware is DeadlineAware
 
 
 def test_engine_unknown_kernel():
     eng = engine()
     with pytest.raises(TrafficError, match="characterized"):
-        eng.run([JobSpec("memcpy", 64)], TrafficAlwaysHost())
+        eng.run([JobSpec("memcpy", 64)], AlwaysHost())
 
 
 def test_always_host_queues_serially():
     eng = engine()
     # Host time for n=100: 16 + 400 = 416 cycles each.
-    result = eng.run([job(100, 0), job(100, 0)], TrafficAlwaysHost())
+    result = eng.run([job(100, 0), job(100, 0)], AlwaysHost())
     first, second = result.outcomes
     assert (first.start_cycle, first.end_cycle) == (0, 416)
     assert (second.start_cycle, second.end_cycle) == (416, 832)
@@ -216,14 +235,14 @@ def test_always_host_queues_serially():
 
 def test_always_offload_resolved_name_reports_clamped_width():
     eng = engine(capacity=8)
-    result = eng.run([job(1024, 0)], TrafficAlwaysOffload(32))
+    result = eng.run([job(1024, 0)], AlwaysOffload(32))
     assert result.policy_name == "always_offload_8"
     assert result.outcomes[0].num_clusters == 8
 
 
 def test_model_driven_routes_small_jobs_to_host():
     eng = engine()
-    result = eng.run([job(16, 0), job(4096, 0)], TrafficModelDriven())
+    result = eng.run([job(16, 0), job(4096, 0)], ModelDriven())
     small, large = result.outcomes
     assert small.placement == "host"
     assert large.placement == "offload"
@@ -236,7 +255,7 @@ def test_deadline_aware_matches_offline_eq3_on_an_idle_fabric():
     eng = engine()
     jobs = [job(n, arrival=i * 1_000_000)
             for i, n in enumerate((512, 1024, 2048, 4096, 3000, 777))]
-    result = eng.run(jobs, TrafficDeadlineAware())
+    result = eng.run(jobs, DeadlineAware())
     for outcome in result.outcomes:
         assert outcome.placement == "offload"
         budget = outcome.deadline_cycle - outcome.spec.arrival_cycle
@@ -253,7 +272,7 @@ def test_deadline_aware_widens_past_queued_reservations():
     eng.occupancy.reserve(0, 50_000, 6)
     arrival_job = job(2048, 0)
     deadline = eng.deadline_for(arrival_job)
-    outcome = TrafficDeadlineAware().place(arrival_job, deadline, eng)
+    outcome = DeadlineAware().place(arrival_job, deadline, eng)
     assert outcome.placement == "offload"
     assert outcome.num_clusters <= 2   # only 2 clusters are free now
     assert outcome.end_cycle <= deadline
@@ -263,7 +282,7 @@ def test_deadline_aware_falls_back_to_host_when_eq3_infeasible():
     eng = engine(slack=1.5)
     # n=16: host is 80 cycles, deadline 120 — the ~366-cycle offload
     # floor can never meet it, so the job must run on the idle host.
-    result = eng.run([job(16, 0)], TrafficDeadlineAware())
+    result = eng.run([job(16, 0)], DeadlineAware())
     assert result.outcomes[0].placement == "host"
     assert not result.outcomes[0].missed_deadline
 
@@ -272,7 +291,7 @@ def test_deadline_aware_sheds_guaranteed_misses():
     eng = engine(slack=1.0)
     # Two tiny jobs at once: the host serves one exactly on time; the
     # second would start late and is shed instead of served hopelessly.
-    result = eng.run([job(16, 0), job(16, 0)], TrafficDeadlineAware())
+    result = eng.run([job(16, 0), job(16, 0)], DeadlineAware())
     placements = sorted(o.placement for o in result.outcomes)
     assert placements == ["host", "shed"]
     shed = [o for o in result.outcomes if o.placement == "shed"][0]
@@ -287,8 +306,8 @@ def test_deadline_aware_beats_always_offload_under_load():
     # width; minimum-width admission space-shares and meets deadlines.
     eng = engine()
     jobs = [job(2048, arrival=i * 10) for i in range(80)]
-    wide = compute_metrics(eng.run(jobs, TrafficAlwaysOffload(32)))
-    aware = compute_metrics(eng.run(jobs, TrafficDeadlineAware()))
+    wide = compute_metrics(eng.run(jobs, AlwaysOffload(32)))
+    aware = compute_metrics(eng.run(jobs, DeadlineAware()))
     assert aware.miss_rate < wide.miss_rate
     assert wide.miss_rate > 0.5
     assert aware.deadline_misses == 0
@@ -298,8 +317,8 @@ def test_engine_runs_are_independent_and_deterministic():
     eng = engine()
     jobs = generate_traffic(PoissonArrivals(200.0), 60, tenants=2,
                             kernels=("daxpy",), seed=5)
-    first = eng.run(jobs, TrafficDeadlineAware(), arrival_name="poisson")
-    second = eng.run(jobs, TrafficDeadlineAware(), arrival_name="poisson")
+    first = eng.run(jobs, DeadlineAware(), arrival_name="poisson")
+    second = eng.run(jobs, DeadlineAware(), arrival_name="poisson")
     assert first == second
     assert compute_metrics(first) == compute_metrics(second)
 
@@ -319,7 +338,7 @@ def test_compute_metrics_aggregates_and_splits_tenants():
     eng = engine()
     jobs = [job(1024, 0, tenant=0), job(1024, 500, tenant=1),
             job(16, 1000, tenant=1)]
-    metrics = compute_metrics(eng.run(jobs, TrafficModelDriven(),
+    metrics = compute_metrics(eng.run(jobs, ModelDriven(),
                                       arrival_name="unit"))
     assert metrics.arrival_name == "unit"
     assert metrics.jobs == 3
@@ -335,7 +354,7 @@ def test_compute_metrics_aggregates_and_splits_tenants():
 def test_shed_jobs_count_as_misses_in_metrics():
     eng = engine(slack=1.0)
     metrics = compute_metrics(
-        eng.run([job(16, 0), job(16, 0)], TrafficDeadlineAware()))
+        eng.run([job(16, 0), job(16, 0)], DeadlineAware()))
     assert metrics.shed == 1
     assert metrics.deadline_misses == 1
     assert metrics.miss_rate == pytest.approx(0.5)

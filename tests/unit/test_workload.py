@@ -26,6 +26,20 @@ def small_system():
     return ManticoreSystem(SMALL_CFG)
 
 
+class DecisionServer:
+    """A policy server that returns each decision as a Placement
+    instead of running the job."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+
+    def host_outcome(self, job, deadline):
+        return Placement(offload=False, num_clusters=0)
+
+    def offload_outcome(self, job, deadline, m):
+        return Placement(offload=True, num_clusters=m)
+
+
 # ----------------------------------------------------------------------
 # JobSpec & generation
 # ----------------------------------------------------------------------
@@ -106,6 +120,11 @@ def test_jobspec_tenant_and_arrival_annotations():
         JobSpec("daxpy", 64, arrival_cycle=-5)
 
 
+def test_generate_workload_rejects_an_empty_kernel_mix():
+    with pytest.raises(OffloadError, match="at least one kernel"):
+        generate_workload(5, kernels=())
+
+
 def test_generate_workload_tags_the_tenant():
     jobs = generate_workload(5, seed=1, tenant=4)
     assert all(job.tenant == 4 for job in jobs)
@@ -115,13 +134,15 @@ def test_generate_workload_tags_the_tenant():
 # Policies
 # ----------------------------------------------------------------------
 def test_always_host_policy():
-    placement = AlwaysHost().place(JobSpec("daxpy", 1024), 32)
+    placement = AlwaysHost().place(JobSpec("daxpy", 1024), None,
+                                  DecisionServer(32))
     assert placement == Placement(offload=False, num_clusters=0)
 
 
 def test_always_offload_clamps_to_fabric():
     policy = AlwaysOffload(num_clusters=32)
-    assert policy.place(JobSpec("daxpy", 64), 8).num_clusters == 8
+    assert policy.place(JobSpec("daxpy", 64), None,
+                        DecisionServer(8)).num_clusters == 8
 
 
 def test_always_offload_rejects_nonpositive_width():
@@ -149,8 +170,8 @@ def test_model_driven_routes_by_size():
     model = OffloadModel(t0=367, mem_coeff=0.25, compute_coeff=0.325)
     host = HostExecutionModel(cycles_per_element=4.0, setup_cycles=14)
     policy = ModelDriven({"daxpy": model}, {"daxpy": host})
-    small = policy.place(JobSpec("daxpy", 16), 32)
-    large = policy.place(JobSpec("daxpy", 4096), 32)
+    small = policy.place(JobSpec("daxpy", 16), None, DecisionServer(32))
+    large = policy.place(JobSpec("daxpy", 4096), None, DecisionServer(32))
     assert not small.offload
     assert large.offload and large.num_clusters == 32
 
@@ -158,7 +179,7 @@ def test_model_driven_routes_by_size():
 def test_model_driven_unknown_kernel():
     policy = ModelDriven({}, {})
     with pytest.raises(OffloadError, match="characterized"):
-        policy.place(JobSpec("daxpy", 64), 8)
+        policy.place(JobSpec("daxpy", 64), None, DecisionServer(8))
 
 
 def test_characterize_platform_builds_models_per_kernel():
