@@ -21,6 +21,7 @@ import pytest
 from repro.core.concurrent import ConcurrentJob, offload_concurrent
 from repro.core.offload import offload
 from repro.core.overlap import offload_overlapped
+from repro.kernels import get_kernel, kernel_names
 from repro.soc.config import SoCConfig
 from repro.soc.manticore import ManticoreSystem
 
@@ -53,6 +54,60 @@ def test_daxpy_grid_is_cycle_identical(variant, n):
         for m in GRID_M
     }
     assert measured == {m: golden[f"{n}x{m}"] for m in GRID_M}
+
+
+#: The all-kernel grid: N = 5 leaves empty slices, odd N splits
+#: unevenly, and N = 96 at M = 1 still fits gemv's whole matrix.
+KERNEL_N = (5, 37, 96)
+KERNEL_M = (1, 3, 8, 32)
+#: Chunked double-buffered launches, for kernels that accept the mode.
+DOUBLE_BUFFERED = ("96x1", "96x3")
+
+
+def _markers(config, kernel, n, m, **kwargs):
+    """Runtime plus per-cluster DMA-in/-out done cycles (start-relative)."""
+    result = offload(ManticoreSystem(config), kernel, n, m, **kwargs)
+
+    def since_start(cycle):
+        return None if cycle is None else cycle - result.start_cycle
+
+    return {"runtime_cycles": result.runtime_cycles,
+            "dma_in_done": [since_start(c.dma_in_done)
+                            for c in result.trace.clusters],
+            "dma_out_done": [since_start(c.dma_out_done)
+                             for c in result.trace.clusters]}
+
+
+@pytest.mark.parametrize("variant", ["baseline", "extended"])
+def test_golden_covers_every_kernel(variant):
+    golden = GOLDEN["kernels"][variant]
+    assert set(golden) == set(kernel_names())
+    for name, entry in golden.items():
+        kernel = get_kernel(name)
+        assert set(entry["phased"]) == {
+            f"{n}x{m}" for n in KERNEL_N for m in KERNEL_M}
+        element_wise = all(kernel.output_length(out, 96, 3) == 96
+                           for out in kernel.output_names)
+        assert set(entry["double_buffered"]) == (
+            set(DOUBLE_BUFFERED) if element_wise else set())
+
+
+@pytest.mark.parametrize("variant", ["baseline", "extended"])
+@pytest.mark.parametrize("kernel", kernel_names())
+def test_every_kernel_is_cycle_identical(variant, kernel):
+    """Every kernel's runtime and per-cluster DMA markers, phased and
+    double-buffered, match the recorded numbers exactly."""
+    config = _CONFIGS[variant]()
+    golden = GOLDEN["kernels"][variant][kernel]
+    measured = {f"{n}x{m}": _markers(config, kernel, n, m)
+                for n in KERNEL_N for m in KERNEL_M}
+    assert measured == golden["phased"]
+    chunked = {}
+    for shape in golden["double_buffered"]:
+        n, m = map(int, shape.split("x"))
+        chunked[shape] = _markers(config, kernel, n, m,
+                                  exec_mode="double_buffered")
+    assert chunked == golden["double_buffered"]
 
 
 @pytest.mark.parametrize("variant, key", [
