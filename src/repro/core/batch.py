@@ -326,31 +326,24 @@ def resolve_spec(config: SoCConfig,
 
 def point_provable(config: SoCConfig, kernel: Kernel, n: int, m: int,
                    scalars: typing.Mapping[str, float],
-                   tile: typing.Optional["ResolvedTile"] = None) -> bool:
-    """Whether one (N, M) point's tail is safely predictable.
+                   tile: "ResolvedTile") -> bool:
+    """Whether one (N, M) point's tail is safely predictable on ``tile``.
 
     Refuses anything whose event-engine run would raise (invalid shape,
     TCDM or main-memory overflow, a tile class without a rate for this
     kernel — the event path must own the error) and any slice shape the
     DMA-chain algebra cannot order (zero-byte transfers skip the
     channel reservation entirely, changing the arbitration order the
-    closed form assumes).  ``tile`` is the resolved tile the point runs
-    on; ``None`` reads the homogeneous config knobs directly.
+    closed form assumes).
     """
     try:
         kernel.validate(n, scalars)
         slices = split_range(n, m)
-    except KernelError:
+        tile.timing_for(kernel.name)
+    except (KernelError, ConfigError):
         return False
-    tcdm_bytes = config.tcdm_bytes
-    if tile is not None:
-        tcdm_bytes = tile.tcdm_bytes
-        try:
-            tile.timing_for(kernel.name)
-        except ConfigError:
-            return False
     largest = slices[0]
-    if kernel.slice_tcdm_bytes(largest.lo, largest.hi, n) > tcdm_bytes:
+    if kernel.slice_tcdm_bytes(largest.lo, largest.hi, n) > tile.tcdm_bytes:
         return False
     staged = sum(8 * kernel.input_length(name, n)
                  for name in kernel.input_names)
@@ -359,14 +352,12 @@ def point_provable(config: SoCConfig, kernel: Kernel, n: int, m: int,
                   if kernel.output_alias(name) is None)
     if staged + _MEMORY_SLACK_BYTES > config.main_memory_bytes:
         return False
-    for work in slices:
-        if work.empty:
-            continue
-        if kernel.slice_bytes_in(work.lo, work.hi, n) <= 0:
-            return False
-        if kernel.slice_bytes_out(work.lo, work.hi, n) <= 0:
-            return False
-    return True
+    # Declared bytes never shrink with slice length or interior edges,
+    # so the last non-empty slice (shortest, one edge at most) moves
+    # the fewest: if it moves bytes both ways, every working slice does.
+    smallest = slices[min(n, m) - 1]
+    return (kernel.slice_bytes_in(smallest.lo, smallest.hi, n) > 0
+            and kernel.slice_bytes_out(smallest.lo, smallest.hi, n) > 0)
 
 
 def extract_prefix(config: SoCConfig, trace: "OffloadTrace", m: int,
@@ -452,7 +443,7 @@ _LAST = numpy.iinfo(numpy.int64).max // 4
 
 def predict_grid(config: SoCConfig, kernel: Kernel, spec: VariantSpec,
                  rows: typing.Sequence[typing.Tuple[int, int, _Prefix]],
-                 tile: typing.Optional["ResolvedTile"] = None) -> _Grid:
+                 tile: "ResolvedTile") -> _Grid:
     """Time ``(n, m, prefix)`` rows with the closed-form tail algebra.
 
     One NumPy evaluation for the whole batch: rows are padded to the
@@ -464,24 +455,13 @@ def predict_grid(config: SoCConfig, kernel: Kernel, spec: VariantSpec,
     event engine.
 
     ``tile`` supplies the per-tile-class knobs (core count, DMA setup,
-    wake/barrier latencies, kernel compute rates); ``None`` reads the
-    homogeneous config knobs, the pre-fabric behaviour.  Either way the
-    residual check (:func:`matches_trace`) guards the algebra against
-    the event engine, so a knob this form mis-models falls the group
-    back instead of diverging.
+    wake/barrier latencies, kernel compute rates).  The residual check
+    (:func:`matches_trace`) guards the algebra against the event
+    engine, so a knob this form mis-models falls the group back
+    instead of diverging.
     """
-    if tile is None:
-        cores = config.cores_per_cluster
-        dma_setup = config.dma_setup_cycles
-        worker_wake = config.worker_wake_latency
-        barrier = config.barrier_latency
-        timing = None
-    else:
-        cores = tile.cores_per_tile
-        dma_setup = tile.dma_setup_cycles
-        worker_wake = tile.worker_wake_latency
-        barrier = tile.barrier_latency
-        timing = tile.timing_for(kernel.name)
+    dma_setup = tile.dma_setup_cycles
+    timing = tile.timing_for(kernel.name)
     n, m = numpy.array([row[:2] for row in rows], dtype=numpy.int64).T
     start, dispatch_start, dispatch_done, release = numpy.array(
         [row[2].fields() for row in rows], dtype=numpy.int64).T
@@ -494,20 +474,16 @@ def predict_grid(config: SoCConfig, kernel: Kernel, spec: VariantSpec,
     base, extra = numpy.divmod(n, m)
     elems = numpy.where(in_range, base[:, None] + (cid < extra[:, None]), 0)
     working = elems > 0
-    lo = (cid * base[:, None] + numpy.minimum(cid, extra[:, None]))[working]
+    lo = cid * base[:, None] + numpy.minimum(cid, extra[:, None])
+    hi = lo + elems
     row_n = numpy.broadcast_to(n[:, None], elems.shape)[working]
-    bounds = (lo.tolist(), (lo + elems[working]).tolist(), row_n.tolist())
-
-    def cells(method) -> numpy.ndarray:
-        return numpy.fromiter(map(method, *bounds), dtype=numpy.int64,
-                              count=lo.size)
 
     # Input DMA: every working cluster issues its read reservation at
     # release + dma_setup; the shared channel serves them in cluster-id
-    # order, so finishes are one cumulative sum along the row.
-    read = numpy.zeros_like(elems)
-    read[working] = -(-cells(kernel.slice_bytes_in)
-                      // config.mem_read_width_bytes)
+    # order, so finishes are one cumulative sum along the row.  The
+    # kernel's byte declaration is 0 for empty and padded slices.
+    read = -(-kernel.slice_bytes_in(lo, hi, n[:, None])
+             // config.mem_read_width_bytes)
     din = release[:, None] + dma_setup + numpy.cumsum(read, axis=1)
 
     # Compute: the barrier's closed-form crossing.  Per-core counts are
@@ -525,11 +501,11 @@ def predict_grid(config: SoCConfig, kernel: Kernel, spec: VariantSpec,
                                                          value)
         return cycles
 
-    q, r = numpy.divmod(elems[working], cores)
+    q, r = numpy.divmod(elems[working], tile.cores_per_tile)
     cyc_lo, cyc_hi = compute_cycles(q), compute_cycles(q + 1)
     compute_done = numpy.full_like(elems, _LAST)
     compute_done[working] = (
-        din[working] + worker_wake + barrier
+        din[working] + tile.worker_wake_latency + tile.barrier_latency
         + numpy.where(r > 0, numpy.maximum(cyc_hi, cyc_lo), cyc_lo))
 
     # Output DMA: reservations commit in (compute_done, cluster_id)
@@ -537,9 +513,8 @@ def predict_grid(config: SoCConfig, kernel: Kernel, spec: VariantSpec,
     # write channel — a max-plus scan: with C the running sum of write
     # cycles w, finish = C + max-accumulate(max(issue - (C - w), 0)).
     order = numpy.argsort(compute_done, axis=1, kind="stable")
-    write = numpy.zeros_like(elems)
-    write[working] = -(-cells(kernel.slice_bytes_out)
-                       // config.mem_write_width_bytes)
+    write = -(-kernel.slice_bytes_out(lo, hi, n[:, None])
+              // config.mem_write_width_bytes)
     w = write[row_ids, order]
     issue = compute_done[row_ids, order] + dma_setup
     total = numpy.cumsum(w, axis=1)
@@ -604,8 +579,7 @@ def predict_grid(config: SoCConfig, kernel: Kernel, spec: VariantSpec,
 
 def predict_point(config: SoCConfig, kernel: Kernel, spec: VariantSpec,
                   prefix: _Prefix, n: int, m: int,
-                  tile: typing.Optional["ResolvedTile"] = None,
-                  ) -> typing.Optional[_Prediction]:
+                  tile: "ResolvedTile") -> typing.Optional[_Prediction]:
     """Time one grid point: the one-row case of :func:`predict_grid`,
     with the per-cluster markers; ``None`` when ambiguous."""
     return predict_grid(config, kernel, spec, [(n, m, prefix)],

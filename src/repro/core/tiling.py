@@ -27,7 +27,7 @@ import numpy
 from repro.core.offload import offload
 from repro.core.staging import prepare_inputs
 from repro.errors import OffloadError
-from repro.kernels.base import split_range
+from repro.kernels.base import Kernel, split_range
 from repro.kernels.registry import get_kernel
 from repro.soc.manticore import ManticoreSystem
 
@@ -59,14 +59,30 @@ class TiledOffloadResult:
                 f"{self.total_cycles} cycles")
 
 
+def _tileable_kernel(kernel_name: str) -> Kernel:
+    """The registered kernel; :class:`OffloadError` if not tileable."""
+    kernel = get_kernel(kernel_name)
+    if not kernel.tileable:
+        raise OffloadError(
+            f"kernel {kernel_name!r} is not tileable (reductions couple "
+            "output shape to the offload; stencils couple tiles through "
+            "their halos)")
+    return kernel
+
+
 def max_phased_tile(kernel_name: str, num_clusters: int,
                     tcdm_bytes: int) -> int:
     """Largest tile the phased protocol can stage on ``num_clusters``.
 
     For element-wise kernels the per-element TCDM footprint is constant,
     so the bound is ``num_clusters · (tcdm // bytes_per_element)``.
+
+    Raises
+    ------
+    OffloadError
+        If the kernel is not tileable or one element does not fit.
     """
-    kernel = get_kernel(kernel_name)
+    kernel = _tileable_kernel(kernel_name)
     bytes_per_element = kernel.slice_tcdm_bytes(0, 1, 1)
     if bytes_per_element <= 0:
         raise OffloadError(
@@ -99,12 +115,7 @@ def offload_tiled(system: ManticoreSystem, kernel_name: str, n: int,
     OffloadError
         If the kernel is not tileable or the tile size is invalid.
     """
-    kernel = get_kernel(kernel_name)
-    if not kernel.tileable:
-        raise OffloadError(
-            f"kernel {kernel_name!r} is not tileable (reductions couple "
-            "output shape to the offload; stencils couple tiles through "
-            "their halos)")
+    kernel = _tileable_kernel(kernel_name)
     scalars = dict(scalars) if scalars else {
         name: 1.0 for name in kernel.scalar_names}
     kernel.validate(n, scalars)

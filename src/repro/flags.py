@@ -27,13 +27,6 @@ variable                  effect
                           fitting the dispatch prefix as an affine
                           function of M from two anchor calibrations
                           (and skips the persistent calibration store)
-``REPRO_EXPLICIT_FABRIC`` configs with no declared fabric resolve to
-                          one explicit single-tile default-class group
-                          per cluster instead of one implicit fabric-
-                          wide group; timing is identical, so this is
-                          the homogeneous-equivalence A/B lever
-                          proving fabric composition changes nothing
-                          for default-class tiles
 ``REPRO_LINEAR_ROUTING``  address maps fall back to the unsorted
                           linear region scan (pre-bisect routing);
                           sampled at map construction time
@@ -101,16 +94,6 @@ NAIVE_BATCH_ENV = "REPRO_NAIVE_BATCH"
 #: M-axis prefix prediction is bit-identical.
 NAIVE_MPREDICT_ENV = "REPRO_NAIVE_MPREDICT"
 
-#: Environment variable: when set (non-empty), ``SoCConfig.groups()``
-#: resolves a config with no declared fabric into one explicit
-#: single-tile group of the default class per cluster, instead of one
-#: implicit group spanning the whole fabric.  Default-class tiles
-#: resolve to exactly the config's cluster knobs, so measured cycles
-#: are identical either way — this is the A/B lever the golden
-#: cycle-identity suite uses to prove fabric composition is timing-
-#: neutral for homogeneous configs.
-EXPLICIT_FABRIC_ENV = "REPRO_EXPLICIT_FABRIC"
-
 #: Environment variable: when set (non-empty) at map construction time,
 #: ``region_at`` falls back to the unsorted linear scan (and port
 #: routers bypass their hit slots).  Routing is functional, so this is
@@ -141,9 +124,9 @@ STRICT_ENV = "REPRO_STRICT"
 #: Every gate this module owns, for introspection and for benchmarks
 #: that must run with a known-clean environment.
 ALL_GATES = (NAIVE_POLL_ENV, NAIVE_CHANNEL_ENV, NAIVE_BARRIER_ENV,
-             NAIVE_BATCH_ENV, NAIVE_MPREDICT_ENV, EXPLICIT_FABRIC_ENV,
-             LINEAR_ROUTING_ENV, FRESH_SYSTEMS_ENV, CACHE_DIR_ENV,
-             CACHE_MAX_ENTRIES_ENV, STRICT_ENV)
+             NAIVE_BATCH_ENV, NAIVE_MPREDICT_ENV, LINEAR_ROUTING_ENV,
+             FRESH_SYSTEMS_ENV, CACHE_DIR_ENV, CACHE_MAX_ENTRIES_ENV,
+             STRICT_ENV)
 
 
 def _enabled(name: str) -> bool:
@@ -173,11 +156,6 @@ def naive_batch() -> bool:
 def naive_mpredict() -> bool:
     """Whether ``REPRO_NAIVE_MPREDICT`` disables M-axis prefix models."""
     return _enabled(NAIVE_MPREDICT_ENV)
-
-
-def explicit_fabric() -> bool:
-    """Whether ``REPRO_EXPLICIT_FABRIC`` expands implicit fabrics."""
-    return _enabled(EXPLICIT_FABRIC_ENV)
 
 
 def linear_routing() -> bool:

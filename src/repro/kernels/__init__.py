@@ -14,7 +14,8 @@ DAXPY is the paper's kernel (2.6 cycles/element/core, matching Eq. 1's
 model generalizes (ablation A3 in DESIGN.md).
 """
 
-from repro.kernels.base import Kernel, KernelTiming, WorkSlice, split_range
+from repro.kernels.base import (
+    Kernel, KernelTiming, SliceBytes, WorkSlice, split_range)
 from repro.kernels.daxpy import DaxpyKernel
 from repro.kernels.axpby import AxpbyKernel
 from repro.kernels.dot import DotKernel
@@ -38,6 +39,7 @@ __all__ = [
     "ReluKernel",
     "SaxpyKernel",
     "ScaleKernel",
+    "SliceBytes",
     "Stencil3Kernel",
     "VecsumKernel",
     "WorkSlice",

@@ -13,9 +13,13 @@ The contract a kernel implements:
 ``output_alias(name)``
     If the output is computed in place over an input buffer (DAXPY
     updates ``y``), the input's name; else ``None``.
-``slice_bytes_in/out(lo, hi, n)``
-    DMA traffic for the slice — this drives the shared memory channels
-    and the TCDM capacity check.
+``slice_bytes_in`` / ``slice_bytes_out``
+    Class attributes holding a :class:`SliceBytes` declaration: the DMA
+    traffic of slice ``[lo, hi)`` as affine coefficients in the slice
+    length and ``n``, plus a per-interior-edge halo.  They drive the
+    shared memory channels and the TCDM capacity check, and the same
+    declaration answers ``kernel.slice_bytes_in(lo, hi, n)`` for one
+    slice (ints) and for a whole sweep's slices at once (arrays).
 ``compute_slice(n, scalars, inputs, work)``
     The functional math: output fragments with their placement.
 ``compute_cycles(elements, n)``
@@ -33,9 +37,6 @@ import typing
 import numpy
 
 from repro.errors import KernelError
-
-#: Bytes per float64 element.
-ELEM_BYTES = 8
 
 
 @dataclasses.dataclass(frozen=True)
@@ -143,6 +144,43 @@ class KernelTiming:
         return numpy.where(counts == 0, 0, cycles)
 
 
+@dataclasses.dataclass(frozen=True)
+class SliceBytes:
+    """Declared DMA bytes of one slice of ``e = hi - lo`` work items.
+
+    A non-empty slice moves ``(per_item + per_item_n·n)·e + fixed +
+    fixed_n·n + halo·edges`` bytes, where ``edges`` counts the slice's
+    interior boundaries (``lo > 0`` and ``hi < n``); an empty slice
+    moves nothing.  :meth:`__call__` is branch-free arithmetic, so the
+    one declaration returns a Python ``int`` for int bounds and an
+    ``int64`` array for array bounds — the event path and the batch
+    planner read the same numbers.
+    """
+
+    per_item: int = 0
+    per_item_n: int = 0
+    fixed: int = 0
+    fixed_n: int = 0
+    halo: int = 0
+
+    def __post_init__(self) -> None:
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if type(value) is not int or value < 0:
+                raise KernelError(
+                    f"slice byte coefficient {field.name} must be a "
+                    f"non-negative int, got {value!r}")
+
+    def __call__(self, lo, hi, n):
+        """Bytes moved by slice ``[lo, hi)`` of an ``n``-item job."""
+        # ``halo`` multiplies each edge test separately: NumPy adds two
+        # bool arrays as a logical or, not as a count.
+        return ((self.per_item + self.per_item_n * n) * (hi - lo)
+                + (hi > lo) * (self.fixed + self.fixed_n * n
+                               + self.halo * (lo > 0)
+                               + self.halo * (hi < n)))
+
+
 class Kernel(abc.ABC):
     """Abstract base for offloadable kernels; see the module docstring."""
 
@@ -205,13 +243,10 @@ class Kernel(abc.ABC):
     # ------------------------------------------------------------------
     # DMA traffic
     # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def slice_bytes_in(self, lo: int, hi: int, n: int) -> int:
-        """Bytes DMA'd into the TCDM for slice ``[lo, hi)``."""
-
-    @abc.abstractmethod
-    def slice_bytes_out(self, lo: int, hi: int, n: int) -> int:
-        """Bytes DMA'd back to main memory for slice ``[lo, hi)``."""
+    #: Bytes DMA'd into the TCDM per slice; every kernel declares one.
+    slice_bytes_in: SliceBytes
+    #: Bytes DMA'd back to main memory per slice; every kernel declares one.
+    slice_bytes_out: SliceBytes
 
     def slice_tcdm_bytes(self, lo: int, hi: int, n: int) -> int:
         """TCDM footprint of the slice (working set held at once).

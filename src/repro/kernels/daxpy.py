@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.kernels.base import ELEM_BYTES, Kernel, KernelTiming, WorkSlice
+from repro.kernels.base import Kernel, KernelTiming, SliceBytes, WorkSlice
 
 
 class DaxpyKernel(Kernel):
@@ -27,16 +27,12 @@ class DaxpyKernel(Kernel):
     output_names = ("y",)
     timing = KernelTiming(setup_cycles=22, cpe_num=13, cpe_den=5)
     host_timing = KernelTiming(setup_cycles=14, cpe_num=4, cpe_den=1)
+    slice_bytes_in = SliceBytes(per_item=16)
+    slice_bytes_out = SliceBytes(per_item=8)
 
     def output_alias(self, name: str) -> typing.Optional[str]:
         self._check_name(name, self.output_names, "output")
         return "y"
-
-    def slice_bytes_in(self, lo: int, hi: int, n: int) -> int:
-        return 2 * (hi - lo) * ELEM_BYTES
-
-    def slice_bytes_out(self, lo: int, hi: int, n: int) -> int:
-        return (hi - lo) * ELEM_BYTES
 
     def compute_slice(self, n, scalars, inputs, work: WorkSlice):
         a = scalars["a"]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from repro.errors import KernelError
-from repro.kernels.base import ELEM_BYTES, Kernel, KernelTiming, WorkSlice
+from repro.kernels.base import Kernel, KernelTiming, SliceBytes, WorkSlice
 
 
 class GemvKernel(Kernel):
@@ -26,19 +26,12 @@ class GemvKernel(Kernel):
     #: per-MAC rate applied in :meth:`compute_cycles`.
     timing = KernelTiming(setup_cycles=30, cpe_num=3, cpe_den=2)
     host_timing = KernelTiming(setup_cycles=16, cpe_num=4, cpe_den=1)
+    slice_bytes_in = SliceBytes(per_item_n=8, fixed_n=8)
+    slice_bytes_out = SliceBytes(per_item=8)
 
     def input_length(self, name: str, n: int) -> int:
         self._check_name(name, self.input_names, "input")
         return n * n if name == "A" else n
-
-    def slice_bytes_in(self, lo: int, hi: int, n: int) -> int:
-        rows = hi - lo
-        if rows == 0:
-            return 0
-        return (rows * n + n) * ELEM_BYTES
-
-    def slice_bytes_out(self, lo: int, hi: int, n: int) -> int:
-        return (hi - lo) * ELEM_BYTES
 
     def compute_slice(self, n, scalars, inputs, work: WorkSlice):
         matrix = inputs["A"].reshape(n, n)[work.lo:work.hi, :]

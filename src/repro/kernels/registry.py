@@ -6,7 +6,7 @@ import typing
 
 from repro.errors import KernelError
 from repro.kernels.axpby import AxpbyKernel
-from repro.kernels.base import Kernel
+from repro.kernels.base import Kernel, SliceBytes
 from repro.kernels.daxpy import DaxpyKernel
 from repro.kernels.dot import DotKernel
 from repro.kernels.gemv import GemvKernel
@@ -21,9 +21,18 @@ _REGISTRY: typing.Dict[str, Kernel] = {}
 
 
 def register_kernel(kernel: Kernel) -> Kernel:
-    """Add a kernel instance to the registry (unique names enforced)."""
+    """Add a kernel instance to the registry.
+
+    Names must be unique, and the kernel must declare its slice traffic
+    as :class:`~repro.kernels.base.SliceBytes` in both directions.
+    """
     if not kernel.name:
         raise KernelError("kernel has no name")
+    for attr in ("slice_bytes_in", "slice_bytes_out"):
+        if not isinstance(getattr(kernel, attr, None), SliceBytes):
+            raise KernelError(
+                f"kernel {kernel.name!r} does not declare {attr} as "
+                "SliceBytes")
     if kernel.name in _REGISTRY:
         raise KernelError(f"kernel {kernel.name!r} already registered")
     _REGISTRY[kernel.name] = kernel

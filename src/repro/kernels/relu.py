@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy
 
-from repro.kernels.base import ELEM_BYTES, Kernel, KernelTiming, WorkSlice
+from repro.kernels.base import Kernel, KernelTiming, SliceBytes, WorkSlice
 
 
 class ReluKernel(Kernel):
@@ -17,16 +17,12 @@ class ReluKernel(Kernel):
     output_names = ("y",)
     timing = KernelTiming(setup_cycles=16, cpe_num=1, cpe_den=1)
     host_timing = KernelTiming(setup_cycles=10, cpe_num=2, cpe_den=1)
+    slice_bytes_in = SliceBytes(per_item=8)
+    slice_bytes_out = SliceBytes(per_item=8)
 
     def output_alias(self, name: str):
         self._check_name(name, self.output_names, "output")
         return "x"
-
-    def slice_bytes_in(self, lo: int, hi: int, n: int) -> int:
-        return (hi - lo) * ELEM_BYTES
-
-    def slice_bytes_out(self, lo: int, hi: int, n: int) -> int:
-        return (hi - lo) * ELEM_BYTES
 
     def compute_slice(self, n, scalars, inputs, work: WorkSlice):
         return {"y": (work.lo,

@@ -12,7 +12,7 @@ import typing
 
 import numpy
 
-from repro.kernels.base import Kernel, KernelTiming, WorkSlice
+from repro.kernels.base import Kernel, KernelTiming, SliceBytes, WorkSlice
 
 
 class SaxpyKernel(Kernel):
@@ -25,16 +25,13 @@ class SaxpyKernel(Kernel):
     output_names = ("y",)
     timing = KernelTiming(setup_cycles=22, cpe_num=13, cpe_den=10)
     host_timing = KernelTiming(setup_cycles=14, cpe_num=3, cpe_den=1)
+    #: Two packed fp32 operands in, one out, per element.
+    slice_bytes_in = SliceBytes(per_item=8)
+    slice_bytes_out = SliceBytes(per_item=4)
 
     def output_alias(self, name: str) -> typing.Optional[str]:
         self._check_name(name, self.output_names, "output")
         return "y"
-
-    def slice_bytes_in(self, lo: int, hi: int, n: int) -> int:
-        return 2 * (hi - lo) * 4  # two fp32 operands per element
-
-    def slice_bytes_out(self, lo: int, hi: int, n: int) -> int:
-        return (hi - lo) * 4
 
     def compute_slice(self, n, scalars, inputs, work: WorkSlice):
         a = numpy.float32(scalars["a"])

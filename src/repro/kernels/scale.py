@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.kernels.base import ELEM_BYTES, Kernel, KernelTiming, WorkSlice
+from repro.kernels.base import Kernel, KernelTiming, SliceBytes, WorkSlice
 
 
 class ScaleKernel(Kernel):
@@ -15,12 +15,8 @@ class ScaleKernel(Kernel):
     output_names = ("y",)
     timing = KernelTiming(setup_cycles=18, cpe_num=3, cpe_den=2)
     host_timing = KernelTiming(setup_cycles=12, cpe_num=3, cpe_den=1)
-
-    def slice_bytes_in(self, lo: int, hi: int, n: int) -> int:
-        return (hi - lo) * ELEM_BYTES
-
-    def slice_bytes_out(self, lo: int, hi: int, n: int) -> int:
-        return (hi - lo) * ELEM_BYTES
+    slice_bytes_in = SliceBytes(per_item=8)
+    slice_bytes_out = SliceBytes(per_item=8)
 
     def compute_slice(self, n, scalars, inputs, work: WorkSlice):
         return {"y": (work.lo, scalars["a"] * inputs["x"][work.lo:work.hi])}

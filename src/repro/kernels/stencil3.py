@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy
 
-from repro.kernels.base import ELEM_BYTES, Kernel, KernelTiming, WorkSlice
+from repro.kernels.base import Kernel, KernelTiming, SliceBytes, WorkSlice
 
 
 class Stencil3Kernel(Kernel):
@@ -23,23 +23,8 @@ class Stencil3Kernel(Kernel):
     output_names = ("y",)
     timing = KernelTiming(setup_cycles=26, cpe_num=2, cpe_den=1)
     host_timing = KernelTiming(setup_cycles=16, cpe_num=6, cpe_den=1)
-
-    def _halo(self, lo: int, hi: int, n: int) -> int:
-        """Halo elements this slice must additionally stage."""
-        halo = 0
-        if lo > 0:
-            halo += 1
-        if hi < n:
-            halo += 1
-        return halo
-
-    def slice_bytes_in(self, lo: int, hi: int, n: int) -> int:
-        if hi == lo:
-            return 0
-        return ((hi - lo) + self._halo(lo, hi, n)) * ELEM_BYTES
-
-    def slice_bytes_out(self, lo: int, hi: int, n: int) -> int:
-        return (hi - lo) * ELEM_BYTES
+    slice_bytes_in = SliceBytes(per_item=8, halo=8)
+    slice_bytes_out = SliceBytes(per_item=8)
 
     def compute_slice(self, n, scalars, inputs, work: WorkSlice):
         x = inputs["x"]

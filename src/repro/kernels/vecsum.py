@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy
 
-from repro.kernels.base import ELEM_BYTES, Kernel, KernelTiming, WorkSlice
+from repro.kernels.base import Kernel, KernelTiming, SliceBytes, WorkSlice
 
 
 class VecsumKernel(Kernel):
@@ -23,16 +23,12 @@ class VecsumKernel(Kernel):
     output_names = ("partials",)
     timing = KernelTiming(setup_cycles=20, cpe_num=1, cpe_den=1)
     host_timing = KernelTiming(setup_cycles=10, cpe_num=2, cpe_den=1)
+    slice_bytes_in = SliceBytes(per_item=8)
+    slice_bytes_out = SliceBytes(fixed=8)
 
     def output_length(self, name: str, n: int, num_slices: int) -> int:
         self._check_name(name, self.output_names, "output")
         return num_slices
-
-    def slice_bytes_in(self, lo: int, hi: int, n: int) -> int:
-        return (hi - lo) * ELEM_BYTES
-
-    def slice_bytes_out(self, lo: int, hi: int, n: int) -> int:
-        return ELEM_BYTES if hi > lo else 0
 
     def compute_slice(self, n, scalars, inputs, work: WorkSlice):
         partial = numpy.sum(inputs["x"][work.lo:work.hi])

@@ -26,7 +26,6 @@ import dataclasses
 import hashlib
 import typing
 
-from repro import flags
 from repro.errors import ConfigError
 from repro.noc.xbar import NocParams
 from repro.soc.tiles import (
@@ -360,20 +359,11 @@ class SoCConfig:
 
         A config with no declared fabric resolves to one implicit
         group (:data:`IMPLICIT_GROUP_NAME`) of the default class
-        spanning every cluster — or, under ``REPRO_EXPLICIT_FABRIC``,
-        to one single-tile default-class group per cluster, which is
-        timing-identical but exercises the per-group construction path
-        (the homogeneous-equivalence A/B).
+        spanning every cluster.
 
-        Memoized per gate value: resolution is pure given the frozen
-        config and the gate.
+        Memoized: resolution is pure given the frozen config.
         """
-        explicit = flags.explicit_fabric()
-        cache = getattr(self, "_groups_cache", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_groups_cache", cache)
-        resolved = cache.get(explicit)
+        resolved = getattr(self, "_groups_cache", None)
         if resolved is not None:
             return resolved
         if self.fabric:
@@ -385,17 +375,11 @@ class SoCConfig:
                     count=group.count, start=start))
                 start += group.count
             resolved = tuple(groups)
-        elif explicit:
-            default = self.resolve_tile(SNITCH)
-            resolved = tuple(
-                ResolvedGroup(name=f"tile{index}", tile=default, count=1,
-                              start=index)
-                for index in range(self.num_clusters))
         else:
             resolved = (ResolvedGroup(
                 name=IMPLICIT_GROUP_NAME, tile=self.resolve_tile(SNITCH),
                 count=self.num_clusters, start=0),)
-        cache[explicit] = resolved
+        object.__setattr__(self, "_groups_cache", resolved)
         return resolved
 
     def tile_group(self, name: str) -> ResolvedGroup:

@@ -192,10 +192,15 @@ def test_default_class_fabric_concurrent_is_cycle_identical(variant, key):
 
 
 @pytest.mark.parametrize("variant", ["baseline", "extended"])
-def test_explicit_fabric_gate_is_cycle_identical(variant, monkeypatch):
+def test_explicit_fabric_gate_is_cycle_identical(variant):
     """Per-cluster single-tile groups ≡ the implicit homogeneous span."""
-    monkeypatch.setenv("REPRO_EXPLICIT_FABRIC", "1")
-    config = _CONFIGS[variant]()
+    from repro.soc.tiles import SNITCH, TileGroup
+
+    legacy = _CONFIGS[variant]()
+    config = SoCConfig.with_fabric(
+        [TileGroup(f"tile{index}", SNITCH, 1)
+         for index in range(legacy.num_clusters)],
+        multicast=legacy.multicast, hw_sync=legacy.hw_sync)
     assert len(config.groups()) == config.num_clusters
     golden = GOLDEN["grid"][variant]
     measured = {

@@ -30,7 +30,7 @@ from repro.flags import (
     NAIVE_BATCH_ENV,
     NAIVE_MPREDICT_ENV,
 )
-from repro.kernels.base import Kernel
+from repro.kernels.base import Kernel, SliceBytes
 from repro.kernels.registry import _REGISTRY as _KERNEL_REGISTRY
 from repro.kernels.registry import get_kernel, register_kernel
 from repro.runtime.strategies import _REGISTRY as _VARIANT_REGISTRY
@@ -211,12 +211,8 @@ def test_zero_byte_slices_are_refused_per_point():
         input_names = ("x",)
         output_names = ()
         timing = get_kernel("daxpy").timing
-
-        def slice_bytes_in(self, lo, hi, n):
-            return 8 * (hi - lo)
-
-        def slice_bytes_out(self, lo, hi, n):
-            return 0
+        slice_bytes_in = SliceBytes(per_item=8)
+        slice_bytes_out = SliceBytes()
 
         def compute_slice(self, n, scalars, inputs, work):
             return {}
@@ -224,7 +220,8 @@ def test_zero_byte_slices_are_refused_per_point():
     register_kernel(ComputeOnlyKernel())
     try:
         kernel = get_kernel(ComputeOnlyKernel.name)
-        assert not batch.point_provable(CFG, kernel, 64, 2, {})
+        assert not batch.point_provable(CFG, kernel, 64, 2, {},
+                                        CFG.span_tile(0, 2))
         naive, fast, executor = _ab_sweep(
             CFG, ComputeOnlyKernel.name, [64, 128], [1, 2], "baseline")
         assert fast == naive
@@ -258,7 +255,7 @@ def test_residual_check_accepts_measured_and_rejects_drift():
     prefix = batch.extract_prefix(CFG, result.trace, m)
     assert prefix is not None
     prediction = batch.predict_point(CFG, get_kernel("daxpy"), spec,
-                                     prefix, n, m)
+                                     prefix, n, m, CFG.span_tile(0, m))
     assert prediction is not None
     assert batch.matches_trace(prediction, result.trace, measured)
 

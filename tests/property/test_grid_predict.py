@@ -34,30 +34,22 @@ MIXED = SoCConfig.with_fabric(
     multicast=True, hw_sync=True)
 VARIANTS = ["baseline", "multicast_only", "hw_sync_only", "extended"]
 
-#: (config, tile, widest M): the config knobs themselves, a resolved
-#: homogeneous tile, and each group of a little/big fabric.
+#: (config, tile, widest M): a resolved homogeneous tile and each
+#: group of a little/big fabric.
 TILES = [
-    (HOMOGENEOUS, None, 32),
     (HOMOGENEOUS, HOMOGENEOUS.span_tile(0, 32), 32),
     (MIXED, MIXED.tile_group("little").tile, 8),
     (MIXED, MIXED.tile_group("big").tile, 8),
 ]
 
 
-def oracle(config, kernel, spec, prefix, n, m, tile=None):
+def oracle(config, kernel, spec, prefix, n, m, tile):
     """The scalar tail algebra: one point, serial chains."""
-    if tile is None:
-        cores = config.cores_per_cluster
-        dma_setup = config.dma_setup_cycles
-        worker_wake = config.worker_wake_latency
-        barrier = config.barrier_latency
-        timing = None
-    else:
-        cores = tile.cores_per_tile
-        dma_setup = tile.dma_setup_cycles
-        worker_wake = tile.worker_wake_latency
-        barrier = tile.barrier_latency
-        timing = tile.timing_for(kernel.name)
+    cores = tile.cores_per_tile
+    dma_setup = tile.dma_setup_cycles
+    worker_wake = tile.worker_wake_latency
+    barrier = tile.barrier_latency
+    timing = tile.timing_for(kernel.name)
     slices = split_range(n, m)
     elems = numpy.fromiter((s.hi - s.lo for s in slices),
                            dtype=numpy.int64, count=m)
@@ -223,16 +215,18 @@ def test_ambiguity_refusals_stay_per_row():
     """On each side of both ambiguity boundaries, only the ambiguous
     row of a batch refuses; its neighbours are still timed."""
     kernel = get_kernel("daxpy")
+    tile = HOMOGENEOUS.span_tile(0, 8)
     for variant in VARIANTS:
         spec = batch.resolve_spec(HOMOGENEOUS, variant)
         probe = oracle(HOMOGENEOUS, kernel, spec,
-                       batch._Prefix(0, 10, -10 ** 9, 100), 512, 8)
+                       batch._Prefix(0, 10, -10 ** 9, 100), 512, 8, tile)
         edge = boundary(HOMOGENEOUS, spec, probe)
         rows = [(512, 8, batch._Prefix(0, 10, edge + nudge, 100))
                 for nudge in (-1, 0, 1)]
         refused = [point is None for point in batch.predict_grid(
-            HOMOGENEOUS, kernel, spec, rows).points()]
-        expected = [oracle(HOMOGENEOUS, kernel, spec, prefix, n, m) is None
+            HOMOGENEOUS, kernel, spec, rows, tile).points()]
+        expected = [oracle(HOMOGENEOUS, kernel, spec, prefix, n, m,
+                           tile) is None
                     for n, m, prefix in rows]
         assert refused == expected
         assert refused[1] and not refused[0]

@@ -13,7 +13,6 @@ from repro import flags
     (flags.naive_mpredict, flags.NAIVE_MPREDICT_ENV),
     (flags.linear_routing, flags.LINEAR_ROUTING_ENV),
     (flags.fresh_systems, flags.FRESH_SYSTEMS_ENV),
-    (flags.explicit_fabric, flags.EXPLICIT_FABRIC_ENV),
     (flags.strict, flags.STRICT_ENV),
 ])
 def test_boolean_gates_follow_the_non_empty_convention(monkeypatch,
@@ -42,9 +41,9 @@ def test_all_gates_is_complete():
         flags.NAIVE_POLL_ENV, flags.NAIVE_CHANNEL_ENV,
         flags.NAIVE_BARRIER_ENV, flags.NAIVE_BATCH_ENV,
         flags.NAIVE_MPREDICT_ENV, flags.LINEAR_ROUTING_ENV,
-        flags.FRESH_SYSTEMS_ENV, flags.EXPLICIT_FABRIC_ENV,
-        flags.CACHE_DIR_ENV, flags.CACHE_MAX_ENTRIES_ENV, flags.STRICT_ENV}
-    assert len(flags.ALL_GATES) == len(set(flags.ALL_GATES)) == 11
+        flags.FRESH_SYSTEMS_ENV, flags.CACHE_DIR_ENV,
+        flags.CACHE_MAX_ENTRIES_ENV, flags.STRICT_ENV}
+    assert len(flags.ALL_GATES) == len(set(flags.ALL_GATES)) == 10
 
 
 def test_cache_max_entries_accepts_only_positive_integers(monkeypatch):

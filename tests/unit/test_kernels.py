@@ -11,6 +11,7 @@ from repro.kernels import (
     GemvKernel,
     Kernel,
     KernelTiming,
+    SliceBytes,
     VecsumKernel,
     WorkSlice,
     get_kernel,
@@ -285,17 +286,48 @@ def test_register_duplicate_rejected():
 
 def test_register_unnamed_rejected():
     class Nameless(Kernel):
-        def slice_bytes_in(self, lo, hi, n):
-            return 0
-
-        def slice_bytes_out(self, lo, hi, n):
-            return 0
+        slice_bytes_in = SliceBytes()
+        slice_bytes_out = SliceBytes()
 
         def compute_slice(self, n, scalars, inputs, work):
             return {}
 
     with pytest.raises(KernelError):
         register_kernel(Nameless())
+
+
+@pytest.mark.parametrize("missing", ["slice_bytes_in", "slice_bytes_out"])
+def test_register_requires_both_byte_declarations(missing):
+    declared = {"slice_bytes_in": SliceBytes(per_item=8),
+                "slice_bytes_out": SliceBytes(per_item=8)}
+    del declared[missing]
+    undeclared = type("Undeclared", (Kernel,), dict(
+        declared, name="kerneltest_undeclared",
+        compute_slice=lambda self, n, scalars, inputs, work: {}))
+    with pytest.raises(KernelError, match=missing):
+        register_kernel(undeclared())
+    assert "kerneltest_undeclared" not in kernel_names()
+
+
+# ----------------------------------------------------------------------
+# Slice byte declarations
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("field", [
+    "per_item", "per_item_n", "fixed", "fixed_n", "halo"])
+@pytest.mark.parametrize("value", [-8, 8.0, True])
+def test_slice_bytes_rejects_bad_coefficients(field, value):
+    with pytest.raises(KernelError, match=field):
+        SliceBytes(**{field: value})
+
+
+def test_slice_bytes_evaluates_the_declared_shape():
+    traffic = SliceBytes(per_item=2, per_item_n=3, fixed=5, fixed_n=7,
+                         halo=11)
+    n = 10
+    assert traffic(4, 4, n) == 0                       # empty slice
+    assert traffic(0, n, n) == (2 + 30) * n + 5 + 70   # no interior edge
+    assert traffic(0, 4, n) == (2 + 30) * 4 + 5 + 70 + 11
+    assert traffic(4, 6, n) == (2 + 30) * 2 + 5 + 70 + 2 * 11
 
 
 def test_flops_accounting():

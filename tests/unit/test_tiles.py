@@ -212,30 +212,36 @@ def test_span_queries_walk_groups_on_a_mixed_fabric():
                 query(first, count)
 
 
-def test_span_queries_agree_under_explicit_fabric(monkeypatch):
+def per_cluster_fabric(config):
+    """``config`` rebuilt as one single-tile default-class group per
+    cluster: timing-identical to its implicit fabric-wide group."""
+    return SoCConfig.with_fabric(
+        [TileGroup(f"tile{index}", SNITCH, 1)
+         for index in range(config.num_clusters)],
+        multicast=config.multicast, hw_sync=config.hw_sync)
+
+
+def test_span_queries_agree_under_explicit_fabric():
     config = SoCConfig.extended(num_clusters=6)
-    monkeypatch.delenv("REPRO_EXPLICIT_FABRIC", raising=False)
     implicit = [(config.min_tcdm_bytes(first, count),
                  config.span_tile(first, count))
                 for first in range(6) for count in range(1, 7 - first)]
-    monkeypatch.setenv("REPRO_EXPLICIT_FABRIC", "1")
-    explicit = [(config.min_tcdm_bytes(first, count),
-                 config.span_tile(first, count))
+    fabric = per_cluster_fabric(config)
+    explicit = [(fabric.min_tcdm_bytes(first, count),
+                 fabric.span_tile(first, count))
                 for first in range(6) for count in range(1, 7 - first)]
     assert explicit == implicit
     assert explicit == [per_cluster_span(config, first, count)
                         for first in range(6) for count in range(1, 7 - first)]
 
 
-def test_homogeneous_config_resolves_to_one_implicit_group(monkeypatch):
-    monkeypatch.delenv("REPRO_EXPLICIT_FABRIC", raising=False)
+def test_homogeneous_config_resolves_to_one_implicit_group():
     config = SoCConfig.extended(num_clusters=4)
     (group,) = config.groups()
     assert group.count == 4 and group.start == 0
     assert group.tile.class_name == DEFAULT_TILE_CLASS
-    # under the gate the same config expands to per-cluster groups
-    monkeypatch.setenv("REPRO_EXPLICIT_FABRIC", "1")
-    explicit = config.groups()
+    # the same fabric declared per cluster resolves to per-cluster groups
+    explicit = per_cluster_fabric(config).groups()
     assert len(explicit) == 4
     assert [g.start for g in explicit] == [0, 1, 2, 3]
     assert all(g.count == 1 and g.tile.class_name == DEFAULT_TILE_CLASS

@@ -26,6 +26,13 @@ def test_max_phased_tile_rejects_oversized_elements():
         max_phased_tile("daxpy", 1, 8)
 
 
+@pytest.mark.parametrize("kernel", ["gemv", "vecsum", "dot", "stencil3"])
+def test_max_phased_tile_refuses_untileable_kernels(kernel):
+    """No tile bound exists for kernels offload_tiled refuses to run."""
+    with pytest.raises(OffloadError, match="not tileable"):
+        max_phased_tile(kernel, 1, 128 * 1024)
+
+
 def test_tiled_functional_result():
     rng = numpy.random.default_rng(4)
     n = 1000
