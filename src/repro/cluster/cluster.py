@@ -49,7 +49,7 @@ def _phase_core_cycles(kernel: "Kernel", elements: int, num_cores: int,
     if timing is None:
         cycles = kernel.compute_cycles_array(counts, n)
     else:
-        cycles = timing.cycles_array(counts)
+        cycles = timing.cycles_array(kernel.work(counts, n))
     return tuple(int(c) for c in cycles)
 
 

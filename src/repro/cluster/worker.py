@@ -47,7 +47,7 @@ class WorkerCore:
         if timing is None:
             cycles = kernel.compute_cycles(sub_slice.elements, n)
         else:
-            cycles = timing.cycles(sub_slice.elements)
+            cycles = timing.cycles(kernel.work(sub_slice.elements, n))
         self.jobs_executed += 1
         self.busy_cycles += cycles
         return self.wake_latency + cycles

@@ -493,7 +493,7 @@ def predict_grid(config: SoCConfig, kernel: Kernel, spec: VariantSpec,
     # it is evaluated once per distinct N.
     def compute_cycles(elements: numpy.ndarray) -> numpy.ndarray:
         if timing is not None:
-            return timing.cycles_array(elements)
+            return timing.cycles_array(kernel.work(elements, row_n))
         cycles = numpy.empty_like(elements)
         for value in set(n.tolist()):
             same_n = row_n == value

@@ -310,6 +310,10 @@ class Kernel(abc.ABC):
     # ------------------------------------------------------------------
     # Timing model
     # ------------------------------------------------------------------
+    def work(self, elements, n):
+        """Rate units in ``elements`` work items of an ``n``-item job."""
+        return elements
+
     def compute_cycles(self, elements: int, n: int) -> int:
         """Per-core compute time for ``elements`` work items."""
         return self.timing.cycles(elements)

@@ -37,6 +37,10 @@ class GemvKernel(Kernel):
         matrix = inputs["A"].reshape(n, n)[work.lo:work.hi, :]
         return {"y": (work.lo, matrix @ inputs["x"])}
 
+    def work(self, elements, n):
+        """A row is ``n`` MACs."""
+        return elements * n
+
     def compute_cycles(self, elements: int, n: int) -> int:
         """``elements`` rows of ``n`` MACs each at the per-MAC rate."""
         if elements < 0:

@@ -14,12 +14,16 @@ mixed fabric:
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.executor import collect_run_stats, drain_run_stats
 from repro.core.model import fit_class_models
+from repro.core.offload import offload
 from repro.core.sweep import sweep
 from repro.soc.config import SoCConfig
+from repro.soc.manticore import ManticoreSystem
 from repro.soc.tiles import SNITCH, VECWIDE, TileGroup
 
 
@@ -116,3 +120,29 @@ def test_ungrouped_mixed_sweep_falls_back_only_on_mixed_spans(
     assert run["batch_fallback_points"] > 0  # mixed spans fall back
     total = (run["planned_points"] + run["simulated_points"])
     assert total == run["points"]
+
+
+@pytest.mark.parametrize("naive_barrier", [False, True])
+def test_rated_tile_charges_gemv_per_mac(mixed_config, monkeypatch,
+                                         naive_barrier):
+    """A rate table rates the kernel's work unit, which for gemv is a
+    MAC: a vecwide core with ``r`` rows of ``n`` MACs computes for
+    ``setup + ceil(3·r·n/8)`` cycles, so the phase grows with ``n``."""
+    if naive_barrier:
+        monkeypatch.setenv("REPRO_NAIVE_BARRIER", "1")
+    else:
+        monkeypatch.delenv("REPRO_NAIVE_BARRIER", raising=False)
+    tile = mixed_config.tile_group("big").tile
+    setup, num, den = dict(VECWIDE.kernel_rates)["gemv"]
+    phases = []
+    for n in (32, 64):
+        result = offload(ManticoreSystem(mixed_config), "gemv", n, 1,
+                         tile_group="big")
+        (cluster,) = [c for c in result.trace.clusters if c.had_work]
+        rows = -(-n // tile.cores_per_tile)
+        phase = cluster.compute_done - cluster.dma_in_done
+        assert phase == (tile.worker_wake_latency + setup
+                         + math.ceil(num * rows * n / den)
+                         + tile.barrier_latency)
+        phases.append(phase)
+    assert phases[1] > phases[0]

@@ -69,8 +69,8 @@ def oracle(config, kernel, spec, prefix, n, m, tile):
         cyc_lo = kernel.compute_cycles_array(q, n)
         cyc_hi = kernel.compute_cycles_array(q + 1, n)
     else:
-        cyc_lo = timing.cycles_array(q)
-        cyc_hi = timing.cycles_array(q + 1)
+        cyc_lo = timing.cycles_array(kernel.work(q, n))
+        cyc_hi = timing.cycles_array(kernel.work(q + 1, n))
     phase_max = numpy.where(r > 0, numpy.maximum(cyc_hi, cyc_lo), cyc_lo)
     compute_done = din + worker_wake + phase_max + barrier
 
