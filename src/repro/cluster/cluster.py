@@ -13,7 +13,6 @@ from repro.cluster.dm_core import serve_jobs
 from repro.cluster.dma import DmaEngine
 from repro.cluster.mailbox import Mailbox
 from repro.cluster.worker import WorkerCore, split_among_cores
-from repro.errors import ConfigError
 from repro.mem.memory import MainMemory
 from repro.mem.tcdm import Tcdm
 from repro.noc.xbar import Interconnect
@@ -27,36 +26,28 @@ if typing.TYPE_CHECKING:
 
 @functools.lru_cache(maxsize=4096)
 def _phase_core_cycles(kernel: "Kernel", elements: int, num_cores: int,
-                       n: int,
-                       timing: "typing.Optional[KernelTiming]" = None
+                       n: int, timing: "KernelTiming"
                        ) -> typing.Tuple[int, ...]:
     """Per-core compute cycles for one cluster compute phase.
 
     The whole phase's timing is a function of the cluster slice's
     element count alone (the block schedule splits counts, not
-    positions), so one NumPy pass over the per-core counts — via the
-    kernel's vectorized timing — covers every cluster and every job of
-    a sweep that shares the shape.  Kernel instances are registry
-    singletons and ``KernelTiming`` is frozen, so keying the memo on
-    the objects is stable.  ``timing`` is a tile class's per-kernel
-    rate override; ``None`` uses the kernel's own (default-class)
-    timing, including any ``compute_cycles`` subclass override.
+    positions), so one NumPy pass over the per-core counts covers
+    every cluster and every job of a sweep that shares the shape.
+    Kernel instances are registry singletons and ``KernelTiming`` is
+    frozen, so keying the memo on the objects is stable.  ``timing``
+    is the tile class's rate for ``kernel``.
     """
     from repro.kernels.base import split_range
     counts = numpy.fromiter(
         (sub.hi - sub.lo for sub in split_range(elements, num_cores)),
         dtype=numpy.int64, count=num_cores)
-    if timing is None:
-        cycles = kernel.compute_cycles_array(counts, n)
-    else:
-        cycles = timing.cycles_array(kernel.work(counts, n))
-    return tuple(int(c) for c in cycles)
+    return tuple(int(c) for c in timing.cycles(kernel.work(counts, n)))
 
 
 def _worker_body(cluster: "Cluster", worker: WorkerCore, kernel: "Kernel",
                  sub: "WorkSlice", n: int,
-                 timing: "typing.Optional[KernelTiming]"
-                 ) -> typing.Generator:
+                 timing: "KernelTiming") -> typing.Generator:
     """One spawned worker core: compute, then meet at the barrier.
 
     The reference compute-phase body, used when ``REPRO_NAIVE_BARRIER``
@@ -79,22 +70,9 @@ class Cluster:
                  memory: MainMemory, tcdm: Tcdm, mailbox: Mailbox,
                  read_channel: ThroughputChannel,
                  write_channel: ThroughputChannel,
+                 tile: "ResolvedTile",
                  fabric_barrier: typing.Optional["FabricBarrier"] = None,
-                 num_workers: int = 8,
-                 wake_latency: int = 4,
-                 dm_decode_cycles: int = 12,
-                 dma_setup_cycles: int = 8,
-                 barrier_latency: int = 2,
-                 worker_wake_latency: int = 2,
-                 tile: "typing.Optional[ResolvedTile]" = None,
                  trace: typing.Optional[TraceRecorder] = None) -> None:
-        if num_workers <= 0:
-            raise ConfigError(
-                f"cluster {cluster_id} needs at least one worker core, "
-                f"got {num_workers}")
-        if wake_latency < 0 or dm_decode_cycles < 0:
-            raise ConfigError(
-                f"cluster {cluster_id}: negative DM-core latency")
         self.sim = sim
         self.cluster_id = cluster_id
         self.noc = noc
@@ -102,24 +80,26 @@ class Cluster:
         self.tcdm = tcdm
         self.mailbox = mailbox
         self.fabric_barrier = fabric_barrier
-        self.wake_latency = wake_latency
-        self.dm_decode_cycles = dm_decode_cycles
-        #: The resolved tile spec this cluster was built from (``None``
-        #: for hand-built clusters, which behave as the default class).
+        self.wake_latency = tile.wake_latency
+        self.dm_decode_cycles = tile.dm_decode_cycles
+        #: The resolved tile spec (core count, latencies, kernel rates)
+        #: this cluster is built from.
         self.tile = tile
         self.trace = (trace if trace is not None
                       else TraceRecorder(sim, enabled=False))
         self.dma = DmaEngine(
-            sim, read_channel, write_channel, setup_cycles=dma_setup_cycles,
+            sim, read_channel, write_channel,
+            setup_cycles=tile.dma_setup_cycles,
             name=f"cluster{cluster_id}.dma")
         self.workers = [
             WorkerCore(sim, cluster_id, core_id,
-                       wake_latency=worker_wake_latency)
-            for core_id in range(num_workers)
+                       wake_latency=tile.worker_wake_latency)
+            for core_id in range(tile.cores_per_tile)
         ]
         # Workers plus the DM core meet at the hardware barrier.
         self.barrier = Barrier(
-            sim, parties=num_workers + 1, latency=barrier_latency,
+            sim, parties=tile.cores_per_tile + 1,
+            latency=tile.barrier_latency,
             name=f"cluster{cluster_id}.barrier")
         self.jobs_completed = 0
         #: Compute phases resolved through the barrier's closed-form
@@ -141,7 +121,7 @@ class Cluster:
         identical cycle with identical event ordering.
         """
         if flags.naive_barrier():
-            timing = self.compute_timing(kernel)
+            timing = self.tile.timing_for(kernel)
             sub_slices = split_among_cores(work, len(self.workers))
             label = f"cluster{self.cluster_id}"
             for worker, sub in zip(self.workers, sub_slices):
@@ -164,7 +144,7 @@ class Cluster:
         """
         cycles = _phase_core_cycles(
             kernel, work.elements, len(self.workers), n,
-            self.compute_timing(kernel))
+            self.tile.timing_for(kernel))
         last = 0
         for worker, worker_cycles in zip(self.workers, cycles):
             worker.jobs_executed += 1
@@ -174,19 +154,6 @@ class Cluster:
                 last = delay
         self.ff_compute_phases += 1
         return self.barrier.cross_all_known(last)
-
-    def compute_timing(self, kernel: "Kernel"
-                       ) -> "typing.Optional[KernelTiming]":
-        """This tile's per-core rate for ``kernel``, or ``None``.
-
-        ``None`` means "use the kernel's own timing" — the default
-        class and hand-built clusters, preserving bit-identity with the
-        homogeneous fabric.  Rated tile classes must rate every kernel
-        they run (``ConfigError`` otherwise, raised by the tile spec).
-        """
-        if self.tile is None:
-            return None
-        return self.tile.timing_for(kernel.name)
 
     def start(self):
         """Spawn the DM core's job-serving loop (idempotent)."""

@@ -32,39 +32,23 @@ class WorkerCore:
         self.jobs_executed = 0
         self.busy_cycles = 0
 
-    def charge(self, kernel: Kernel, sub_slice: WorkSlice, n: int,
-               timing: typing.Optional[KernelTiming] = None) -> int:
-        """Charge one compute phase's statistics and return the delay
-        (wake plus loop cycles) until this core meets the barrier.
-
-        The analytic twin of :meth:`compute`: the compute-phase
-        fast-forward charges every core up front and resolves the phase
-        to the maximum returned delay instead of parking one process
-        per core.  ``timing`` overrides the kernel's own per-core rate
-        (a heterogeneous tile class's rate table); ``None`` keeps the
-        kernel timing, which is the default-class path.
-        """
-        if timing is None:
-            cycles = kernel.compute_cycles(sub_slice.elements, n)
-        else:
-            cycles = timing.cycles(kernel.work(sub_slice.elements, n))
-        self.jobs_executed += 1
-        self.busy_cycles += cycles
-        return self.wake_latency + cycles
-
     def compute(self, kernel: Kernel, sub_slice: WorkSlice, n: int,
-                timing: typing.Optional[KernelTiming] = None
-                ) -> typing.Generator:
+                timing: KernelTiming) -> typing.Generator:
         """Run the kernel's loop over ``sub_slice`` (timing only).
 
-        Empty sub-slices still pay the wake latency (the core is
-        released from the barrier and immediately re-parks).
+        ``timing`` is the core's rate for ``kernel`` (its tile class's
+        :meth:`~repro.soc.tiles.ResolvedTile.timing_for`).  Empty
+        sub-slices still pay the wake latency (the core is released
+        from the barrier and immediately re-parks).
         """
+        cycles = timing.cycles(kernel.work(sub_slice.elements, n))
+        self.jobs_executed += 1
+        self.busy_cycles += cycles
         # One scheduler event instead of wake-then-compute: the core
         # resumes at the identical cycle, and nothing can observe the
         # intermediate wake instant (the core touches no shared
         # resource between waking and finishing its loop).
-        delay = self.charge(kernel, sub_slice, n, timing)
+        delay = self.wake_latency + cycles
         if delay:
             yield delay
 

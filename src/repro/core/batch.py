@@ -339,7 +339,7 @@ def point_provable(config: SoCConfig, kernel: Kernel, n: int, m: int,
     try:
         kernel.validate(n, scalars)
         slices = split_range(n, m)
-        tile.timing_for(kernel.name)
+        tile.timing_for(kernel)
     except (KernelError, ConfigError):
         return False
     largest = slices[0]
@@ -461,7 +461,7 @@ def predict_grid(config: SoCConfig, kernel: Kernel, spec: VariantSpec,
     instead of diverging.
     """
     dma_setup = tile.dma_setup_cycles
-    timing = tile.timing_for(kernel.name)
+    timing = tile.timing_for(kernel)
     n, m = numpy.array([row[:2] for row in rows], dtype=numpy.int64).T
     start, dispatch_start, dispatch_done, release = numpy.array(
         [row[2].fields() for row in rows], dtype=numpy.int64).T
@@ -476,7 +476,6 @@ def predict_grid(config: SoCConfig, kernel: Kernel, spec: VariantSpec,
     working = elems > 0
     lo = cid * base[:, None] + numpy.minimum(cid, extra[:, None])
     hi = lo + elems
-    row_n = numpy.broadcast_to(n[:, None], elems.shape)[working]
 
     # Input DMA: every working cluster issues its read reservation at
     # release + dma_setup; the shared channel serves them in cluster-id
@@ -489,20 +488,10 @@ def predict_grid(config: SoCConfig, kernel: Kernel, spec: VariantSpec,
     # Compute: the barrier's closed-form crossing.  Per-core counts are
     # q+1 (the first e mod cores workers) and q, so the phase maximum
     # needs at most two vectorized timing evaluations per cluster.
-    # A tile rate ignores N; the kernel's own rate may not (gemv), so
-    # it is evaluated once per distinct N.
-    def compute_cycles(elements: numpy.ndarray) -> numpy.ndarray:
-        if timing is not None:
-            return timing.cycles_array(kernel.work(elements, row_n))
-        cycles = numpy.empty_like(elements)
-        for value in set(n.tolist()):
-            same_n = row_n == value
-            cycles[same_n] = kernel.compute_cycles_array(elements[same_n],
-                                                         value)
-        return cycles
-
+    row_n = numpy.broadcast_to(n[:, None], elems.shape)[working]
     q, r = numpy.divmod(elems[working], tile.cores_per_tile)
-    cyc_lo, cyc_hi = compute_cycles(q), compute_cycles(q + 1)
+    cyc_lo = timing.cycles(kernel.work(q, row_n))
+    cyc_hi = timing.cycles(kernel.work(q + 1, row_n))
     compute_done = numpy.full_like(elems, _LAST)
     compute_done[working] = (
         din[working] + tile.worker_wake_latency + tile.barrier_latency

@@ -24,6 +24,7 @@ from repro.core.staging import (
     run_to_completion,
 )
 from repro.errors import OffloadError
+from repro.kernels.registry import get_kernel
 from repro.runtime.api import make_runtime
 from repro.runtime.trace import OffloadTrace, build_offload_trace
 from repro.soc.manticore import ManticoreSystem
@@ -116,7 +117,7 @@ def offload(system: ManticoreSystem, kernel_name: str, n: int,
                 f"{group.tile.class_name!r} tiles")
         # Surface a missing kernel rate as a ConfigError naming the
         # class *before* any simulation state is touched.
-        group.tile.timing_for(kernel_name)
+        group.tile.timing_for(get_kernel(kernel_name))
         first_cluster = group.start
     binding = JobBinding.bind(system, runtime, kernel_name, n, num_clusters,
                               scalars=scalars, inputs=inputs, seed=seed,

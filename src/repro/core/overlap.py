@@ -19,13 +19,14 @@ semantics that make "IRQ arrived while the host was busy" race-free.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import typing
 
 import numpy
 
 from repro.core.staging import DEFAULT_MAX_CYCLES, JobBinding, run_to_completion
-from repro.kernels.base import WorkSlice
 from repro.runtime.api import make_runtime
+from repro.runtime.hostexec import host_kernel_work
 from repro.soc.manticore import ManticoreSystem
 
 
@@ -71,7 +72,6 @@ def offload_overlapped(system: ManticoreSystem, accel_kernel: str,
     against its kernel's reference when ``verify``).
     """
     runtime = make_runtime(system, variant)
-    memory = system.memory
 
     # Stage both jobs: the accelerator job first (descriptor and
     # completion resources included), then the host job's operands.
@@ -81,21 +81,9 @@ def offload_overlapped(system: ManticoreSystem, accel_kernel: str,
                                     scalars=host_scalars, seed=seed + 1)
     hkernel = host_job.kernel
 
-    def host_work() -> typing.Generator:
-        yield from system.host.execute(hkernel.host_compute_cycles(host_n))
-        inputs = {name: memory.read_f64(addr,
-                                        hkernel.input_length(name, host_n))
-                  for name, addr in host_job.input_addrs.items()}
-        work = WorkSlice(index=0, lo=0, hi=host_n)
-        for name in hkernel.output_names:
-            alias = hkernel.output_alias(name)
-            if alias is not None:
-                length = hkernel.output_length(name, host_n, 1)
-                memory.write_f64(host_job.output_addrs[name],
-                                 inputs[alias][:length])
-        for name, (start, values) in hkernel.compute_slice(
-                host_n, host_job.scalars, inputs, work).items():
-            memory.write_f64(host_job.output_addrs[name] + 8 * start, values)
+    host_work = functools.partial(
+        host_kernel_work, system, hkernel, host_n, host_job.scalars,
+        host_job.input_addrs, host_job.output_addrs)
 
     result_box: typing.Dict[str, int] = {}
     program = runtime.overlapped_offload_program(
@@ -113,7 +101,8 @@ def offload_overlapped(system: ManticoreSystem, accel_kernel: str,
     result = OverlappedResult(
         accel_kernel=accel_kernel, host_kernel=host_kernel,
         total_cycles=total,
-        host_work_cycles=hkernel.host_compute_cycles(host_n),
+        host_work_cycles=hkernel.host_timing.cycles(
+            hkernel.work(host_n, host_n)),
         accel_outputs=accel_outputs, host_outputs=host_outputs,
         verified=verified, _host_done_offset=host_done)
     return result

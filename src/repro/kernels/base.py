@@ -22,8 +22,14 @@ The contract a kernel implements:
     slice (ints) and for a whole sweep's slices at once (arrays).
 ``compute_slice(n, scalars, inputs, work)``
     The functional math: output fragments with their placement.
-``compute_cycles(elements, n)``
-    Per-core compute time for ``elements`` work items.
+``timing`` / ``host_timing`` and ``work(elements, n)``
+    Compute cost as one :class:`KernelTiming` rate per core class and
+    one declaration of the rate units in ``elements`` work items (the
+    items themselves by default; ``n`` MACs per row for GEMV).  Every
+    site charges ``timing.cycles(kernel.work(elements, n))``: the
+    worker cores, the closed-form compute phase, the batch planner
+    (on arrays) and the host (``host_timing`` over all ``n`` items).
+    A tile class's rate table rates the same work unit.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ from __future__ import annotations
 import abc
 import dataclasses
 import functools
-import math
 import typing
 
 import numpy
@@ -93,12 +98,12 @@ def split_range(n: int, parts: int) -> typing.List[WorkSlice]:
 
 @dataclasses.dataclass(frozen=True)
 class KernelTiming:
-    """Per-core streaming-loop timing: ``setup + ceil(num·e / den)``.
+    """Per-core streaming-loop timing: ``setup + ceil(num·w / den)``.
 
-    ``num/den`` is the steady-state cycles-per-element rate (DAXPY's
-    published rate is 13/5 = 2.6 cycles per element per core);
-    ``setup_cycles`` covers loop/SSR/FREP configuration before the first
-    element issues.
+    ``num/den`` is the steady-state cycles per unit of work ``w`` (see
+    :meth:`Kernel.work`; DAXPY's published rate is 13/5 = 2.6 cycles
+    per element per core); ``setup_cycles`` covers loop/SSR/FREP
+    configuration before the first unit issues.
     """
 
     setup_cycles: int
@@ -118,30 +123,19 @@ class KernelTiming:
     def cycles_per_element(self) -> float:
         return self.cpe_num / self.cpe_den
 
-    def cycles(self, elements: int) -> int:
-        """Cycles for ``elements`` work items (0 items = no setup either)."""
-        if elements < 0:
-            raise KernelError(f"negative element count: {elements}")
-        if elements == 0:
-            return 0
-        return self.setup_cycles + math.ceil(self.cpe_num * elements / self.cpe_den)
+    def cycles(self, work):
+        """Cycles for ``work`` rate units (no work costs no setup either).
 
-    def cycles_array(self, elements) -> "numpy.ndarray":
-        """Vectorized :meth:`cycles` over an array of element counts.
-
-        Pure ``int64`` arithmetic — ``ceil(num·e / den)`` computed as
-        ``(num·e + den − 1) // den`` — so every entry is bit-identical
-        to the scalar path for any element count a simulation can
-        reach (the scalar form's float division is exactly rounded far
-        beyond calibrated rates times any in-memory problem size).
+        Branch-free integer arithmetic, ``ceil`` taken as ``(num·w +
+        den − 1) // den``: a Python ``int`` for an int and an ``int64``
+        array for an array, so the event path and the batch planner
+        read the same numbers.
         """
-        counts = numpy.asarray(elements, dtype=numpy.int64)
-        if counts.size and int(counts.min()) < 0:
-            raise KernelError(
-                f"negative element count: {int(counts.min())}")
-        cycles = self.setup_cycles + (
-            (self.cpe_num * counts + self.cpe_den - 1) // self.cpe_den)
-        return numpy.where(counts == 0, 0, cycles)
+        lowest = numpy.min(work, initial=0)
+        if lowest < 0:
+            raise KernelError(f"negative work: {lowest}")
+        return (work > 0) * (self.setup_cycles + (
+            self.cpe_num * work + self.cpe_den - 1) // self.cpe_den)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -203,7 +197,9 @@ class Kernel(abc.ABC):
     #: Timing of the same loop on the application-class host core
     #: (single-issue, cache-warm; no SSR/FREP hardware, so rates are
     #: slower than a worker core's).  Used by the host execution path
-    #: that grounds the offload-or-not decision in measurements.
+    #: that grounds the offload-or-not decision in measurements; the
+    #: host reaches operands through its caches, so no per-element
+    #: interconnect traffic is charged on top.
     host_timing: KernelTiming = KernelTiming(setup_cycles=12, cpe_num=3,
                                              cpe_den=1)
 
@@ -311,38 +307,13 @@ class Kernel(abc.ABC):
     # Timing model
     # ------------------------------------------------------------------
     def work(self, elements, n):
-        """Rate units in ``elements`` work items of an ``n``-item job."""
+        """Rate units in ``elements`` work items of an ``n``-item job.
+
+        One unit per item by default; a kernel whose per-item cost
+        depends on ``n`` (GEMV's row of ``n`` MACs) overrides this.
+        Like :meth:`KernelTiming.cycles` it takes ints or arrays.
+        """
         return elements
-
-    def compute_cycles(self, elements: int, n: int) -> int:
-        """Per-core compute time for ``elements`` work items."""
-        return self.timing.cycles(elements)
-
-    def compute_cycles_array(self, elements, n: int) -> numpy.ndarray:
-        """Vectorized :meth:`compute_cycles` over element-count arrays.
-
-        The batched timing paths charge whole compute phases (and whole
-        sweep segments) from this in one array operation.  When a
-        subclass overrides :meth:`compute_cycles` without overriding
-        this method, the default falls back to per-element scalar calls
-        so bit-identity with the event path is preserved regardless.
-        """
-        if type(self).compute_cycles is Kernel.compute_cycles:
-            return self.timing.cycles_array(elements)
-        return numpy.array(
-            [self.compute_cycles(int(count), n)
-             for count in numpy.asarray(elements).ravel()],
-            dtype=numpy.int64)
-
-    def host_compute_cycles(self, n: int) -> int:
-        """Time for the host core to run the whole job itself.
-
-        The host accesses operands through its cache hierarchy, so no
-        per-element interconnect traffic is charged — the rate folds
-        memory behaviour in, as measured rates on application-class
-        cores do.
-        """
-        return self.host_timing.cycles(n)
 
     def flops(self, n: int) -> int:
         """Floating-point operations in the whole job (default: 0)."""

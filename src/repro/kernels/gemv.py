@@ -9,9 +9,6 @@ coefficients both scale with ``n``).
 
 from __future__ import annotations
 
-import math
-
-from repro.errors import KernelError
 from repro.kernels.base import Kernel, KernelTiming, SliceBytes, WorkSlice
 
 
@@ -22,8 +19,7 @@ class GemvKernel(Kernel):
     scalar_names = ()
     input_names = ("A", "x")
     output_names = ("y",)
-    #: Per-row rate is ``n``-dependent; ``timing`` holds setup and the
-    #: per-MAC rate applied in :meth:`compute_cycles`.
+    #: Rates are per MAC; :meth:`work` makes a row ``n`` of them.
     timing = KernelTiming(setup_cycles=30, cpe_num=3, cpe_den=2)
     host_timing = KernelTiming(setup_cycles=16, cpe_num=4, cpe_den=1)
     slice_bytes_in = SliceBytes(per_item_n=8, fixed_n=8)
@@ -40,23 +36,6 @@ class GemvKernel(Kernel):
     def work(self, elements, n):
         """A row is ``n`` MACs."""
         return elements * n
-
-    def compute_cycles(self, elements: int, n: int) -> int:
-        """``elements`` rows of ``n`` MACs each at the per-MAC rate."""
-        if elements < 0:
-            raise KernelError(f"negative row count: {elements}")
-        if elements == 0:
-            return 0
-        macs = elements * n
-        return self.timing.setup_cycles + math.ceil(
-            self.timing.cpe_num * macs / self.timing.cpe_den
-        )
-
-    def host_compute_cycles(self, n: int) -> int:
-        """Host runs all n*n MACs at the host per-MAC rate."""
-        return self.host_timing.setup_cycles + math.ceil(
-            self.host_timing.cpe_num * n * n / self.host_timing.cpe_den
-        )
 
     def flops(self, n: int) -> int:
         return 2 * n * n

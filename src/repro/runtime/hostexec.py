@@ -21,6 +21,37 @@ from repro.kernels.base import Kernel, WorkSlice
 from repro.soc.manticore import ManticoreSystem
 
 
+def host_kernel_work(system: ManticoreSystem, kernel: Kernel, n: int,
+                     scalars: typing.Mapping[str, float],
+                     input_addrs: typing.Mapping[str, int],
+                     output_addrs: typing.Mapping[str, int]
+                     ) -> typing.Generator:
+    """Run ``kernel`` over all ``n`` items on the host core.
+
+    Charges the host loop, ``host_timing.cycles(kernel.work(n, n))``,
+    then reads the inputs and writes the outputs to main memory like an
+    offload would, so callers read them back the same way.
+    """
+    memory = system.memory
+    yield from system.host.execute(
+        kernel.host_timing.cycles(kernel.work(n, n)))
+    inputs = {
+        name: memory.read_f64(addr, kernel.input_length(name, n))
+        for name, addr in input_addrs.items()
+    }
+    # The host runs the whole job as one slice; in-place outputs
+    # start from their aliased input's contents.
+    work = WorkSlice(index=0, lo=0, hi=n)
+    for name in kernel.output_names:
+        alias = kernel.output_alias(name)
+        if alias is not None:
+            length = kernel.output_length(name, n, 1)
+            memory.write_f64(output_addrs[name], inputs[alias][:length])
+    for name, (start, values) in kernel.compute_slice(
+            n, scalars, inputs, work).items():
+        memory.write_f64(output_addrs[name] + 8 * start, values)
+
+
 def host_kernel_program(system: ManticoreSystem, kernel: Kernel, n: int,
                         scalars: typing.Mapping[str, float],
                         input_addrs: typing.Mapping[str, int],
@@ -28,33 +59,11 @@ def host_kernel_program(system: ManticoreSystem, kernel: Kernel, n: int,
                         result: typing.Dict[str, int]) -> typing.Generator:
     """The host program executing one kernel locally.
 
-    ``result`` receives ``start_cycle`` and ``end_cycle``; outputs are
-    written to main memory like an offload would, so callers read them
-    back the same way.
+    ``result`` receives ``start_cycle`` and ``end_cycle``.
     """
-    host = system.host
-    memory = system.memory
-
-    def program() -> typing.Generator:
-        result["start_cycle"] = system.sim.now
-        system.trace.record("host", "host_exec_start", kernel.name)
-        yield from host.execute(kernel.host_compute_cycles(n))
-        inputs = {
-            name: memory.read_f64(addr, kernel.input_length(name, n))
-            for name, addr in input_addrs.items()
-        }
-        # The host runs the whole job as one slice; in-place outputs
-        # start from their aliased input's contents.
-        work = WorkSlice(index=0, lo=0, hi=n)
-        for name in kernel.output_names:
-            alias = kernel.output_alias(name)
-            length = kernel.output_length(name, n, 1)
-            if alias is not None:
-                memory.write_f64(output_addrs[name], inputs[alias][:length])
-        for name, (start, values) in kernel.compute_slice(
-                n, scalars, inputs, work).items():
-            memory.write_f64(output_addrs[name] + 8 * start, values)
-        system.trace.record("host", "host_exec_end", kernel.name)
-        result["end_cycle"] = system.sim.now
-
-    return program()
+    result["start_cycle"] = system.sim.now
+    system.trace.record("host", "host_exec_start", kernel.name)
+    yield from host_kernel_work(system, kernel, n, scalars, input_addrs,
+                                output_addrs)
+    system.trace.record("host", "host_exec_end", kernel.name)
+    result["end_cycle"] = system.sim.now

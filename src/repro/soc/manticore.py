@@ -142,16 +142,8 @@ class ManticoreSystem:
                     tcdm))
                 cluster = Cluster(
                     self.sim, cluster_id, self.noc, self.memory, tcdm,
-                    mailbox, self.read_channel, self.write_channel,
-                    fabric_barrier=self.fabric_barrier,
-                    num_workers=tile.cores_per_tile,
-                    wake_latency=tile.wake_latency,
-                    dm_decode_cycles=tile.dm_decode_cycles,
-                    dma_setup_cycles=tile.dma_setup_cycles,
-                    barrier_latency=tile.barrier_latency,
-                    worker_wake_latency=tile.worker_wake_latency,
-                    tile=tile,
-                    trace=self.trace)
+                    mailbox, self.read_channel, self.write_channel, tile,
+                    fabric_barrier=self.fabric_barrier, trace=self.trace)
                 cluster.start()
                 self.clusters.append(cluster)
 

@@ -7,7 +7,8 @@ compute, DMA-out, completion — is Snitch-specific.  A
 classes:
 
 - **Timing**: worker count, dispatch/decode/wake latencies, barrier
-  cost, DMA setup, and per-kernel compute rates (cycles/element as a
+  cost, DMA setup, and per-kernel compute rates (cycles per unit of
+  the kernel's work — an element, or a MAC for GEMV — as a
   :class:`~repro.kernels.base.KernelTiming` rational).
 - **Cost**: per-tile silicon area and power, which the fabric-level
   budget validation (:class:`~repro.soc.config.SoCConfig`) and the
@@ -26,7 +27,9 @@ An empty ``kernel_rates`` tuple means "use each kernel's own timing"
 a complete rate table and a kernel missing from it raises
 :class:`~repro.errors.ConfigError` naming the class and kernel —
 misconfigured fabrics must fail at configuration time, not deep inside
-a simulation.
+a simulation.  Either way :meth:`TileClass.timing_for` returns one
+:class:`~repro.kernels.base.KernelTiming`, and every caller charges it
+on the kernel's declared work, ``timing.cycles(kernel.work(e, n))``.
 
 This module sits at the bottom of the ``soc`` layer: it may import
 only :mod:`repro.errors` and :mod:`repro.kernels.base` (enforced by
@@ -40,7 +43,7 @@ import dataclasses
 import typing
 
 from repro.errors import ConfigError
-from repro.kernels.base import KernelTiming
+from repro.kernels.base import Kernel, KernelTiming
 
 #: Rate-table entry: ``(kernel_name, (setup_cycles, cpe_num, cpe_den))``.
 #: Tuples (not dicts) keep :class:`TileClass` hashable and
@@ -97,17 +100,17 @@ def _check_rates(class_name: str, kernel_rates: typing.Tuple[KernelRate, ...]
 
 def _timing_for(class_name: str,
                 kernel_rates: typing.Tuple[KernelRate, ...],
-                kernel_name: str) -> typing.Optional[KernelTiming]:
+                kernel: Kernel) -> KernelTiming:
     """Shared lookup behind ``TileClass``/``ResolvedTile.timing_for``."""
     if not kernel_rates:
-        return None
+        return kernel.timing
     for name, (setup, num, den) in kernel_rates:
-        if name == kernel_name:
+        if name == kernel.name:
             return KernelTiming(setup_cycles=setup, cpe_num=num, cpe_den=den)
     rated = ", ".join(sorted(name for name, _rate in kernel_rates))
     raise ConfigError(
         f"tile class {class_name!r} has no compute rate for kernel "
-        f"{kernel_name!r}; rated kernels: {rated}")
+        f"{kernel.name!r}; rated kernels: {rated}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -142,8 +145,8 @@ class TileClass:
     barrier_latency: typing.Optional[int] = None
     #: Worker wake from DM-core kick (None → ``worker_wake_latency``).
     worker_wake_latency: typing.Optional[int] = None
-    #: Complete per-kernel compute-rate table, or empty to use each
-    #: kernel's own (Snitch) timing.
+    #: Complete per-kernel compute-rate table (cycles per unit of each
+    #: kernel's work), or empty to use each kernel's own (Snitch) timing.
     kernel_rates: typing.Tuple[KernelRate, ...] = ()
     #: Active power per tile (mW), the budget/energy-cost figure.
     tile_power: float = 25.0
@@ -178,21 +181,22 @@ class TileClass:
                 f"tile class {self.name!r}: area_mm2 must be >= 0, "
                 f"got {self.area_mm2}")
 
-    def timing_for(self, kernel_name: str) -> typing.Optional[KernelTiming]:
-        """Compute timing for ``kernel_name`` on this class.
+    def timing_for(self, kernel: Kernel) -> KernelTiming:
+        """Per-core compute rate of ``kernel`` on this class.
 
-        ``None`` means "no override" — use the kernel's own timing
-        (the default-class passthrough, which preserves bit-identity
-        even for kernels that override ``compute_cycles``).  A class
-        *with* a rate table must rate every kernel it runs:
+        A class without a rate table runs the kernel at its own timing
+        (``kernel.timing``); a table entry rates the same unit of work
+        (:meth:`~repro.kernels.base.Kernel.work`: an element, or a MAC
+        for GEMV).  A class *with* a rate table must rate every kernel
+        it runs:
 
         Raises
         ------
         ConfigError
             If this class has a rate table but no entry for
-            ``kernel_name``.
+            ``kernel``.
         """
-        return _timing_for(self.name, self.kernel_rates, kernel_name)
+        return _timing_for(self.name, self.kernel_rates, kernel)
 
     @property
     def is_default(self) -> bool:
@@ -224,9 +228,9 @@ class ResolvedTile:
     tile_power: float = 25.0
     area_mm2: float = 1.0
 
-    def timing_for(self, kernel_name: str) -> typing.Optional[KernelTiming]:
+    def timing_for(self, kernel: Kernel) -> KernelTiming:
         """Same contract as :meth:`TileClass.timing_for`."""
-        return _timing_for(self.class_name, self.kernel_rates, kernel_name)
+        return _timing_for(self.class_name, self.kernel_rates, kernel)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -279,7 +283,7 @@ class ResolvedGroup:
 SNITCH = TileClass(name="snitch")
 
 #: A wide-datapath accelerator class: much faster streaming compute
-#: (~1/4 of the Snitch cycles/element) on half the cores, bought with a
+#: (~1/4 of the Snitch cycles per unit of work) on half the cores, bought with a
 #: heavyweight dispatch front-end (8x decode, 4x wake) and a bigger,
 #: hungrier tile.  Its runtime curve crosses Snitch's as N grows —
 #: exactly the shape the fabric-selection decision

@@ -146,3 +146,26 @@ def test_rated_tile_charges_gemv_per_mac(mixed_config, monkeypatch,
                          + tile.barrier_latency)
         phases.append(phase)
     assert phases[1] > phases[0]
+
+
+@pytest.mark.parametrize("tile_group", ["little", "big"])
+@pytest.mark.parametrize("variant", ["baseline", "extended"])
+def test_gemv_sweep_plans_and_matches_naive(mixed_config, tile_group,
+                                            variant, monkeypatch):
+    """gemv's per-row cost depends on N, so several N per M share one
+    planned ``predict_grid`` evaluation on each class; the planned
+    points must equal the event engine's."""
+    monkeypatch.delenv("REPRO_NAIVE_BATCH", raising=False)
+    grid = dict(n_values=(24, 40, 64), m_values=(1, 2, 4), variant=variant,
+                tile_group=tile_group)
+    collect_run_stats()
+    try:
+        planned = sweep(mixed_config, "gemv", **grid)
+        (run,) = drain_run_stats()
+    finally:
+        collect_run_stats(False)
+    assert run["planned_points"] > 0
+    assert run["batch_fallback_points"] == 0
+    monkeypatch.setenv("REPRO_NAIVE_BATCH", "1")
+    naive = sweep(mixed_config, "gemv", **grid)
+    assert planned.points == naive.points

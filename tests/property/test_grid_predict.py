@@ -9,6 +9,7 @@ must match the oracle, point or refusal, and so must the per-cluster
 markers the residual check compares.
 """
 
+import math
 import typing
 
 import hypothesis
@@ -49,7 +50,18 @@ def oracle(config, kernel, spec, prefix, n, m, tile):
     dma_setup = tile.dma_setup_cycles
     worker_wake = tile.worker_wake_latency
     barrier = tile.barrier_latency
-    timing = tile.timing_for(kernel.name)
+    # The tile's rate for the kernel, read straight from its table.
+    rates = dict(tile.kernel_rates) or {kernel.name: (
+        kernel.timing.setup_cycles, kernel.timing.cpe_num,
+        kernel.timing.cpe_den)}
+    setup, num, den = rates[kernel.name]
+
+    def core_cycles(count):
+        # A rate rates the kernel's work unit: an element, or a MAC for
+        # gemv's row of n.
+        work = count * n if kernel.name == "gemv" else count
+        return setup + math.ceil(num * work / den) if work else 0
+
     slices = split_range(n, m)
     elems = numpy.fromiter((s.hi - s.lo for s in slices),
                            dtype=numpy.int64, count=m)
@@ -65,12 +77,9 @@ def oracle(config, kernel, spec, prefix, n, m, tile):
     din = (release + dma_setup + numpy.cumsum(read_cycles))
 
     q, r = numpy.divmod(elems[ids], cores)
-    if timing is None:
-        cyc_lo = kernel.compute_cycles_array(q, n)
-        cyc_hi = kernel.compute_cycles_array(q + 1, n)
-    else:
-        cyc_lo = timing.cycles_array(kernel.work(q, n))
-        cyc_hi = timing.cycles_array(kernel.work(q + 1, n))
+    cyc_lo = numpy.array([core_cycles(int(c)) for c in q], dtype=numpy.int64)
+    cyc_hi = numpy.array([core_cycles(int(c) + 1) for c in q],
+                         dtype=numpy.int64)
     phase_max = numpy.where(r > 0, numpy.maximum(cyc_hi, cyc_lo), cyc_lo)
     compute_done = din + worker_wake + phase_max + barrier
 

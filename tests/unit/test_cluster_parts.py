@@ -228,7 +228,7 @@ def test_worker_compute_timing():
     sub = WorkSlice(index=0, lo=0, hi=40)
 
     def body():
-        yield from worker.compute(kernel, sub, n=1024)
+        yield from worker.compute(kernel, sub, 1024, kernel.timing)
         return sim.now
 
     proc = sim.spawn(body())
@@ -244,7 +244,9 @@ def test_worker_empty_slice_pays_only_wake():
     worker = WorkerCore(sim, 0, 0, wake_latency=2)
 
     def body():
-        yield from worker.compute(DaxpyKernel(), WorkSlice(0, 5, 5), n=64)
+        kernel = DaxpyKernel()
+        yield from worker.compute(kernel, WorkSlice(0, 5, 5), 64,
+                                  kernel.timing)
         return sim.now
 
     proc = sim.spawn(body())

@@ -35,7 +35,7 @@ def test_host_daxpy_functional_result():
 def test_host_runtime_matches_kernel_host_timing():
     kernel = get_kernel("daxpy")
     result = run_on_host(ext_system(), "daxpy", 100, verify=False)
-    assert result.runtime_cycles == kernel.host_compute_cycles(100)
+    assert result.runtime_cycles == kernel.host_timing.cycles(100)
 
 
 def test_host_runtime_linear_in_n():
@@ -67,8 +67,8 @@ def test_host_reduction_is_single_slice():
 
 def test_gemv_host_cycles_scale_quadratically():
     kernel = get_kernel("gemv")
-    small = kernel.host_compute_cycles(32)
-    large = kernel.host_compute_cycles(64)
+    small = kernel.host_timing.cycles(kernel.work(32, 32))
+    large = kernel.host_timing.cycles(kernel.work(64, 64))
     setup = kernel.host_timing.setup_cycles
     assert (large - setup) == 4 * (small - setup)
 
@@ -83,7 +83,7 @@ def test_host_model_fit_recovers_measured_rate():
     assert model.cycles_per_element == pytest.approx(
         kernel.host_timing.cycles_per_element, rel=1e-6)
     assert model.predict(1024) == pytest.approx(
-        kernel.host_compute_cycles(1024), rel=1e-3)
+        kernel.host_timing.cycles(1024), rel=1e-3)
 
 
 def test_host_model_fit_validation():

@@ -193,7 +193,7 @@ def test_slice_output_bytes_partition_law(kernel):
 def test_empty_slice_moves_no_data(kernel):
     assert kernel.slice_bytes_in(10, 10, 64) == 0
     assert kernel.slice_bytes_out(10, 10, 64) == 0
-    assert kernel.compute_cycles(0, 64) == 0
+    assert kernel.timing.cycles(kernel.work(0, 64)) == 0
 
 
 @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.name)
@@ -201,7 +201,7 @@ def test_compute_cycles_monotone_in_elements(kernel):
     n = 256
     previous = 0
     for elements in [1, 2, 8, 32, 128, 256]:
-        cycles = kernel.compute_cycles(elements, n)
+        cycles = kernel.timing.cycles(kernel.work(elements, n))
         assert cycles >= previous
         previous = cycles
 
@@ -228,11 +228,10 @@ def test_daxpy_traffic_matches_paper_accounting():
 
 def test_gemv_cycles_scale_with_n():
     kernel = GemvKernel()
-    small = kernel.compute_cycles(4, 64)
-    large = kernel.compute_cycles(4, 128)
+    small = kernel.timing.cycles(kernel.work(4, 64))
+    large = kernel.timing.cycles(kernel.work(4, 128))
     assert large > small
-    assert kernel.compute_cycles(4, 128) - kernel.timing.setup_cycles == \
-        math.ceil(3 * 4 * 128 / 2)
+    assert large - kernel.timing.setup_cycles == math.ceil(3 * 4 * 128 / 2)
 
 
 def test_gemv_input_lengths():

@@ -46,7 +46,7 @@ def test_small_host_work_is_completely_hidden():
 def test_large_host_work_dominates_and_wait_vanishes():
     overlapped = offload_overlapped(ext_system(), "daxpy", 512, 8,
                                     "scale", 4096, verify=False)
-    host_cycles = get_kernel("scale").host_compute_cycles(4096)
+    host_cycles = get_kernel("scale").host_timing.cycles(4096)
     assert overlapped.host_work_cycles == host_cycles
     # The accelerator finished long before the host: near-zero wait
     # (the pending-IRQ fall-through costs only the wake latency).

@@ -12,6 +12,7 @@ import dataclasses
 import pytest
 
 from repro.errors import ConfigError
+from repro.kernels import get_kernel
 from repro.kernels.base import KernelTiming
 from repro.soc.config import SoCConfig
 from repro.soc.tiles import (
@@ -31,12 +32,13 @@ from repro.soc.tiles import (
 
 def test_default_class_inherits_everything():
     assert SNITCH.is_default
-    assert SNITCH.timing_for("daxpy") is None  # "use the kernel's own"
+    daxpy = get_kernel("daxpy")
+    assert SNITCH.timing_for(daxpy) is daxpy.timing  # the kernel's own
 
 
 def test_vecwide_is_registered_and_rated():
     assert not VECWIDE.is_default
-    timing = VECWIDE.timing_for("daxpy")
+    timing = VECWIDE.timing_for(get_kernel("daxpy"))
     assert timing == KernelTiming(setup_cycles=40, cpe_num=13, cpe_den=20)
     assert get_tile_class("vecwide") is VECWIDE
     assert DEFAULT_TILE_CLASS in TILE_CLASSES

@@ -211,7 +211,7 @@ def test_run_workload_host_policy_uses_host_rates():
     result = run_workload(small_system(), jobs, AlwaysHost())
     from repro.kernels import get_kernel
     assert result.outcomes[0].cycles == \
-        get_kernel("daxpy").host_compute_cycles(100)
+        get_kernel("daxpy").host_timing.cycles(100)
 
 
 def test_run_workload_empty_rejected():
