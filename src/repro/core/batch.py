@@ -98,7 +98,7 @@ import numpy
 from repro import flags
 from repro.core.cache import calibration_key
 from repro.core.sweep import SweepPoint
-from repro.errors import ConfigError, KernelError, OffloadError
+from repro.errors import KernelError, OffloadError
 from repro.kernels.base import Kernel, split_range
 from repro.kernels.registry import get_kernel
 from repro.runtime.strategies import (
@@ -116,7 +116,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.core.cache import SweepCache
     from repro.runtime.trace import OffloadTrace
     from repro.soc.pool import SystemPool
-    from repro.soc.tiles import ResolvedTile
+    from repro.soc.tiles import ClusterSpan, ResolvedTile
 
 #: Main-memory slack the conservative fit check keeps free: descriptor
 #: slot (8 words minimum, 64-byte aligned), completion flag, and
@@ -330,17 +330,17 @@ def point_provable(config: SoCConfig, kernel: Kernel, n: int, m: int,
     """Whether one (N, M) point's tail is safely predictable on ``tile``.
 
     Refuses anything whose event-engine run would raise (invalid shape,
-    TCDM or main-memory overflow, a tile class without a rate for this
-    kernel — the event path must own the error) and any slice shape the
-    DMA-chain algebra cannot order (zero-byte transfers skip the
-    channel reservation entirely, changing the arbitration order the
-    closed form assumes).
+    TCDM or main-memory overflow — the event path must own the error)
+    and any slice shape the DMA-chain algebra cannot order (zero-byte
+    transfers skip the channel reservation entirely, changing the
+    arbitration order the closed form assumes).  That ``tile`` rates
+    the kernel is the span check's job
+    (:meth:`~repro.soc.config.SoCConfig.cluster_span`).
     """
     try:
         kernel.validate(n, scalars)
         slices = split_range(n, m)
-        tile.timing_for(kernel)
-    except (KernelError, ConfigError):
+    except KernelError:
         return False
     largest = slices[0]
     if kernel.slice_tcdm_bytes(largest.lo, largest.hi, n) > tile.tcdm_bytes:
@@ -620,12 +620,11 @@ class _Call:
     spec: VariantSpec
     #: Keyword arguments of every calibration ``offload``.
     run: typing.Dict[str, typing.Any]
-    first: int
     #: Calibration-store coordinates.
     store: typing.Tuple
     slots: typing.List[typing.Optional[SweepPoint]]
-    #: M -> the tile its span runs on (``None``: mixed classes).
-    tiles: typing.Dict[int, typing.Optional["ResolvedTile"]] = (
+    #: M -> the clusters an M-wide job occupies.
+    spans: typing.Dict[int, "ClusterSpan"] = (
         dataclasses.field(default_factory=dict))
     #: Entries handed back to the event engine.
     remaining: typing.List[_Entry] = dataclasses.field(default_factory=list)
@@ -715,8 +714,6 @@ class BatchPlanner:
         kernel = get_kernel(kernel_name)
         resolved = resolve_scalars(kernel, scalars)
         mpredict = not flags.naive_mpredict()
-        group = (config.tile_group(tile_group)
-                 if tile_group is not None else None)
         # The store speaks the *resolved* variant and scalars, so
         # "auto" and the explicit name (or default and explicit
         # scalars) share calibration entries.  The group name joins the
@@ -725,20 +722,19 @@ class BatchPlanner:
         call = _Call(config, kernel, spec,
                      dict(scalars=scalars, variant=variant, seed=seed,
                           verify=verify, tile_group=tile_group),
-                     group.start if group is not None else 0,
                      (config, kernel.name, spec.name, resolved, seed,
                       tile_group or ""), slots)
 
         provable_by_m: typing.Dict[int, typing.List[_Entry]] = {}
         for entry in pending:
             m = entry[2]
-            if m not in call.tiles:
-                # ``None`` means mixed tile classes across clusters
-                # 0..M-1: the per-cluster knobs differ mid-span, which
-                # the uniform tail algebra does not model.
-                call.tiles[m] = (group.tile if group is not None
-                                 else config.span_tile(0, m))
-            tile = call.tiles[m]
+            if m not in call.spans:
+                call.spans[m] = config.cluster_span(m, tile_group,
+                                                    kernel=kernel)
+            # ``None`` means mixed tile classes across the span: the
+            # per-cluster knobs differ mid-span, which the uniform tail
+            # algebra does not model.
+            tile = call.spans[m].tile
             if tile is not None and point_provable(config, kernel, entry[1],
                                                    m, resolved, tile):
                 provable_by_m.setdefault(m, []).append(entry)
@@ -790,7 +786,7 @@ class BatchPlanner:
         by_tile: typing.Dict["ResolvedTile", typing.List[
             typing.Tuple[_Entry, _Prefix]]] = {}
         for m, (prefix, members) in call.timed.items():
-            by_tile.setdefault(call.tiles[m], []).extend(
+            by_tile.setdefault(call.spans[m].tile, []).extend(
                 (entry, prefix) for entry in members)
         for tile, rows in by_tile.items():
             grid = predict_grid(call.config, call.kernel, call.spec,
@@ -837,13 +833,14 @@ class BatchPlanner:
         call.slots[cal_index] = measured
         rest = [entry for entry in members if entry is not calibration]
 
-        prefix = (extract_prefix(call.config, result.trace, m, call.first)
+        span = call.spans[m]
+        prefix = (extract_prefix(call.config, result.trace, m, span.first)
                   if result.variant == call.spec.name else None)
         residual = (predict_point(call.config, call.kernel, call.spec,
-                                  prefix, cal_n, m, call.tiles[m])
+                                  prefix, cal_n, m, span.tile)
                     if prefix is not None else None)
         if residual is None or not matches_trace(residual, result.trace,
-                                                 measured, call.first):
+                                                 measured, span.first):
             self.fallback_points += len(rest)
             call.remaining.extend(rest)
             return None

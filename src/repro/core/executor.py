@@ -42,6 +42,7 @@ from repro.core.cache import SweepCache, point_key
 from repro.core.offload import offload
 from repro.core.sweep import SweepPoint, SweepResult
 from repro.errors import OffloadError
+from repro.kernels.registry import get_kernel
 from repro.soc.config import SoCConfig
 from repro.soc.pool import SystemPool
 
@@ -198,23 +199,12 @@ class SweepExecutor:
         """Measure the grid; same contract as :func:`repro.core.sweep.sweep`."""
         if not n_values or not m_values:
             raise OffloadError("sweep needs at least one N and one M value")
-        if tile_group is not None:
-            group = config.tile_group(tile_group)
-            bad = [m for m in m_values if m > group.count]
-            if bad:
-                raise OffloadError(
-                    f"m_values {bad} exceed tile group {tile_group!r}, "
-                    f"which has {group.count} {group.tile.class_name!r} "
-                    "tiles")
-            tile_class = group.tile.class_name
-        else:
-            bad = [m for m in m_values if m > config.num_clusters]
-            if bad:
-                raise OffloadError(
-                    f"m_values {bad} exceed the fabric size "
-                    f"{config.num_clusters}")
-            classes = {g.tile.class_name for g in config.groups()}
-            tile_class = classes.pop() if len(classes) == 1 else "mixed"
+        # Every M's span must fit and rate the kernel before anything
+        # runs; the widest span covers every narrower one.
+        kernel = get_kernel(kernel_name)
+        widest = max((config.cluster_span(m, tile_group, kernel=kernel)
+                      for m in m_values), key=lambda span: span.count)
+        tile_class = widest.class_name
         self.cache_hits = 0
         self.cache_misses = 0
         self.simulated_points = 0

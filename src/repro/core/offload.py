@@ -24,7 +24,6 @@ from repro.core.staging import (
     run_to_completion,
 )
 from repro.errors import OffloadError
-from repro.kernels.registry import get_kernel
 from repro.runtime.api import make_runtime
 from repro.runtime.trace import OffloadTrace, build_offload_trace
 from repro.soc.manticore import ManticoreSystem
@@ -107,22 +106,9 @@ def offload(system: ManticoreSystem, kernel_name: str, n: int,
         targets the fabric from cluster 0 — the homogeneous behaviour.
     """
     runtime = make_runtime(system, variant)
-    first_cluster = 0
-    if tile_group is not None:
-        group = system.config.tile_group(tile_group)
-        if num_clusters > group.count:
-            raise OffloadError(
-                f"cannot offload to {num_clusters} clusters in tile group "
-                f"{tile_group!r}, which has {group.count} "
-                f"{group.tile.class_name!r} tiles")
-        # Surface a missing kernel rate as a ConfigError naming the
-        # class *before* any simulation state is touched.
-        group.tile.timing_for(get_kernel(kernel_name))
-        first_cluster = group.start
     binding = JobBinding.bind(system, runtime, kernel_name, n, num_clusters,
                               scalars=scalars, inputs=inputs, seed=seed,
-                              exec_mode=exec_mode,
-                              first_cluster=first_cluster)
+                              exec_mode=exec_mode, tile_group=tile_group)
 
     result_box: typing.Dict[str, int] = {}
     program = runtime.offload_program(binding.desc, binding.desc_addr,

@@ -30,6 +30,7 @@ from repro.errors import CycleLimitError, DeadlockError, OffloadError
 from repro.kernels.base import Kernel, split_range
 from repro.kernels.registry import get_kernel
 from repro.soc.manticore import ManticoreSystem
+from repro.soc.tiles import ClusterSpan
 
 if typing.TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.runtime.protocol import OffloadRuntime
@@ -48,39 +49,23 @@ EXEC_MODES = {
 # ----------------------------------------------------------------------
 # Building blocks (validation, staging, run, verification)
 # ----------------------------------------------------------------------
-def check_offload_shape(system: ManticoreSystem, kernel: Kernel, n: int,
-                        num_clusters: int,
-                        double_buffered: bool = False,
-                        first_cluster: int = 0) -> None:
-    """Validate that a job's widest slice fits the target hardware.
+def check_offload_shape(kernel: Kernel, n: int, span: ClusterSpan,
+                        double_buffered: bool = False) -> None:
+    """Validate that a job's widest slice fits its span's scratchpads.
 
-    ``first_cluster`` selects the fabric span the job runs on (a tile
-    group's start); the TCDM capacity check then binds against the
-    *smallest* scratchpad in the span, which for homogeneous fabrics is
-    exactly the config's ``tcdm_bytes``.
+    The TCDM capacity check binds against the *smallest* scratchpad in
+    the span, which for homogeneous fabrics is exactly the config's
+    ``tcdm_bytes``.  Chunking divides the working set, so a
+    double-buffered slice never has to fit whole; the device runtime
+    re-checks its chosen chunk pair.
     """
-    config = system.config
-    if not 0 < num_clusters <= config.num_clusters:
-        raise OffloadError(
-            f"cannot offload to {num_clusters} clusters on a "
-            f"{config.num_clusters}-cluster fabric")
-    if first_cluster < 0 or first_cluster + num_clusters > config.num_clusters:
-        raise OffloadError(
-            f"cannot offload to clusters [{first_cluster}, "
-            f"{first_cluster + num_clusters}) on a "
-            f"{config.num_clusters}-cluster fabric")
-    largest = split_range(n, num_clusters)[0]
+    largest = split_range(n, span.count)[0]
     footprint = kernel.slice_tcdm_bytes(largest.lo, largest.hi, n)
-    if double_buffered:
-        # Chunking divides the working set, so a whole slice never has
-        # to fit; the device runtime re-checks its chosen chunk pair.
-        return
-    available = config.min_tcdm_bytes(first_cluster, num_clusters)
-    if footprint > available:
+    if not double_buffered and footprint > span.tcdm_bytes:
         raise OffloadError(
-            f"{kernel.name}(n={n}) on {num_clusters} clusters needs "
+            f"{kernel.name}(n={n}) on {span.count} clusters needs "
             f"{footprint} bytes of TCDM per cluster but only "
-            f"{available} are available; increase num_clusters "
+            f"{span.tcdm_bytes} are available; increase num_clusters "
             "or shrink the job (or use exec_mode='double_buffered')")
 
 
@@ -211,10 +196,13 @@ class JobBinding:
              inputs: typing.Optional[
                  typing.Mapping[str, numpy.ndarray]] = None,
              seed: int = 0, exec_mode: str = "phased",
+             tile_group: typing.Optional[str] = None,
              first_cluster: int = 0) -> "JobBinding":
         """Validate, stage and describe one offloaded job.
 
-        Performs the full pre-launch lifecycle: request validation,
+        The job occupies ``SoCConfig.cluster_span(num_clusters,
+        tile_group, first_cluster)``.  Performs the full pre-launch
+        lifecycle: request validation (the span included),
         input preparation, operand staging (inputs, then outputs with
         in-place aliases resolved), completion-resource allocation via
         the runtime's completion strategy, descriptor encoding and
@@ -234,9 +222,10 @@ class JobBinding:
                         f"double buffering requires an element-wise kernel; "
                         f"{kernel_name!r} output {name!r} depends on the "
                         "offload shape")
-        check_offload_shape(system, kernel, n, num_clusters,
-                            double_buffered=(exec_mode == "double_buffered"),
-                            first_cluster=first_cluster)
+        span = system.config.cluster_span(num_clusters, tile_group,
+                                          first_cluster, kernel)
+        check_offload_shape(kernel, n, span,
+                            double_buffered=(exec_mode == "double_buffered"))
         inputs = prepare_inputs(kernel, n, inputs, seed)
 
         memory = system.memory
@@ -250,7 +239,7 @@ class JobBinding:
 
         desc = abi.JobDescriptor(
             kernel_name=kernel_name, n=n, num_clusters=num_clusters,
-            first_cluster=first_cluster, sync_mode=runtime.sync_mode,
+            first_cluster=span.first, sync_mode=runtime.sync_mode,
             completion_addr=completion_addr,
             exec_mode=EXEC_MODES[exec_mode], scalars=scalars,
             input_addrs=input_addrs, output_addrs=output_addrs)

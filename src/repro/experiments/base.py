@@ -101,11 +101,9 @@ def usable_ms(m_values: typing.Sequence[int], config: SoCConfig,
     With ``tile_group``, the bound is that group's tile count instead
     of the whole fabric — per-class sweeps on heterogeneous configs.
     """
-    if tile_group is None:
-        limit, what = config.num_clusters, "-cluster fabric"
-    else:
-        limit, what = (config.tile_group(tile_group).count,
-                       f"-tile group {tile_group!r}")
+    limit = config.cluster_span(tile_group=tile_group).count
+    what = ("-cluster fabric" if tile_group is None
+            else f"-tile group {tile_group!r}")
     usable = [m for m in m_values if m <= limit]
     if not usable:
         raise DecisionError(

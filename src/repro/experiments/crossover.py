@@ -78,8 +78,7 @@ def crossover_experiment(
     from repro.soc.manticore import ManticoreSystem
 
     config = SoCConfig.extended(**config_overrides)
-    limit = (config.num_clusters if tile_group is None
-             else config.tile_group(tile_group).count)
+    limit = config.cluster_span(tile_group=tile_group).count
     offload_m = min(offload_m, limit)
     rows = []
     curves: typing.Dict[str, typing.Dict[int, typing.Tuple[int, int]]] = {}

@@ -26,10 +26,12 @@ import dataclasses
 import hashlib
 import typing
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, OffloadError
+from repro.kernels.base import Kernel
 from repro.noc.xbar import NocParams
 from repro.soc.tiles import (
     INHERITED_FIELDS,
+    ClusterSpan,
     ResolvedGroup,
     ResolvedTile,
     SNITCH,
@@ -398,62 +400,53 @@ class SoCConfig:
             f"unknown tile group {name!r}; this fabric has: "
             f"{', '.join(group.name for group in groups)}")
 
-    def tile_of(self, cluster_id: int) -> ResolvedTile:
-        """The resolved tile occupying cluster slot ``cluster_id``."""
-        if not 0 <= cluster_id < self.num_clusters:
-            raise ConfigError(
-                f"cluster id {cluster_id} outside fabric "
-                f"[0, {self.num_clusters})")
-        for group in self.groups():
-            if group.start <= cluster_id < group.start + group.count:
-                return group.tile
-        raise ConfigError(  # pragma: no cover - groups() always covers
-            f"cluster id {cluster_id} not covered by any fabric group")
+    def cluster_span(self, num_clusters: typing.Optional[int] = None,
+                     tile_group: typing.Optional[str] = None,
+                     first_cluster: int = 0,
+                     kernel: typing.Optional[Kernel] = None) -> ClusterSpan:
+        """The clusters an M-wide job occupies, checked before any run.
 
-    def span_tile(self, first_cluster: int,
-                  count: int) -> typing.Optional[ResolvedTile]:
-        """The single tile spec shared by ``count`` clusters, or ``None``.
-
-        Returns the resolved tile when every cluster in
-        ``[first_cluster, first_cluster + count)`` resolves to an
-        *equal* tile — even across group boundaries, so N single-tile
-        default groups still present a uniform span.  ``None`` means
-        the span is genuinely heterogeneous (the batch planner then
-        falls back to event simulation for it).
-        """
-        tiles = set(self._span_tiles(first_cluster, count))
-        if len(tiles) == 1:
-            return next(iter(tiles))
-        return None
-
-    def min_tcdm_bytes(self, first_cluster: int, count: int) -> int:
-        """Smallest per-tile scratchpad over a cluster span.
-
-        The staging-footprint check must hold for every participating
-        tile, so the binding constraint is the smallest TCDM in the
-        span (for homogeneous spans this is exactly ``tcdm_bytes``).
-        """
-        return min(tile.tcdm_bytes
-                   for tile in self._span_tiles(first_cluster, count))
-
-    def _span_tiles(self, first_cluster: int,
-                    count: int) -> typing.List[ResolvedTile]:
-        """The tiles of the groups overlapping a cluster span, in fabric
-        order: one pass over the groups, not one lookup per cluster.
+        With ``tile_group`` the job starts at that group's first
+        cluster and M is bounded by the group's tile count; without,
+        it starts at ``first_cluster`` and must stay inside the fabric.
+        ``num_clusters=None`` takes everything up to that bound.  With
+        ``kernel``, every tile in the span must rate it.  The tiles
+        come from one pass over the groups, not one lookup per cluster.
 
         Raises
         ------
+        OffloadError
+            If M is not positive or the span does not fit.
         ConfigError
-            If the span is empty or leaves the fabric.
+            On an unknown group name, or a tile in the span without a
+            compute rate for ``kernel`` (naming class and kernel).
         """
-        end = first_cluster + count
-        if count < 1 or first_cluster < 0 or end > self.num_clusters:
-            raise ConfigError(
-                f"invalid cluster span [{first_cluster}, {end}) in a "
-                f"{self.num_clusters}-cluster fabric")
-        return [group.tile for group in self.groups()
-                if group.start < end
-                and first_cluster < group.start + group.count]
+        if tile_group is not None:
+            group = self.tile_group(tile_group)
+            if num_clusters is None:
+                num_clusters = group.count
+            if not 0 < num_clusters <= group.count:
+                raise OffloadError(
+                    f"cannot offload to {num_clusters} clusters in tile "
+                    f"group {tile_group!r}, which has {group.count} "
+                    f"{group.tile.class_name!r} tiles")
+            first_cluster = group.start
+        elif num_clusters is None:
+            num_clusters = self.num_clusters - first_cluster
+        end = first_cluster + num_clusters
+        if num_clusters < 1 or first_cluster < 0 or end > self.num_clusters:
+            raise OffloadError(
+                f"cannot offload to {num_clusters} clusters "
+                f"[{first_cluster}, {end}) on a {self.num_clusters}-cluster "
+                "fabric")
+        tiles = tuple(group.tile for group in self.groups()
+                      if group.start < end
+                      and first_cluster < group.start + group.count)
+        if kernel is not None:
+            for tile in tiles:
+                tile.timing_for(kernel)
+        return ClusterSpan(first=first_cluster, count=num_clusters,
+                           tiles=tiles)
 
     @property
     def total_cores(self) -> int:

@@ -277,6 +277,42 @@ class ResolvedGroup:
     start: int
 
 
+@dataclasses.dataclass(frozen=True)
+class ClusterSpan:
+    """The clusters ``[first, first + count)`` one job occupies.
+
+    Built by :meth:`repro.soc.config.SoCConfig.cluster_span`, which
+    checks that the span fits before returning it.
+    """
+
+    first: int
+    count: int
+    #: The tiles of the fabric groups the span overlaps, in fabric order.
+    tiles: typing.Tuple[ResolvedTile, ...]
+
+    @property
+    def tile(self) -> typing.Optional[ResolvedTile]:
+        """The one tile every cluster of the span resolves to, or ``None``.
+
+        Equal tiles count as one even across group boundaries, so N
+        single-tile default groups still present a uniform span.
+        ``None`` means the span mixes classes (the batch planner then
+        leaves it to the event engine).
+        """
+        return self.tiles[0] if len(set(self.tiles)) == 1 else None
+
+    @property
+    def class_name(self) -> str:
+        """The span's tile class, or ``"mixed"``."""
+        tile = self.tile
+        return "mixed" if tile is None else tile.class_name
+
+    @property
+    def tcdm_bytes(self) -> int:
+        """Smallest scratchpad in the span: the one a slice must fit."""
+        return min(tile.tcdm_bytes for tile in self.tiles)
+
+
 #: The homogeneous default: every knob inherits the SoCConfig cluster
 #: knobs, every kernel uses its own Snitch timing.  A fabric of SNITCH
 #: groups is bit-identical to the legacy homogeneous SoC.

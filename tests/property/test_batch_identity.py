@@ -221,7 +221,7 @@ def test_zero_byte_slices_are_refused_per_point():
     try:
         kernel = get_kernel(ComputeOnlyKernel.name)
         assert not batch.point_provable(CFG, kernel, 64, 2, {},
-                                        CFG.span_tile(0, 2))
+                                        CFG.cluster_span(2).tile)
         naive, fast, executor = _ab_sweep(
             CFG, ComputeOnlyKernel.name, [64, 128], [1, 2], "baseline")
         assert fast == naive
@@ -255,7 +255,7 @@ def test_residual_check_accepts_measured_and_rejects_drift():
     prefix = batch.extract_prefix(CFG, result.trace, m)
     assert prefix is not None
     prediction = batch.predict_point(CFG, get_kernel("daxpy"), spec,
-                                     prefix, n, m, CFG.span_tile(0, m))
+                                     prefix, n, m, CFG.cluster_span(m).tile)
     assert prediction is not None
     assert batch.matches_trace(prediction, result.trace, measured)
 

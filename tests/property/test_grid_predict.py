@@ -38,7 +38,7 @@ VARIANTS = ["baseline", "multicast_only", "hw_sync_only", "extended"]
 #: (config, tile, widest M): a resolved homogeneous tile and each
 #: group of a little/big fabric.
 TILES = [
-    (HOMOGENEOUS, HOMOGENEOUS.span_tile(0, 32), 32),
+    (HOMOGENEOUS, HOMOGENEOUS.cluster_span(32).tile, 32),
     (MIXED, MIXED.tile_group("little").tile, 8),
     (MIXED, MIXED.tile_group("big").tile, 8),
 ]
@@ -224,7 +224,7 @@ def test_ambiguity_refusals_stay_per_row():
     """On each side of both ambiguity boundaries, only the ambiguous
     row of a batch refuses; its neighbours are still timed."""
     kernel = get_kernel("daxpy")
-    tile = HOMOGENEOUS.span_tile(0, 8)
+    tile = HOMOGENEOUS.cluster_span(8).tile
     for variant in VARIANTS:
         spec = batch.resolve_spec(HOMOGENEOUS, variant)
         probe = oracle(HOMOGENEOUS, kernel, spec,

@@ -11,7 +11,7 @@ import dataclasses
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, OffloadError
 from repro.kernels import get_kernel
 from repro.kernels.base import KernelTiming
 from repro.soc.config import SoCConfig
@@ -136,6 +136,94 @@ def test_missing_kernel_rate_raises_before_simulation():
         offload(ManticoreSystem(config), "daxpy", 64, 2, tile_group="g")
 
 
+# ----------------------------------------------------------------------
+# An offload's cluster span is checked before any simulation
+# ----------------------------------------------------------------------
+
+def gappy_fabric():
+    """Two default tiles ("a"), then two tiles ("b") of a class that
+    rates daxpy only."""
+    gappy = dataclasses.replace(VECWIDE, name="gappy",
+                                kernel_rates=(("daxpy", (40, 13, 20)),))
+    return SoCConfig.with_fabric(
+        [TileGroup(name="a", tile=SNITCH, count=2),
+         TileGroup(name="b", tile=gappy, count=2)],
+        multicast=True, hw_sync=True)
+
+
+@pytest.fixture()
+def no_simulation(monkeypatch):
+    """Make any event-engine run fail the test."""
+    from repro.sim import Simulator
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the event engine ran")
+
+    monkeypatch.setattr(Simulator, "run", refuse)
+
+
+def _offload_memcpy(system):
+    from repro.core.offload import offload
+    offload(system, "memcpy", 256, 4)
+
+
+def _offload_concurrent_memcpy(system):
+    from repro.core.concurrent import ConcurrentJob, offload_concurrent
+    offload_concurrent(system, [ConcurrentJob("memcpy", 128, 2),
+                                ConcurrentJob("memcpy", 128, 2)])
+
+
+@pytest.mark.parametrize("launch", [_offload_memcpy,
+                                    _offload_concurrent_memcpy])
+def test_unrated_tile_in_an_ungrouped_span_fails_at_cycle_zero(
+        launch, no_simulation):
+    """Without ``tile_group=`` the job spans clusters [0, M); a tile in
+    that span without a rate for the kernel must fail like a grouped
+    job does: a ConfigError naming class and kernel, before cycle 1."""
+    from repro.soc.manticore import ManticoreSystem
+
+    system = ManticoreSystem(gappy_fabric())
+    with pytest.raises(ConfigError, match="'gappy' has no compute rate "
+                                          "for kernel 'memcpy'"):
+        launch(system)
+    assert system.sim.now == 0
+    assert len(system.trace) == 0
+
+
+def test_unrated_tile_in_a_sweep_span_fails_before_simulation(
+        no_simulation):
+    from repro.core.sweep import sweep
+
+    with pytest.raises(ConfigError, match="'gappy' has no compute rate "
+                                          "for kernel 'memcpy'"):
+        sweep(gappy_fabric(), "memcpy", [256], [1, 2, 3, 4])
+
+
+def test_offload_wider_than_its_tile_group_fails_before_simulation(
+        no_simulation):
+    from repro.core.offload import offload
+    from repro.soc.manticore import ManticoreSystem
+
+    system = ManticoreSystem(gappy_fabric())
+    with pytest.raises(OffloadError, match="3 clusters in tile group 'a'"):
+        offload(system, "daxpy", 64, 3, tile_group="a")
+    assert system.sim.now == 0
+    assert len(system.trace) == 0
+
+
+@pytest.mark.parametrize("tile_group, m, where", [
+    ("b", 3, "tile group 'b'"),
+    (None, 5, "fabric"),
+])
+def test_sweep_wider_than_its_span_fails_before_simulation(
+        tile_group, m, where, no_simulation):
+    from repro.core.sweep import sweep
+
+    with pytest.raises(OffloadError, match=where):
+        sweep(gappy_fabric(), "daxpy", [64], [1, m],
+              tile_group=tile_group)
+
+
 def test_fabric_counts_must_sum_to_num_clusters():
     with pytest.raises(ConfigError, match="must sum to the cluster count"):
         SoCConfig(num_clusters=8,
@@ -173,20 +261,31 @@ def test_groups_place_contiguous_spans():
         config.tile_group("huge")
 
 
+def span_query(config, first, count):
+    span = config.cluster_span(count, first_cluster=first)
+    return (span.tcdm_bytes, span.tile)
+
+
 def test_span_tile_detects_mixed_spans():
     config = SoCConfig.with_fabric(
         [TileGroup(name="little", tile=SNITCH, count=2),
          TileGroup(name="big", tile=VECWIDE, count=2)])
-    assert config.span_tile(0, 2).class_name == "snitch"
-    assert config.span_tile(2, 2).class_name == "vecwide"
-    assert config.span_tile(0, 4) is None  # crosses classes
-    with pytest.raises(ConfigError, match="invalid cluster span"):
-        config.span_tile(3, 4)
+    assert config.cluster_span(2).tile.class_name == "snitch"
+    assert config.cluster_span(2, first_cluster=2).tile.class_name \
+        == "vecwide"
+    assert config.cluster_span(2, "big").tile.class_name == "vecwide"
+    assert config.cluster_span(4).tile is None  # crosses classes
+    assert config.cluster_span(4).class_name == "mixed"
+    with pytest.raises(OffloadError, match=r"\[3, 7\) on a 4-cluster"):
+        config.cluster_span(4, first_cluster=3)
 
 
 def per_cluster_span(config, first, count):
-    """Span queries answered one ``tile_of`` lookup per cluster."""
-    tiles = [config.tile_of(cluster) for cluster in range(first, first + count)]
+    """Span queries answered one group lookup per cluster."""
+    tiles = [group.tile for cluster in range(first, first + count)
+             for group in config.groups()
+             if group.start <= cluster < group.start + group.count]
+    assert len(tiles) == count
     return (min(tile.tcdm_bytes for tile in tiles),
             tiles[0] if len(set(tiles)) == 1 else None)
 
@@ -197,21 +296,20 @@ def test_span_queries_walk_groups_on_a_mixed_fabric():
         [TileGroup(name="little", tile=SNITCH, count=3),
          TileGroup(name="small", tile=small, count=2),
          TileGroup(name="big", tile=VECWIDE, count=3)])
-    assert config.min_tcdm_bytes(0, 8) == 32 * 1024
-    assert config.min_tcdm_bytes(4, 1) == 32 * 1024
-    assert config.span_tile(3, 2).class_name == "small"
+    assert config.cluster_span(8).tcdm_bytes == 32 * 1024
+    assert config.cluster_span(1, first_cluster=4).tcdm_bytes == 32 * 1024
+    assert config.cluster_span(2, first_cluster=3).tile.class_name \
+        == "small"
     for first in range(8):
         for count in range(1, 9 - first):
-            assert (config.min_tcdm_bytes(first, count),
-                    config.span_tile(first, count)) == per_cluster_span(
-                        config, first, count)
+            assert span_query(config, first, count) == per_cluster_span(
+                config, first, count)
     for first, count in ((0, 0), (-1, 2), (7, 2), (0, 9)):
-        for query in (config.min_tcdm_bytes, config.span_tile):
-            with pytest.raises(
-                    ConfigError,
-                    match=rf"invalid cluster span \[{first}, "
-                          rf"{first + count}\) in a 8-cluster fabric"):
-                query(first, count)
+        with pytest.raises(
+                OffloadError,
+                match=rf"cannot offload to {count} clusters \[{first}, "
+                      rf"{first + count}\) on a 8-cluster fabric"):
+            config.cluster_span(count, first_cluster=first)
 
 
 def per_cluster_fabric(config):
@@ -225,12 +323,10 @@ def per_cluster_fabric(config):
 
 def test_span_queries_agree_under_explicit_fabric():
     config = SoCConfig.extended(num_clusters=6)
-    implicit = [(config.min_tcdm_bytes(first, count),
-                 config.span_tile(first, count))
+    implicit = [span_query(config, first, count)
                 for first in range(6) for count in range(1, 7 - first)]
     fabric = per_cluster_fabric(config)
-    explicit = [(fabric.min_tcdm_bytes(first, count),
-                 fabric.span_tile(first, count))
+    explicit = [span_query(fabric, first, count)
                 for first in range(6) for count in range(1, 7 - first)]
     assert explicit == implicit
     assert explicit == [per_cluster_span(config, first, count)
