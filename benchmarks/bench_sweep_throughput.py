@@ -26,13 +26,13 @@ import time
 from repro.core.sweep import sweep
 from repro.flags import (
     FRESH_SYSTEMS_ENV,
+    LINEAR_ROUTING_ENV,
     NAIVE_BARRIER_ENV,
     NAIVE_BATCH_ENV,
     NAIVE_CHANNEL_ENV,
     NAIVE_MPREDICT_ENV,
+    NAIVE_POLL_ENV,
 )
-from repro.mem.map import LINEAR_ROUTING_ENV
-from repro.runtime.protocol import NAIVE_POLL_ENV
 from repro.soc.config import SoCConfig
 
 #: The acceptance grid: both paper variants over three problem sizes

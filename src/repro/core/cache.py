@@ -45,10 +45,6 @@ from repro.core.sweep import SweepPoint
 from repro.sim import IntegrityWarning
 from repro.soc.config import SoCConfig
 
-#: Re-exported from :mod:`repro.flags`, the single source of truth for
-#: every ``REPRO_*`` gate; kept here for backwards compatibility.
-CACHE_DIR_ENV = flags.CACHE_DIR_ENV
-
 #: Bump when the on-disk record layout changes; stale files then miss.
 _SCHEMA = 1
 

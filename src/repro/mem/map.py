@@ -10,10 +10,6 @@ from repro import flags
 from repro.errors import MemoryError_
 from repro.mem.memory import MainMemory
 
-#: Re-exported from :mod:`repro.flags`, the single source of truth for
-#: every ``REPRO_*`` gate; kept here for backwards compatibility.
-LINEAR_ROUTING_ENV = flags.LINEAR_ROUTING_ENV
-
 
 class MmioDevice:
     """Interface for memory-mapped peripherals.
@@ -195,7 +191,7 @@ class AddressMap:
         #: addr -> callback(value), invoked after a routed word write
         #: lands at that exact address (see :meth:`watch`).
         self._watchpoints: typing.Dict[int, typing.Callable[[int], None]] = {}
-        #: A/B lever (see :data:`LINEAR_ROUTING_ENV`): sampled once at
+        #: A/B lever (``REPRO_LINEAR_ROUTING``): sampled once at
         #: construction so the hot path pays one attribute read.
         self._linear = flags.linear_routing()
         self._router = PortRouter(self)
