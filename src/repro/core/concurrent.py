@@ -24,7 +24,7 @@ import typing
 
 import numpy
 
-from repro.core.staging import DEFAULT_MAX_CYCLES, JobBinding, run_to_completion
+from repro.core.staging import DEFAULT_MAX_CYCLES, JobBinding, launch
 from repro.errors import OffloadError
 from repro.runtime.api import make_runtime
 from repro.runtime.trace import build_offload_trace
@@ -113,15 +113,7 @@ def offload_concurrent(system: ManticoreSystem,
             exec_mode=job.exec_mode, first_cluster=first))
         first += job.num_clusters
 
-    flag_addrs = [binding.flag_addr for binding in bindings
-                  if binding.flag_addr is not None]
-    result_box: typing.Dict[str, int] = {}
-    program = runtime.concurrent_offload_program(
-        [(binding.desc, binding.desc_addr) for binding in bindings],
-        flag_addrs if flag_addrs else None, result_box)
-    process = system.host.run_program(program, name="offload.concurrent")
-    run_to_completion(system, process, max_cycles)
-    system.run()
+    result_box = launch(runtime, bindings, "offload.concurrent", max_cycles)
 
     trace = build_offload_trace(
         system.trace, result_box["start_cycle"], result_box["end_cycle"])

@@ -13,6 +13,7 @@ core running the same kernel itself.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import typing
 
 import numpy
@@ -21,9 +22,9 @@ from repro.core.staging import (
     DEFAULT_MAX_CYCLES,
     EXEC_MODES,
     JobBinding,
-    run_to_completion,
+    launch,
+    run_program,
 )
-from repro.errors import OffloadError
 from repro.runtime.api import make_runtime
 from repro.runtime.trace import OffloadTrace, build_offload_trace
 from repro.soc.manticore import ManticoreSystem
@@ -109,18 +110,8 @@ def offload(system: ManticoreSystem, kernel_name: str, n: int,
     binding = JobBinding.bind(system, runtime, kernel_name, n, num_clusters,
                               scalars=scalars, inputs=inputs, seed=seed,
                               exec_mode=exec_mode, tile_group=tile_group)
-
-    result_box: typing.Dict[str, int] = {}
-    program = runtime.offload_program(binding.desc, binding.desc_addr,
-                                      binding.flag_addr, result_box)
-    process = system.host.run_program(program, name=f"offload.{kernel_name}")
-    run_to_completion(system, process, max_cycles)
-    system.run()  # drain in-flight responses so memory state settles
-
-    if "end_cycle" not in result_box:
-        raise OffloadError("offload program finished without recording "
-                           "completion (runtime bug)")
-
+    result_box = launch(runtime, [binding], f"offload.{kernel_name}",
+                        max_cycles)
     outputs, verified = binding.finish(verify)
     trace = build_offload_trace(
         system.trace, result_box["start_cycle"], result_box["end_cycle"])
@@ -173,15 +164,11 @@ def run_on_host(system: ManticoreSystem, kernel_name: str, n: int,
 
     binding = JobBinding.bind_host(system, kernel_name, n, scalars=scalars,
                                    inputs=inputs, seed=seed)
-
-    result_box: typing.Dict[str, int] = {}
-    program = host_kernel_program(system, binding.kernel, n, binding.scalars,
-                                  binding.input_addrs, binding.output_addrs,
-                                  result_box)
-    process = system.host.run_program(program, name=f"host.{kernel_name}")
-    run_to_completion(system, process, max_cycles)
-    system.run()
-
+    result_box = run_program(
+        system, functools.partial(
+            host_kernel_program, system, binding.kernel, n, binding.scalars,
+            binding.input_addrs, binding.output_addrs),
+        f"host.{kernel_name}", max_cycles)
     outputs, verified = binding.finish(verify)
     return HostRunResult(
         kernel_name=kernel_name, n=n,

@@ -24,7 +24,7 @@ import typing
 
 import numpy
 
-from repro.core.staging import DEFAULT_MAX_CYCLES, JobBinding, run_to_completion
+from repro.core.staging import DEFAULT_MAX_CYCLES, JobBinding, launch
 from repro.runtime.api import make_runtime
 from repro.runtime.hostexec import host_kernel_work
 from repro.soc.manticore import ManticoreSystem
@@ -85,12 +85,8 @@ def offload_overlapped(system: ManticoreSystem, accel_kernel: str,
         host_kernel_work, system, hkernel, host_n, host_job.scalars,
         host_job.input_addrs, host_job.output_addrs)
 
-    result_box: typing.Dict[str, int] = {}
-    program = runtime.overlapped_offload_program(
-        accel.desc, accel.desc_addr, accel.flag_addr, host_work, result_box)
-    process = system.host.run_program(program, name="offload.overlapped")
-    run_to_completion(system, process, max_cycles)
-    system.run()
+    result_box = launch(runtime, [accel], "offload.overlapped", max_cycles,
+                        host_work=host_work)
 
     accel_outputs, accel_verified = accel.finish(verify)
     host_outputs, _host_verified = host_job.finish(verify)

@@ -137,6 +137,46 @@ def run_to_completion(system: ManticoreSystem, process,
         raise error from None
 
 
+def run_program(system: ManticoreSystem,
+                build: typing.Callable[[typing.Dict[str, int]],
+                                       typing.Generator],
+                name: str, max_cycles: int) -> typing.Dict[str, int]:
+    """Run one host program to completion; return its result box.
+
+    The one run body behind every entry point — :func:`launch` and
+    :func:`repro.core.offload.run_on_host`.  ``build(result)`` returns
+    the host program, which records ``start_cycle`` and ``end_cycle``
+    into ``result``.  After it ends, the system drains in-flight
+    responses so memory state settles.
+    """
+    result: typing.Dict[str, int] = {}
+    process = system.host.run_program(build(result), name=name)
+    run_to_completion(system, process, max_cycles)
+    system.run()
+    if "end_cycle" not in result:
+        raise OffloadError(f"host program {name!r} finished without "
+                           "recording completion (runtime bug)")
+    return result
+
+
+def launch(runtime: "OffloadRuntime", bindings: typing.Sequence["JobBinding"],
+           name: str, max_cycles: int,
+           host_work: typing.Optional[
+               typing.Callable[[], typing.Generator]] = None,
+           ) -> typing.Dict[str, int]:
+    """Launch bound jobs in one :meth:`~repro.runtime.protocol.
+    OffloadRuntime.launch_program` and run it (see :func:`run_program`).
+    """
+    jobs = [(binding.desc, binding.desc_addr) for binding in bindings]
+    flag_addrs = [binding.flag_addr for binding in bindings
+                  if binding.flag_addr is not None]
+    return run_program(
+        runtime.system,
+        lambda result: runtime.launch_program(
+            jobs, flag_addrs or None, result, host_work=host_work),
+        name, max_cycles)
+
+
 def verify_outputs(kernel: Kernel, n: int, num_clusters: int,
                    scalars, inputs, outputs) -> None:
     """Check measured outputs against the kernel's reference model."""

@@ -19,9 +19,10 @@ extended         one multicast      credit counter + interrupt
 the two mixed variants isolate each extension's contribution
 (ablation A1 in DESIGN.md).  A new variant is one
 :func:`~repro.runtime.strategies.register_variant` call — the factory
-(:func:`make_runtime`), the hardware configurator
-(``SoCConfig.for_variant``) and the runtime's default naming all
-resolve through the same registry.
+(:func:`make_runtime`) and the hardware configurator
+(``SoCConfig.for_variant``) resolve through the same registry, and an
+:class:`OffloadRuntime` is built from one registered
+:class:`~repro.runtime.strategies.VariantSpec`.
 """
 
 from repro.runtime.api import RUNTIME_VARIANTS, make_runtime

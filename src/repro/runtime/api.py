@@ -35,4 +35,4 @@ def make_runtime(system: ManticoreSystem,
                                     system.config.hw_sync)
     else:
         spec = get_variant(variant)
-    return OffloadRuntime.from_spec(system, spec)
+    return OffloadRuntime(system, spec)

@@ -1,9 +1,11 @@
 """The offload protocol: the host program for one launch.
 
-The program below is the simulated equivalent of the C offload routine
-running on CVA6.  Every launch — plain, overlapped with host work, or
-a space-shared concurrent batch — is one parameterization of the same
-explicit phase sequence:
+:class:`OffloadRuntime` is built from one registered
+:class:`~repro.runtime.strategies.VariantSpec`, and its one routine,
+:meth:`OffloadRuntime.launch_program`, is the simulated equivalent of
+the C offload routine running on CVA6.  Every launch — plain,
+overlapped with host work, or a space-shared concurrent batch — is one
+parameterization of the same explicit phase sequence:
 
 1. *Setup*: runtime-entry bookkeeping, then store each job descriptor
    to shared memory word by word.  All but the very last store are
@@ -33,21 +35,8 @@ import typing
 
 from repro import abi, flags
 from repro.errors import OffloadError
-from repro.runtime.strategies import (
-    CompletionStrategy,
-    DispatchStrategy,
-    MULTICAST,
-    SEQUENTIAL_STORE,
-    AMO_POLL,
-    SYNC_UNIT_WFI,
-    VariantSpec,
-    variant_for_features,
-)
+from repro.runtime.strategies import VariantSpec
 from repro.soc.manticore import ManticoreSystem
-
-#: Re-exported from :mod:`repro.flags` for backwards compatibility;
-#: see there for semantics (the A/B lever of the poll fast path).
-NAIVE_POLL_ENV = flags.NAIVE_POLL_ENV
 
 #: One job in a launch: its descriptor and, for flag-based completion,
 #: the address of its completion flag (``None`` otherwise).
@@ -55,65 +44,29 @@ LaunchJob = typing.Tuple[abi.JobDescriptor, typing.Optional[int]]
 
 
 class OffloadRuntime:
-    """Host-side offload routine with pluggable dispatch/completion.
+    """The host-side offload routine of one registered variant.
 
-    Parameters
-    ----------
-    system:
-        The SoC to run on.  The requested features must exist in its
-        hardware configuration.
-    use_multicast:
-        Dispatch with one multicast store instead of a store loop.
-        Ignored when ``dispatch`` is given explicitly.
-    use_hw_sync:
-        Complete via the credit-counter unit's interrupt instead of
-        AMO-and-poll.  Ignored when ``completion`` is given explicitly.
-    name:
-        Variant label recorded into results; defaults to the registered
-        variant name matching the chosen strategies.
-    dispatch, completion:
-        Explicit strategy instances (normally resolved from the
-        registry via :func:`repro.runtime.api.make_runtime`).
+    ``spec`` (normally resolved by :func:`repro.runtime.api.make_runtime`)
+    names the variant and pairs its dispatch and completion strategies;
+    the features they need must exist in ``system``'s hardware.
     """
 
-    def __init__(self, system: ManticoreSystem, use_multicast: bool = False,
-                 use_hw_sync: bool = False, name: str = "",
-                 dispatch: typing.Optional[DispatchStrategy] = None,
-                 completion: typing.Optional[CompletionStrategy] = None
-                 ) -> None:
-        if dispatch is None:
-            dispatch = MULTICAST if use_multicast else SEQUENTIAL_STORE
-        if completion is None:
-            completion = SYNC_UNIT_WFI if use_hw_sync else AMO_POLL
+    def __init__(self, system: ManticoreSystem, spec: VariantSpec) -> None:
         config = system.config
-        if dispatch.requires_multicast and not config.multicast:
+        if spec.use_multicast and not config.multicast:
             raise OffloadError(
                 "runtime requests multicast dispatch but the SoC was built "
                 "without the multicast extension (build the system from "
                 "SoCConfig.for_variant('multicast_only') or 'extended')")
-        if completion.requires_hw_sync and not config.hw_sync:
+        if spec.use_hw_sync and not config.hw_sync:
             raise OffloadError(
                 "runtime requests hardware synchronization but the SoC was "
                 "built without the sync unit enabled (build the system from "
                 "SoCConfig.for_variant('hw_sync_only') or 'extended')")
         self.system = system
-        self.dispatch_strategy = dispatch
-        self.completion_strategy = completion
-        self.use_multicast = dispatch.requires_multicast
-        self.use_hw_sync = completion.requires_hw_sync
-        self.name = name or self._default_name()
-
-    @classmethod
-    def from_spec(cls, system: ManticoreSystem,
-                  spec: VariantSpec) -> "OffloadRuntime":
-        """Build a runtime from a registered variant spec."""
-        return cls(system, name=spec.name, dispatch=spec.dispatch,
-                   completion=spec.completion)
-
-    def _default_name(self) -> str:
-        """The registered variant name matching this runtime's strategies."""
-        return variant_for_features(self.use_multicast,
-                                    self.use_hw_sync).name
+        self.name = spec.name
+        self.dispatch_strategy = spec.dispatch
+        self.completion_strategy = spec.completion
 
     @property
     def sync_mode(self) -> int:
@@ -124,14 +77,6 @@ class OffloadRuntime:
         """The address clusters signal completion to (per job)."""
         return self.completion_strategy.completion_addr(self.system,
                                                         flag_addr)
-
-    # ------------------------------------------------------------------
-    # Protocol building blocks
-    # ------------------------------------------------------------------
-    def dispatch(self, desc: abi.JobDescriptor,
-                 desc_addr: int) -> typing.Generator:
-        """Ring the doorbells of the job's cluster range."""
-        return self.dispatch_strategy.dispatch(self.system, desc, desc_addr)
 
     # ------------------------------------------------------------------
     # The phase pipeline
@@ -148,16 +93,26 @@ class OffloadRuntime:
 
         ``jobs`` pairs each descriptor with its *descriptor address*;
         ``flag_addrs`` lists each job's completion-flag address (flag
-        completion only; the descriptors must already carry matching
-        ``completion_addr`` fields).  ``host_work``, when given, runs
-        between dispatch and wait — the overlapped launch.  ``result``
+        completion only, else ``None``; the descriptors must already
+        carry matching ``completion_addr`` fields).  ``result``
         receives ``start_cycle``, ``end_cycle``, and (with host work)
         ``host_work_done_cycle``.
 
-        A plain offload is a one-job launch; a concurrent launch lists
-        several jobs on disjoint cluster ranges.  The phase sequence —
-        setup, arm, dispatch, optional host work, wait — and every
-        cycle charged are identical across shapes.
+        The shapes:
+
+        - *plain*: one job;
+        - *space-shared*: several jobs on disjoint cluster ranges (the
+          caller validates the ranges).  With hardware sync one
+          threshold equal to the total cluster count makes the credit
+          counter a completion barrier across all jobs; with AMO
+          completion each job has its own flag, polled in turn;
+        - *overlapped*: ``host_work`` (a host program fragment) runs
+          between dispatch and wait.  An interrupt that arrived during
+          the host work leaves its line pending, so the WFI falls
+          straight through; the baseline simply starts polling late.
+
+        The phase sequence — setup, arm, dispatch, optional host work,
+        wait — and every cycle charged are identical across shapes.
         """
         if not jobs:
             raise OffloadError("concurrent offload of zero jobs")
@@ -240,62 +195,3 @@ class OffloadRuntime:
             result["end_cycle"] = system.sim.now
 
         return program()
-
-    # ------------------------------------------------------------------
-    # Launch shapes (parameterizations of the pipeline)
-    # ------------------------------------------------------------------
-    def offload_program(self, desc: abi.JobDescriptor, desc_addr: int,
-                        flag_addr: typing.Optional[int],
-                        result: typing.Dict[str, int]) -> typing.Generator:
-        """The plain one-job launch.
-
-        ``result`` receives ``start_cycle`` and ``end_cycle``.
-        ``flag_addr`` is the polling flag (AMO completion only).
-        """
-        if self.completion_strategy.uses_flag and flag_addr is None:
-            raise OffloadError("AMO completion requires a flag address")
-        return self.launch_program(
-            [(desc, desc_addr)],
-            None if flag_addr is None else [flag_addr], result)
-
-    def overlapped_offload_program(
-            self, desc: abi.JobDescriptor, desc_addr: int,
-            flag_addr: typing.Optional[int],
-            host_work: typing.Callable[[], typing.Generator],
-            result: typing.Dict[str, int]) -> typing.Generator:
-        """Offload a job, run host work while it executes, then wait.
-
-        The co-operative heterogeneous pattern the paper's class of
-        systems targets: the host is *not* idle during the offload — it
-        dispatches, runs ``host_work()`` (a host program fragment,
-        e.g. its own kernel), and only then synchronizes.  With the
-        sync-unit extension an interrupt that arrived during the host
-        work leaves the line pending and the WFI falls straight
-        through; the baseline simply starts polling late.
-
-        ``result`` additionally receives ``host_work_done_cycle``.
-        """
-        if self.completion_strategy.uses_flag and flag_addr is None:
-            raise OffloadError("AMO completion requires a flag address")
-        return self.launch_program(
-            [(desc, desc_addr)],
-            None if flag_addr is None else [flag_addr], result,
-            host_work=host_work)
-
-    def concurrent_offload_program(
-            self,
-            jobs: typing.Sequence[typing.Tuple[abi.JobDescriptor, int]],
-            flag_addrs: typing.Optional[typing.Sequence[int]],
-            result: typing.Dict[str, int]) -> typing.Generator:
-        """The space-shared launch: several jobs dispatched at once.
-
-        ``jobs`` pairs each descriptor with its memory address; the
-        descriptors must target disjoint cluster ranges (the caller —
-        :func:`repro.core.concurrent.offload_concurrent` — validates).
-        With hardware sync, one threshold equal to the *total* cluster
-        count turns the credit counter into a completion barrier across
-        all jobs (a single interrupt when the last job drains); with AMO
-        completion each job gets its own flag and the host polls them in
-        turn.
-        """
-        return self.launch_program(jobs, flag_addrs, result)

@@ -367,9 +367,9 @@ def register_variant(name: str, dispatch: DispatchStrategy,
     """Register a protocol variant; returns its spec.
 
     This is the *only* step a new variant needs: the runtime factory
-    (:func:`repro.runtime.api.make_runtime`), the hardware configurator
-    (:meth:`repro.soc.config.SoCConfig.for_variant`) and the runtime's
-    default naming all resolve through the registry.
+    (:func:`repro.runtime.api.make_runtime`) and the hardware
+    configurator (:meth:`repro.soc.config.SoCConfig.for_variant`) both
+    resolve through the registry.
     """
     if name == "auto":
         raise OffloadError(
@@ -414,8 +414,7 @@ def variant_for_features(use_multicast: bool,
                          use_hw_sync: bool) -> VariantSpec:
     """The first registered variant matching a hardware feature pair.
 
-    This resolves ``variant="auto"`` (use everything the hardware has)
-    and derives a runtime's default name from its strategies.
+    This resolves ``variant="auto"`` (use everything the hardware has).
     Registration order breaks ties, so the four paper variants keep
     their canonical names even if later registrations alias a pair.
     """

@@ -14,6 +14,7 @@ from repro.errors import (
 )
 from repro.core.offload import offload
 from repro.runtime.protocol import OffloadRuntime
+from repro.runtime.strategies import get_variant
 from repro.sim import IntegrityWarning
 from repro.sim.kernel import Simulator
 from repro.sim.resource import SerialResource
@@ -202,9 +203,9 @@ def test_for_variant_sets_feature_flags():
 def test_mismatched_runtime_hints_at_for_variant():
     system = ManticoreSystem(CFG)
     with pytest.raises(OffloadError, match="for_variant"):
-        OffloadRuntime(system, use_multicast=True, use_hw_sync=False)
+        OffloadRuntime(system, get_variant("multicast_only"))
     with pytest.raises(OffloadError, match="for_variant"):
-        OffloadRuntime(system, use_multicast=False, use_hw_sync=True)
+        OffloadRuntime(system, get_variant("hw_sync_only"))
 
 
 def test_config_digest_is_memoized_and_distinct():

@@ -26,7 +26,7 @@ def ext_system(**overrides):
 def test_concurrent_program_rejects_zero_jobs():
     runtime = make_runtime(ext_system(), "extended")
     with pytest.raises(OffloadError, match="zero jobs"):
-        runtime.concurrent_offload_program([], None, {})
+        runtime.launch_program([], None, {})
 
 
 def test_concurrent_program_amo_needs_one_flag_per_job():
@@ -38,7 +38,7 @@ def test_concurrent_program_amo_needs_one_flag_per_job():
         scalars={}, input_addrs={"x": 0x8000_0100},
         output_addrs={"y": 0x8000_0200})
     with pytest.raises(OffloadError, match="one flag address per job"):
-        runtime.concurrent_offload_program([(desc, 0x8000_0300)], [], {})
+        runtime.launch_program([(desc, 0x8000_0300)], [], {})
 
 
 # ----------------------------------------------------------------------

@@ -62,7 +62,7 @@ def test_amo_variant_requires_flag_address():
         input_addrs={"x": 0x8000_0100, "y": 0x8000_0200},
         output_addrs={"y": 0x8000_0200})
     with pytest.raises(OffloadError):
-        runtime.offload_program(desc, 0x8000_0300, None, {})
+        runtime.launch_program([(desc, 0x8000_0300)], None, {})
 
 
 # ----------------------------------------------------------------------
