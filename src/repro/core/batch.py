@@ -825,11 +825,7 @@ class BatchPlanner:
         result = self._calibrate(call, cal_n, m)
         self.prefixes_calibrated += 1
         call.calibrated.add(m)
-        measured = SweepPoint(
-            kernel_name=call.kernel.name, n=cal_n, num_clusters=m,
-            variant=result.variant,
-            runtime_cycles=result.runtime_cycles,
-            phases=result.trace.phase_summary())
+        measured = SweepPoint.of(result)
         call.slots[cal_index] = measured
         rest = [entry for entry in members if entry is not calibration]
 

@@ -101,10 +101,7 @@ def measure_point(config: SoCConfig, kernel_name: str, n: int, m: int,
         result = offload(system, kernel_name, n, m, scalars=scalars,
                          variant=variant, seed=seed, verify=verify,
                          tile_group=tile_group)
-    return SweepPoint(
-        kernel_name=kernel_name, n=n, num_clusters=m,
-        variant=result.variant, runtime_cycles=result.runtime_cycles,
-        phases=result.trace.phase_summary())
+    return SweepPoint.of(result)
 
 
 def _measure_chunk(config: SoCConfig, kernel_name: str,

@@ -27,6 +27,7 @@ from repro.soc.config import SoCConfig
 
 if typing.TYPE_CHECKING:
     from repro.core.cache import SweepCache
+    from repro.core.offload import OffloadResult
 
 
 @dataclasses.dataclass(frozen=True)
@@ -39,6 +40,14 @@ class SweepPoint:
     variant: str
     runtime_cycles: int
     phases: typing.Mapping[str, int]
+
+    @classmethod
+    def of(cls, result: "OffloadResult") -> "SweepPoint":
+        """Summarize one measured offload as a grid point."""
+        return cls(kernel_name=result.kernel_name, n=result.n,
+                   num_clusters=result.num_clusters, variant=result.variant,
+                   runtime_cycles=result.runtime_cycles,
+                   phases=result.trace.phase_summary())
 
 
 @dataclasses.dataclass(frozen=True)

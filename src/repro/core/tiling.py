@@ -25,7 +25,7 @@ import typing
 import numpy
 
 from repro.core.offload import offload
-from repro.core.staging import prepare_inputs
+from repro.core.staging import prepare_inputs, resolve_scalars, verify_outputs
 from repro.errors import OffloadError
 from repro.kernels.base import Kernel, split_range
 from repro.kernels.registry import get_kernel
@@ -116,8 +116,7 @@ def offload_tiled(system: ManticoreSystem, kernel_name: str, n: int,
         If the kernel is not tileable or the tile size is invalid.
     """
     kernel = _tileable_kernel(kernel_name)
-    scalars = dict(scalars) if scalars else {
-        name: 1.0 for name in kernel.scalar_names}
+    scalars = resolve_scalars(kernel, scalars)
     kernel.validate(n, scalars)
     if tile_elements is None:
         tile_elements = min(n, max_phased_tile(
@@ -149,13 +148,8 @@ def offload_tiled(system: ManticoreSystem, kernel_name: str, n: int,
 
     verified = None
     if verify:
-        expected = kernel.reference(n, scalars, inputs, 1)
-        for name, want in expected.items():
-            if not numpy.allclose(outputs[name], want, rtol=1e-10,
-                                  atol=1e-12):
-                raise OffloadError(
-                    f"tiled {kernel_name} output {name!r} mismatches the "
-                    "reference")
+        # The reference is the whole job as one slice.
+        verify_outputs(kernel, n, 1, scalars, inputs, outputs)
         verified = True
 
     return TiledOffloadResult(
