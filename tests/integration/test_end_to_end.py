@@ -4,7 +4,7 @@ import numpy
 import pytest
 
 from repro.core.offload import offload
-from repro.kernels.registry import get_kernel, kernel_names
+from repro.kernels.registry import kernel_names
 from repro.runtime.api import RUNTIME_VARIANTS
 from repro.soc.config import SoCConfig
 from repro.soc.manticore import ManticoreSystem

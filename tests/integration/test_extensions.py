@@ -6,8 +6,6 @@ buffering, tiling, scheduling) surface in the test suite and not only
 in the benchmark harness.
 """
 
-import pytest
-
 from repro import experiments
 from repro.core.offload import offload_daxpy, run_on_host
 from repro.core.tiling import offload_tiled

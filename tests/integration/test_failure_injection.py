@@ -11,7 +11,6 @@ import pytest
 from repro import abi
 from repro.core.offload import offload_daxpy
 from repro.errors import DeadlockError, OffloadError, SimulationError
-from repro.runtime.api import make_runtime
 from repro.soc.config import SoCConfig
 from repro.soc.manticore import ManticoreSystem
 from repro.soc.syncunit import IRQ_LINE

@@ -9,7 +9,6 @@ the crossover falls) — absolute cycles are pinned separately in
 import pytest
 
 from repro import experiments
-from repro.core.mape import PAPER_M_VALUES
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,7 @@
 """Property-based tests for the runtime model and decision solver."""
 
 import numpy
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.decision import min_clusters_for_deadline

@@ -1,6 +1,6 @@
 """Property-based tests for the simulation kernel."""
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.sim import SerialResource, Simulator

@@ -1,7 +1,6 @@
 """Unit tests for co-operative host/accelerator overlapped execution."""
 
 import numpy
-import pytest
 
 from repro.core.offload import offload_daxpy, run_on_host
 from repro.core.overlap import offload_overlapped

@@ -6,7 +6,7 @@ from repro import abi
 from repro.core.offload import offload_daxpy
 from repro.errors import OffloadError, TraceError
 from repro.noc.packet import TransactionKind
-from repro.runtime import OffloadRuntime, RUNTIME_VARIANTS, make_runtime
+from repro.runtime import RUNTIME_VARIANTS, make_runtime
 from repro.runtime.trace import build_offload_trace
 from repro.soc.config import SoCConfig
 from repro.soc.manticore import ManticoreSystem

@@ -1,7 +1,6 @@
 """Kernel-specific tests for stencil3 (halo traffic) and relu."""
 
 import numpy
-import pytest
 
 from repro.core.offload import offload
 from repro.kernels import get_kernel, split_range

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.sweep import SweepPoint, SweepResult, sweep
+from repro.core.sweep import SweepPoint, sweep
 from repro.errors import OffloadError
 from repro.soc.config import SoCConfig
 

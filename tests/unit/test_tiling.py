@@ -4,7 +4,7 @@ import numpy
 import pytest
 
 from repro.core.offload import offload_daxpy
-from repro.core.tiling import TiledOffloadResult, max_phased_tile, offload_tiled
+from repro.core.tiling import max_phased_tile, offload_tiled
 from repro.errors import OffloadError
 from repro.soc.config import SoCConfig
 from repro.soc.manticore import ManticoreSystem
