@@ -25,7 +25,6 @@ import typing
 import numpy
 
 from repro.core.staging import DEFAULT_MAX_CYCLES, JobBinding, launch
-from repro.errors import OffloadError
 from repro.runtime.api import make_runtime
 from repro.runtime.trace import build_offload_trace
 from repro.soc.manticore import ManticoreSystem
@@ -86,22 +85,17 @@ def offload_concurrent(system: ManticoreSystem,
                        ) -> ConcurrentOffloadResult:
     """Launch several jobs at once on disjoint cluster ranges.
 
-    Ranges are assigned contiguously in job order; their total width
-    must fit the fabric.
+    Ranges are assigned contiguously in job order; each job's span
+    is checked as it is bound
+    (:meth:`~repro.soc.config.SoCConfig.cluster_span`), so their total
+    width must fit the fabric.
 
     Raises
     ------
     OffloadError
-        On empty launches, over-wide totals, or invalid job requests.
+        On empty launches, over-wide totals, or invalid job requests,
+        all before any simulation.
     """
-    if not jobs:
-        raise OffloadError("concurrent offload of zero jobs")
-    total = sum(job.num_clusters for job in jobs)
-    if total > system.config.num_clusters:
-        raise OffloadError(
-            f"concurrent jobs need {total} clusters, fabric has "
-            f"{system.config.num_clusters}")
-
     runtime = make_runtime(system, variant)
 
     bindings: typing.List[JobBinding] = []

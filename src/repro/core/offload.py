@@ -100,11 +100,12 @@ def offload(system: ManticoreSystem, kernel_name: str, n: int,
     max_cycles:
         Abort if the simulation exceeds this cycle count.
     tile_group:
-        Name of the fabric group to run on (see
-        :meth:`~repro.soc.config.SoCConfig.tile_group`); the job
-        targets clusters ``[group.start, group.start + M)`` and ``M``
-        is bounded by the group's tile count.  ``None`` (the default)
-        targets the fabric from cluster 0 — the homogeneous behaviour.
+        Name of the fabric group to run on; the job targets clusters
+        ``[group.start, group.start + M)`` and ``M`` is bounded by the
+        group's tile count.  ``None`` (the default) targets the fabric
+        from cluster 0 — the homogeneous behaviour.  Either way the
+        span is checked before any simulation (see
+        :meth:`~repro.soc.config.SoCConfig.cluster_span`).
     """
     runtime = make_runtime(system, variant)
     binding = JobBinding.bind(system, runtime, kernel_name, n, num_clusters,

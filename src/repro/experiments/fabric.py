@@ -29,7 +29,7 @@ from repro.core.model import TileClassModel, fit_class_models
 from repro.core.offload import offload
 from repro.core.sweep import sweep
 from repro.errors import DecisionError
-from repro.experiments.base import Experiment
+from repro.experiments.base import Experiment, usable_ms
 from repro.soc.config import SoCConfig
 from repro.soc.tiles import TileGroup, get_tile_class
 
@@ -164,12 +164,8 @@ def fabric_experiment(
     curves: typing.Dict[str, typing.Dict[int, int]] = {}
     curve_m = min(2, min(group.count for group in groups.values()))
     for class_name, group in groups.items():
-        usable = [m for m in m_values if m <= group.count]
-        if not usable:
-            raise DecisionError(
-                f"no requested M fits tile group {group.name!r} "
-                f"({group.count} tiles)")
-        result = sweep(config, "daxpy", n_values, usable,
+        result = sweep(config, "daxpy", n_values,
+                       usable_ms(m_values, config, group.name),
                        scalars={"a": 2.0}, jobs=jobs,
                        tile_group=group.name)
         triples[class_name] = result.triples()
