@@ -107,8 +107,7 @@ from repro.runtime.strategies import (
     SequentialStoreDispatch,
     SyncUnitCompletion,
     VariantSpec,
-    get_variant,
-    variant_for_features,
+    resolve_variant,
 )
 from repro.soc.config import SoCConfig
 
@@ -307,15 +306,9 @@ def resolve_spec(config: SoCConfig,
     has not modelled.
     """
     try:
-        if variant == "auto":
-            spec = variant_for_features(config.multicast, config.hw_sync)
-        else:
-            spec = get_variant(variant)
+        spec = resolve_variant(variant, config)
+        spec.check_hardware(config)
     except OffloadError:
-        return None
-    if spec.use_multicast and not config.multicast:
-        return None
-    if spec.use_hw_sync and not config.hw_sync:
         return None
     if type(spec.dispatch) not in _PROVABLE_DISPATCH:
         return None

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.runtime.protocol import OffloadRuntime
-from repro.runtime.strategies import get_variant, variant_for_features
+from repro.runtime.strategies import resolve_variant
 from repro.soc.config import VARIANT_FEATURES
 from repro.soc.manticore import ManticoreSystem
 
@@ -30,9 +30,4 @@ def make_runtime(system: ManticoreSystem,
     OffloadError
         On unknown variant names or software/hardware mismatches.
     """
-    if variant == "auto":
-        spec = variant_for_features(system.config.multicast,
-                                    system.config.hw_sync)
-    else:
-        spec = get_variant(variant)
-    return OffloadRuntime(system, spec)
+    return OffloadRuntime(system, resolve_variant(variant, system.config))

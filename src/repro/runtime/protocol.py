@@ -52,17 +52,7 @@ class OffloadRuntime:
     """
 
     def __init__(self, system: ManticoreSystem, spec: VariantSpec) -> None:
-        config = system.config
-        if spec.use_multicast and not config.multicast:
-            raise OffloadError(
-                "runtime requests multicast dispatch but the SoC was built "
-                "without the multicast extension (build the system from "
-                "SoCConfig.for_variant('multicast_only') or 'extended')")
-        if spec.use_hw_sync and not config.hw_sync:
-            raise OffloadError(
-                "runtime requests hardware synchronization but the SoC was "
-                "built without the sync unit enabled (build the system from "
-                "SoCConfig.for_variant('hw_sync_only') or 'extended')")
+        spec.check_hardware(system.config)
         self.system = system
         self.name = spec.name
         self.dispatch_strategy = spec.dispatch

@@ -357,6 +357,21 @@ class VariantSpec:
         """The ``(multicast, hw_sync)`` hardware feature pair."""
         return (self.use_multicast, self.use_hw_sync)
 
+    def check_hardware(self, config) -> None:
+        """Raise :class:`OffloadError` unless ``config`` (a
+        :class:`~repro.soc.config.SoCConfig`) has the features this
+        variant's strategies need."""
+        if self.use_multicast and not config.multicast:
+            raise OffloadError(
+                "runtime requests multicast dispatch but the SoC was built "
+                "without the multicast extension (build the system from "
+                "SoCConfig.for_variant('multicast_only') or 'extended')")
+        if self.use_hw_sync and not config.hw_sync:
+            raise OffloadError(
+                "runtime requests hardware synchronization but the SoC was "
+                "built without the sync unit enabled (build the system from "
+                "SoCConfig.for_variant('hw_sync_only') or 'extended')")
+
 
 _REGISTRY: typing.Dict[str, VariantSpec] = {}
 
@@ -398,6 +413,14 @@ def get_variant(name: str) -> VariantSpec:
             f"unknown runtime variant {name!r}; available: "
             f"auto, {', '.join(sorted(_REGISTRY))}"
         ) from None
+
+
+def resolve_variant(variant: str, config) -> VariantSpec:
+    """The variant ``variant`` names; ``"auto"`` takes every feature
+    ``config`` (a :class:`~repro.soc.config.SoCConfig`) provides."""
+    if variant == "auto":
+        return variant_for_features(config.multicast, config.hw_sync)
+    return get_variant(variant)
 
 
 def variant_names() -> typing.Tuple[str, ...]:
