@@ -200,8 +200,8 @@ class SweepExecutor:
         # runs; the widest span covers every narrower one.
         kernel = get_kernel(kernel_name)
         widest = max((config.cluster_span(m, tile_group, kernel=kernel)
-                      for m in m_values), key=lambda span: span.count)
-        tile_class = widest.class_name
+                      for m in m_values), key=lambda span: span.count).tile
+        tile_class = "mixed" if widest is None else widest.class_name
         self.cache_hits = 0
         self.cache_misses = 0
         self.simulated_points = 0

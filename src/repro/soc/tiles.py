@@ -302,12 +302,6 @@ class ClusterSpan:
         return self.tiles[0] if len(set(self.tiles)) == 1 else None
 
     @property
-    def class_name(self) -> str:
-        """The span's tile class, or ``"mixed"``."""
-        tile = self.tile
-        return "mixed" if tile is None else tile.class_name
-
-    @property
     def tcdm_bytes(self) -> int:
         """Smallest scratchpad in the span: the one a slice must fit."""
         return min(tile.tcdm_bytes for tile in self.tiles)

@@ -275,7 +275,6 @@ def test_span_tile_detects_mixed_spans():
         == "vecwide"
     assert config.cluster_span(2, "big").tile.class_name == "vecwide"
     assert config.cluster_span(4).tile is None  # crosses classes
-    assert config.cluster_span(4).class_name == "mixed"
     with pytest.raises(OffloadError, match=r"\[3, 7\) on a 4-cluster"):
         config.cluster_span(4, first_cluster=3)
 
