@@ -20,11 +20,13 @@ same binding the plain offload path uses.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import typing
 
 import numpy
 
 from repro.core.staging import DEFAULT_MAX_CYCLES, JobBinding, launch
+from repro.kernels.registry import get_kernel
 from repro.runtime.api import make_runtime
 from repro.runtime.trace import build_offload_trace
 from repro.soc.manticore import ManticoreSystem
@@ -85,10 +87,11 @@ def offload_concurrent(system: ManticoreSystem,
                        ) -> ConcurrentOffloadResult:
     """Launch several jobs at once on disjoint cluster ranges.
 
-    Ranges are assigned contiguously in job order; each job's span
-    is checked as it is bound
-    (:meth:`~repro.soc.config.SoCConfig.cluster_span`), so their total
-    width must fit the fabric.
+    Ranges are assigned contiguously in job order, so their total
+    width must fit the fabric.  Every job's span
+    (:meth:`~repro.soc.config.SoCConfig.cluster_span`) is checked before
+    any job is staged, so a launch refused for its spans leaves the
+    system's memory as it found it.
 
     Raises
     ------
@@ -97,15 +100,17 @@ def offload_concurrent(system: ManticoreSystem,
         all before any simulation.
     """
     runtime = make_runtime(system, variant)
-
-    bindings: typing.List[JobBinding] = []
-    first = 0
-    for job in jobs:
-        bindings.append(JobBinding.bind(
-            system, runtime, job.kernel_name, job.n, job.num_clusters,
-            scalars=job.scalars, inputs=job.inputs, seed=job.seed,
-            exec_mode=job.exec_mode, first_cluster=first))
-        first += job.num_clusters
+    firsts = list(itertools.accumulate(
+        [0] + [job.num_clusters for job in jobs[:-1]]))
+    for job, first in zip(jobs, firsts):
+        system.config.cluster_span(job.num_clusters, first_cluster=first,
+                                   kernel=get_kernel(job.kernel_name))
+    bindings = [
+        JobBinding.bind(system, runtime, job.kernel_name, job.n,
+                        job.num_clusters, scalars=job.scalars,
+                        inputs=job.inputs, seed=job.seed,
+                        exec_mode=job.exec_mode, first_cluster=first)
+        for job, first in zip(jobs, firsts)]
 
     result_box = launch(runtime, bindings, "offload.concurrent", max_cycles)
 

@@ -95,9 +95,12 @@ def test_empty_launch_rejected():
 
 
 def test_overwide_launch_rejected():
+    system = ext_system()
     with pytest.raises(OffloadError, match="clusters"):
-        offload_concurrent(ext_system(), [ConcurrentJob("daxpy", 64, 5),
-                                          ConcurrentJob("daxpy", 64, 4)])
+        offload_concurrent(system, [ConcurrentJob("daxpy", 64, 5),
+                                    ConcurrentJob("daxpy", 64, 4)])
+    # Refused before the first job was staged.
+    assert system.memory.alloc(8) == ext_system().memory.alloc(8)
 
 
 def test_tcdm_precheck_applies_per_job():
