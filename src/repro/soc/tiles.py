@@ -289,17 +289,16 @@ class ClusterSpan:
     count: int
     #: The tiles of the fabric groups the span overlaps, in fabric order.
     tiles: typing.Tuple[ResolvedTile, ...]
+    #: The one tile every cluster of the span resolves to, or ``None``.
+    #: Equal tiles count as one even across group boundaries, so N
+    #: single-tile default groups still present a uniform span.
+    #: ``None`` means the span mixes classes (the batch planner then
+    #: leaves it to the event engine).
+    tile: typing.Optional[ResolvedTile] = dataclasses.field(init=False)
 
-    @property
-    def tile(self) -> typing.Optional[ResolvedTile]:
-        """The one tile every cluster of the span resolves to, or ``None``.
-
-        Equal tiles count as one even across group boundaries, so N
-        single-tile default groups still present a uniform span.
-        ``None`` means the span mixes classes (the batch planner then
-        leaves it to the event engine).
-        """
-        return self.tiles[0] if len(set(self.tiles)) == 1 else None
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "tile", self.tiles[0]
+                           if len(set(self.tiles)) == 1 else None)
 
     @property
     def tcdm_bytes(self) -> int:
