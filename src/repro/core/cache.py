@@ -16,7 +16,15 @@ The cache has two layers:
   disk layer can be bounded (``max_entries`` /
   ``REPRO_CACHE_MAX_ENTRIES``): past the bound the least recently
   *used* record files are evicted — reads refresh a file's mtime, so
-  a hot working set survives churn.
+  a hot working set survives churn.  Inside a :meth:`SweepCache.batch`
+  (every :class:`~repro.core.executor.SweepExecutor` run is one) the
+  bound is enforced once, when the batch ends, so the store can
+  exceed it for the duration of one sweep call's writes.
+
+A record file holds exactly ``json.dumps(record)`` (default
+separators, ASCII): a write is one C-encoded ``bytes`` write to a
+temporary file plus an atomic rename, and a read parses the file's
+bytes directly.
 
 Keys are SHA-256 hashes; the config contributes via
 :meth:`repro.soc.config.SoCConfig.digest`, so *any* microarchitectural
@@ -34,6 +42,7 @@ layout can evolve without invalidating measured points and vice versa.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -119,13 +128,14 @@ class SweepCache:
     ----------
     directory:
         If given, points are also persisted as JSON files here (created
-        on first write), so the cache survives the process and is
-        shared across concurrent sweeps.  ``None`` keeps the cache
-        purely in memory.
+        on this instance's first write, and again if it disappears
+        later), so the cache survives the process and is shared across
+        concurrent sweeps.  ``None`` keeps the cache purely in memory.
     max_entries:
         Bound on the number of record files the disk layer keeps;
         past it, the least recently used files are evicted (counted in
-        :attr:`evictions`).  ``None`` (the default) defers to
+        :attr:`evictions`) after each write, or once at the end of a
+        :meth:`batch`.  ``None`` (the default) defers to
         ``REPRO_CACHE_MAX_ENTRIES``; unset there too means unbounded.
     """
 
@@ -144,6 +154,13 @@ class SweepCache:
         #: Disk-layer record files removed by the LRU bound, lifetime
         #: of this instance (the ``--stats`` eviction figure).
         self.evictions = 0
+        #: Whether this instance has made :attr:`directory` yet (once,
+        #: not per write; a write that finds it gone makes it again).
+        self._directory_made = False
+        #: Nesting depth of :meth:`batch`; writes inside one defer the
+        #: bound, and ``_bound_pending`` remembers that one happened.
+        self._batch_depth = 0
+        self._bound_pending = False
 
     def __len__(self) -> int:
         return len(self._memory)
@@ -169,6 +186,26 @@ class SweepCache:
         self._memory[key] = point
         if self.directory is not None:
             self._write_disk(key, point)
+
+    @contextlib.contextmanager
+    def batch(self) -> typing.Iterator[None]:
+        """Defer the disk layer's LRU bound to the end of a run of writes.
+
+        Unbatched, every write lists the store directory to enforce
+        ``max_entries``, which makes a sweep into a full store
+        quadratic in the bound.  Inside ``with cache.batch():`` writes
+        only mark the bound as pending, and it is enforced once when
+        the outermost batch exits (also on error), so the store may
+        exceed the bound by one batch's writes until then.
+        """
+        self._batch_depth += 1
+        try:
+            yield
+        finally:
+            self._batch_depth -= 1
+            if self._batch_depth == 0 and self._bound_pending:
+                self._bound_pending = False
+                self._enforce_bound()
 
     # ------------------------------------------------------------------
     # Calibration records (prefixes and fitted M-models)
@@ -214,8 +251,8 @@ class SweepCache:
         """Read and parse one record file; refreshes its LRU recency."""
         path = self._path(key)
         try:
-            with open(path) as handle:
-                record = json.load(handle)
+            with open(path, "rb") as handle:
+                record = json.loads(handle.read())
         except (OSError, ValueError):
             return None
         try:
@@ -298,15 +335,33 @@ class SweepCache:
         self._write_disk_json(key, record)
 
     def _write_disk_json(self, key: str, record: typing.Any) -> None:
-        os.makedirs(self.directory, exist_ok=True)
+        # ``json.dumps`` takes CPython's one-shot C encoder, which
+        # ``json.dump`` never does; the bytes are the same either way.
+        data = json.dumps(record).encode("ascii")
+        path = self._path(key)
+        if not self._directory_made:
+            os.makedirs(self.directory, exist_ok=True)
+            self._directory_made = True
+        try:
+            self._replace(path, data)
+        except FileNotFoundError:
+            # The directory vanished since this instance made it
+            # (cleaned by hand or by another process): make it again.
+            os.makedirs(self.directory, exist_ok=True)
+            self._replace(path, data)
+        if self._batch_depth:
+            self._bound_pending = True
+        else:
+            self._enforce_bound()
+
+    @staticmethod
+    def _replace(path: str, data: bytes) -> None:
         # Write-then-rename so concurrent sweep workers never observe a
         # torn file; last writer wins, and all writers agree anyway.
-        path = self._path(key)
         temp = f"{path}.tmp.{os.getpid()}"
-        with open(temp, "w") as handle:
-            json.dump(record, handle)
+        with open(temp, "wb") as handle:
+            handle.write(data)
         os.replace(temp, path)
-        self._enforce_bound()
 
     def _enforce_bound(self) -> None:
         """Evict least-recently-used record files past ``max_entries``.

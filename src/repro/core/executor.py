@@ -32,6 +32,7 @@ serial one, point for point — including the order in which a
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import os
 import time
 import typing
@@ -252,41 +253,47 @@ class SweepExecutor:
 
         emit_ready()
         if pending:
-            # The batch planner fills every slot it can prove from
-            # calibration runs; only the leftovers pay the event engine.
-            # The *original* pending list still drives the cache
-            # put-back below, so planned points are cached exactly like
-            # simulated ones.
-            remaining: typing.Sequence[typing.Tuple[int, int, int]]
-            if flags.naive_batch():
-                remaining = pending
-            else:
-                planner = BatchPlanner(_SYSTEM_POOL, cache=self.cache)
-                remaining = planner.consume(
-                    config, kernel_name, variant, scalars, seed, verify,
-                    pending, slots, tile_group=tile_group)
-                self.simulated_points += planner.calibration_points
-                self.planned_points = planner.planned_points
-                self.batch_fallback_points = planner.fallback_points
-                self.prefixes_calibrated = planner.prefixes_calibrated
-                self.prefixes_predicted = planner.prefixes_predicted
-                self.mmodels_fitted = planner.mmodels_fitted
-                self.holdout_fallbacks = planner.holdout_fallbacks
-                self.calibration_store_hits = planner.store_hits
-                self.calibration_store_misses = planner.store_misses
-                emit_ready()
-            if remaining:
-                if self.jobs == 1 or len(remaining) == 1:
-                    self._run_serial(remaining, slots, config, kernel_name,
-                                     variant, scalars, seed, verify,
-                                     emit_ready, tile_group)
+            # One store batch per call: the disk layer's LRU bound (if
+            # any) is enforced once after the put-back, not per write.
+            with (self.cache.batch() if self.cache is not None
+                  else contextlib.nullcontext()):
+                # The batch planner fills every slot it can prove from
+                # calibration runs; only the leftovers pay the event
+                # engine.  The *original* pending list still drives the
+                # cache put-back below, so planned points are cached
+                # exactly like simulated ones.
+                remaining: typing.Sequence[typing.Tuple[int, int, int]]
+                if flags.naive_batch():
+                    remaining = pending
                 else:
-                    self._run_parallel(remaining, slots, config, kernel_name,
-                                       variant, scalars, seed, verify,
-                                       emit_ready, tile_group)
-            if self.cache is not None:
-                for index, _n, _m in pending:
-                    self.cache.put(keys[index], slots[index])
+                    planner = BatchPlanner(_SYSTEM_POOL, cache=self.cache)
+                    remaining = planner.consume(
+                        config, kernel_name, variant, scalars, seed, verify,
+                        pending, slots, tile_group=tile_group)
+                    self.simulated_points += planner.calibration_points
+                    self.planned_points = planner.planned_points
+                    self.batch_fallback_points = planner.fallback_points
+                    self.prefixes_calibrated = planner.prefixes_calibrated
+                    self.prefixes_predicted = planner.prefixes_predicted
+                    self.mmodels_fitted = planner.mmodels_fitted
+                    self.holdout_fallbacks = planner.holdout_fallbacks
+                    self.calibration_store_hits = planner.store_hits
+                    self.calibration_store_misses = planner.store_misses
+                    emit_ready()
+                if remaining:
+                    if self.jobs == 1 or len(remaining) == 1:
+                        self._run_serial(remaining, slots, config,
+                                         kernel_name, variant, scalars,
+                                         seed, verify, emit_ready,
+                                         tile_group)
+                    else:
+                        self._run_parallel(remaining, slots, config,
+                                           kernel_name, variant, scalars,
+                                           seed, verify, emit_ready,
+                                           tile_group)
+                if self.cache is not None:
+                    for index, _n, _m in pending:
+                        self.cache.put(keys[index], slots[index])
 
         evictions = ((self.cache.evictions - evictions_before)
                      if self.cache is not None else 0)

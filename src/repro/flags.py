@@ -36,7 +36,9 @@ variable                  effect
 ``REPRO_CACHE_DIR``       relocates the on-disk sweep cache
 ``REPRO_CACHE_MAX_ENTRIES``  bounds the on-disk sweep-cache layer to
                           this many record files; the least recently
-                          used records are evicted past the bound
+                          used records are evicted past the bound,
+                          once after each sweep call's writes (the
+                          store can exceed it while one call runs)
 ``REPRO_STRICT``          simulation-integrity strict mode: access
                           anomalies the auditors would otherwise only
                           *record* (stale sync-unit credits, lost
@@ -111,8 +113,10 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: Environment variable bounding the on-disk sweep-cache layer: a
 #: positive integer caps the number of record files kept under the
 #: cache directory; past the cap, the least recently used records are
-#: evicted (reads refresh recency).  Unset, empty or non-positive
-#: means unbounded — the pre-existing behaviour.
+#: evicted (reads refresh recency), once after each sweep call's
+#: writes, so the store can exceed the cap while one call runs.
+#: Unset, empty or non-positive means unbounded — the pre-existing
+#: behaviour.
 CACHE_MAX_ENTRIES_ENV = "REPRO_CACHE_MAX_ENTRIES"
 
 #: Environment variable: when set (non-empty), the integrity auditors

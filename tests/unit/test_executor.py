@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import pytest
 
@@ -251,6 +252,111 @@ def test_max_entries_defaults_to_the_environment(tmp_path, monkeypatch):
     assert cache.evictions == 2
     monkeypatch.delenv(CACHE_MAX_ENTRIES_ENV)
     assert SweepCache(str(tmp_path / "other")).max_entries is None
+
+
+def _record_files(directory):
+    return sorted(n for n in os.listdir(directory) if n.endswith(".json"))
+
+
+def test_sweep_into_a_full_store_enforces_the_bound_once(tmp_path,
+                                                         monkeypatch):
+    # An unbounded twin of the store says how many records the second
+    # sweep adds; the bounded store starts exactly at its bound.
+    full, twin = str(tmp_path / "full"), str(tmp_path / "twin")
+    for directory in (full, twin):
+        run(SweepExecutor(cache=SweepCache(directory)))
+    bound = len(_record_files(full))
+    run(SweepExecutor(cache=SweepCache(twin)), n_values=[256, 512])
+    excess = len(_record_files(twin)) - bound
+    assert excess > 1
+
+    listed = []
+    real_listdir = os.listdir
+
+    def counting_listdir(path="."):
+        if path == full:
+            listed.append(path)
+        return real_listdir(path)
+
+    monkeypatch.setattr(os, "listdir", counting_listdir)
+    cache = SweepCache(full, max_entries=bound)
+    executor = SweepExecutor(cache=cache)
+    run(executor, n_values=[256, 512])
+    monkeypatch.undo()
+    assert len(listed) == 1
+    assert len(_record_files(full)) == bound
+    assert cache.evictions == excess
+    assert executor.last_run_stats["cache_evictions"] == excess
+    assert sorted(os.listdir(full)) == _record_files(full)  # no temp files
+
+
+def test_store_directory_removed_between_sweeps_is_recreated(tmp_path):
+    directory = str(tmp_path / "cache")
+    cache = SweepCache(directory)
+    run(SweepExecutor(cache=cache))
+    shutil.rmtree(directory)
+    second = run(SweepExecutor(cache=cache), n_values=[256, 512])
+    reloaded = SweepExecutor(cache=SweepCache(directory))
+    assert run(reloaded, n_values=[256, 512]) == second
+    assert reloaded.cache_hits == len(second)
+    assert reloaded.simulated_points == 0
+
+
+# ----------------------------------------------------------------------
+# Cache: the on-disk record format
+# ----------------------------------------------------------------------
+#: Record files as the store has always written them (``json.dump``
+#: with default separators); any byte change orphans existing stores.
+POINT_RECORD_BYTES = (
+    b'{"schema": 1, "kernel_name": "daxpy", "n": 256, "num_clusters": 2, '
+    b'"variant": "extended", "runtime_cycles": 488, "phases": '
+    b'{"setup": 178, "dispatch": 8, "completion_wait": 302, '
+    b'"sync_overhead": 20, "total": 488}}')
+CALIBRATION_RECORD_BYTES = (
+    b'{"calibration_schema": 1, "kind": "mmodel", "payload": '
+    b'{"min_m": 1, "m_lo": 2, "m_hi": 4, "base": [10, 20, 30, 40], '
+    b'"slope": [0, 3, 5, 7]}}')
+
+
+def test_record_file_bytes_are_pinned(tmp_path):
+    from repro.core.sweep import SweepPoint
+    directory = str(tmp_path / "cache")
+    cache = SweepCache(directory)
+    point = SweepPoint(
+        kernel_name="daxpy", n=256, num_clusters=2, variant="extended",
+        runtime_cycles=488,
+        phases={"setup": 178, "dispatch": 8, "completion_wait": 302,
+                "sync_overhead": 20, "total": 488})
+    payload = {"min_m": 1, "m_lo": 2, "m_hi": 4, "base": [10, 20, 30, 40],
+               "slope": [0, 3, 5, 7]}
+    cache.put("ab" * 32, point)
+    cache.put_record("cd" * 32, "mmodel", payload)
+    with open(os.path.join(directory, "ab" * 32 + ".json"), "rb") as f:
+        assert f.read() == POINT_RECORD_BYTES
+    with open(os.path.join(directory, "cd" * 32 + ".json"), "rb") as f:
+        assert f.read() == CALIBRATION_RECORD_BYTES
+    fresh = SweepCache(directory)
+    assert fresh.get("ab" * 32) == point
+    assert fresh.get_record("cd" * 32, "mmodel") == payload
+
+
+def test_store_written_by_json_dump_still_hits(tmp_path):
+    directory = str(tmp_path / "cache")
+    first = run(SweepExecutor(cache=SweepCache(directory)))
+    # Rewrite every record the way earlier versions wrote them
+    # (``json.dump`` to a text-mode handle): same bytes, same hits.
+    for name in os.listdir(directory):
+        path = os.path.join(directory, name)
+        with open(path, "rb") as handle:
+            written = handle.read()
+        with open(path, "w") as handle:
+            json.dump(json.loads(written), handle)
+        with open(path, "rb") as handle:
+            assert handle.read() == written
+    reloaded = SweepExecutor(cache=SweepCache(directory))
+    assert run(reloaded) == first
+    assert reloaded.cache_hits == len(first)
+    assert reloaded.simulated_points == 0
 
 
 # ----------------------------------------------------------------------
