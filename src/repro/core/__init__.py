@@ -23,11 +23,12 @@ from repro.core.executor import SweepExecutor
 from repro.core.mape import mape, mape_table
 from repro.core.model import OffloadModel, PAPER_DAXPY_MODEL
 from repro.core.offload import OffloadResult, offload, offload_daxpy
-from repro.core.staging import JobBinding
+from repro.core.staging import JobBinding, JobRequest
 from repro.core.sweep import SweepPoint, SweepResult, sweep
 
 __all__ = [
     "JobBinding",
+    "JobRequest",
     "OffloadDecision",
     "OffloadModel",
     "OffloadResult",

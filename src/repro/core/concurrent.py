@@ -13,8 +13,10 @@ a single credit-counter threshold equal to the total cluster count (the
 unit doubles as a cross-job completion barrier), or one AMO flag per
 job on baseline hardware.
 
-Each job is staged through :class:`repro.core.staging.JobBinding`, the
-same binding the plain offload path uses.
+Each job is checked as a :class:`repro.core.staging.JobRequest` and
+staged through :class:`repro.core.staging.JobBinding`, the same
+binding the plain offload path uses; all checks run before any
+staging.
 """
 
 from __future__ import annotations
@@ -25,8 +27,12 @@ import typing
 
 import numpy
 
-from repro.core.staging import DEFAULT_MAX_CYCLES, JobBinding, launch
-from repro.kernels.registry import get_kernel
+from repro.core.staging import (
+    DEFAULT_MAX_CYCLES,
+    JobBinding,
+    JobRequest,
+    launch,
+)
 from repro.runtime.api import make_runtime
 from repro.runtime.trace import build_offload_trace
 from repro.soc.manticore import ManticoreSystem
@@ -88,10 +94,10 @@ def offload_concurrent(system: ManticoreSystem,
     """Launch several jobs at once on disjoint cluster ranges.
 
     Ranges are assigned contiguously in job order, so their total
-    width must fit the fabric.  Every job's span
-    (:meth:`~repro.soc.config.SoCConfig.cluster_span`) is checked before
-    any job is staged, so a launch refused for its spans leaves the
-    system's memory as it found it.
+    width must fit the fabric.  Every job is checked in full
+    (:meth:`~repro.core.staging.JobRequest.offload`: kernel, exec mode,
+    span, TCDM fit, inputs) before any job is staged, so a refused
+    launch leaves the system's memory as it found it.
 
     Raises
     ------
@@ -102,15 +108,14 @@ def offload_concurrent(system: ManticoreSystem,
     runtime = make_runtime(system, variant)
     firsts = list(itertools.accumulate(
         [0] + [job.num_clusters for job in jobs[:-1]]))
-    for job, first in zip(jobs, firsts):
-        system.config.cluster_span(job.num_clusters, first_cluster=first,
-                                   kernel=get_kernel(job.kernel_name))
-    bindings = [
-        JobBinding.bind(system, runtime, job.kernel_name, job.n,
-                        job.num_clusters, scalars=job.scalars,
-                        inputs=job.inputs, seed=job.seed,
-                        exec_mode=job.exec_mode, first_cluster=first)
+    requests = [
+        JobRequest.offload(system.config, job.kernel_name, job.n,
+                           job.num_clusters, scalars=job.scalars,
+                           inputs=job.inputs, seed=job.seed,
+                           exec_mode=job.exec_mode, first_cluster=first)
         for job, first in zip(jobs, firsts)]
+    bindings = [JobBinding.stage(system, request, runtime)
+                for request in requests]
 
     result_box = launch(runtime, bindings, "offload.concurrent", max_cycles)
 

@@ -24,7 +24,12 @@ import typing
 
 import numpy
 
-from repro.core.staging import DEFAULT_MAX_CYCLES, JobBinding, launch
+from repro.core.staging import (
+    DEFAULT_MAX_CYCLES,
+    JobBinding,
+    JobRequest,
+    launch,
+)
 from repro.runtime.api import make_runtime
 from repro.runtime.hostexec import host_kernel_work
 from repro.soc.manticore import ManticoreSystem
@@ -73,12 +78,16 @@ def offload_overlapped(system: ManticoreSystem, accel_kernel: str,
     """
     runtime = make_runtime(system, variant)
 
-    # Stage both jobs: the accelerator job first (descriptor and
-    # completion resources included), then the host job's operands.
-    accel = JobBinding.bind(system, runtime, accel_kernel, accel_n,
-                            num_clusters, scalars=accel_scalars, seed=seed)
-    host_job = JobBinding.bind_host(system, host_kernel, host_n,
-                                    scalars=host_scalars, seed=seed + 1)
+    # Check both jobs before staging either, then stage the
+    # accelerator job first (descriptor and completion resources
+    # included), then the host job's operands.
+    accel_request = JobRequest.offload(
+        system.config, accel_kernel, accel_n, num_clusters,
+        scalars=accel_scalars, seed=seed)
+    host_request = JobRequest.host(host_kernel, host_n,
+                                   scalars=host_scalars, seed=seed + 1)
+    accel = JobBinding.stage(system, accel_request, runtime)
+    host_job = JobBinding.stage(system, host_request)
     hkernel = host_job.kernel
 
     host_work = functools.partial(

@@ -5,14 +5,16 @@ overlapped pair, a space-shared concurrent batch — prepares jobs the
 same way: validate the request, generate or check the input buffers,
 stage them into main memory, allocate outputs (resolving in-place
 aliases), allocate the completion flag, encode the descriptor, and —
-after the run — collect and verify the outputs.  :class:`JobBinding`
-owns that lifecycle so the launch entry points in
+after the run — collect and verify the outputs.  :class:`JobRequest`
+holds the checks, which allocate nothing, and :class:`JobBinding` the
+rest of that lifecycle, so the launch entry points in
 :mod:`repro.core.offload`, :mod:`repro.core.overlap` and
-:mod:`repro.core.concurrent` compose it instead of duplicating it.
+:mod:`repro.core.concurrent` compose them instead of duplicating them.
+A launch of several jobs checks every one before it stages the first.
 
 Allocation order is part of the measured contract: operand addresses
 feed the interconnect's routing and the completion flag's watchpoint
-fast path, so :meth:`JobBinding.bind` performs its allocations in
+fast path, so :meth:`JobBinding.stage` performs its allocations in
 exactly the historical order (inputs, outputs, flag, descriptor) —
 bindings are bit-identical to the code they replaced (asserted by
 ``tests/integration/test_cycle_identity.py``).
@@ -32,8 +34,9 @@ from repro.kernels.registry import get_kernel
 from repro.soc.manticore import ManticoreSystem
 from repro.soc.tiles import ClusterSpan
 
-if typing.TYPE_CHECKING:  # pragma: no cover - annotation-only import
+if typing.TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.runtime.protocol import OffloadRuntime
+    from repro.soc.config import SoCConfig
 
 #: Simulation-cycle guard against runaway offloads (a 1024-element DAXPY
 #: takes around a thousand cycles; nothing sane needs a billion).
@@ -201,17 +204,84 @@ def resolve_scalars(kernel: Kernel,
 
 
 # ----------------------------------------------------------------------
-# The binding object
+# The checked request and the binding object
 # ----------------------------------------------------------------------
+@dataclasses.dataclass(frozen=True)
+class JobRequest:
+    """One job request that passed every check, with nothing allocated.
+
+    Built by :meth:`offload` (an offloaded job: kernel, scalars, exec
+    mode, span and TCDM fit, inputs) or :meth:`host` (a host-executed
+    job: kernel, scalars, inputs).  Checking allocates nothing in the
+    system, so a launch of several jobs checks them all before it
+    stages any, and a refused launch leaves memory as it found it.
+    """
+
+    kernel: Kernel
+    n: int
+    scalars: typing.Dict[str, float]
+    inputs: typing.Dict[str, numpy.ndarray]
+    #: The clusters an offloaded job occupies; ``None`` on the host.
+    span: typing.Optional[ClusterSpan] = None
+    exec_mode: str = "phased"
+
+    @classmethod
+    def offload(cls, config: "SoCConfig", kernel_name: str, n: int,
+                num_clusters: int,
+                scalars: typing.Optional[typing.Mapping[str, float]] = None,
+                inputs: typing.Optional[
+                    typing.Mapping[str, numpy.ndarray]] = None,
+                seed: int = 0, exec_mode: str = "phased",
+                tile_group: typing.Optional[str] = None,
+                first_cluster: int = 0) -> "JobRequest":
+        """Check one offloaded job; it occupies ``config.cluster_span(
+        num_clusters, tile_group, first_cluster)``."""
+        kernel = get_kernel(kernel_name)
+        scalars = resolve_scalars(kernel, scalars)
+        kernel.validate(n, scalars)
+        if exec_mode not in EXEC_MODES:
+            raise OffloadError(
+                f"unknown exec mode {exec_mode!r}; available: "
+                f"{', '.join(sorted(EXEC_MODES))}")
+        if exec_mode == "double_buffered":
+            for name in kernel.output_names:
+                if kernel.output_length(name, n, num_clusters) != n:
+                    raise OffloadError(
+                        f"double buffering requires an element-wise kernel; "
+                        f"{kernel_name!r} output {name!r} depends on the "
+                        "offload shape")
+        span = config.cluster_span(num_clusters, tile_group, first_cluster,
+                                   kernel)
+        check_offload_shape(kernel, n, span,
+                            double_buffered=(exec_mode == "double_buffered"))
+        return cls(kernel=kernel, n=n, scalars=scalars,
+                   inputs=prepare_inputs(kernel, n, inputs, seed),
+                   span=span, exec_mode=exec_mode)
+
+    @classmethod
+    def host(cls, kernel_name: str, n: int,
+             scalars: typing.Optional[typing.Mapping[str, float]] = None,
+             inputs: typing.Optional[
+                 typing.Mapping[str, numpy.ndarray]] = None,
+             seed: int = 0) -> "JobRequest":
+        """Check one job the host core will run itself (no span: the
+        host streams from shared memory)."""
+        kernel = get_kernel(kernel_name)
+        scalars = resolve_scalars(kernel, scalars)
+        kernel.validate(n, scalars)
+        return cls(kernel=kernel, n=n, scalars=scalars,
+                   inputs=prepare_inputs(kernel, n, inputs, seed))
+
+
 @dataclasses.dataclass
 class JobBinding:
     """One job's operands, staged into a system and ready to launch.
 
-    Built by :meth:`bind` (offloaded jobs: full descriptor + completion
-    resources) or :meth:`bind_host` (host-executed jobs: operands
-    only).  After the run, :meth:`collect_outputs` reads the output
-    buffers back and :meth:`verify` checks them against the kernel's
-    reference model.
+    Built by :meth:`stage` from a checked :class:`JobRequest` —
+    :meth:`bind` and :meth:`bind_host` check and stage one job in a
+    single call.  After the run, :meth:`collect_outputs` reads the
+    output buffers back and :meth:`verify` checks them against the
+    kernel's reference model.
     """
 
     system: ManticoreSystem
@@ -238,57 +308,13 @@ class JobBinding:
              seed: int = 0, exec_mode: str = "phased",
              tile_group: typing.Optional[str] = None,
              first_cluster: int = 0) -> "JobBinding":
-        """Validate, stage and describe one offloaded job.
-
-        The job occupies ``SoCConfig.cluster_span(num_clusters,
-        tile_group, first_cluster)``.  Performs the full pre-launch
-        lifecycle: request validation (the span included),
-        input preparation, operand staging (inputs, then outputs with
-        in-place aliases resolved), completion-resource allocation via
-        the runtime's completion strategy, descriptor encoding and
-        descriptor-slot allocation — in exactly that order.
-        """
-        kernel = get_kernel(kernel_name)
-        scalars = resolve_scalars(kernel, scalars)
-        kernel.validate(n, scalars)
-        if exec_mode not in EXEC_MODES:
-            raise OffloadError(
-                f"unknown exec mode {exec_mode!r}; available: "
-                f"{', '.join(sorted(EXEC_MODES))}")
-        if exec_mode == "double_buffered":
-            for name in kernel.output_names:
-                if kernel.output_length(name, n, num_clusters) != n:
-                    raise OffloadError(
-                        f"double buffering requires an element-wise kernel; "
-                        f"{kernel_name!r} output {name!r} depends on the "
-                        "offload shape")
-        span = system.config.cluster_span(num_clusters, tile_group,
-                                          first_cluster, kernel)
-        check_offload_shape(kernel, n, span,
-                            double_buffered=(exec_mode == "double_buffered"))
-        inputs = prepare_inputs(kernel, n, inputs, seed)
-
-        memory = system.memory
-        input_addrs, output_addrs = cls._stage_operands(
-            memory, kernel, n, num_clusters, inputs)
-
-        flag_addr = None
-        if runtime.completion_strategy.uses_flag:
-            flag_addr = memory.alloc(8)
-        completion_addr = runtime.completion_addr(flag_addr)
-
-        desc = abi.JobDescriptor(
-            kernel_name=kernel_name, n=n, num_clusters=num_clusters,
-            first_cluster=span.first, sync_mode=runtime.sync_mode,
-            completion_addr=completion_addr,
-            exec_mode=EXEC_MODES[exec_mode], scalars=scalars,
-            input_addrs=input_addrs, output_addrs=output_addrs)
-        desc_addr = memory.alloc(8 * max(desc.words, 8), align=64)
-        return cls(system=system, kernel=kernel, n=n,
-                   num_clusters=num_clusters, scalars=scalars,
-                   inputs=inputs, input_addrs=input_addrs,
-                   output_addrs=output_addrs, flag_addr=flag_addr,
-                   desc=desc, desc_addr=desc_addr)
+        """Check (:meth:`JobRequest.offload`) and :meth:`stage` one
+        offloaded job."""
+        request = JobRequest.offload(
+            system.config, kernel_name, n, num_clusters, scalars=scalars,
+            inputs=inputs, seed=seed, exec_mode=exec_mode,
+            tile_group=tile_group, first_cluster=first_cluster)
+        return cls.stage(system, request, runtime)
 
     @classmethod
     def bind_host(cls, system: ManticoreSystem, kernel_name: str, n: int,
@@ -297,21 +323,47 @@ class JobBinding:
                   inputs: typing.Optional[
                       typing.Mapping[str, numpy.ndarray]] = None,
                   seed: int = 0) -> "JobBinding":
-        """Validate and stage a job the host core will run itself.
+        """Check (:meth:`JobRequest.host`) and :meth:`stage` one
+        host-executed job."""
+        return cls.stage(system, JobRequest.host(
+            kernel_name, n, scalars=scalars, inputs=inputs, seed=seed))
 
-        Same staging as :meth:`bind`, minus everything offload-specific:
-        no shape check (the host streams from shared memory), no
-        completion flag, no descriptor.
+    @classmethod
+    def stage(cls, system: ManticoreSystem, request: JobRequest,
+              runtime: typing.Optional["OffloadRuntime"] = None
+              ) -> "JobBinding":
+        """Stage a checked request into ``system``'s memory.
+
+        Every job gets operand staging (inputs, then outputs with
+        in-place aliases resolved).  An offloaded job (one with a span;
+        ``runtime`` is then required) also gets its completion resource
+        from the runtime's completion strategy, its encoded descriptor
+        and its descriptor slot — in exactly that order.
         """
-        kernel = get_kernel(kernel_name)
-        scalars = resolve_scalars(kernel, scalars)
-        kernel.validate(n, scalars)
-        inputs = prepare_inputs(kernel, n, inputs, seed)
+        kernel, n, span = request.kernel, request.n, request.span
+        num_clusters = 1 if span is None else span.count
+        memory = system.memory
         input_addrs, output_addrs = cls._stage_operands(
-            system.memory, kernel, n, 1, inputs)
-        return cls(system=system, kernel=kernel, n=n, num_clusters=1,
-                   scalars=scalars, inputs=inputs, input_addrs=input_addrs,
-                   output_addrs=output_addrs)
+            memory, kernel, n, num_clusters, request.inputs)
+        binding = cls(system=system, kernel=kernel, n=n,
+                      num_clusters=num_clusters, scalars=request.scalars,
+                      inputs=request.inputs, input_addrs=input_addrs,
+                      output_addrs=output_addrs)
+        if span is None:
+            return binding
+
+        if runtime.completion_strategy.uses_flag:
+            binding.flag_addr = memory.alloc(8)
+        binding.desc = abi.JobDescriptor(
+            kernel_name=kernel.name, n=n, num_clusters=num_clusters,
+            first_cluster=span.first, sync_mode=runtime.sync_mode,
+            completion_addr=runtime.completion_addr(binding.flag_addr),
+            exec_mode=EXEC_MODES[request.exec_mode],
+            scalars=request.scalars, input_addrs=input_addrs,
+            output_addrs=output_addrs)
+        binding.desc_addr = memory.alloc(8 * max(binding.desc.words, 8),
+                                         align=64)
+        return binding
 
     @staticmethod
     def _stage_operands(memory, kernel: Kernel, n: int, num_clusters: int,

@@ -111,6 +111,16 @@ def test_tcdm_precheck_applies_per_job():
         ])
 
 
+def test_launch_refused_at_a_later_job_stages_nothing():
+    # Both spans fit; the second job's slice overflows its TCDM.  Every
+    # job is checked before the first one is staged.
+    system = ext_system()
+    with pytest.raises(OffloadError, match="TCDM"):
+        offload_concurrent(system, [ConcurrentJob("daxpy", 4096, 4),
+                                    ConcurrentJob("daxpy", 16384, 1)])
+    assert system.memory.alloc(8) == ext_system().memory.alloc(8)
+
+
 def test_double_buffered_job_in_concurrent_launch():
     jobs = [ConcurrentJob("daxpy", 4096, 2, seed=1,
                           exec_mode="double_buffered"),

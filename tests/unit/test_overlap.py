@@ -1,9 +1,11 @@
 """Unit tests for co-operative host/accelerator overlapped execution."""
 
 import numpy
+import pytest
 
 from repro.core.offload import offload_daxpy, run_on_host
 from repro.core.overlap import offload_overlapped
+from repro.errors import KernelError
 from repro.kernels import get_kernel
 from repro.soc.config import SoCConfig
 from repro.soc.manticore import ManticoreSystem
@@ -88,3 +90,11 @@ def test_result_string():
     result = offload_overlapped(ext_system(), "daxpy", 256, 2,
                                 "memcpy", 64, verify=False)
     assert "overlapped with host" in str(result)
+
+
+def test_refused_host_job_stages_nothing():
+    # The host job is checked before the accelerator job is staged.
+    system = ext_system()
+    with pytest.raises(KernelError, match="unknown kernel"):
+        offload_overlapped(system, "daxpy", 256, 4, "no-such-kernel", 64)
+    assert system.memory.alloc(8) == ext_system().memory.alloc(8)
