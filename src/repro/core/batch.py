@@ -295,6 +295,28 @@ class _Prediction:
     completion_signalled: typing.Tuple[int, ...]
 
 
+def store_coords(config: SoCConfig, kernel: Kernel, variant: str,
+                 scalars: typing.Optional[typing.Mapping[str, float]],
+                 seed: int, tile_group: typing.Optional[str]
+                 ) -> typing.Tuple:
+    """The store coordinates of one sweep call.
+
+    They speak the *resolved* variant and scalars, so "auto" and the
+    explicit name (or default and explicit scalars) share calibration
+    entries and one store file (:func:`~repro.core.cache.group_key`).
+    The group name joins them because one config digest covers every
+    group of a heterogeneous fabric.
+    """
+    from repro.core.staging import resolve_scalars
+
+    try:
+        variant = resolve_variant(variant, config).name
+    except OffloadError:
+        pass  # the event path raises its own error for a bad name
+    return (config, kernel.name, variant, resolve_scalars(kernel, scalars),
+            seed, tile_group or "")
+
+
 def resolve_spec(config: SoCConfig,
                  variant: str) -> typing.Optional[VariantSpec]:
     """The variant spec the planner can prove, or ``None``.
@@ -698,25 +720,19 @@ class BatchPlanner:
         class is proved against that class, a mixed span falls back to
         the event engine point by point.
         """
-        from repro.core.staging import resolve_scalars
-
         spec = resolve_spec(config, variant)
         if spec is None:
             self.fallback_points += len(pending)
             return list(pending)
         kernel = get_kernel(kernel_name)
-        resolved = resolve_scalars(kernel, scalars)
+        coords = store_coords(config, kernel, variant, scalars, seed,
+                              tile_group)
+        resolved = coords[3]
         mpredict = not flags.naive_mpredict()
-        # The store speaks the *resolved* variant and scalars, so
-        # "auto" and the explicit name (or default and explicit
-        # scalars) share calibration entries.  The group name joins the
-        # coordinates because one config digest covers every group of a
-        # heterogeneous fabric.
         call = _Call(config, kernel, spec,
                      dict(scalars=scalars, variant=variant, seed=seed,
                           verify=verify, tile_group=tile_group),
-                     (config, kernel.name, spec.name, resolved, seed,
-                      tile_group or ""), slots)
+                     coords, slots)
 
         provable_by_m: typing.Dict[int, typing.List[_Entry]] = {}
         for entry in pending:
@@ -739,10 +755,10 @@ class BatchPlanner:
         model: typing.Optional[MPrefixModel] = None
         if mpredict:
             for m in provable_by_m:
-                stored = self._load_prefix(call.store, m)
+                stored = self._load(call.store, "prefix", decode_prefix, m)
                 if stored is not None:
                     prefixes[m] = stored
-            model = self._load_model(call.store)
+            model = self._load(call.store, "mmodel", decode_mmodel)
             if model is None:
                 model = self._fit_model(call, provable_by_m, prefixes)
 
@@ -764,7 +780,8 @@ class BatchPlanner:
                 continue
             validated = self._calibrate_group(call, m, provable)
             if mpredict and validated is not None:
-                self._store_prefix(call.store, m, validated)
+                self._store(call.store, "prefix", encode_prefix(validated),
+                            m)
 
         self._time_rows(call)
         order = {id(entry): rank for rank, entry in enumerate(pending)}
@@ -871,66 +888,38 @@ class BatchPlanner:
                 self.holdout_fallbacks += 1
                 return None
             prefixes[m] = validated
-            self._store_prefix(call.store, m, validated)
+            self._store(call.store, "prefix", encode_prefix(validated),
+                        m)
         model = fit_prefix_model(floor, m_lo, prefixes[m_lo], m_hi,
                                  prefixes[m_hi])
         if model is None or model.predict(m_mid) != prefixes[m_mid]:
             self.holdout_fallbacks += 1
             return None
         self.mmodels_fitted += 1
-        self._store_model(call.store, model)
+        self._store(call.store, "mmodel", encode_mmodel(model))
         return model
 
     # ------------------------------------------------------------------
     # Calibration store plumbing
     # ------------------------------------------------------------------
-    def _load_prefix(self, coords: typing.Tuple,
-                     m: int) -> typing.Optional[_Prefix]:
+    def _load(self, coords: typing.Tuple, kind: str,
+              decode: typing.Callable[[typing.Any], typing.Any],
+              m: typing.Optional[int] = None) -> typing.Any:
+        """The stored ``kind`` artifact decoded, or ``None`` (a miss)."""
         if self.cache is None:
             return None
-        config, kernel_name, variant_name, resolved, seed, group = coords
-        payload = self.cache.get_record(
-            calibration_key("prefix", config, kernel_name, variant_name,
-                            resolved, seed, m=m, tile_group=group),
-            "prefix")
-        prefix = decode_prefix(payload)
-        if prefix is None:
+        key = calibration_key(kind, *coords[:5], m=m, tile_group=coords[5])
+        found = decode(self.cache.get_record(key, kind))
+        if found is None:
             self.store_misses += 1
-            return None
-        self.store_hits += 1
-        return prefix
+        else:
+            self.store_hits += 1
+        return found
 
-    def _store_prefix(self, coords: typing.Tuple, m: int,
-                      prefix: _Prefix) -> None:
-        if self.cache is None:
-            return
-        config, kernel_name, variant_name, resolved, seed, group = coords
-        self.cache.put_record(
-            calibration_key("prefix", config, kernel_name, variant_name,
-                            resolved, seed, m=m, tile_group=group),
-            "prefix", encode_prefix(prefix))
-
-    def _load_model(self, coords: typing.Tuple
-                    ) -> typing.Optional[MPrefixModel]:
-        if self.cache is None:
-            return None
-        config, kernel_name, variant_name, resolved, seed, group = coords
-        payload = self.cache.get_record(
-            calibration_key("mmodel", config, kernel_name, variant_name,
-                            resolved, seed, tile_group=group), "mmodel")
-        model = decode_mmodel(payload)
-        if model is None:
-            self.store_misses += 1
-            return None
-        self.store_hits += 1
-        return model
-
-    def _store_model(self, coords: typing.Tuple,
-                     model: MPrefixModel) -> None:
-        if self.cache is None:
-            return
-        config, kernel_name, variant_name, resolved, seed, group = coords
-        self.cache.put_record(
-            calibration_key("mmodel", config, kernel_name, variant_name,
-                            resolved, seed, tile_group=group),
-            "mmodel", encode_mmodel(model))
+    def _store(self, coords: typing.Tuple, kind: str,
+               payload: typing.Mapping[str, typing.Any],
+               m: typing.Optional[int] = None) -> None:
+        if self.cache is not None:
+            key = calibration_key(kind, *coords[:5], m=m,
+                                  tile_group=coords[5])
+            self.cache.put_record(key, kind, payload)

@@ -11,20 +11,20 @@ The cache has two layers:
 
 - an in-memory dict, always on, scoped to the
   :class:`SweepCache` instance;
-- an optional on-disk layer (one small JSON file per record under
-  ``directory``), shared between runs and between processes.  The
-  disk layer can be bounded (``max_entries`` /
-  ``REPRO_CACHE_MAX_ENTRIES``): past the bound the least recently
-  *used* record files are evicted — reads refresh a file's mtime, so
-  a hot working set survives churn.  Inside a :meth:`SweepCache.batch`
-  (every :class:`~repro.core.executor.SweepExecutor` run is one) the
-  bound is enforced once, when the batch ends, so the store can
-  exceed it for the duration of one sweep call's writes.
-
-A record file holds exactly ``json.dumps(record)`` (default
-separators, ASCII): a write is one C-encoded ``bytes`` write to a
-temporary file plus an atomic rename, and a read parses the file's
-bytes directly.
+- an optional on-disk layer under ``directory``, shared between runs
+  and between processes, with **one JSON file per sweep call**
+  (:func:`group_key`): the call's point records, dispatch prefixes and
+  M-model.  :meth:`SweepCache.batch` opens one call's file (every
+  :class:`~repro.core.executor.SweepExecutor` run is one batch): the
+  file is read once when the batch starts, every lookup inside the
+  batch is served from the parsed file, and if a write changed it the
+  file is written back once, when the batch ends, as one
+  ``json.dumps`` to a temporary file plus an atomic rename; outside a
+  batch only the memory layer is used.  The disk layer can be bounded
+  (``max_entries`` / ``REPRO_CACHE_MAX_ENTRIES``): the bound counts
+  *files*, one per sweep call, and past it the least recently *used*
+  files are evicted right after a batch's write-back — opening a file
+  refreshes its mtime, so a hot working set survives churn.
 
 Keys are SHA-256 hashes; the config contributes via
 :meth:`repro.soc.config.SoCConfig.digest`, so *any* microarchitectural
@@ -54,8 +54,9 @@ from repro.core.sweep import SweepPoint
 from repro.sim import IntegrityWarning
 from repro.soc.config import SoCConfig
 
-#: Bump when the on-disk record layout changes; stale files then miss.
-_SCHEMA = 1
+#: Bump when the on-disk file layout changes; stale files then miss.
+#: Schema 1 kept one file per record; schema 2 keeps one per sweep call.
+_SCHEMA = 2
 
 #: Schema version of calibration records (dispatch prefixes and affine
 #: M-axis prefix models).  Part of the *key*, not just the payload, so
@@ -73,6 +74,12 @@ def default_cache_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "repro-sweeps")
 
 
+def _scalar_part(scalars: typing.Optional[typing.Mapping[str, float]]
+                 ) -> str:
+    return ("" if not scalars else
+            ",".join(f"{k}={scalars[k]!r}" for k in sorted(scalars)))
+
+
 def point_key(config: SoCConfig, kernel_name: str, n: int, m: int,
               variant: str,
               scalars: typing.Optional[typing.Mapping[str, float]],
@@ -85,11 +92,10 @@ def point_key(config: SoCConfig, kernel_name: str, n: int, m: int,
     own key component — the same (N, M) measured on two groups of one
     heterogeneous fabric are different measurements.
     """
-    scalar_part = ("" if not scalars else
-                   ",".join(f"{k}={scalars[k]!r}" for k in sorted(scalars)))
     text = (f"schema={_SCHEMA};config={config.digest()};"
             f"kernel={kernel_name};n={n};m={m};variant={variant};"
-            f"scalars={scalar_part};seed={seed};group={tile_group}")
+            f"scalars={_scalar_part(scalars)};seed={seed};"
+            f"group={tile_group}")
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -112,12 +118,28 @@ def calibration_key(kind: str, config: SoCConfig, kernel_name: str,
     :func:`point_key` — a dispatch prefix measured on one group of a
     heterogeneous fabric says nothing about another group's tiles.
     """
-    scalar_part = ("" if not scalars else
-                   ",".join(f"{k}={scalars[k]!r}" for k in sorted(scalars)))
     text = (f"calibration={CALIBRATION_SCHEMA};kind={kind};"
             f"config={config.digest()};kernel={kernel_name};"
-            f"variant={variant_name};scalars={scalar_part};seed={seed};"
-            f"m={m};group={tile_group}")
+            f"variant={variant_name};scalars={_scalar_part(scalars)};"
+            f"seed={seed};m={m};group={tile_group}")
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def group_key(config: SoCConfig, kernel_name: str, variant_name: str,
+              scalars: typing.Optional[typing.Mapping[str, float]],
+              seed: int, tile_group: str = "") -> str:
+    """Content address of one sweep call's store file.
+
+    The coordinates are :func:`calibration_key`'s without ``kind`` and
+    ``m``, so one file holds a call's prefixes, its M-model and every
+    point record under them.  ``variant_name`` and ``scalars`` must be
+    the *resolved* ones, so ``"auto"`` and the explicit variant (or
+    default and explicit scalars) share one file and one calibration.
+    """
+    text = (f"schema={_SCHEMA};config={config.digest()};"
+            f"kernel={kernel_name};variant={variant_name};"
+            f"scalars={_scalar_part(scalars)};seed={seed};"
+            f"group={tile_group}")
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -127,16 +149,16 @@ class SweepCache:
     Parameters
     ----------
     directory:
-        If given, points are also persisted as JSON files here (created
-        on this instance's first write, and again if it disappears
-        later), so the cache survives the process and is shared across
-        concurrent sweeps.  ``None`` keeps the cache purely in memory.
+        If given, the records of each sweep call are also persisted as
+        one JSON file here (see :meth:`batch`), so the cache survives
+        the process and is shared across concurrent sweeps.  ``None``
+        keeps the cache purely in memory.
     max_entries:
-        Bound on the number of record files the disk layer keeps;
-        past it, the least recently used files are evicted (counted in
-        :attr:`evictions`) after each write, or once at the end of a
-        :meth:`batch`.  ``None`` (the default) defers to
-        ``REPRO_CACHE_MAX_ENTRIES``; unset there too means unbounded.
+        Bound on the number of files the disk layer keeps, one per
+        sweep call; past it, the least recently used files are evicted
+        (counted in :attr:`evictions`) after each batch's write-back.
+        ``None`` (the default) defers to ``REPRO_CACHE_MAX_ENTRIES``;
+        unset there too means unbounded.
     """
 
     def __init__(self, directory: typing.Optional[str] = None,
@@ -151,16 +173,14 @@ class SweepCache:
         self._records: typing.Dict[str, typing.Dict[str, typing.Any]] = {}
         self.hits = 0
         self.misses = 0
-        #: Disk-layer record files removed by the LRU bound, lifetime
-        #: of this instance (the ``--stats`` eviction figure).
+        #: Disk-layer files removed by the LRU bound, lifetime of this
+        #: instance (the ``--stats`` eviction figure).
         self.evictions = 0
-        #: Whether this instance has made :attr:`directory` yet (once,
-        #: not per write; a write that finds it gone makes it again).
-        self._directory_made = False
-        #: Nesting depth of :meth:`batch`; writes inside one defer the
-        #: bound, and ``_bound_pending`` remembers that one happened.
-        self._batch_depth = 0
-        self._bound_pending = False
+        #: The file :meth:`batch` has open (``None`` outside a batch),
+        #: its entries as parsed, and whether a write changed them.
+        self._file: typing.Optional[str] = None
+        self._entries: typing.Dict[str, typing.Any] = {}
+        self._dirty = False
 
     def __len__(self) -> int:
         return len(self._memory)
@@ -171,8 +191,8 @@ class SweepCache:
     def get(self, key: str) -> typing.Optional[SweepPoint]:
         """The cached point for ``key``, or None (counts hit/miss)."""
         point = self._memory.get(key)
-        if point is None and self.directory is not None:
-            point = self._read_disk(key)
+        if point is None and key in self._entries:
+            point = self._decode_point(key, self._entries[key])
             if point is not None:
                 self._memory[key] = point
         if point is None:
@@ -184,27 +204,42 @@ class SweepCache:
     def put(self, key: str, point: SweepPoint) -> None:
         """Store a freshly measured point under its content address."""
         self._memory[key] = point
-        if self.directory is not None:
-            self._write_disk(key, point)
+        if self._file is not None:
+            self._entries[key] = {
+                "kernel_name": point.kernel_name,
+                "n": point.n,
+                "num_clusters": point.num_clusters,
+                "variant": point.variant,
+                "runtime_cycles": point.runtime_cycles,
+                "phases": dict(point.phases),
+            }
+            self._dirty = True
 
     @contextlib.contextmanager
-    def batch(self) -> typing.Iterator[None]:
-        """Defer the disk layer's LRU bound to the end of a run of writes.
+    def batch(self, group: str) -> typing.Iterator[None]:
+        """Open the store file of one sweep call (its :func:`group_key`).
 
-        Unbatched, every write lists the store directory to enforce
-        ``max_entries``, which makes a sweep into a full store
-        quadratic in the bound.  Inside ``with cache.batch():`` writes
-        only mark the bound as pending, and it is enforced once when
-        the outermost batch exits (also on error), so the store may
-        exceed the bound by one batch's writes until then.
+        Inside the block, lookups are served from the file as read
+        here and writes only add to it; on exit (also on error) a
+        changed file is written back once and the LRU bound enforced
+        with one directory listing.  Concurrent writers of one file
+        race benignly: the last rename wins, which costs the loser's
+        new records a re-measurement later, never a wrong result.
         """
-        self._batch_depth += 1
+        if self._file is not None:
+            raise RuntimeError("SweepCache.batch() does not nest")
+        if self.directory is None:
+            yield
+            return
+        path = self._file = os.path.join(self.directory, f"{group}.json")
+        self._entries = self._load(path)
         try:
             yield
         finally:
-            self._batch_depth -= 1
-            if self._batch_depth == 0 and self._bound_pending:
-                self._bound_pending = False
+            entries, dirty = self._entries, self._dirty
+            self._file, self._entries, self._dirty = None, {}, False
+            if dirty:
+                self._write(path, entries)
                 self._enforce_bound()
 
     # ------------------------------------------------------------------
@@ -216,15 +251,15 @@ class SweepCache:
         """The calibration payload stored under ``key``, or ``None``.
 
         ``kind`` must match what the record was stored with — a prefix
-        key can never return an M-model payload even if a file were
-        hand-renamed into place.  Payload *field* validation is the
+        key can never return an M-model payload even if an entry were
+        hand-copied under its key.  Payload *field* validation is the
         caller's job (the batch module knows the expected shapes); this
         layer only guarantees a schema-matching ``kind``/``payload``
         envelope.
         """
         record = self._records.get(key)
-        if record is None and self.directory is not None:
-            record = self._read_disk_record(key)
+        if record is None and key in self._entries:
+            record = self._check_envelope(key, self._entries[key])
             if record is not None:
                 self._records[key] = record
         if record is None or record.get("kind") != kind:
@@ -238,74 +273,74 @@ class SweepCache:
         record = {"calibration_schema": CALIBRATION_SCHEMA, "kind": kind,
                   "payload": dict(payload)}
         self._records[key] = record
-        if self.directory is not None:
-            self._write_disk_json(key, record)
+        if self._file is not None:
+            self._entries[key] = record
+            self._dirty = True
 
     # ------------------------------------------------------------------
     # Disk layer
     # ------------------------------------------------------------------
-    def _path(self, key: str) -> str:
-        return os.path.join(self.directory, f"{key}.json")
+    def _load(self, path: str) -> typing.Dict[str, typing.Any]:
+        """Parse one sweep call's file; refreshes its LRU recency.
 
-    def _load_json(self, key: str) -> typing.Optional[typing.Any]:
-        """Read and parse one record file; refreshes its LRU recency."""
-        path = self._path(key)
+        A missing file, or one of another schema (stores written before
+        the schema bump), is a silent miss.  A torn or unparsable file
+        is one warned miss for the whole call.
+        """
         try:
             with open(path, "rb") as handle:
-                record = json.loads(handle.read())
-        except (OSError, ValueError):
-            return None
-        try:
-            # A read is a *use*: bump the mtime so the LRU bound evicts
-            # cold records, not hot ones.  Best effort — a read-only
-            # cache directory still serves hits.
-            os.utime(path)
+                data = handle.read()
         except OSError:
+            return {}
+        # A read is a *use*: bump the mtime so the LRU bound evicts cold
+        # files, not hot ones.  Best effort — a read-only cache
+        # directory still serves hits.
+        with contextlib.suppress(OSError):
+            os.utime(path)
+        try:
+            stored = json.loads(data)
+            if stored.get("schema") != _SCHEMA:
+                return {}
+            entries = stored["entries"]
+            if isinstance(entries, dict):
+                return entries
+        except (ValueError, AttributeError, KeyError):
             pass
-        return record
+        # A torn file (crashed writer, hand edit) is a cache miss, not
+        # a sweep failure — but say so, because silently re-measured
+        # points hide the corruption forever.
+        warnings.warn(f"SweepCache: ignoring malformed store file {path}",
+                      IntegrityWarning, stacklevel=4)
+        return {}
 
-    def _read_disk(self, key: str) -> typing.Optional[SweepPoint]:
-        record = self._load_json(key)
-        if record is None:
-            return None
+    def _decode_point(self, key: str,
+                      record: typing.Any) -> typing.Optional[SweepPoint]:
         try:
             return self._decode(record)
         except (KeyError, TypeError, AttributeError, ValueError):
-            # A malformed record (torn by a crashed writer, hand-edited,
-            # wrong type) is a cache miss, not a sweep failure — but say
-            # so, because a silently re-measured point hides the
-            # corruption forever.
             warnings.warn(
-                "SweepCache: ignoring malformed cache record "
-                f"{self._path(key)}",
-                IntegrityWarning, stacklevel=2)
+                f"SweepCache: ignoring malformed cache record {key} in "
+                f"{self._file}", IntegrityWarning, stacklevel=3)
             return None
 
-    def _read_disk_record(self, key: str) -> typing.Optional[
-            typing.Dict[str, typing.Any]]:
-        record = self._load_json(key)
-        if record is None:
-            return None
+    def _check_envelope(self, key: str, record: typing.Any
+                        ) -> typing.Optional[typing.Dict[str, typing.Any]]:
         if (isinstance(record, dict)
                 and record.get("calibration_schema") == CALIBRATION_SCHEMA
                 and isinstance(record.get("kind"), str)
                 and isinstance(record.get("payload"), dict)):
             return record
-        # Unlike a torn point record, a schema-mismatched calibration
-        # record is *expected* after a schema bump (the key changes
-        # too, so normally unreachable) — but a malformed envelope is
-        # the same corruption story as above.
+        # A schema-mismatched calibration record is normally unreachable
+        # (the schema is part of the key), so a bad envelope is the same
+        # corruption story as a malformed point record.
         warnings.warn(
-            "SweepCache: ignoring malformed calibration record "
-            f"{self._path(key)}",
-            IntegrityWarning, stacklevel=2)
+            f"SweepCache: ignoring malformed calibration record {key} in "
+            f"{self._file}", IntegrityWarning, stacklevel=3)
         return None
 
     @staticmethod
-    def _decode(record: typing.Any) -> typing.Optional[SweepPoint]:
-        """Decode one on-disk record, validating shape and field types."""
-        if record.get("schema") != _SCHEMA:
-            return None
+    def _decode(record: typing.Any) -> SweepPoint:
+        """Decode one point entry, validating shape and field types."""
         point = SweepPoint(
             kernel_name=record["kernel_name"], n=record["n"],
             num_clusters=record["num_clusters"], variant=record["variant"],
@@ -322,55 +357,25 @@ class SweepCache:
                 raise TypeError("phases must map str -> int")
         return point
 
-    def _write_disk(self, key: str, point: SweepPoint) -> None:
-        record = {
-            "schema": _SCHEMA,
-            "kernel_name": point.kernel_name,
-            "n": point.n,
-            "num_clusters": point.num_clusters,
-            "variant": point.variant,
-            "runtime_cycles": point.runtime_cycles,
-            "phases": dict(point.phases),
-        }
-        self._write_disk_json(key, record)
-
-    def _write_disk_json(self, key: str, record: typing.Any) -> None:
-        # ``json.dumps`` takes CPython's one-shot C encoder, which
-        # ``json.dump`` never does; the bytes are the same either way.
-        data = json.dumps(record).encode("ascii")
-        path = self._path(key)
-        if not self._directory_made:
-            os.makedirs(self.directory, exist_ok=True)
-            self._directory_made = True
-        try:
-            self._replace(path, data)
-        except FileNotFoundError:
-            # The directory vanished since this instance made it
-            # (cleaned by hand or by another process): make it again.
-            os.makedirs(self.directory, exist_ok=True)
-            self._replace(path, data)
-        if self._batch_depth:
-            self._bound_pending = True
-        else:
-            self._enforce_bound()
-
-    @staticmethod
-    def _replace(path: str, data: bytes) -> None:
-        # Write-then-rename so concurrent sweep workers never observe a
-        # torn file; last writer wins, and all writers agree anyway.
+    def _write(self, path: str,
+               entries: typing.Dict[str, typing.Any]) -> None:
+        # One C-encoded ``json.dumps`` and one ``bytes`` write, then a
+        # rename, so concurrent sweeps never observe a torn file.
+        data = json.dumps({"schema": _SCHEMA, "entries": entries})
+        os.makedirs(self.directory, exist_ok=True)
         temp = f"{path}.tmp.{os.getpid()}"
         with open(temp, "wb") as handle:
-            handle.write(data)
+            handle.write(data.encode("ascii"))
         os.replace(temp, path)
 
     def _enforce_bound(self) -> None:
-        """Evict least-recently-used record files past ``max_entries``.
+        """Evict least-recently-used store files past ``max_entries``.
 
-        Recency is file mtime: reads refresh it (:meth:`_load_json`),
-        writes set it.  Races with concurrent sweeps are benign — an
-        eviction of a record another process just re-read costs that
-        process one re-measurement, never a wrong result — and every
-        per-file ``OSError`` is swallowed for the same reason.
+        Recency is file mtime: opening a file refreshes it
+        (:meth:`_load`), writing sets it.  Races with concurrent sweeps
+        are benign — an eviction of a file another process just re-read
+        costs that process a re-measurement, never a wrong result — and
+        every per-file ``OSError`` is swallowed for the same reason.
         """
         if self.max_entries is None:
             return

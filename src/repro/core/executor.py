@@ -38,8 +38,8 @@ import time
 import typing
 
 from repro import flags
-from repro.core.batch import BatchPlanner
-from repro.core.cache import SweepCache, point_key
+from repro.core.batch import BatchPlanner, store_coords
+from repro.core.cache import SweepCache, group_key, point_key
 from repro.core.offload import offload
 from repro.core.sweep import SweepPoint, SweepResult
 from repro.errors import OffloadError
@@ -226,18 +226,6 @@ class SweepExecutor:
         slots: typing.List[typing.Optional[SweepPoint]] = [None] * len(coords)
         pending: typing.List[typing.Tuple[int, int, int]] = []  # (slot, n, m)
         keys: typing.Dict[int, str] = {}
-        for index, (n, m) in enumerate(coords):
-            if self.cache is not None:
-                key = point_key(config, kernel_name, n, m, variant,
-                                scalars, seed, tile_group=tile_group or "")
-                keys[index] = key
-                cached = self.cache.get(key)
-                if cached is not None:
-                    self.cache_hits += 1
-                    slots[index] = cached
-                    continue
-                self.cache_misses += 1
-            pending.append((index, n, m))
 
         # Stream ``progress`` over the longest completed prefix, so the
         # callback sees points in grid order even when execution is
@@ -251,12 +239,26 @@ class SweepExecutor:
                 progress(slots[emitted[0]])
                 emitted[0] += 1
 
-        emit_ready()
-        if pending:
-            # One store batch per call: the disk layer's LRU bound (if
-            # any) is enforced once after the put-back, not per write.
-            with (self.cache.batch() if self.cache is not None
-                  else contextlib.nullcontext()):
+        # One store batch per call: the call's store file is read once
+        # before the lookups and written back once after the put-back,
+        # and the LRU bound (if any) is enforced after that write.
+        with (self.cache.batch(group_key(*store_coords(
+                config, kernel, variant, scalars, seed, tile_group)))
+              if self.cache is not None else contextlib.nullcontext()):
+            for index, (n, m) in enumerate(coords):
+                if self.cache is not None:
+                    key = point_key(config, kernel_name, n, m, variant,
+                                    scalars, seed, tile_group=tile_group or "")
+                    keys[index] = key
+                    cached = self.cache.get(key)
+                    if cached is not None:
+                        self.cache_hits += 1
+                        slots[index] = cached
+                        continue
+                    self.cache_misses += 1
+                pending.append((index, n, m))
+            emit_ready()
+            if pending:
                 # The batch planner fills every slot it can prove from
                 # calibration runs; only the leftovers pay the event
                 # engine.  The *original* pending list still drives the

@@ -35,10 +35,9 @@ variable                  effect
                           reusing pooled instances
 ``REPRO_CACHE_DIR``       relocates the on-disk sweep cache
 ``REPRO_CACHE_MAX_ENTRIES``  bounds the on-disk sweep-cache layer to
-                          this many record files; the least recently
-                          used records are evicted past the bound,
-                          once after each sweep call's writes (the
-                          store can exceed it while one call runs)
+                          this many *files*, one per sweep call; the
+                          least recently used files are evicted past
+                          the bound, once after each call's write-back
 ``REPRO_STRICT``          simulation-integrity strict mode: access
                           anomalies the auditors would otherwise only
                           *record* (stale sync-unit credits, lost
@@ -111,12 +110,11 @@ FRESH_SYSTEMS_ENV = "REPRO_FRESH_SYSTEMS"
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Environment variable bounding the on-disk sweep-cache layer: a
-#: positive integer caps the number of record files kept under the
-#: cache directory; past the cap, the least recently used records are
-#: evicted (reads refresh recency), once after each sweep call's
-#: writes, so the store can exceed the cap while one call runs.
-#: Unset, empty or non-positive means unbounded — the pre-existing
-#: behaviour.
+#: positive integer caps the number of *files* kept under the cache
+#: directory, and the store keeps one file per sweep call (its points
+#: and calibration records).  Past the cap, the least recently used
+#: files are evicted (reads refresh recency), once after each call's
+#: write-back.  Unset, empty or non-positive means unbounded.
 CACHE_MAX_ENTRIES_ENV = "REPRO_CACHE_MAX_ENTRIES"
 
 #: Environment variable: when set (non-empty), the integrity auditors

@@ -15,6 +15,7 @@ points — including on N values the store has never seen.
 """
 
 import contextlib
+import json
 import os
 
 import hypothesis
@@ -237,6 +238,21 @@ def test_store_entries_are_shared_between_auto_and_explicit_variant(
     assert warm.points == reference.points
 
 
+def test_auto_and_explicit_variant_share_one_store_file(tmp_path):
+    """One file per sweep call, named by the resolved variant: the
+    explicit request reads the file ``auto`` wrote and its calibration,
+    and writes its own points back into that same file."""
+    SweepExecutor(cache=SweepCache(str(tmp_path))).run(
+        CFG, "daxpy", [64, 128], M_VALUES, variant="auto")
+    (written,) = tmp_path.glob("*.json")
+    explicit = SweepExecutor(cache=SweepCache(str(tmp_path)))
+    explicit.run(CFG, "daxpy", [96], M_VALUES, variant="extended")
+    assert list(tmp_path.glob("*.json")) == [written]
+    assert explicit.simulated_points == 0
+    assert explicit.calibration_store_hits > 0
+    assert explicit.prefixes_calibrated == 0
+
+
 def test_gate_disables_prediction_and_the_store(tmp_path):
     """``REPRO_NAIVE_MPREDICT`` must restore PR 7 exactly: no models,
     no predictions, and a calibration store that stays untouched."""
@@ -250,9 +266,12 @@ def test_gate_disables_prediction_and_the_store(tmp_path):
     assert executor.calibration_store_hits == 0
     assert executor.calibration_store_misses == 0
     assert executor.simulated_points == len(M_VALUES)
-    # Only measured points reached the disk layer — one record per
-    # grid point, no prefix or M-model files alongside them.
-    assert len(list(tmp_path.glob("*.json"))) == len(result)
+    # Only measured points reached the disk layer — one file for the
+    # call, one entry per grid point, no prefix or M-model entries.
+    (stored,) = tmp_path.glob("*.json")
+    entries = json.loads(stored.read_bytes())["entries"]
+    assert len(entries) == len(result)
+    assert all("calibration_schema" not in e for e in entries.values())
 
 
 # ----------------------------------------------------------------------

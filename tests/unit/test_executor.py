@@ -1,8 +1,11 @@
 """Unit tests for the sweep executor and the content-addressed cache."""
 
+import hashlib
+import io
 import json
 import os
 import shutil
+import warnings
 
 import pytest
 
@@ -164,17 +167,62 @@ def test_disk_cache_shared_by_parallel_workers(tmp_path):
     assert reloaded.simulated_points == 0
 
 
+def _store_files(directory):
+    return sorted(n for n in os.listdir(directory) if n.endswith(".json"))
+
+
+def _group_of(directory):
+    """The group name of the only store file under ``directory``."""
+    (name,) = _store_files(directory)
+    return name[:-len(".json")]
+
+
+def test_a_sweep_writes_exactly_one_store_file(tmp_path):
+    directory = str(tmp_path / "cache")
+    result = run(SweepExecutor(cache=SweepCache(directory)))
+    # No temp file is left behind, and the one file holds every point
+    # plus the call's calibration records.
+    assert os.listdir(directory) == _store_files(directory)
+    with open(os.path.join(directory, _store_files(directory)[0])) as f:
+        stored = json.load(f)
+    points = [e for e in stored["entries"].values() if "n" in e]
+    assert len(points) == len(result)
+    assert len(stored["entries"]) > len(result)
+
+
 def test_corrupt_disk_entry_is_a_miss(tmp_path):
+    from repro.sim import IntegrityWarning
     directory = str(tmp_path / "cache")
     run(SweepExecutor(cache=SweepCache(directory)))
     for name in os.listdir(directory):
         with open(os.path.join(directory, name), "w") as handle:
             handle.write("{not json")
     recovered = SweepExecutor(cache=SweepCache(directory))
-    result = run(recovered)
+    with pytest.warns(IntegrityWarning, match="malformed store file"):
+        result = run(recovered)
     assert recovered.cache_hits == 0
     assert recovered.simulated_points + recovered.planned_points \
         == len(result)
+
+
+def test_truncated_store_file_is_one_warned_miss(tmp_path):
+    from repro.sim import IntegrityWarning
+    directory = str(tmp_path / "cache")
+    first = run(SweepExecutor(cache=SweepCache(directory)))
+    (name,) = _store_files(directory)
+    path = os.path.join(directory, name)
+    with open(path, "rb") as handle:
+        data = handle.read()
+    with open(path, "wb") as handle:
+        handle.write(data[:len(data) // 2])
+    recovered = SweepExecutor(cache=SweepCache(directory))
+    with pytest.warns(IntegrityWarning, match="malformed store file"):
+        assert run(recovered) == first
+    assert recovered.cache_hits == 0
+    # The re-measured call wrote a whole file back.
+    reloaded = SweepExecutor(cache=SweepCache(directory))
+    assert run(reloaded) == first
+    assert reloaded.cache_hits == len(first)
 
 
 def test_stale_schema_is_a_miss(tmp_path):
@@ -192,19 +240,62 @@ def test_stale_schema_is_a_miss(tmp_path):
     assert recovered.cache_hits == 0
 
 
-def _mangle_cache_records(directory, mutate):
-    """Apply ``mutate(record) -> record`` to every on-disk cache file."""
+def _mangle_entries(directory, mutate, *, points):
+    """Apply ``mutate(entry) -> entry`` to the first point entry
+    (``points=True``) or the first calibration entry of every store
+    file; returns the mangled keys."""
+    mangled = []
     for name in os.listdir(directory):
         path = os.path.join(directory, name)
         with open(path) as handle:
-            record = json.load(handle)
+            stored = json.load(handle)
+        entries = stored["entries"]
+        key = next(k for k, entry in entries.items()
+                   if ("calibration_schema" not in entry) == points)
+        entries[key] = mutate(entries[key])
+        mangled.append(key)
         with open(path, "w") as handle:
-            json.dump(mutate(record), handle)
+            json.dump(stored, handle)
+    return mangled
+
+
+def test_concurrent_writers_of_one_file_leave_it_readable(tmp_path):
+    # Both caches open the same call's file; the one that closes last
+    # replaces the other's write.  The file stays whole, and the
+    # points it lost are re-measured, never wrong.
+    scout = str(tmp_path / "scout")
+    reference = run(SweepExecutor(cache=SweepCache(scout)))
+    group = _group_of(scout)
+    keyed = [(point_key(CFG, "daxpy", p.n, p.num_clusters, "auto", None, 0),
+              p) for p in reference]
+    directory = str(tmp_path / "cache")
+    first, second = SweepCache(directory), SweepCache(directory)
+    with first.batch(group):
+        with second.batch(group):
+            for key, point in keyed:
+                if point.n == N_VALUES[1]:
+                    second.put(key, point)
+        for key, point in keyed:
+            if point.n == N_VALUES[0]:
+                first.put(key, point)
+    assert _store_files(directory) == [f"{group}.json"]
+    reader = SweepExecutor(cache=SweepCache(directory))
+    assert run(reader) == reference
+    assert reader.cache_hits == len(M_VALUES)
 
 
 # ----------------------------------------------------------------------
 # Cache: the LRU bound on the disk layer
 # ----------------------------------------------------------------------
+def _group(i):
+    return f"{i:064x}"
+
+
+def _put_in_own_file(cache, i):
+    with cache.batch(_group(i)):
+        cache.put_record(_group(i), "prefix", {"value": i})
+
+
 def test_max_entries_is_validated():
     with pytest.raises(ValueError):
         SweepCache(max_entries=0)
@@ -214,31 +305,32 @@ def test_disk_layer_is_lru_bounded(tmp_path):
     directory = str(tmp_path / "cache")
     cache = SweepCache(directory, max_entries=3)
     for i in range(6):
-        cache.put_record(f"{i:064x}", "prefix", {"value": i})
-    files = [n for n in os.listdir(directory) if n.endswith(".json")]
+        _put_in_own_file(cache, i)
+    files = _store_files(directory)
     assert len(files) == 3
     assert cache.evictions == 3
-    # The survivors are the most recently written records.
+    # The survivors are the most recently written files.
     survivors = {name[:-len(".json")] for name in files}
-    assert survivors == {f"{i:064x}" for i in (3, 4, 5)}
+    assert survivors == {_group(i) for i in (3, 4, 5)}
 
 
 def test_lru_reads_refresh_recency(tmp_path):
     directory = str(tmp_path / "cache")
     cache = SweepCache(directory, max_entries=2)
-    cache.put_record(f"{0:064x}", "prefix", {"value": 0})
-    cache.put_record(f"{1:064x}", "prefix", {"value": 1})
-    # Age the first record's mtime, then *use* it from a fresh cache
+    _put_in_own_file(cache, 0)
+    _put_in_own_file(cache, 1)
+    # Age the first file's mtime, then *use* it from a fresh cache
     # (the in-memory layer must not mask the disk read).
-    past = os.path.getmtime(os.path.join(directory, f"{1:064x}.json")) - 60
-    os.utime(os.path.join(directory, f"{0:064x}.json"), (past, past))
+    past = os.path.getmtime(os.path.join(directory, f"{_group(1)}.json")) - 60
+    os.utime(os.path.join(directory, f"{_group(0)}.json"), (past, past))
     reader = SweepCache(directory, max_entries=2)
-    assert reader.get_record(f"{0:064x}", "prefix") == {"value": 0}
-    os.utime(os.path.join(directory, f"{1:064x}.json"), (past, past))
-    reader.put_record(f"{2:064x}", "prefix", {"value": 2})
-    names = {n for n in os.listdir(directory) if n.endswith(".json")}
-    # Record 1 (stale mtime) was evicted; the freshly read 0 survived.
-    assert names == {f"{0:064x}.json", f"{2:064x}.json"}
+    with reader.batch(_group(0)):
+        assert reader.get_record(_group(0), "prefix") == {"value": 0}
+    os.utime(os.path.join(directory, f"{_group(1)}.json"), (past, past))
+    _put_in_own_file(reader, 2)
+    # File 1 (stale mtime) was evicted; the freshly read 0 survived.
+    assert set(_store_files(directory)) == {f"{_group(0)}.json",
+                                            f"{_group(2)}.json"}
     assert reader.evictions == 1
 
 
@@ -248,27 +340,24 @@ def test_max_entries_defaults_to_the_environment(tmp_path, monkeypatch):
     cache = SweepCache(str(tmp_path / "cache"))
     assert cache.max_entries == 2
     for i in range(4):
-        cache.put_record(f"{i:064x}", "prefix", {"value": i})
+        _put_in_own_file(cache, i)
     assert cache.evictions == 2
     monkeypatch.delenv(CACHE_MAX_ENTRIES_ENV)
     assert SweepCache(str(tmp_path / "other")).max_entries is None
 
 
-def _record_files(directory):
-    return sorted(n for n in os.listdir(directory) if n.endswith(".json"))
-
-
 def test_sweep_into_a_full_store_enforces_the_bound_once(tmp_path,
                                                          monkeypatch):
-    # An unbounded twin of the store says how many records the second
-    # sweep adds; the bounded store starts exactly at its bound.
+    # An unbounded twin of the store says how many files the next
+    # sweep call adds (one); the bounded store starts at its bound.
     full, twin = str(tmp_path / "full"), str(tmp_path / "twin")
     for directory in (full, twin):
-        run(SweepExecutor(cache=SweepCache(directory)))
-    bound = len(_record_files(full))
+        for seed in (1, 2, 3):
+            run(SweepExecutor(cache=SweepCache(directory)), seed=seed)
+    bound = len(_store_files(full))
     run(SweepExecutor(cache=SweepCache(twin)), n_values=[256, 512])
-    excess = len(_record_files(twin)) - bound
-    assert excess > 1
+    excess = len(_store_files(twin)) - bound
+    assert excess == 1
 
     listed = []
     real_listdir = os.listdir
@@ -284,10 +373,31 @@ def test_sweep_into_a_full_store_enforces_the_bound_once(tmp_path,
     run(executor, n_values=[256, 512])
     monkeypatch.undo()
     assert len(listed) == 1
-    assert len(_record_files(full)) == bound
+    assert len(_store_files(full)) == bound
     assert cache.evictions == excess
     assert executor.last_run_stats["cache_evictions"] == excess
-    assert sorted(os.listdir(full)) == _record_files(full)  # no temp files
+    assert sorted(os.listdir(full)) == _store_files(full)  # no temp files
+
+
+def test_stats_count_the_evictions_of_the_calls_own_write(tmp_path,
+                                                          monkeypatch):
+    from repro import cli
+    from repro.flags import CACHE_DIR_ENV, CACHE_MAX_ENTRIES_ENV
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
+    monkeypatch.setenv(CACHE_MAX_ENTRIES_ENV, "1")
+    texts = []
+    for kernel in ("daxpy", "scale"):
+        out = io.StringIO()
+        assert cli.main(["sweep", "--kernel", kernel, "--n", "64", "128",
+                         "--m", "1", "2", "--clusters", "4", "--stats",
+                         "--csv", str(tmp_path / f"{kernel}.csv")],
+                        out=out) == 0
+        texts.append(out.getvalue())
+    # The first call's write fits the bound; the second call's own
+    # write overflows it and evicts the first call's file.
+    assert " 0 disk evictions" in texts[0]
+    assert " 1 disk evictions" in texts[1]
+    assert len(_store_files(str(tmp_path / "cache"))) == 1
 
 
 def test_store_directory_removed_between_sweeps_is_recreated(tmp_path):
@@ -303,19 +413,23 @@ def test_store_directory_removed_between_sweeps_is_recreated(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Cache: the on-disk record format
+# Cache: the on-disk file format
 # ----------------------------------------------------------------------
-#: Record files as the store has always written them (``json.dump``
-#: with default separators); any byte change orphans existing stores.
-POINT_RECORD_BYTES = (
-    b'{"schema": 1, "kernel_name": "daxpy", "n": 256, "num_clusters": 2, '
+#: One point entry and one calibration entry, as ``json.dumps`` with
+#: default separators writes them; any byte change orphans stores.
+POINT_ENTRY_BYTES = (
+    b'{"kernel_name": "daxpy", "n": 256, "num_clusters": 2, '
     b'"variant": "extended", "runtime_cycles": 488, "phases": '
     b'{"setup": 178, "dispatch": 8, "completion_wait": 302, '
     b'"sync_overhead": 20, "total": 488}}')
-CALIBRATION_RECORD_BYTES = (
+CALIBRATION_ENTRY_BYTES = (
     b'{"calibration_schema": 1, "kind": "mmodel", "payload": '
     b'{"min_m": 1, "m_lo": 2, "m_hi": 4, "base": [10, 20, 30, 40], '
     b'"slope": [0, 3, 5, 7]}}')
+#: The store file of one sweep call holding exactly those two entries.
+STORE_FILE_BYTES = (
+    b'{"schema": 2, "entries": {"' + b"ab" * 32 + b'": ' + POINT_ENTRY_BYTES
+    + b', "' + b"cd" * 32 + b'": ' + CALIBRATION_ENTRY_BYTES + b'}}')
 
 
 def test_record_file_bytes_are_pinned(tmp_path):
@@ -329,34 +443,48 @@ def test_record_file_bytes_are_pinned(tmp_path):
                 "sync_overhead": 20, "total": 488})
     payload = {"min_m": 1, "m_lo": 2, "m_hi": 4, "base": [10, 20, 30, 40],
                "slope": [0, 3, 5, 7]}
-    cache.put("ab" * 32, point)
-    cache.put_record("cd" * 32, "mmodel", payload)
-    with open(os.path.join(directory, "ab" * 32 + ".json"), "rb") as f:
-        assert f.read() == POINT_RECORD_BYTES
-    with open(os.path.join(directory, "cd" * 32 + ".json"), "rb") as f:
-        assert f.read() == CALIBRATION_RECORD_BYTES
+    with cache.batch("ef" * 32):
+        cache.put("ab" * 32, point)
+        cache.put_record("cd" * 32, "mmodel", payload)
+    assert _store_files(directory) == ["ef" * 32 + ".json"]
+    with open(os.path.join(directory, "ef" * 32 + ".json"), "rb") as f:
+        assert f.read() == STORE_FILE_BYTES
     fresh = SweepCache(directory)
-    assert fresh.get("ab" * 32) == point
-    assert fresh.get_record("cd" * 32, "mmodel") == payload
+    with fresh.batch("ef" * 32):
+        assert fresh.get("ab" * 32) == point
+        assert fresh.get_record("cd" * 32, "mmodel") == payload
 
 
-def test_store_written_by_json_dump_still_hits(tmp_path):
+def _schema_1_key(n, m):
+    """A point's key as the one-file-per-record store (schema 1) made it."""
+    text = (f"schema=1;config={CFG.digest()};kernel=daxpy;n={n};m={m};"
+            f"variant=auto;scalars=;seed=0;group=")
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_schema_1_store_reads_as_silent_misses(tmp_path):
     directory = str(tmp_path / "cache")
-    first = run(SweepExecutor(cache=SweepCache(directory)))
-    # Rewrite every record the way earlier versions wrote them
-    # (``json.dump`` to a text-mode handle): same bytes, same hits.
-    for name in os.listdir(directory):
-        path = os.path.join(directory, name)
-        with open(path, "rb") as handle:
-            written = handle.read()
-        with open(path, "w") as handle:
-            json.dump(json.loads(written), handle)
-        with open(path, "rb") as handle:
-            assert handle.read() == written
+    reference = run(SweepExecutor())
+    # A store as schema 1 wrote it: one ``{key}.json`` per point.
+    os.makedirs(directory)
+    old = []
+    for point in reference:
+        record = {"schema": 1, "kernel_name": point.kernel_name,
+                  "n": point.n, "num_clusters": point.num_clusters,
+                  "variant": point.variant,
+                  "runtime_cycles": point.runtime_cycles,
+                  "phases": dict(point.phases)}
+        old.append(f"{_schema_1_key(point.n, point.num_clusters)}.json")
+        with open(os.path.join(directory, old[-1]), "w") as handle:
+            json.dump(record, handle)
     reloaded = SweepExecutor(cache=SweepCache(directory))
-    assert run(reloaded) == first
-    assert reloaded.cache_hits == len(first)
-    assert reloaded.simulated_points == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(reloaded) == reference
+    assert reloaded.cache_hits == 0
+    assert reloaded.cache_misses == len(reference)
+    # The old files are left to the LRU bound; the call added its own.
+    assert len(_store_files(directory)) == len(old) + 1
 
 
 # ----------------------------------------------------------------------
@@ -366,14 +494,18 @@ def test_calibration_records_round_trip_and_check_kind(tmp_path):
     directory = str(tmp_path / "cache")
     cache = SweepCache(directory)
     key = "ab" * 32
-    cache.put_record(key, "prefix", {"start_cycle": 10})
-    assert cache.get_record(key, "prefix") == {"start_cycle": 10}
-    # A prefix key can never answer an M-model request.
-    assert cache.get_record(key, "mmodel") is None
-    # And it survives the process (a fresh cache over the same dir).
-    assert SweepCache(directory).get_record(key, "prefix") \
-        == {"start_cycle": 10}
-    assert SweepCache(directory).get_record("cd" * 32, "prefix") is None
+    with cache.batch(_group(0)):
+        cache.put_record(key, "prefix", {"start_cycle": 10})
+        assert cache.get_record(key, "prefix") == {"start_cycle": 10}
+        # A prefix key can never answer an M-model request.
+        assert cache.get_record(key, "mmodel") is None
+    # It survives the process (a fresh cache over the same file)...
+    fresh = SweepCache(directory)
+    with fresh.batch(_group(0)):
+        assert fresh.get_record(key, "prefix") == {"start_cycle": 10}
+        assert fresh.get_record("cd" * 32, "prefix") is None
+    # ...and the disk layer is only consulted inside a batch.
+    assert SweepCache(directory).get_record(key, "prefix") is None
 
 
 def test_malformed_calibration_record_is_a_warned_miss(tmp_path):
@@ -381,11 +513,15 @@ def test_malformed_calibration_record_is_a_warned_miss(tmp_path):
     directory = str(tmp_path / "cache")
     cache = SweepCache(directory)
     key = "ab" * 32
-    cache.put_record(key, "prefix", {"start_cycle": 10})
-    _mangle_cache_records(directory, lambda r: {**r, "payload": [1, 2]})
-    with pytest.warns(IntegrityWarning,
-                      match="malformed calibration record"):
-        assert SweepCache(directory).get_record(key, "prefix") is None
+    with cache.batch(_group(0)):
+        cache.put_record(key, "prefix", {"start_cycle": 10})
+    _mangle_entries(directory, lambda r: {**r, "payload": [1, 2]},
+                    points=False)
+    fresh = SweepCache(directory)
+    with fresh.batch(_group(0)):
+        with pytest.warns(IntegrityWarning,
+                          match="malformed calibration record"):
+            assert fresh.get_record(key, "prefix") is None
 
 
 def test_calibration_key_separates_namespaces():
@@ -416,14 +552,17 @@ def test_malformed_cache_record_is_a_warned_miss(tmp_path, mutate):
     from repro.sim import IntegrityWarning
     directory = str(tmp_path / "cache")
     first = run(SweepExecutor(cache=SweepCache(directory)))
-    _mangle_cache_records(directory, mutate)
+    (mangled,) = _mangle_entries(directory, mutate, points=True)
     recovered = SweepExecutor(cache=SweepCache(directory))
-    # Point records warn "malformed cache record"; mutations that also
-    # break the calibration records alongside them warn "malformed
-    # calibration record" — both are the same corruption story.
-    with pytest.warns(IntegrityWarning, match="malformed .* record"):
+    with pytest.warns(IntegrityWarning, match="malformed cache record") \
+            as caught:
         result = run(recovered)
-    assert recovered.cache_hits == 0
-    assert recovered.simulated_points + recovered.planned_points \
-        == len(result)
+    # Only the mangled point missed, and only it warned.
+    assert [str(w.message) for w in caught
+            if issubclass(w.category, IntegrityWarning)] \
+        == [f"SweepCache: ignoring malformed cache record {mangled} in "
+            f"{os.path.join(directory, _store_files(directory)[0])}"]
+    assert recovered.cache_hits == len(first) - 1
+    assert recovered.cache_misses == 1
+    assert recovered.simulated_points + recovered.planned_points == 1
     assert result == first   # re-measured, not silently wrong
