@@ -18,17 +18,15 @@ Usage::
     repro offload --kernel daxpy --n 1024 --clusters 8   # one job
 
 Every experiment accepts ``--clusters`` to size the fabric and
-``--jobs/-j`` to fan its measurement sweeps out over worker processes
-(``-j 0`` = one per core; results are bit-identical to serial).  The
-``sweep`` command additionally caches measured points on disk
-(``--no-cache`` disables; ``REPRO_CACHE_DIR`` relocates).  Numbers are
-cycle counts at the paper's 1 GHz (1 cycle = 1 ns).
+``--stats`` to print what its measurement sweeps did.  The ``sweep``
+command additionally caches measured points on disk (``--no-cache``
+disables; ``REPRO_CACHE_DIR`` relocates).  Numbers are cycle counts at
+the paper's 1 GHz (1 cycle = 1 ns).
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 import typing
 
@@ -84,11 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "Heterogeneous MPSoCs' (DATE 2024)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_jobs_flag(cmd: argparse.ArgumentParser) -> None:
-        cmd.add_argument(
-            "--jobs", "-j", type=int, default=1, metavar="N",
-            help="worker processes for measurement sweeps "
-                 "(default 1 = serial, 0 = all cores)")
+    def add_stats_flag(cmd: argparse.ArgumentParser) -> None:
         cmd.add_argument(
             "--stats", action="store_true",
             help="print sweep execution statistics (throughput, cache/"
@@ -100,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--clusters", type=int, default=32,
                          help="fabric size (default 32)")
-        add_jobs_flag(cmd)
+        add_stats_flag(cmd)
         if name == "traffic":
             cmd.add_argument("--num-jobs", type=int, default=160,
                              help="jobs per arrival scenario (default 160)")
@@ -117,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_all = sub.add_parser("all", help="run every experiment in order")
     run_all.add_argument("--clusters", type=int, default=32)
-    add_jobs_flag(run_all)
+    add_stats_flag(run_all)
 
     sweep_cmd = sub.add_parser(
         "sweep", help="measure an (N, M) grid and export it as CSV")
@@ -137,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_cmd.add_argument("--csv", metavar="PATH",
                            help="write the grid to this file "
                                 "(default: stdout)")
-    add_jobs_flag(sweep_cmd)
+    add_stats_flag(sweep_cmd)
     sweep_cmd.add_argument("--no-cache", action="store_true",
                            help="always re-simulate; do not read or "
                                 "write the on-disk sweep cache")
@@ -146,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "report", help="run every experiment and write a markdown report")
     report_cmd.add_argument("--out", metavar="PATH", required=True)
     report_cmd.add_argument("--clusters", type=int, default=32)
-    add_jobs_flag(report_cmd)
+    add_stats_flag(report_cmd)
 
     one = sub.add_parser("offload", help="run and time a single offload")
     one.add_argument("--kernel", default="daxpy", choices=kernel_names())
@@ -167,17 +161,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_experiment(name: str, clusters: int, out: typing.TextIO,
-                    jobs: int = 1) -> None:
+def _run_experiment(name: str, clusters: int, out: typing.TextIO) -> None:
     _help, fn = _EXPERIMENTS[name]
-    kwargs: typing.Dict[str, typing.Any] = {"num_clusters": clusters}
-    # Experiments whose cost is sweep-shaped take a ``jobs`` fan-out
-    # parameter; single-offload experiments (crossover, energy, ...)
-    # have nothing to parallelize and no such parameter.
-    if "jobs" in inspect.signature(fn).parameters:
-        kwargs["jobs"] = jobs
-    result = fn(**kwargs)
-    out.write(result.render() + "\n")
+    out.write(fn(num_clusters=clusters).render() + "\n")
 
 
 def _run_sweep(args, out: typing.TextIO) -> None:
@@ -189,7 +175,7 @@ def _run_sweep(args, out: typing.TextIO) -> None:
     if args.variant == "baseline":
         config = SoCConfig.baseline(num_clusters=args.clusters)
     cache = None if args.no_cache else SweepCache(default_cache_dir())
-    executor = SweepExecutor(jobs=args.jobs, cache=cache)
+    executor = SweepExecutor(cache=cache)
     result = executor.run(config, args.kernel, args.n, args.m,
                           variant=args.variant)
     csv_text = sweep_to_csv(result)
@@ -216,13 +202,10 @@ def _run_report(args, out: typing.TextIO) -> None:
         "",
     ]
     for name, (help_text, fn) in _EXPERIMENTS.items():
-        kwargs: typing.Dict[str, typing.Any] = {"num_clusters": args.clusters}
-        if "jobs" in inspect.signature(fn).parameters:
-            kwargs["jobs"] = args.jobs
         lines.append(f"## {name} — {help_text}")
         lines.append("")
         lines.append("```")
-        lines.append(fn(**kwargs).render())
+        lines.append(fn(num_clusters=args.clusters).render())
         lines.append("```")
         lines.append("")
     with open(args.out, "w") as handle:
@@ -235,8 +218,7 @@ def _run_traffic(args, out: typing.TextIO) -> None:
     """E13 with its scenario knobs (and optional CSV artifact)."""
     result = experiments.traffic_experiment(
         num_jobs=args.num_jobs, tenants=args.tenants,
-        num_clusters=args.clusters, seed=args.seed, slack=args.slack,
-        jobs=args.jobs)
+        num_clusters=args.clusters, seed=args.seed, slack=args.slack)
     out.write(result.render() + "\n")
     if args.csv:
         with open(args.csv, "w") as handle:
@@ -264,12 +246,7 @@ def _run_offload(args, out: typing.TextIO) -> None:
 
 
 def _print_run_stats(out: typing.TextIO) -> None:
-    """Aggregate and print the sweep summaries ``--stats`` collected.
-
-    Figures cover the executors this process ran (the in-process serial
-    path fully; a ``--jobs`` fan-out only reports the parent's share —
-    worker pools live in their own processes).
-    """
+    """Aggregate and print the sweep summaries ``--stats`` collected."""
     from repro.core.executor import drain_run_stats
 
     runs = drain_run_stats()
@@ -352,7 +329,7 @@ def main(argv: typing.Optional[typing.Sequence[str]] = None,
         elif args.command == "all":
             for name in _EXPERIMENTS:
                 out.write(f"\n=== {name} {'=' * max(0, 60 - len(name))}\n")
-                _run_experiment(name, args.clusters, out, jobs=args.jobs)
+                _run_experiment(name, args.clusters, out)
         elif args.command == "traffic":
             _run_traffic(args, out)
         elif args.command == "offload":
@@ -362,7 +339,7 @@ def main(argv: typing.Optional[typing.Sequence[str]] = None,
         elif args.command == "report":
             _run_report(args, out)
         else:
-            _run_experiment(args.command, args.clusters, out, jobs=args.jobs)
+            _run_experiment(args.command, args.clusters, out)
         if want_stats:
             _print_run_stats(out)
     except ReproError as error:

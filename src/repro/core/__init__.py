@@ -6,8 +6,8 @@
   launch shape (plain, host, overlapped, concurrent) stages through;
 - :mod:`repro.core.sweep` — measure grids of (kernel, N, M, variant)
   points, the raw material of every figure;
-- :mod:`repro.core.executor` — parallel fan-out of sweep grids over
-  worker processes, with deterministic grid-order reassembly;
+- :mod:`repro.core.executor` — in-process sweep execution: cache,
+  batch planner, then simulation, with results in grid order;
 - :mod:`repro.core.cache` — content-addressed memoization of measured
   sweep points (keyed on config digest + job coordinates);
 - :mod:`repro.core.model` — the analytic runtime model (Eq. 1,

@@ -1,39 +1,36 @@
-"""Parallel, cached execution of measurement sweeps.
+"""Cached, batch-planned execution of measurement sweeps.
 
-A sweep is embarrassingly parallel: every grid point runs on a
-boot-state :class:`~repro.soc.manticore.ManticoreSystem`, so points
-share no state and any execution order yields the same measurements.
-:class:`SweepExecutor` exploits that in three ways:
+Every grid point runs on a boot-state
+:class:`~repro.soc.manticore.ManticoreSystem`, so points share no state
+and any execution order yields the same measurements.
+:class:`SweepExecutor` runs a grid in-process along one path:
 
-- **fan-out** — grid points are packed into contiguous chunks and
-  distributed over a :class:`concurrent.futures.ProcessPoolExecutor`
-  (simulation is pure Python, so threads would serialize on the GIL);
 - **memoization** — an optional :class:`~repro.core.cache.SweepCache`
   is consulted first, keyed on the content address of each point
   (config digest, kernel, N, M, variant, scalars, seed), so repeated
   sweeps skip simulation entirely;
-- **instance reuse** — each process leases systems from a local
-  :class:`~repro.soc.pool.SystemPool`, so successive same-config
-  points reuse one constructed SoC via the bit-identical
+- **batch planning** — the :class:`~repro.core.batch.BatchPlanner`
+  times every point it can prove from a few calibration runs, filling
+  the grid's slots out of order;
+- **simulation** — the points the planner hands back are simulated one
+  by one.  Systems are leased from a process-wide
+  :class:`~repro.soc.pool.SystemPool`, so successive same-config points
+  reuse one constructed SoC via the bit-identical
   :meth:`~repro.soc.manticore.ManticoreSystem.reset` instead of paying
   construction per point (disable with the ``REPRO_FRESH_SYSTEMS``
   environment variable).
 
 Determinism guarantee
 ---------------------
-Results are reassembled **by grid coordinate** (N-major, then M, the
-serial iteration order), never by completion order, and each point's
-simulation is bit-reproducible on a fresh SoC.  A parallel sweep
-therefore returns a :class:`~repro.core.sweep.SweepResult` equal to the
-serial one, point for point — including the order in which a
-``progress`` callback observes them.
+Results are returned **by grid coordinate** (N-major, then M), never by
+the order slots were filled, and each point's simulation is
+bit-reproducible on a fresh SoC.  A ``progress`` callback observes the
+points in that same grid order.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
-import os
 import time
 import typing
 
@@ -48,18 +45,8 @@ from repro.soc.config import SoCConfig
 from repro.soc.pool import SystemPool
 
 
-def resolve_jobs(jobs: int) -> int:
-    """Worker-count policy: ``1`` = in-process serial, ``0`` = all cores."""
-    if jobs < 0:
-        raise OffloadError(f"jobs must be >= 0, got {jobs}")
-    if jobs == 0:
-        return os.cpu_count() or 1
-    return jobs
-
-
-#: Process-local system pool: the main process and each sweep worker
-#: keep one, so a chunk of same-config points constructs a single SoC
-#: (ProcessPoolExecutor workers never share module state).
+#: Process-wide system pool, so successive same-config points construct
+#: a single SoC.
 _SYSTEM_POOL = SystemPool()
 
 #: Opt-in log of per-run statistics summaries (see
@@ -105,36 +92,17 @@ def measure_point(config: SoCConfig, kernel_name: str, n: int, m: int,
     return SweepPoint.of(result)
 
 
-def _measure_chunk(config: SoCConfig, kernel_name: str,
-                   coords: typing.Sequence[typing.Tuple[int, int]],
-                   variant: str,
-                   scalars: typing.Optional[typing.Mapping[str, float]],
-                   seed: int, verify: bool,
-                   tile_group: typing.Optional[str] = None
-                   ) -> typing.List[SweepPoint]:
-    """Worker-process entry point: simulate a chunk of (N, M) coords."""
-    return [measure_point(config, kernel_name, n, m, variant, scalars,
-                          seed, verify, tile_group=tile_group)
-            for n, m in coords]
-
-
 class SweepExecutor:
-    """Runs (N, M) grids serially or fanned out over worker processes.
+    """Runs (N, M) grids in-process: cache, batch planner, simulation.
+
+    The planner fills the grid's slots out of order; :meth:`run` still
+    returns the points, and streams them to ``progress``, in grid order.
 
     Parameters
     ----------
-    jobs:
-        ``1`` (default) simulates in-process, point by point — the
-        exact serial path :func:`repro.core.sweep.sweep` always had.
-        ``0`` uses every core; ``k > 1`` uses ``k`` worker processes.
     cache:
         Optional :class:`SweepCache`.  Cached points are never
         re-simulated; fresh points are stored back.
-    chunk_size:
-        Grid points per worker task.  Defaults to splitting the
-        outstanding points into about four chunks per worker, which
-        amortizes task dispatch without starving the pool near the end
-        of an unevenly sized grid.
 
     Counters (reset at the start of every :meth:`run`):
 
@@ -159,14 +127,8 @@ class SweepExecutor:
     counts) that the CLI's ``--stats`` flag prints after a sweep.
     """
 
-    def __init__(self, jobs: int = 1,
-                 cache: typing.Optional[SweepCache] = None,
-                 chunk_size: typing.Optional[int] = None) -> None:
-        if chunk_size is not None and chunk_size < 1:
-            raise OffloadError(f"chunk_size must be >= 1, got {chunk_size}")
-        self.jobs = resolve_jobs(jobs)
+    def __init__(self, cache: typing.Optional[SweepCache] = None) -> None:
         self.cache = cache
-        self.chunk_size = chunk_size
         self.cache_hits = 0
         self.cache_misses = 0
         self.simulated_points = 0
@@ -220,16 +182,16 @@ class SweepExecutor:
         evictions_before = (self.cache.evictions
                             if self.cache is not None else 0)
 
-        # N-major grid order: the serial iteration order, and the order
-        # of the returned points regardless of execution interleaving.
+        # N-major grid order: the order of the returned points, whatever
+        # order the planner and the simulation loop fill slots in.
         coords = [(n, m) for n in n_values for m in m_values]
         slots: typing.List[typing.Optional[SweepPoint]] = [None] * len(coords)
         pending: typing.List[typing.Tuple[int, int, int]] = []  # (slot, n, m)
         keys: typing.Dict[int, str] = {}
 
         # Stream ``progress`` over the longest completed prefix, so the
-        # callback sees points in grid order even when execution is
-        # out-of-order — identical to what the serial path reports.
+        # callback sees points in grid order even though the planner
+        # fills slots out of order.
         emitted = [0]
 
         def emit_ready() -> None:
@@ -282,17 +244,12 @@ class SweepExecutor:
                     self.calibration_store_hits = planner.store_hits
                     self.calibration_store_misses = planner.store_misses
                     emit_ready()
-                if remaining:
-                    if self.jobs == 1 or len(remaining) == 1:
-                        self._run_serial(remaining, slots, config,
-                                         kernel_name, variant, scalars,
-                                         seed, verify, emit_ready,
-                                         tile_group)
-                    else:
-                        self._run_parallel(remaining, slots, config,
-                                           kernel_name, variant, scalars,
-                                           seed, verify, emit_ready,
-                                           tile_group)
+                for index, n, m in remaining:
+                    slots[index] = measure_point(
+                        config, kernel_name, n, m, variant, scalars, seed,
+                        verify, tile_group=tile_group)
+                    self.simulated_points += 1
+                    emit_ready()
                 if self.cache is not None:
                     for index, _n, _m in pending:
                         self.cache.put(keys[index], slots[index])
@@ -315,10 +272,8 @@ class SweepExecutor:
                        ) -> typing.Dict[str, typing.Any]:
         """Summarize one :meth:`run` for the ``--stats`` reporting path.
 
-        Pool and resume figures are deltas over the in-process
-        :data:`_SYSTEM_POOL`, so they cover serial runs fully and only
-        the parent's share of a multi-process fan-out (worker pools
-        live in their own processes).
+        Pool and resume figures are deltas over :data:`_SYSTEM_POOL`,
+        which every point of the run leases from.
         """
         hits0, builds0, dropped0, resumes0 = pool_before
         predictable = self.planned_points + self.batch_fallback_points
@@ -348,40 +303,3 @@ class SweepExecutor:
             "pool_dropped": _SYSTEM_POOL.dropped - dropped0,
             "sim_resumes": _SYSTEM_POOL.resume_count() - resumes0,
         }
-
-    # ------------------------------------------------------------------
-    # Execution strategies
-    # ------------------------------------------------------------------
-    def _run_serial(self, pending, slots, config, kernel_name, variant,
-                    scalars, seed, verify, emit_ready,
-                    tile_group=None) -> None:
-        for index, n, m in pending:
-            slots[index] = measure_point(config, kernel_name, n, m,
-                                         variant, scalars, seed, verify,
-                                         tile_group=tile_group)
-            self.simulated_points += 1
-            emit_ready()
-
-    def _run_parallel(self, pending, slots, config, kernel_name, variant,
-                      scalars, seed, verify, emit_ready,
-                      tile_group=None) -> None:
-        workers = min(self.jobs, len(pending))
-        chunk = self.chunk_size
-        if chunk is None:
-            chunk = max(1, -(-len(pending) // (workers * 4)))
-        chunks = [pending[i:i + chunk]
-                  for i in range(0, len(pending), chunk)]
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers) as pool:
-            futures = {
-                pool.submit(_measure_chunk, config, kernel_name,
-                            [(n, m) for _i, n, m in part], variant,
-                            scalars, seed, verify, tile_group): part
-                for part in chunks
-            }
-            for future in concurrent.futures.as_completed(futures):
-                part = futures[future]
-                for (index, _n, _m), point in zip(part, future.result()):
-                    slots[index] = point
-                    self.simulated_points += 1
-                emit_ready()

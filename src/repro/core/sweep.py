@@ -175,13 +175,12 @@ def sweep(config: SoCConfig, kernel_name: str,
           scalars: typing.Optional[typing.Mapping[str, float]] = None,
           seed: int = 0, verify: bool = True,
           progress: typing.Optional[typing.Callable[[SweepPoint], None]] = None,
-          jobs: int = 1, cache: typing.Optional["SweepCache"] = None,
+          cache: typing.Optional["SweepCache"] = None,
           tile_group: typing.Optional[str] = None) -> SweepResult:
     """Measure a full (N, M) grid, one boot-state SoC per point.
 
-    Every grid point is independent, so execution can fan out over
-    worker processes; results come back in grid order (N-major, then M)
-    regardless of ``jobs``, bit-identical to the serial path.  See
+    Results come back in grid order (N-major, then M), whichever points
+    the cache, the batch planner or the event engine measured.  See
     :class:`repro.core.executor.SweepExecutor` for the machinery.
 
     Parameters
@@ -195,9 +194,6 @@ def sweep(config: SoCConfig, kernel_name: str,
     progress:
         Optional callback invoked after each measured point, in grid
         order (used by the CLI to stream results).
-    jobs:
-        Worker processes: ``1`` (default) runs serially in-process,
-        ``0`` uses every core, ``k > 1`` uses ``k`` workers.
     cache:
         Optional :class:`~repro.core.cache.SweepCache`; previously
         measured points are replayed from it instead of re-simulated.
@@ -208,7 +204,7 @@ def sweep(config: SoCConfig, kernel_name: str,
     """
     from repro.core.executor import SweepExecutor
 
-    executor = SweepExecutor(jobs=jobs, cache=cache)
+    executor = SweepExecutor(cache=cache)
     return executor.run(config, kernel_name, n_values, m_values,
                         variant=variant, scalars=scalars, seed=seed,
                         verify=verify, progress=progress,

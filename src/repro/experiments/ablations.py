@@ -46,14 +46,13 @@ class FeatureAblation(Experiment):
 
 def ablation_features(n: int = 1024,
                       m_values: typing.Sequence[int] = PAPER_M_VALUES,
-                      jobs: int = 1, **config_overrides) -> FeatureAblation:
+                      **config_overrides) -> FeatureAblation:
     """Isolate each extension: baseline, each alone, both together."""
     config = SoCConfig.extended(**config_overrides)  # HW has everything
     m_values = usable_ms(m_values, config)
     runtimes = {}
     for variant in ("baseline", "multicast_only", "hw_sync_only", "extended"):
-        result = sweep(config, "daxpy", [n], m_values, variant=variant,
-                       jobs=jobs)
+        result = sweep(config, "daxpy", [n], m_values, variant=variant)
         runtimes[variant] = result.runtimes_by_m(n)
     return FeatureAblation(n=n, runtimes=runtimes)
 
@@ -151,14 +150,13 @@ class DispatchAblation(Experiment):
 def ablation_dispatch(n: int = 1024,
                       occupancies: typing.Sequence[int] = (2, 4, 8, 16, 32),
                       m_values: typing.Sequence[int] = PAPER_M_VALUES,
-                      jobs: int = 1, **config_overrides) -> DispatchAblation:
+                      **config_overrides) -> DispatchAblation:
     """Sweep the host store occupancy; watch the baseline optimum move."""
     optima, curves = {}, {}
     for occupancy in occupancies:
         config = SoCConfig.baseline(noc_store_occupancy=occupancy,
                                     **config_overrides)
-        result = sweep(config, "daxpy", [n], usable_ms(m_values, config),
-                       jobs=jobs)
+        result = sweep(config, "daxpy", [n], usable_ms(m_values, config))
         curve = result.runtimes_by_m(n)
         curves[occupancy] = curve
         optima[occupancy] = crossover_m(curve)
@@ -198,16 +196,15 @@ class PollAblation(Experiment):
 
 def ablation_poll(n: int = 1024, m: int = 8,
                   poll_gaps: typing.Sequence[int] = (0, 4, 16, 64, 256),
-                  jobs: int = 1, **config_overrides) -> PollAblation:
+                  **config_overrides) -> PollAblation:
     """Sweep the baseline's poll gap; the interrupt path has no analog."""
     runtimes = {}
     for gap in poll_gaps:
         config = SoCConfig.baseline(host_poll_gap_cycles=gap,
                                     **config_overrides)
         m = min(m, config.num_clusters)
-        result = sweep(config, "daxpy", [n], [m], jobs=jobs)
+        result = sweep(config, "daxpy", [n], [m])
         runtimes[gap] = result.runtime(n, m)
-    ext = sweep(SoCConfig.extended(**config_overrides), "daxpy", [n], [m],
-                jobs=jobs)
+    ext = sweep(SoCConfig.extended(**config_overrides), "daxpy", [n], [m])
     return PollAblation(n=n, m=m, runtimes=runtimes,
                         extended_runtime=ext.runtime(n, m))

@@ -67,7 +67,7 @@ def decision_experiment(
         scenarios: typing.Sequence[typing.Tuple[int, float]] = (
             (1024, 700.0), (1024, 800.0), (1024, 1000.0), (1024, 620.0),
             (512, 600.0), (2048, 1200.0), (256, 500.0)),
-        max_clusters: int = 32, margin: float = 0.01, jobs: int = 1,
+        max_clusters: int = 32, margin: float = 0.01,
         **config_overrides) -> DecisionExperiment:
     """Solve Eq. 3 for each (N, t_max) scenario and verify by simulation.
 
@@ -81,7 +81,7 @@ def decision_experiment(
         raise DecisionError(f"margin must be in [0, 1), got {margin}")
     config = SoCConfig.extended(**config_overrides)
     max_clusters = min(max_clusters, config.num_clusters)
-    fit = fit_model(jobs=jobs, **config_overrides)
+    fit = fit_model(**config_overrides)
     model = fit.model
     rows = []
     for n, t_max in scenarios:

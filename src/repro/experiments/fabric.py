@@ -131,7 +131,7 @@ def fabric_experiment(
         scenarios: typing.Sequence[
             typing.Tuple[int, float, str]] = FABRIC_SCENARIOS,
         classes: typing.Tuple[str, str] = ("snitch", "vecwide"),
-        num_clusters: int = 8, margin: float = 0.02, jobs: int = 1,
+        num_clusters: int = 8, margin: float = 0.02,
         **config_overrides) -> FabricExperiment:
     """Answer "which fabric" for each scenario, end to end.
 
@@ -166,8 +166,7 @@ def fabric_experiment(
     for class_name, group in groups.items():
         result = sweep(config, "daxpy", n_values,
                        usable_ms(m_values, config, group.name),
-                       scalars={"a": 2.0}, jobs=jobs,
-                       tile_group=group.name)
+                       scalars={"a": 2.0}, tile_group=group.name)
         triples[class_name] = result.triples()
         curves[class_name] = {
             n: result.runtime(n, curve_m) for n in n_values}

@@ -77,12 +77,12 @@ class Fig1Left(Experiment):
 
 def fig1_left(n: int = 1024,
               m_values: typing.Sequence[int] = PAPER_M_VALUES,
-              jobs: int = 1, **config_overrides) -> Fig1Left:
+              **config_overrides) -> Fig1Left:
     """Measure Fig. 1 (left): runtime vs M for both designs."""
     base_cfg, ext_cfg = paper_configs(**config_overrides)
     m_values = usable_ms(m_values, base_cfg)
-    base = sweep(base_cfg, "daxpy", [n], m_values, jobs=jobs)
-    ext = sweep(ext_cfg, "daxpy", [n], m_values, jobs=jobs)
+    base = sweep(base_cfg, "daxpy", [n], m_values)
+    ext = sweep(ext_cfg, "daxpy", [n], m_values)
     return Fig1Left(n=n, baseline=base.runtimes_by_m(n),
                     extended=ext.runtimes_by_m(n))
 
@@ -135,10 +135,10 @@ class Fig1Right(Experiment):
 
 def fig1_right(n_values: typing.Sequence[int] = FIG1_RIGHT_N_VALUES,
                m_values: typing.Sequence[int] = PAPER_M_VALUES,
-               jobs: int = 1, **config_overrides) -> Fig1Right:
+               **config_overrides) -> Fig1Right:
     """Measure Fig. 1 (right): the speedup grid."""
     base_cfg, ext_cfg = paper_configs(**config_overrides)
     m_values = usable_ms(m_values, base_cfg)
-    base = sweep(base_cfg, "daxpy", n_values, m_values, jobs=jobs)
-    ext = sweep(ext_cfg, "daxpy", n_values, m_values, jobs=jobs)
+    base = sweep(base_cfg, "daxpy", n_values, m_values)
+    ext = sweep(ext_cfg, "daxpy", n_values, m_values)
     return Fig1Right(speedups=ext.speedup_grid(base))

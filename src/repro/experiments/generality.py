@@ -47,7 +47,7 @@ def kernel_generality(
         kernels: typing.Sequence[str] = GENERALITY_KERNELS,
         n_values: typing.Sequence[int] = PAPER_N_VALUES,
         m_values: typing.Sequence[int] = PAPER_M_VALUES,
-        jobs: int = 1, tile_group: typing.Optional[str] = None,
+        tile_group: typing.Optional[str] = None,
         **config_overrides) -> KernelGenerality:
     """Fit the model family to every kernel's sweep.
 
@@ -59,7 +59,7 @@ def kernel_generality(
     m_values = usable_ms(m_values, config, tile_group)
     fits = {}
     for kernel in kernels:
-        result = sweep(config, kernel, n_values, m_values, jobs=jobs,
+        result = sweep(config, kernel, n_values, m_values,
                        tile_group=tile_group)
         model = OffloadModel.fit(result.triples(), label=f"fitted {kernel}")
         fits[kernel] = fit_report(model, result.triples())

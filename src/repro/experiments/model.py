@@ -52,7 +52,7 @@ class ModelFit(Experiment):
 def fit_model(n_values: typing.Sequence[int] = PAPER_N_VALUES,
               m_values: typing.Sequence[int] = PAPER_M_VALUES,
               kernel: str = "daxpy", variant_config: str = "extended",
-              include_dispatch_term: bool = False, jobs: int = 1,
+              include_dispatch_term: bool = False,
               **config_overrides) -> ModelFit:
     """Fit the Eq.-1 model family to a measured sweep."""
     if variant_config == "extended":
@@ -61,7 +61,7 @@ def fit_model(n_values: typing.Sequence[int] = PAPER_N_VALUES,
         config = SoCConfig.baseline(**config_overrides)
         include_dispatch_term = True
     m_values = usable_ms(m_values, config)
-    result = sweep(config, kernel, n_values, m_values, jobs=jobs)
+    result = sweep(config, kernel, n_values, m_values)
     model = OffloadModel.fit(
         result.triples(), include_dispatch_term=include_dispatch_term,
         label=f"fitted {kernel}/{variant_config}")
@@ -100,11 +100,11 @@ class MapeExperiment(Experiment):
 
 def mape_experiment(n_values: typing.Sequence[int] = PAPER_N_VALUES,
                     m_values: typing.Sequence[int] = PAPER_M_VALUES,
-                    jobs: int = 1, **config_overrides) -> MapeExperiment:
+                    **config_overrides) -> MapeExperiment:
     """Fit on the paper grid, validate per problem size (Eq. 2)."""
     config = SoCConfig.extended(**config_overrides)
     m_values = usable_ms(m_values, config)
-    result = sweep(config, "daxpy", n_values, m_values, jobs=jobs)
+    result = sweep(config, "daxpy", n_values, m_values)
     model = OffloadModel.fit(result.triples(), label="fitted daxpy/extended")
     per_n = mape_table(model, result.runtime_grid())
     return MapeExperiment(model=model, per_n=per_n)

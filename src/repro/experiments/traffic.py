@@ -143,7 +143,6 @@ def traffic_experiment(num_jobs: int = 160, tenants: int = 3,
                        n_values: typing.Sequence[int] = (128, 256, 512, 1024),
                        m_values: typing.Sequence[int] = (1, 2, 4, 8, 16, 32),
                        min_n: int = 16, max_n: int = 4096,
-                       jobs: int = 1,
                        **config_overrides) -> TrafficExperiment:
     """Serve one multi-tenant traffic scenario under every policy.
 
@@ -151,8 +150,7 @@ def traffic_experiment(num_jobs: int = 160, tenants: int = 3,
     model per kernel, all from measurements on the extended config —
     exactly E9's procedure), then each arrival process generates one
     job stream and every policy serves it on a fresh virtual-time
-    fabric.  ``jobs`` fans the characterization sweeps out over worker
-    processes; the traffic replay itself is closed-form.
+    fabric.  The traffic replay itself is closed-form.
     """
     from repro.traffic import (
         BurstyArrivals,
@@ -168,7 +166,7 @@ def traffic_experiment(num_jobs: int = 160, tenants: int = 3,
     config = SoCConfig.extended(num_clusters=num_clusters,
                                 **config_overrides)
     platform = characterize_platform(config, kernels, n_values=n_values,
-                                     m_values=m_values, jobs=jobs)
+                                     m_values=m_values)
     arrivals = (
         PoissonArrivals(mean_interarrival_cycles),
         BurstyArrivals(

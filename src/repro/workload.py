@@ -246,14 +246,8 @@ def characterize_platform(
         kernels: typing.Sequence[str],
         n_values: typing.Sequence[int] = (128, 256, 512, 1024),
         m_values: typing.Sequence[int] = (1, 2, 4, 8, 16, 32),
-        jobs: int = 1,
         ) -> ModelDriven:
-    """Fit offload and host models for each kernel (done once, offline).
-
-    ``jobs`` fans each kernel's characterization sweep out over worker
-    processes (see :func:`repro.core.sweep.sweep`); the fits are
-    bit-identical to the serial path.
-    """
+    """Fit offload and host models for each kernel (done once, offline)."""
     m_values = [m for m in m_values if m <= config.num_clusters]
     offload_models, host_models = {}, {}
     # One SoC serves every host point: reset() returns it to boot state,
@@ -262,8 +256,7 @@ def characterize_platform(
     # the cyclic garbage collector to free.
     host_system = ManticoreSystem(config)
     for kernel in kernels:
-        grid = sweep(config, kernel, n_values, m_values, verify=False,
-                     jobs=jobs)
+        grid = sweep(config, kernel, n_values, m_values, verify=False)
         offload_models[kernel] = OffloadModel.fit(
             grid.triples(), label=f"platform/{kernel}")
         host_points = []

@@ -10,9 +10,9 @@ import warnings
 import pytest
 
 from repro.core.cache import SweepCache, point_key
-from repro.core.executor import SweepExecutor, resolve_jobs
-from repro.core.sweep import sweep
+from repro.core.executor import SweepExecutor
 from repro.errors import OffloadError
+from repro.flags import NAIVE_BATCH_ENV
 from repro.soc.config import SoCConfig
 
 
@@ -28,21 +28,8 @@ def run(executor, **kwargs):
 
 
 # ----------------------------------------------------------------------
-# Worker-count policy and validation
+# Validation and grid order
 # ----------------------------------------------------------------------
-def test_resolve_jobs_policy():
-    assert resolve_jobs(1) == 1
-    assert resolve_jobs(3) == 3
-    assert resolve_jobs(0) == (os.cpu_count() or 1)
-    with pytest.raises(OffloadError):
-        resolve_jobs(-1)
-
-
-def test_chunk_size_validated():
-    with pytest.raises(OffloadError):
-        SweepExecutor(chunk_size=0)
-
-
 def test_executor_validates_grid_like_sweep():
     executor = SweepExecutor()
     with pytest.raises(OffloadError):
@@ -53,29 +40,26 @@ def test_executor_validates_grid_like_sweep():
         executor.run(CFG, "daxpy", [64], [16])  # wider than the fabric
 
 
-# ----------------------------------------------------------------------
-# Determinism: parallel output is the serial output
-# ----------------------------------------------------------------------
-def test_parallel_matches_serial_bit_for_bit():
-    serial = run(SweepExecutor(jobs=1))
-    parallel = run(SweepExecutor(jobs=2, chunk_size=1))
-    assert parallel == serial
-    assert [p.runtime_cycles for p in parallel] == \
-        [p.runtime_cycles for p in serial]
-    assert [dict(p.phases) for p in parallel] == \
-        [dict(p.phases) for p in serial]
-
-
-def test_parallel_progress_streams_in_grid_order():
+@pytest.mark.parametrize("config,n_values,m_values,counts", [
+    # Two calibrations and two planned points: the planner fills slots
+    # out of grid order.
+    (CFG, N_VALUES, M_VALUES, (2, 2, 0)),
+    # A lone N: the planner hands every point back, and the simulation
+    # loop measures all three.
+    (SoCConfig.extended(num_clusters=4), [96], [1, 2, 4], (3, 0, 3)),
+], ids=["planned", "lone-n"])
+def test_progress_streams_in_grid_order(monkeypatch, config, n_values,
+                                        m_values, counts):
+    monkeypatch.delenv(NAIVE_BATCH_ENV, raising=False)
     seen = []
-    run(SweepExecutor(jobs=2, chunk_size=1), progress=seen.append)
+    executor = SweepExecutor()
+    result = executor.run(config, "daxpy", n_values, m_values,
+                          progress=seen.append)
+    assert (executor.simulated_points, executor.planned_points,
+            executor.batch_fallback_points) == counts
+    assert seen == list(result)
     assert [(p.n, p.num_clusters) for p in seen] == \
-        [(n, m) for n in N_VALUES for m in M_VALUES]
-
-
-def test_sweep_function_accepts_jobs():
-    assert sweep(CFG, "daxpy", N_VALUES, M_VALUES, jobs=2) == \
-        sweep(CFG, "daxpy", N_VALUES, M_VALUES)
+        [(n, m) for n in n_values for m in m_values]
 
 
 # ----------------------------------------------------------------------
@@ -157,14 +141,6 @@ def test_disk_cache_survives_the_process(tmp_path):
     assert second == first
     assert reloaded.simulated_points == 0
     assert reloaded.cache_hits == len(first)
-
-
-def test_disk_cache_shared_by_parallel_workers(tmp_path):
-    directory = str(tmp_path / "cache")
-    first = run(SweepExecutor(jobs=2, cache=SweepCache(directory)))
-    reloaded = SweepExecutor(jobs=2, cache=SweepCache(directory))
-    assert run(reloaded) == first
-    assert reloaded.simulated_points == 0
 
 
 def _store_files(directory):
