@@ -12,19 +12,38 @@ The cache has two layers:
 - an in-memory dict, always on, scoped to the
   :class:`SweepCache` instance;
 - an optional on-disk layer under ``directory``, shared between runs
-  and between processes, with **one JSON file per sweep call**
+  and between processes, with **one store file per sweep call**
   (:func:`group_key`): the call's point records, dispatch prefixes and
   M-model.  :meth:`SweepCache.batch` opens one call's file (every
-  :class:`~repro.core.executor.SweepExecutor` run is one batch): the
-  file is read once when the batch starts, every lookup inside the
-  batch is served from the parsed file, and if a write changed it the
-  file is written back once, when the batch ends, as one
-  ``json.dumps`` to a temporary file plus an atomic rename; outside a
-  batch only the memory layer is used.  The disk layer can be bounded
-  (``max_entries`` / ``REPRO_CACHE_MAX_ENTRIES``): the bound counts
-  *files*, one per sweep call, and past it the least recently *used*
-  files are evicted right after a batch's write-back — opening a file
-  refreshes its mtime, so a hot working set survives churn.
+  :class:`~repro.core.executor.SweepExecutor` run is one batch); outside
+  a batch only the memory layer is used.
+
+A store file is a header line ``{"schema": 3}`` followed by one line per
+entry: the entry's 64-hex key, a space, and the record as ``json.dumps``
+with default separators writes it.  The file is **append-only**:
+
+- opening it reads it once and indexes the raw lines by key (one
+  ``split``, no JSON parsing); a line is decoded only when
+  :meth:`SweepCache.get` or :meth:`SweepCache.get_record` asks for its
+  key, and the last line for a key wins;
+- when the batch ends, its new entries are appended with one ``write``
+  (a key is only ever put after it missed, so nothing is rewritten).  A
+  missing file, one of another schema, or one with a torn last line is
+  instead written whole — header, surviving lines, new lines — to a
+  temporary file and renamed into place;
+- a torn last line (a writer that crashed mid-append) is one warned
+  miss for that entry only; the lines before it still hit, and the next
+  write drops it;
+- concurrent appenders of one file each append whole lines, so both
+  keep their entries.  A whole-file rename races a concurrent append or
+  rename: the loser's new entries cost a re-measurement later, never a
+  wrong result.
+
+The disk layer can be bounded (``max_entries`` /
+``REPRO_CACHE_MAX_ENTRIES``): the bound counts *files*, one per sweep
+call, and past it the least recently *used* files are evicted right
+after a batch's write — opening a file refreshes its mtime, so a hot
+working set survives churn.
 
 Keys are SHA-256 hashes; the config contributes via
 :meth:`repro.soc.config.SoCConfig.digest`, so *any* microarchitectural
@@ -55,8 +74,15 @@ from repro.sim import IntegrityWarning
 from repro.soc.config import SoCConfig
 
 #: Bump when the on-disk file layout changes; stale files then miss.
-#: Schema 1 kept one file per record; schema 2 keeps one per sweep call.
-_SCHEMA = 2
+#: Schema 1 kept one file per record; schema 2 kept one JSON object per
+#: sweep call; schema 3 keeps one appended line per entry.
+_SCHEMA = 3
+
+#: A store file's first line.
+_HEADER = f'{{"schema": {_SCHEMA}}}\n'
+
+#: Length of a key (a SHA-256 hex digest) at the start of an entry line.
+_KEY_LEN = 64
 
 #: Schema version of calibration records (dispatch prefixes and affine
 #: M-axis prefix models).  Part of the *key*, not just the payload, so
@@ -149,14 +175,15 @@ class SweepCache:
     Parameters
     ----------
     directory:
-        If given, the records of each sweep call are also persisted as
-        one JSON file here (see :meth:`batch`), so the cache survives
+        If given, the records of each sweep call are also persisted in
+        one append-only store file here (see :meth:`batch` and the
+        module docstring for the line format), so the cache survives
         the process and is shared across concurrent sweeps.  ``None``
         keeps the cache purely in memory.
     max_entries:
         Bound on the number of files the disk layer keeps, one per
         sweep call; past it, the least recently used files are evicted
-        (counted in :attr:`evictions`) after each batch's write-back.
+        (counted in :attr:`evictions`) after each batch's write.
         ``None`` (the default) defers to ``REPRO_CACHE_MAX_ENTRIES``;
         unset there too means unbounded.
     """
@@ -177,10 +204,13 @@ class SweepCache:
         #: instance (the ``--stats`` eviction figure).
         self.evictions = 0
         #: The file :meth:`batch` has open (``None`` outside a batch),
-        #: its entries as parsed, and whether a write changed them.
+        #: its raw JSON text per key (undecoded), the lines this batch
+        #: adds, and the text to write ahead of them when the file must
+        #: be written whole (``None``: it loaded clean, so append).
         self._file: typing.Optional[str] = None
-        self._entries: typing.Dict[str, typing.Any] = {}
-        self._dirty = False
+        self._lines: typing.Dict[str, str] = {}
+        self._new: typing.List[str] = []
+        self._base: typing.Optional[str] = None
 
     def __len__(self) -> int:
         return len(self._memory)
@@ -191,8 +221,8 @@ class SweepCache:
     def get(self, key: str) -> typing.Optional[SweepPoint]:
         """The cached point for ``key``, or None (counts hit/miss)."""
         point = self._memory.get(key)
-        if point is None and key in self._entries:
-            point = self._decode_point(key, self._entries[key])
+        if point is None and key in self._lines:
+            point = self._decode_point(key, self._lines[key])
             if point is not None:
                 self._memory[key] = point
         if point is None:
@@ -205,26 +235,30 @@ class SweepCache:
         """Store a freshly measured point under its content address."""
         self._memory[key] = point
         if self._file is not None:
-            self._entries[key] = {
+            self._append(key, {
                 "kernel_name": point.kernel_name,
                 "n": point.n,
                 "num_clusters": point.num_clusters,
                 "variant": point.variant,
                 "runtime_cycles": point.runtime_cycles,
                 "phases": dict(point.phases),
-            }
-            self._dirty = True
+            })
 
     @contextlib.contextmanager
     def batch(self, group: str) -> typing.Iterator[None]:
         """Open the store file of one sweep call (its :func:`group_key`).
 
-        Inside the block, lookups are served from the file as read
-        here and writes only add to it; on exit (also on error) a
-        changed file is written back once and the LRU bound enforced
-        with one directory listing.  Concurrent writers of one file
-        race benignly: the last rename wins, which costs the loser's
-        new records a re-measurement later, never a wrong result.
+        The file is read once here and only indexed: each line's key
+        maps to its raw JSON text, which :meth:`get` and
+        :meth:`get_record` decode on first use (the last line for a key
+        wins).  Writes only add lines.  On exit (also on error) the new
+        lines are appended with one ``write`` if the file loaded clean;
+        a missing, other-schema or torn-tail file is written whole to a
+        temporary file and renamed.  Then the LRU bound is enforced
+        with one directory listing.  Concurrent appenders of one file
+        keep both their entries; a whole-file rename can drop a racing
+        writer's new entries, which costs a re-measurement later, never
+        a wrong result.
         """
         if self._file is not None:
             raise RuntimeError("SweepCache.batch() does not nest")
@@ -232,14 +266,15 @@ class SweepCache:
             yield
             return
         path = self._file = os.path.join(self.directory, f"{group}.json")
-        self._entries = self._load(path)
+        self._lines, self._base = self._load(path)
         try:
             yield
         finally:
-            entries, dirty = self._entries, self._dirty
-            self._file, self._entries, self._dirty = None, {}, False
-            if dirty:
-                self._write(path, entries)
+            new, base = self._new, self._base
+            self._file, self._lines, self._new, self._base = (
+                None, {}, [], None)
+            if new:
+                self._write(path, base, "".join(new))
                 self._enforce_bound()
 
     # ------------------------------------------------------------------
@@ -258,8 +293,8 @@ class SweepCache:
         envelope.
         """
         record = self._records.get(key)
-        if record is None and key in self._entries:
-            record = self._check_envelope(key, self._entries[key])
+        if record is None and key in self._lines:
+            record = self._check_envelope(key, self._lines[key])
             if record is not None:
                 self._records[key] = record
         if record is None or record.get("kind") != kind:
@@ -274,57 +309,88 @@ class SweepCache:
                   "payload": dict(payload)}
         self._records[key] = record
         if self._file is not None:
-            self._entries[key] = record
-            self._dirty = True
+            self._append(key, record)
 
     # ------------------------------------------------------------------
     # Disk layer
     # ------------------------------------------------------------------
-    def _load(self, path: str) -> typing.Dict[str, typing.Any]:
-        """Parse one sweep call's file; refreshes its LRU recency.
+    def _append(self, key: str, record: typing.Dict[str, typing.Any]
+                ) -> None:
+        """Queue one entry line for the open file's write at batch end."""
+        self._new.append(f"{key} {json.dumps(record)}\n")
 
-        A missing file, or one of another schema (stores written before
-        the schema bump), is a silent miss.  A torn or unparsable file
-        is one warned miss for the whole call.
+    def _load(self, path: str) -> typing.Tuple[typing.Dict[str, str],
+                                               typing.Optional[str]]:
+        """Index one sweep call's file; refreshes its LRU recency.
+
+        Returns the raw JSON text per key and the text a whole-file
+        write must start with (``None`` when the file loaded clean and
+        new lines can be appended).  A missing file, or one of another
+        schema (stores written before the schema bump), is a silent
+        miss.  An unreadable header is one warned miss for the whole
+        call; a torn last line is one warned miss for that entry only.
         """
         try:
             with open(path, "rb") as handle:
                 data = handle.read()
         except OSError:
-            return {}
+            return {}, _HEADER
         # A read is a *use*: bump the mtime so the LRU bound evicts cold
         # files, not hot ones.  Best effort — a read-only cache
         # directory still serves hits.
         with contextlib.suppress(OSError):
             os.utime(path)
         try:
-            stored = json.loads(data)
-            if stored.get("schema") != _SCHEMA:
-                return {}
-            entries = stored["entries"]
-            if isinstance(entries, dict):
-                return entries
-        except (ValueError, AttributeError, KeyError):
-            pass
-        # A torn file (crashed writer, hand edit) is a cache miss, not
-        # a sweep failure — but say so, because silently re-measured
-        # points hide the corruption forever.
-        warnings.warn(f"SweepCache: ignoring malformed store file {path}",
-                      IntegrityWarning, stacklevel=4)
-        return {}
+            text = data.decode("ascii")
+        except UnicodeDecodeError:
+            text = ""  # every byte the writer emits is ASCII
+        if not text.startswith(_HEADER):
+            # A torn file (crashed writer, hand edit) is a cache miss,
+            # not a sweep failure — but say so, because silently
+            # re-measured points hide the corruption forever.
+            if not self._other_schema(text):
+                warnings.warn(
+                    f"SweepCache: ignoring malformed store file {path}",
+                    IntegrityWarning, stacklevel=4)
+            return {}, _HEADER
+        lines = text.split("\n")
+        # Every whole line ends in a newline, so the last piece is empty
+        # unless a writer died mid-line.
+        torn = lines.pop()
+        base = None
+        if torn:
+            warnings.warn(
+                f"SweepCache: ignoring torn last line of store file {path}",
+                IntegrityWarning, stacklevel=4)
+            base = text[:len(text) - len(torn)]
+        return ({line[:_KEY_LEN]: line[_KEY_LEN + 1:] for line in lines[1:]},
+                base)
+
+    @staticmethod
+    def _other_schema(text: str) -> bool:
+        """Whether ``text`` starts with another schema's valid header."""
+        try:
+            stored = json.loads(text.partition("\n")[0])
+            return stored["schema"] != _SCHEMA
+        except (ValueError, TypeError, KeyError):
+            return False
 
     def _decode_point(self, key: str,
-                      record: typing.Any) -> typing.Optional[SweepPoint]:
+                      raw: str) -> typing.Optional[SweepPoint]:
         try:
-            return self._decode(record)
+            return self._decode(json.loads(raw))
         except (KeyError, TypeError, AttributeError, ValueError):
             warnings.warn(
                 f"SweepCache: ignoring malformed cache record {key} in "
                 f"{self._file}", IntegrityWarning, stacklevel=3)
             return None
 
-    def _check_envelope(self, key: str, record: typing.Any
+    def _check_envelope(self, key: str, raw: str
                         ) -> typing.Optional[typing.Dict[str, typing.Any]]:
+        try:
+            record = json.loads(raw)
+        except ValueError:
+            record = None
         if (isinstance(record, dict)
                 and record.get("calibration_schema") == CALIBRATION_SCHEMA
                 and isinstance(record.get("kind"), str)
@@ -357,15 +423,28 @@ class SweepCache:
                 raise TypeError("phases must map str -> int")
         return point
 
-    def _write(self, path: str,
-               entries: typing.Dict[str, typing.Any]) -> None:
-        # One C-encoded ``json.dumps`` and one ``bytes`` write, then a
-        # rename, so concurrent sweeps never observe a torn file.
-        data = json.dumps({"schema": _SCHEMA, "entries": entries})
+    def _write(self, path: str, base: typing.Optional[str],
+               lines: str) -> None:
+        """Append ``lines`` to a clean file, else write it whole."""
+        if base is None:
+            # One ``O_APPEND`` write of whole lines, so concurrent
+            # appenders never interleave within a line.  No ``O_CREAT``:
+            # a file evicted since the load is rewritten whole below
+            # instead of restarted without its header.
+            try:
+                fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+            except FileNotFoundError:
+                base = _HEADER
+            else:
+                with open(fd, "wb") as handle:
+                    handle.write(lines.encode("ascii"))
+                return
+        # A new or repaired file goes to a temporary name and is renamed
+        # into place, so concurrent sweeps never observe it half written.
         os.makedirs(self.directory, exist_ok=True)
         temp = f"{path}.tmp.{os.getpid()}"
         with open(temp, "wb") as handle:
-            handle.write(data.encode("ascii"))
+            handle.write((base + lines).encode("ascii"))
         os.replace(temp, path)
 
     def _enforce_bound(self) -> None:

@@ -202,8 +202,9 @@ class SweepExecutor:
                 emitted[0] += 1
 
         # One store batch per call: the call's store file is read once
-        # before the lookups and written back once after the put-back,
-        # and the LRU bound (if any) is enforced after that write.
+        # before the lookups, the put-back's new entries are appended
+        # once after it, and the LRU bound (if any) is enforced after
+        # that write.
         with (self.cache.batch(group_key(*store_coords(
                 config, kernel, variant, scalars, seed, tile_group)))
               if self.cache is not None else contextlib.nullcontext()):

@@ -37,7 +37,7 @@ variable                  effect
 ``REPRO_CACHE_MAX_ENTRIES``  bounds the on-disk sweep-cache layer to
                           this many *files*, one per sweep call; the
                           least recently used files are evicted past
-                          the bound, once after each call's write-back
+                          the bound, once after each call's write
 ``REPRO_STRICT``          simulation-integrity strict mode: access
                           anomalies the auditors would otherwise only
                           *record* (stale sync-unit credits, lost
@@ -114,7 +114,7 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: directory, and the store keeps one file per sweep call (its points
 #: and calibration records).  Past the cap, the least recently used
 #: files are evicted (reads refresh recency), once after each call's
-#: write-back.  Unset, empty or non-positive means unbounded.
+#: write.  Unset, empty or non-positive means unbounded.
 CACHE_MAX_ENTRIES_ENV = "REPRO_CACHE_MAX_ENTRIES"
 
 #: Environment variable: when set (non-empty), the integrity auditors

@@ -15,7 +15,6 @@ points — including on N values the store has never seen.
 """
 
 import contextlib
-import json
 import os
 
 import hypothesis
@@ -31,6 +30,7 @@ from repro.flags import (
     NAIVE_MPREDICT_ENV,
 )
 from repro.soc.config import SoCConfig
+from tests.unit.test_executor import _stored_entries
 
 SETTINGS = hypothesis.settings(
     max_examples=5, deadline=None,
@@ -269,9 +269,9 @@ def test_gate_disables_prediction_and_the_store(tmp_path):
     # Only measured points reached the disk layer — one file for the
     # call, one entry per grid point, no prefix or M-model entries.
     (stored,) = tmp_path.glob("*.json")
-    entries = json.loads(stored.read_bytes())["entries"]
+    entries = _stored_entries(stored)
     assert len(entries) == len(result)
-    assert all("calibration_schema" not in e for e in entries.values())
+    assert all("calibration_schema" not in e for _key, e in entries)
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 from repro.core.cache import SweepCache, point_key
 from repro.core.executor import SweepExecutor
 from repro.errors import OffloadError
-from repro.flags import NAIVE_BATCH_ENV
+from repro.flags import NAIVE_BATCH_ENV, NAIVE_MPREDICT_ENV
 from repro.soc.config import SoCConfig
 
 
@@ -153,17 +153,71 @@ def _group_of(directory):
     return name[:-len(".json")]
 
 
-def test_a_sweep_writes_exactly_one_store_file(tmp_path):
+def _only_store_file(directory):
+    (name,) = _store_files(directory)
+    return os.path.join(directory, name)
+
+
+def _stored_entries(path, schema=3):
+    """``(key, record)`` per entry line of one store file, in file order.
+
+    The store file format, as the tests know it: a ``{"schema": 3}``
+    header line, then one ``<64-hex key> <record JSON>`` line per entry,
+    each ending in a newline.
+    """
+    with open(path) as handle:
+        text = handle.read()
+    assert text.endswith("\n")
+    header, *lines = text[:-1].split("\n")
+    assert json.loads(header) == {"schema": schema}
+    assert all(line[64] == " " for line in lines)
+    return [(line[:64], json.loads(line[65:])) for line in lines]
+
+
+def _write_entries(path, entries, schema=3):
+    """Write ``(key, record)`` pairs as one store file (see above)."""
+    with open(path, "w") as handle:
+        handle.write(json.dumps({"schema": schema}) + "\n")
+        for key, record in entries:
+            handle.write(f"{key} {json.dumps(record)}\n")
+
+
+def test_a_sweep_writes_exactly_one_store_file(tmp_path, monkeypatch):
+    # Both gates keep the planner's calibration records out of the file.
+    monkeypatch.delenv(NAIVE_BATCH_ENV, raising=False)
+    monkeypatch.delenv(NAIVE_MPREDICT_ENV, raising=False)
     directory = str(tmp_path / "cache")
     result = run(SweepExecutor(cache=SweepCache(directory)))
     # No temp file is left behind, and the one file holds every point
     # plus the call's calibration records.
     assert os.listdir(directory) == _store_files(directory)
-    with open(os.path.join(directory, _store_files(directory)[0])) as f:
-        stored = json.load(f)
-    points = [e for e in stored["entries"].values() if "n" in e]
+    entries = _stored_entries(_only_store_file(directory))
+    points = [record for _key, record in entries if "n" in record]
     assert len(points) == len(result)
-    assert len(stored["entries"]) > len(result)
+    assert len(entries) > len(result)
+
+
+def test_a_second_call_appends_to_the_first_calls_file(tmp_path):
+    directory = str(tmp_path / "cache")
+    run(SweepExecutor(cache=SweepCache(directory)))
+    path = _only_store_file(directory)
+    with open(path, "rb") as handle:
+        first = handle.read()
+    # An identical call hits everything and leaves the file alone...
+    run(SweepExecutor(cache=SweepCache(directory)))
+    with open(path, "rb") as handle:
+        assert handle.read() == first
+    # ...and a call with new N appends their entries after the old bytes.
+    grown = SweepExecutor(cache=SweepCache(directory))
+    result = run(grown, n_values=N_VALUES + [256])
+    assert grown.cache_hits == len(N_VALUES) * len(M_VALUES)
+    with open(path, "rb") as handle:
+        data = handle.read()
+    assert data.startswith(first) and len(data) > len(first)
+    assert os.listdir(directory) == _store_files(directory)
+    reloaded = SweepExecutor(cache=SweepCache(directory))
+    assert run(reloaded, n_values=N_VALUES + [256]) == result
+    assert reloaded.cache_hits == len(result)
 
 
 def test_corrupt_disk_entry_is_a_miss(tmp_path):
@@ -185,35 +239,44 @@ def test_truncated_store_file_is_one_warned_miss(tmp_path):
     from repro.sim import IntegrityWarning
     directory = str(tmp_path / "cache")
     first = run(SweepExecutor(cache=SweepCache(directory)))
-    (name,) = _store_files(directory)
-    path = os.path.join(directory, name)
+    path = _only_store_file(directory)
+    # The executor puts a call's points last, in grid order: cutting
+    # the file mid-line tears the last grid point's entry only.
     with open(path, "rb") as handle:
         data = handle.read()
     with open(path, "wb") as handle:
-        handle.write(data[:len(data) // 2])
+        handle.write(data[:-20])
     recovered = SweepExecutor(cache=SweepCache(directory))
-    with pytest.warns(IntegrityWarning, match="malformed store file"):
+    with pytest.warns(IntegrityWarning, match="torn last line") as caught:
         assert run(recovered) == first
-    assert recovered.cache_hits == 0
-    # The re-measured call wrote a whole file back.
+    assert len([w for w in caught
+                if issubclass(w.category, IntegrityWarning)]) == 1
+    assert recovered.cache_hits == len(first) - 1
+    assert recovered.cache_misses == 1
+    # The re-measured entry's write dropped the torn line: the file is
+    # clean again, holds every point, and left no temporary file.
+    assert os.listdir(directory) == _store_files(directory)
+    points = [r for _k, r in _stored_entries(path) if "n" in r]
+    assert len(points) == len(first)
     reloaded = SweepExecutor(cache=SweepCache(directory))
-    assert run(reloaded) == first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(reloaded) == first
     assert reloaded.cache_hits == len(first)
 
 
 def test_stale_schema_is_a_miss(tmp_path):
     directory = str(tmp_path / "cache")
     run(SweepExecutor(cache=SweepCache(directory)))
-    for name in os.listdir(directory):
-        path = os.path.join(directory, name)
-        with open(path) as handle:
-            record = json.load(handle)
-        record["schema"] = -1
-        with open(path, "w") as handle:
-            json.dump(record, handle)
+    path = _only_store_file(directory)
+    _write_entries(path, _stored_entries(path), schema=-1)
     recovered = SweepExecutor(cache=SweepCache(directory))
-    run(recovered)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run(recovered)
     assert recovered.cache_hits == 0
+    # The call rewrote the file whole, under the current schema.
+    assert len(_stored_entries(path)) > 0
 
 
 def _mangle_entries(directory, mutate, *, points):
@@ -221,30 +284,49 @@ def _mangle_entries(directory, mutate, *, points):
     (``points=True``) or the first calibration entry of every store
     file; returns the mangled keys."""
     mangled = []
-    for name in os.listdir(directory):
+    for name in _store_files(directory):
         path = os.path.join(directory, name)
-        with open(path) as handle:
-            stored = json.load(handle)
-        entries = stored["entries"]
-        key = next(k for k, entry in entries.items()
-                   if ("calibration_schema" not in entry) == points)
-        entries[key] = mutate(entries[key])
+        entries = _stored_entries(path)
+        index = next(i for i, (_key, entry) in enumerate(entries)
+                     if ("calibration_schema" not in entry) == points)
+        key, entry = entries[index]
+        entries[index] = (key, mutate(entry))
         mangled.append(key)
-        with open(path, "w") as handle:
-            json.dump(stored, handle)
+        _write_entries(path, entries)
     return mangled
 
 
+def test_an_entry_no_call_reads_is_never_decoded(tmp_path, monkeypatch):
+    # The gates keep calibration records out of the file; with them the
+    # second call provably reads the file it shares.
+    monkeypatch.delenv(NAIVE_BATCH_ENV, raising=False)
+    monkeypatch.delenv(NAIVE_MPREDICT_ENV, raising=False)
+    directory = str(tmp_path / "cache")
+    run(SweepExecutor(cache=SweepCache(directory)))
+    _mangle_entries(directory, lambda r: {k: v for k, v in r.items()
+                                          if k != "n"}, points=True)
+    # A call over other N shares the file but never looks the mangled
+    # key up, so nothing decodes it and nothing warns.
+    other = SweepExecutor(cache=SweepCache(directory))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run(other, n_values=[256, 512])
+    assert other.calibration_store_hits > 0
+
+
 def test_concurrent_writers_of_one_file_leave_it_readable(tmp_path):
-    # Both caches open the same call's file; the one that closes last
-    # replaces the other's write.  The file stays whole, and the
-    # points it lost are re-measured, never wrong.
+    # Both caches open the same existing file and append different N:
+    # each appends whole lines, so the file keeps both writers' points.
     scout = str(tmp_path / "scout")
     reference = run(SweepExecutor(cache=SweepCache(scout)))
     group = _group_of(scout)
     keyed = [(point_key(CFG, "daxpy", p.n, p.num_clusters, "auto", None, 0),
               p) for p in reference]
     directory = str(tmp_path / "cache")
+    # One unrelated entry makes the file exist before both open it.
+    seed = SweepCache(directory)
+    with seed.batch(group):
+        seed.put_record("00" * 32, "prefix", {"start_cycle": 0})
     first, second = SweepCache(directory), SweepCache(directory)
     with first.batch(group):
         with second.batch(group):
@@ -254,10 +336,24 @@ def test_concurrent_writers_of_one_file_leave_it_readable(tmp_path):
         for key, point in keyed:
             if point.n == N_VALUES[0]:
                 first.put(key, point)
-    assert _store_files(directory) == [f"{group}.json"]
+    assert os.listdir(directory) == [f"{group}.json"]
     reader = SweepExecutor(cache=SweepCache(directory))
     assert run(reader) == reference
-    assert reader.cache_hits == len(M_VALUES)
+    assert reader.cache_hits == len(reference)
+
+
+def test_a_file_removed_mid_batch_is_written_whole(tmp_path):
+    directory = str(tmp_path / "cache")
+    _put_in_own_file(SweepCache(directory), 0)
+    path = os.path.join(directory, f"{_group(0)}.json")
+    cache = SweepCache(directory)
+    with cache.batch(_group(0)):
+        os.remove(path)   # e.g. evicted by another process's bound
+        cache.put_record(_group(1), "prefix", {"value": 1})
+    # Appending would have restarted the file without its header.
+    assert _stored_entries(path) == [
+        (_group(1), {"calibration_schema": 1, "kind": "prefix",
+                     "payload": {"value": 1}})]
 
 
 # ----------------------------------------------------------------------
@@ -404,8 +500,9 @@ CALIBRATION_ENTRY_BYTES = (
     b'"slope": [0, 3, 5, 7]}}')
 #: The store file of one sweep call holding exactly those two entries.
 STORE_FILE_BYTES = (
-    b'{"schema": 2, "entries": {"' + b"ab" * 32 + b'": ' + POINT_ENTRY_BYTES
-    + b', "' + b"cd" * 32 + b'": ' + CALIBRATION_ENTRY_BYTES + b'}}')
+    b'{"schema": 3}\n'
+    + b"ab" * 32 + b" " + POINT_ENTRY_BYTES + b"\n"
+    + b"cd" * 32 + b" " + CALIBRATION_ENTRY_BYTES + b"\n")
 
 
 def test_record_file_bytes_are_pinned(tmp_path):
@@ -423,12 +520,19 @@ def test_record_file_bytes_are_pinned(tmp_path):
         cache.put("ab" * 32, point)
         cache.put_record("cd" * 32, "mmodel", payload)
     assert _store_files(directory) == ["ef" * 32 + ".json"]
-    with open(os.path.join(directory, "ef" * 32 + ".json"), "rb") as f:
+    path = os.path.join(directory, "ef" * 32 + ".json")
+    with open(path, "rb") as f:
         assert f.read() == STORE_FILE_BYTES
     fresh = SweepCache(directory)
     with fresh.batch("ef" * 32):
         assert fresh.get("ab" * 32) == point
         assert fresh.get_record("cd" * 32, "mmodel") == payload
+        fresh.put_record("12" * 32, "prefix", {"start_cycle": 10})
+    # A second batch appends exactly its one new line.
+    with open(path, "rb") as f:
+        assert f.read() == STORE_FILE_BYTES + b"12" * 32 + (
+            b' {"calibration_schema": 1, "kind": "prefix", "payload": '
+            b'{"start_cycle": 10}}\n')
 
 
 def _schema_1_key(n, m):
@@ -542,3 +646,13 @@ def test_malformed_cache_record_is_a_warned_miss(tmp_path, mutate):
     assert recovered.cache_misses == 1
     assert recovered.simulated_points + recovered.planned_points == 1
     assert result == first   # re-measured, not silently wrong
+    # The re-measured entry was appended after the mangled one, and the
+    # last line for a key wins on reload.
+    entries = _stored_entries(_only_store_file(directory))
+    assert [key for key, _r in entries].count(mangled) == 2
+    assert entries[-1][0] == mangled
+    reloaded = SweepExecutor(cache=SweepCache(directory))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(reloaded) == first
+    assert reloaded.cache_hits == len(first)
