@@ -70,7 +70,7 @@ from repro.errors import (
     SimulationError,
 )
 from repro.kernels.registry import get_kernel, kernel_names
-from repro.runtime.api import RUNTIME_VARIANTS, make_runtime
+from repro.runtime.protocol import make_runtime
 from repro.soc.config import SoCConfig
 from repro.soc.manticore import ManticoreSystem
 from repro.soc.tiles import TileClass, TileGroup, get_tile_class
@@ -99,7 +99,6 @@ __all__ = [
     "OverlappedResult",
     "PAPER_DAXPY_MODEL",
     "ReproError",
-    "RUNTIME_VARIANTS",
     "SimulationError",
     "SoCConfig",
     "SweepCache",

@@ -185,8 +185,9 @@ def _run_sweep(args, out: typing.TextIO) -> None:
         out.write(f"{len(result)} points written to {args.csv}\n")
         if cache is not None:
             # Keep bare stdout pure CSV; stats only accompany --csv runs.
-            measured = executor.simulated_points + executor.planned_points
-            out.write(f"cache: {executor.cache_hits} hits, "
+            stats = executor.stats
+            measured = stats.simulated_points + stats.planned_points
+            out.write(f"cache: {stats.cache_hits} hits, "
                       f"{measured} measured "
                       f"({cache.directory})\n")
     else:
@@ -246,72 +247,51 @@ def _run_offload(args, out: typing.TextIO) -> None:
 
 
 def _print_run_stats(out: typing.TextIO) -> None:
-    """Aggregate and print the sweep summaries ``--stats`` collected."""
-    from repro.core.executor import drain_run_stats
+    """Sum and print the sweep records ``--stats`` collected."""
+    from repro.core.executor import SweepStats, drain_run_stats
 
     runs = drain_run_stats()
     if not runs:
         out.write("\nsweep statistics: no sweeps executed\n")
         return
-    # tile_group/tile_class are labels, not counters — aggregated in
-    # the per-class breakdown below instead of the numeric totals.
-    skip = ("points_per_second", "batch_plan_hit_rate", "tile_group",
-            "tile_class")
-    total = {key: sum(run[key] for run in runs)
-             for key in runs[0] if key not in skip}
-    rate = (total["points"] / total["elapsed_seconds"]
-            if total["elapsed_seconds"] > 0 else float("inf"))
-    predictable = total["planned_points"] + total["batch_fallback_points"]
-    hit_rate = (100.0 * total["planned_points"] / predictable
-                if predictable else 0.0)
+    total = SweepStats.total(runs)
     out.write(
         f"\nsweep statistics ({len(runs)} sweep"
         f"{'s' if len(runs) != 1 else ''}):\n"
-        f"  points      {total['points']} in "
-        f"{total['elapsed_seconds']:.2f}s ({rate:.1f} points/s)\n"
-        f"  cache       {total['cache_hits']} hits, "
-        f"{total['cache_misses']} misses\n"
-        f"  batch plan  {total['planned_points']} planned, "
-        f"{total['simulated_points']} simulated, "
-        f"{total['batch_fallback_points']} fallbacks "
-        f"(hit rate {hit_rate:.1f}%)\n"
-        f"  m-predict   {total['prefixes_predicted']} prefixes predicted, "
-        f"{total['prefixes_calibrated']} calibrated, "
-        f"{total['mmodels_fitted']} models fitted, "
-        f"{total['holdout_fallbacks']} holdout fallbacks\n"
-        f"  calib store {total['calibration_store_hits']} hits, "
-        f"{total['calibration_store_misses']} misses, "
-        f"{total['cache_evictions']} disk evictions\n"
-        f"  pool        {total['pool_hits']} reused, "
-        f"{total['pool_builds']} built, {total['pool_dropped']} dropped\n"
-        f"  resumes     {total['sim_resumes']} process wake-ups in the "
+        f"  points      {total.points} in "
+        f"{total.elapsed_seconds:.2f}s "
+        f"({total.points_per_second:.1f} points/s)\n"
+        f"  cache       {total.cache_hits} hits, "
+        f"{total.cache_misses} misses\n"
+        f"  batch plan  {total.planned_points} planned, "
+        f"{total.simulated_points} simulated, "
+        f"{total.batch_fallback_points} fallbacks "
+        f"(hit rate {100.0 * total.batch_plan_hit_rate:.1f}%)\n"
+        f"  m-predict   {total.prefixes_predicted} prefixes predicted, "
+        f"{total.prefixes_calibrated} calibrated, "
+        f"{total.mmodels_fitted} models fitted, "
+        f"{total.holdout_fallbacks} holdout fallbacks\n"
+        f"  calib store {total.calibration_store_hits} hits, "
+        f"{total.calibration_store_misses} misses, "
+        f"{total.cache_evictions} disk evictions\n"
+        f"  pool        {total.pool_hits} reused, "
+        f"{total.pool_builds} built, {total.pool_dropped} dropped\n"
+        f"  resumes     {total.sim_resumes} process wake-ups in the "
         f"event engine\n")
-    by_class: typing.Dict[str, typing.Dict[str, float]] = {}
+    by_class: typing.Dict[str, typing.List[SweepStats]] = {}
     for run in runs:
-        label = run.get("tile_class") or "default"
-        bucket = by_class.setdefault(
-            label, {"sweeps": 0, "points": 0, "planned_points": 0,
-                    "simulated_points": 0, "batch_fallback_points": 0,
-                    "prefixes_calibrated": 0})
-        bucket["sweeps"] += 1
-        for key in ("points", "planned_points", "simulated_points",
-                    "batch_fallback_points", "prefixes_calibrated"):
-            bucket[key] += run.get(key, 0)
+        by_class.setdefault(run.tile_class or "default", []).append(run)
     if len(by_class) > 1 or "default" not in by_class:
         out.write("  per tile class:\n")
         for label in sorted(by_class):
-            bucket = by_class[label]
-            covered = (bucket["planned_points"]
-                       + bucket["batch_fallback_points"])
-            engagement = (100.0 * bucket["planned_points"] / covered
-                          if covered else 0.0)
+            group = SweepStats.total(by_class[label])
             out.write(
-                f"    {label:12s} {int(bucket['sweeps'])} sweeps, "
-                f"{int(bucket['points'])} points, "
-                f"{int(bucket['planned_points'])} planned, "
-                f"{int(bucket['batch_fallback_points'])} fallbacks, "
-                f"{int(bucket['prefixes_calibrated'])} calibrated "
-                f"(engagement {engagement:.1f}%)\n")
+                f"    {label:12s} {len(by_class[label])} sweeps, "
+                f"{group.points} points, "
+                f"{group.planned_points} planned, "
+                f"{group.batch_fallback_points} fallbacks, "
+                f"{group.prefixes_calibrated} calibrated "
+                f"(engagement {100.0 * group.batch_plan_hit_rate:.1f}%)\n")
 
 
 def main(argv: typing.Optional[typing.Sequence[str]] = None,

@@ -33,7 +33,7 @@ from repro.core.staging import (
     JobRequest,
     launch,
 )
-from repro.runtime.api import make_runtime
+from repro.runtime.protocol import make_runtime
 from repro.runtime.trace import build_offload_trace
 from repro.soc.manticore import ManticoreSystem
 

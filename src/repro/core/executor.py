@@ -26,11 +26,16 @@ Results are returned **by grid coordinate** (N-major, then M), never by
 the order slots were filled, and each point's simulation is
 bit-reproducible on a fresh SoC.  A ``progress`` callback observes the
 points in that same grid order.
+
+Each :meth:`SweepExecutor.run` ends by building one :class:`SweepStats`
+record of what it did (cache, planner, pool and engine counts); the
+CLI's ``--stats`` flag sums those records.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import time
 import typing
 
@@ -49,23 +54,106 @@ from repro.soc.pool import SystemPool
 #: a single SoC.
 _SYSTEM_POOL = SystemPool()
 
-#: Opt-in log of per-run statistics summaries (see
+#: The :class:`SweepStats` fields that label a run instead of counting.
+_LABELS = ("tile_group", "tile_class")
+
+
+@dataclasses.dataclass(frozen=True)
+class SweepStats:
+    """What one :meth:`SweepExecutor.run` did, built once at its end.
+
+    Every field but the two labels counts (or times) this run only:
+
+    - ``points`` / ``elapsed_seconds`` — grid size and wall time;
+    - ``cache_hits`` / ``cache_misses`` — point-cache outcomes;
+    - ``simulated_points`` — event-engine simulations actually run
+      (``0`` on a fully cached sweep), the
+      :class:`~repro.core.batch.BatchPlanner`'s calibration runs
+      included;
+    - ``planned_points`` / ``batch_fallback_points`` — points the
+      planner timed by closed form vs. examined and handed back;
+    - ``prefixes_calibrated`` / ``prefixes_predicted`` — M groups whose
+      dispatch prefix came from a calibration simulation vs. from the
+      affine M-model or the calibration store (no simulation);
+    - ``mmodels_fitted`` / ``holdout_fallbacks`` — affine M-axis models
+      fitted-and-holdout-verified vs. fit attempts abandoned;
+    - ``calibration_store_hits`` / ``calibration_store_misses`` —
+      persistent calibration-store outcomes (prefixes and M-models);
+    - ``cache_evictions`` — store files the LRU bound removed;
+    - ``pool_hits`` / ``pool_builds`` / ``pool_dropped`` and
+      ``sim_resumes`` — :class:`~repro.soc.pool.SystemPool` reuse and
+      event-engine process wake-ups.
+
+    ``tile_group`` is the targeted fabric group (``None``: the whole
+    fabric) and ``tile_class`` the class of the widest span (``"mixed"``
+    when it crosses classes).
+    """
+
+    points: int = 0
+    tile_group: typing.Optional[str] = None
+    tile_class: typing.Optional[str] = None
+    elapsed_seconds: float = 0.0
+    cache_hits: int = 0
+    cache_misses: int = 0
+    simulated_points: int = 0
+    planned_points: int = 0
+    batch_fallback_points: int = 0
+    prefixes_calibrated: int = 0
+    prefixes_predicted: int = 0
+    mmodels_fitted: int = 0
+    holdout_fallbacks: int = 0
+    calibration_store_hits: int = 0
+    calibration_store_misses: int = 0
+    cache_evictions: int = 0
+    pool_hits: int = 0
+    pool_builds: int = 0
+    pool_dropped: int = 0
+    sim_resumes: int = 0
+
+    @property
+    def points_per_second(self) -> float:
+        """Grid points per wall-clock second of the run."""
+        return (self.points / self.elapsed_seconds
+                if self.elapsed_seconds > 0 else float("inf"))
+
+    @property
+    def batch_plan_hit_rate(self) -> float:
+        """Planned share of the points the planner examined."""
+        examined = self.planned_points + self.batch_fallback_points
+        return self.planned_points / examined if examined else 0.0
+
+    @classmethod
+    def total(cls, runs: typing.Iterable["SweepStats"]) -> "SweepStats":
+        """Every count summed over ``runs``; a label is kept only where
+        all runs share it."""
+        runs = list(runs)
+        summed: typing.Dict[str, typing.Any] = {}
+        for field in dataclasses.fields(cls):
+            values = [getattr(run, field.name) for run in runs]
+            if field.name not in _LABELS:
+                summed[field.name] = sum(values)
+            elif len(set(values)) == 1:
+                summed[field.name] = values[0]
+        return cls(**summed)
+
+
+#: Opt-in log of every run's :class:`SweepStats` (see
 #: :func:`collect_run_stats`); experiments build executors internally,
 #: so the CLI's ``--stats`` flag observes them through this hook
 #: instead of threading a parameter through every experiment signature.
-_RUN_STATS_LOG: typing.List[typing.Dict[str, typing.Any]] = []
+_RUN_STATS_LOG: typing.List[SweepStats] = []
 _LOG_RUN_STATS = False
 
 
 def collect_run_stats(enabled: bool = True) -> None:
-    """Start (or stop) logging every ``SweepExecutor.run`` summary."""
+    """Start (or stop) logging every ``SweepExecutor.run`` record."""
     global _LOG_RUN_STATS
     _LOG_RUN_STATS = enabled
     _RUN_STATS_LOG.clear()
 
 
-def drain_run_stats() -> typing.List[typing.Dict[str, typing.Any]]:
-    """Return and clear the collected run summaries."""
+def drain_run_stats() -> typing.List[SweepStats]:
+    """Return and clear the collected run records."""
     drained = list(_RUN_STATS_LOG)
     _RUN_STATS_LOG.clear()
     return drained
@@ -104,46 +192,13 @@ class SweepExecutor:
         Optional :class:`SweepCache`.  Cached points are never
         re-simulated; fresh points are stored back.
 
-    Counters (reset at the start of every :meth:`run`):
-
-    - ``cache_hits`` / ``cache_misses`` — cache outcomes this run;
-    - ``simulated_points`` — simulations actually executed this run
-      (``0`` on a fully cached sweep), including the
-      :class:`~repro.core.batch.BatchPlanner`'s calibration runs;
-    - ``planned_points`` — points timed by the planner's closed form
-      instead of the event engine;
-    - ``batch_fallback_points`` — points the planner examined but
-      handed back to the event engine;
-    - ``prefixes_calibrated`` / ``prefixes_predicted`` — M groups whose
-      dispatch prefix came from a calibration simulation vs. from the
-      affine M-model or the calibration store (no simulation);
-    - ``mmodels_fitted`` / ``holdout_fallbacks`` — affine M-axis models
-      fitted-and-holdout-verified vs. fit attempts abandoned;
-    - ``calibration_store_hits`` / ``calibration_store_misses`` —
-      persistent calibration-store outcomes (prefixes and M-models).
-
-    :meth:`run` also assembles :attr:`last_run_stats`, a flat summary
-    (throughput, cache/pool/planner outcomes, interpreter resume
-    counts) that the CLI's ``--stats`` flag prints after a sweep.
+    After each :meth:`run`, :attr:`stats` holds that run's
+    :class:`SweepStats` (``None`` before the first run).
     """
 
     def __init__(self, cache: typing.Optional[SweepCache] = None) -> None:
         self.cache = cache
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.simulated_points = 0
-        self.planned_points = 0
-        self.batch_fallback_points = 0
-        self.prefixes_calibrated = 0
-        self.prefixes_predicted = 0
-        self.mmodels_fitted = 0
-        self.holdout_fallbacks = 0
-        self.calibration_store_hits = 0
-        self.calibration_store_misses = 0
-        #: Summary of the most recent :meth:`run` (see
-        #: :meth:`_collect_stats`); ``None`` before the first run.
-        self.last_run_stats: typing.Optional[
-            typing.Dict[str, typing.Any]] = None
+        self.stats: typing.Optional[SweepStats] = None
 
     # ------------------------------------------------------------------
     # Public API
@@ -165,28 +220,16 @@ class SweepExecutor:
         widest = max((config.cluster_span(m, tile_group, kernel=kernel)
                       for m in m_values), key=lambda span: span.count).tile
         tile_class = "mixed" if widest is None else widest.class_name
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.simulated_points = 0
-        self.planned_points = 0
-        self.batch_fallback_points = 0
-        self.prefixes_calibrated = 0
-        self.prefixes_predicted = 0
-        self.mmodels_fitted = 0
-        self.holdout_fallbacks = 0
-        self.calibration_store_hits = 0
-        self.calibration_store_misses = 0
         started = time.perf_counter()
-        pool_before = (_SYSTEM_POOL.hits, _SYSTEM_POOL.builds,
-                       _SYSTEM_POOL.dropped, _SYSTEM_POOL.resume_count())
-        evictions_before = (self.cache.evictions
-                            if self.cache is not None else 0)
+        before = self._tallies()
+        planner = BatchPlanner(_SYSTEM_POOL, cache=self.cache)
 
         # N-major grid order: the order of the returned points, whatever
         # order the planner and the simulation loop fill slots in.
         coords = [(n, m) for n in n_values for m in m_values]
         slots: typing.List[typing.Optional[SweepPoint]] = [None] * len(coords)
         pending: typing.List[typing.Tuple[int, int, int]] = []  # (slot, n, m)
+        remaining: typing.Sequence[typing.Tuple[int, int, int]] = ()
         keys: typing.Dict[int, str] = {}
 
         # Stream ``progress`` over the longest completed prefix, so the
@@ -215,10 +258,8 @@ class SweepExecutor:
                     keys[index] = key
                     cached = self.cache.get(key)
                     if cached is not None:
-                        self.cache_hits += 1
                         slots[index] = cached
                         continue
-                    self.cache_misses += 1
                 pending.append((index, n, m))
             emit_ready()
             if pending:
@@ -227,80 +268,49 @@ class SweepExecutor:
                 # engine.  The *original* pending list still drives the
                 # cache put-back below, so planned points are cached
                 # exactly like simulated ones.
-                remaining: typing.Sequence[typing.Tuple[int, int, int]]
-                if flags.naive_batch():
-                    remaining = pending
-                else:
-                    planner = BatchPlanner(_SYSTEM_POOL, cache=self.cache)
-                    remaining = planner.consume(
-                        config, kernel_name, variant, scalars, seed, verify,
-                        pending, slots, tile_group=tile_group)
-                    self.simulated_points += planner.calibration_points
-                    self.planned_points = planner.planned_points
-                    self.batch_fallback_points = planner.fallback_points
-                    self.prefixes_calibrated = planner.prefixes_calibrated
-                    self.prefixes_predicted = planner.prefixes_predicted
-                    self.mmodels_fitted = planner.mmodels_fitted
-                    self.holdout_fallbacks = planner.holdout_fallbacks
-                    self.calibration_store_hits = planner.store_hits
-                    self.calibration_store_misses = planner.store_misses
-                    emit_ready()
+                remaining = (pending if flags.naive_batch() else
+                             planner.consume(config, kernel_name, variant,
+                                             scalars, seed, verify, pending,
+                                             slots, tile_group=tile_group))
+                emit_ready()
                 for index, n, m in remaining:
                     slots[index] = measure_point(
                         config, kernel_name, n, m, variant, scalars, seed,
                         verify, tile_group=tile_group)
-                    self.simulated_points += 1
                     emit_ready()
                 if self.cache is not None:
                     for index, _n, _m in pending:
                         self.cache.put(keys[index], slots[index])
 
-        evictions = ((self.cache.evictions - evictions_before)
-                     if self.cache is not None else 0)
-        self.last_run_stats = self._collect_stats(
-            len(coords), time.perf_counter() - started, pool_before,
-            evictions, tile_group, tile_class)
+        self.stats = SweepStats(
+            points=len(coords), tile_group=tile_group, tile_class=tile_class,
+            elapsed_seconds=time.perf_counter() - started,
+            simulated_points=planner.calibration_points + len(remaining),
+            planned_points=planner.planned_points,
+            batch_fallback_points=planner.fallback_points,
+            prefixes_calibrated=planner.prefixes_calibrated,
+            prefixes_predicted=planner.prefixes_predicted,
+            mmodels_fitted=planner.mmodels_fitted,
+            holdout_fallbacks=planner.holdout_fallbacks,
+            calibration_store_hits=planner.store_hits,
+            calibration_store_misses=planner.store_misses,
+            **{name: now - before[name]
+               for name, now in self._tallies().items()})
         if _LOG_RUN_STATS:
-            _RUN_STATS_LOG.append(self.last_run_stats)
+            _RUN_STATS_LOG.append(self.stats)
         points = typing.cast(typing.List[SweepPoint], slots)
         return SweepResult(points=tuple(points))
 
-    def _collect_stats(self, total_points: int, elapsed: float,
-                       pool_before: typing.Tuple[int, int, int, int],
-                       cache_evictions: int,
-                       tile_group: typing.Optional[str] = None,
-                       tile_class: str = "snitch"
-                       ) -> typing.Dict[str, typing.Any]:
-        """Summarize one :meth:`run` for the ``--stats`` reporting path.
-
-        Pool and resume figures are deltas over :data:`_SYSTEM_POOL`,
-        which every point of the run leases from.
-        """
-        hits0, builds0, dropped0, resumes0 = pool_before
-        predictable = self.planned_points + self.batch_fallback_points
+    def _tallies(self) -> typing.Dict[str, int]:
+        """The lifetime cache and pool counters whose change over a run
+        its :class:`SweepStats` reports, by field name."""
+        cache = self.cache
         return {
-            "points": total_points,
-            "tile_group": tile_group,
-            "tile_class": tile_class,
-            "elapsed_seconds": elapsed,
-            "points_per_second": (total_points / elapsed if elapsed > 0
-                                  else float("inf")),
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "simulated_points": self.simulated_points,
-            "planned_points": self.planned_points,
-            "batch_fallback_points": self.batch_fallback_points,
-            "batch_plan_hit_rate": (self.planned_points / predictable
-                                    if predictable else 0.0),
-            "prefixes_calibrated": self.prefixes_calibrated,
-            "prefixes_predicted": self.prefixes_predicted,
-            "mmodels_fitted": self.mmodels_fitted,
-            "holdout_fallbacks": self.holdout_fallbacks,
-            "calibration_store_hits": self.calibration_store_hits,
-            "calibration_store_misses": self.calibration_store_misses,
-            "cache_evictions": cache_evictions,
-            "pool_hits": _SYSTEM_POOL.hits - hits0,
-            "pool_builds": _SYSTEM_POOL.builds - builds0,
-            "pool_dropped": _SYSTEM_POOL.dropped - dropped0,
-            "sim_resumes": _SYSTEM_POOL.resume_count() - resumes0,
+            "cache_hits": cache.hits if cache is not None else 0,
+            "cache_misses": cache.misses if cache is not None else 0,
+            "cache_evictions": cache.evictions if cache is not None else 0,
+            "pool_hits": _SYSTEM_POOL.hits,
+            "pool_builds": _SYSTEM_POOL.builds,
+            "pool_dropped": _SYSTEM_POOL.dropped,
+            "sim_resumes": _SYSTEM_POOL.resume_count(),
         }

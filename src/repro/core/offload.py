@@ -25,7 +25,7 @@ from repro.core.staging import (
     launch,
     run_program,
 )
-from repro.runtime.api import make_runtime
+from repro.runtime.protocol import make_runtime
 from repro.runtime.trace import OffloadTrace, build_offload_trace
 from repro.soc.manticore import ManticoreSystem
 

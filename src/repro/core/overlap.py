@@ -30,7 +30,7 @@ from repro.core.staging import (
     JobRequest,
     launch,
 )
-from repro.runtime.api import make_runtime
+from repro.runtime.protocol import make_runtime
 from repro.runtime.hostexec import host_kernel_work
 from repro.soc.manticore import ManticoreSystem
 

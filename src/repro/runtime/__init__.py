@@ -25,8 +25,7 @@ the two mixed variants isolate each extension's contribution
 :class:`~repro.runtime.strategies.VariantSpec`.
 """
 
-from repro.runtime.api import RUNTIME_VARIANTS, make_runtime
-from repro.runtime.protocol import OffloadRuntime
+from repro.runtime.protocol import OffloadRuntime, make_runtime
 from repro.runtime.strategies import (
     AmoPollCompletion,
     CompletionStrategy,
@@ -51,7 +50,6 @@ __all__ = [
     "MulticastDispatch",
     "OffloadRuntime",
     "OffloadTrace",
-    "RUNTIME_VARIANTS",
     "SequentialStoreDispatch",
     "SyncUnitCompletion",
     "VariantSpec",

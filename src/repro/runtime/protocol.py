@@ -35,7 +35,7 @@ import typing
 
 from repro import abi, flags
 from repro.errors import OffloadError
-from repro.runtime.strategies import VariantSpec
+from repro.runtime.strategies import VariantSpec, resolve_variant
 from repro.soc.manticore import ManticoreSystem
 
 #: One job in a launch: its descriptor and, for flag-based completion,
@@ -46,7 +46,7 @@ LaunchJob = typing.Tuple[abi.JobDescriptor, typing.Optional[int]]
 class OffloadRuntime:
     """The host-side offload routine of one registered variant.
 
-    ``spec`` (normally resolved by :func:`repro.runtime.api.make_runtime`)
+    ``spec`` (normally resolved by :func:`make_runtime`)
     names the variant and pairs its dispatch and completion strategies;
     the features they need must exist in ``system``'s hardware.
     """
@@ -185,3 +185,21 @@ class OffloadRuntime:
             result["end_cycle"] = system.sim.now
 
         return program()
+
+
+def make_runtime(system: ManticoreSystem,
+                 variant: str = "auto") -> OffloadRuntime:
+    """Build an offload runtime for ``system``.
+
+    ``variant="auto"`` uses every extension the hardware provides (a
+    baseline SoC gets the baseline routine, an extended SoC the extended
+    one); the explicit names select a registered variant
+    (:func:`repro.runtime.strategies.register_variant`), which must be
+    supported by the hardware.
+
+    Raises
+    ------
+    OffloadError
+        On unknown variant names or software/hardware mismatches.
+    """
+    return OffloadRuntime(system, resolve_variant(variant, system.config))

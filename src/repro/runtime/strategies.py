@@ -22,9 +22,8 @@ variant                   dispatch                completion
 ========================= ======================= =====================
 
 The registry is the single source of truth for variant names:
-:func:`repro.runtime.api.make_runtime`,
-:meth:`repro.soc.config.SoCConfig.for_variant` and the backwards-compat
-``VARIANT_FEATURES`` mapping all resolve through it.
+:func:`repro.runtime.protocol.make_runtime` and
+:meth:`repro.soc.config.SoCConfig.for_variant` both resolve through it.
 """
 
 from __future__ import annotations
@@ -382,7 +381,7 @@ def register_variant(name: str, dispatch: DispatchStrategy,
     """Register a protocol variant; returns its spec.
 
     This is the *only* step a new variant needs: the runtime factory
-    (:func:`repro.runtime.api.make_runtime`) and the hardware
+    (:func:`repro.runtime.protocol.make_runtime`) and the hardware
     configurator (:meth:`repro.soc.config.SoCConfig.for_variant`) both
     resolve through the registry.
     """

@@ -43,41 +43,6 @@ from repro.soc.tiles import (
 #: to: one default-class group spanning every cluster.
 IMPLICIT_GROUP_NAME = "clusters"
 
-class _VariantFeatureView(typing.Mapping):
-    """Live name → (multicast, hw_sync) view of the variant registry.
-
-    The strategy registry (:mod:`repro.runtime.strategies`) is the
-    single source of truth for variant names; this mapping resolves
-    through it lazily so the config layer never imports the runtime
-    layer at module load (the runtime layer sits *above* soc in the
-    import ladder and itself imports soc modules).
-    """
-
-    @staticmethod
-    def _features() -> typing.Dict[str, typing.Tuple[bool, bool]]:
-        from repro.runtime.strategies import variant_features
-        return variant_features()
-
-    def __getitem__(self, name: str) -> typing.Tuple[bool, bool]:
-        return self._features()[name]
-
-    def __iter__(self) -> typing.Iterator[str]:
-        return iter(self._features())
-
-    def __len__(self) -> int:
-        return len(self._features())
-
-    def __repr__(self) -> str:
-        return repr(self._features())
-
-
-#: Runtime variant name → (multicast, hw_sync) hardware feature pair.
-#: A live view of the strategy registry, kept under its historical
-#: name; ``SoCConfig.for_variant`` and ``repro.runtime`` resolve
-#: through the same registry, so they cannot drift.
-VARIANT_FEATURES: typing.Mapping[str, typing.Tuple[bool, bool]] = (
-    _VariantFeatureView())
-
 
 @dataclasses.dataclass(frozen=True)
 class SoCConfig:
@@ -219,19 +184,24 @@ class SoCConfig:
 
         Saves callers hand-rolling ``dataclasses.replace(cfg,
         multicast=..., hw_sync=...)`` per variant and keeps the
-        name → feature mapping in one place (:data:`VARIANT_FEATURES`).
+        name → feature mapping in one place: the variant registry
+        (:func:`repro.runtime.strategies.variant_features`).
 
         Raises
         ------
         ConfigError
             On unknown variant names.
         """
+        # Function-level import: the runtime layer sits above soc.
+        from repro.runtime.strategies import variant_features
+
+        features = variant_features()
         try:
-            multicast, hw_sync = VARIANT_FEATURES[variant]
+            multicast, hw_sync = features[variant]
         except KeyError:
             raise ConfigError(
                 f"unknown runtime variant {variant!r}; available: "
-                f"{', '.join(sorted(VARIANT_FEATURES))}"
+                f"{', '.join(sorted(features))}"
             ) from None
         return self.with_features(multicast=multicast, hw_sync=hw_sync)
 

@@ -17,7 +17,6 @@ variable to a non-empty value.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import typing
 import warnings
@@ -33,20 +32,16 @@ class SystemPool:
     """A keyed pool of reset-to-boot ManticoreSystem instances.
 
     Keys are :meth:`SoCConfig.digest` values, so two structurally equal
-    configurations share a pool slot.  ``max_idle`` bounds how many
-    *idle* systems are retained per key (leased systems are owned by
-    the caller and not counted); sweeps touch one or two configs at a
-    time, so the default of 1 suffices.
+    configurations share a pool slot.  At most one *idle* system is
+    retained per key (leased systems are owned by the caller and not
+    counted); a sweep leases one system at a time, so one suffices.
 
-    Thread/process notes: the pool is not thread-safe; sweep workers
-    each own a process-local pool (see ``repro.core.executor``).
+    The pool is not thread-safe; sweeps run in-process and share the
+    one pool of ``repro.core.executor``.
     """
 
-    def __init__(self, max_idle: int = 1) -> None:
-        if max_idle < 1:
-            raise ValueError(f"max_idle must be >= 1, got {max_idle}")
-        self.max_idle = max_idle
-        self._idle: typing.Dict[str, collections.deque] = {}
+    def __init__(self) -> None:
+        self._idle: typing.Dict[str, ManticoreSystem] = {}
         #: Number of acquires served by reusing an idle instance.
         self.hits = 0
         #: Number of acquires that had to construct a system.
@@ -66,10 +61,9 @@ class SystemPool:
         pooled instance is reset before being handed out.  With
         ``REPRO_FRESH_SYSTEMS`` set, always constructs.
         """
-        queue = (None if flags.fresh_systems()
-                 else self._idle.get(config.digest()))
-        if queue:
-            system = queue.pop()
+        system = (None if flags.fresh_systems()
+                  else self._idle.pop(config.digest(), None))
+        if system is not None:
             # ``audited=True``: this instance entered the idle pool
             # through :meth:`release`'s quiescence audit and nothing has
             # run since, so re-auditing here would repeat the exact walk
@@ -114,10 +108,7 @@ class SystemPool:
                 + ")",
                 IntegrityWarning, stacklevel=2)
             return
-        queue = self._idle.setdefault(
-            system.config.digest(), collections.deque())
-        if len(queue) < self.max_idle:
-            queue.append(system)
+        self._idle.setdefault(system.config.digest(), system)
 
     @contextlib.contextmanager
     def lease(self, config: SoCConfig):
@@ -142,10 +133,9 @@ class SystemPool:
         (instances leased out at call time are not visible; call
         between runs).
         """
-        return sum(system.sim.resumes
-                   for queue in self._idle.values() for system in queue)
+        return sum(system.sim.resumes for system in self._idle.values())
 
     @property
     def idle_count(self) -> int:
         """Total idle instances currently retained."""
-        return sum(len(queue) for queue in self._idle.values())
+        return len(self._idle)

@@ -5,12 +5,12 @@ import pytest
 
 from repro.core.offload import offload
 from repro.kernels.registry import kernel_names
-from repro.runtime.api import RUNTIME_VARIANTS
+from repro.runtime.strategies import variant_names
 from repro.soc.config import SoCConfig
 from repro.soc.manticore import ManticoreSystem
 
 
-@pytest.mark.parametrize("variant", sorted(RUNTIME_VARIANTS))
+@pytest.mark.parametrize("variant", sorted(variant_names()))
 @pytest.mark.parametrize("kernel", kernel_names())
 def test_kernel_variant_matrix(kernel, variant):
     system = ManticoreSystem(SoCConfig.extended(num_clusters=8))
@@ -67,7 +67,7 @@ def test_timing_independent_of_data_values():
 
 def test_variant_choice_never_changes_results():
     outputs = {}
-    for variant in sorted(RUNTIME_VARIANTS):
+    for variant in sorted(variant_names()):
         system = ManticoreSystem(SoCConfig.extended(num_clusters=8))
         outputs[variant] = offload(system, "gemv", 16, 4, seed=3,
                                    variant=variant).outputs["y"]

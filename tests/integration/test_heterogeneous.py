@@ -69,12 +69,12 @@ def test_planner_engages_per_tile_class(mixed_config, monkeypatch):
         runs = drain_run_stats()
     finally:
         collect_run_stats(False)
-    by_class = {run["tile_class"]: run for run in runs}
+    by_class = {run.tile_class: run for run in runs}
     assert set(by_class) == {"snitch", "vecwide"}
     for tile_class, run in by_class.items():
-        assert run["planned_points"] > 0, tile_class
-        assert run["batch_fallback_points"] == 0, tile_class
-        assert run["prefixes_calibrated"] > 0, tile_class
+        assert run.planned_points > 0, tile_class
+        assert run.batch_fallback_points == 0, tile_class
+        assert run.prefixes_calibrated > 0, tile_class
 
 
 def test_per_class_mape_under_paper_envelope(mixed_config):
@@ -115,11 +115,11 @@ def test_ungrouped_mixed_sweep_falls_back_only_on_mixed_spans(
         (run,) = drain_run_stats()
     finally:
         collect_run_stats(False)
-    assert run["tile_class"] == "mixed"
-    assert run["planned_points"] > 0        # uniform spans still plan
-    assert run["batch_fallback_points"] > 0  # mixed spans fall back
-    total = (run["planned_points"] + run["simulated_points"])
-    assert total == run["points"]
+    assert run.tile_class == "mixed"
+    assert run.planned_points > 0        # uniform spans still plan
+    assert run.batch_fallback_points > 0  # mixed spans fall back
+    total = (run.planned_points + run.simulated_points)
+    assert total == run.points
 
 
 @pytest.mark.parametrize("naive_barrier", [False, True])
@@ -164,8 +164,8 @@ def test_gemv_sweep_plans_and_matches_naive(mixed_config, tile_group,
         (run,) = drain_run_stats()
     finally:
         collect_run_stats(False)
-    assert run["planned_points"] > 0
-    assert run["batch_fallback_points"] == 0
+    assert run.planned_points > 0
+    assert run.batch_fallback_points == 0
     monkeypatch.setenv("REPRO_NAIVE_BATCH", "1")
     naive = sweep(mixed_config, "gemv", **grid)
     assert planned.points == naive.points

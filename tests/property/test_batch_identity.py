@@ -114,9 +114,9 @@ def test_batched_matches_naive_across_kernels_and_variants(kernel, variant):
     # Agreement must come from real predictions, not wholesale fallback:
     # at most one calibration per M group (fewer when the affine
     # M-model predicts a group outright), everything else planned.
-    assert executor.planned_points > 0
-    assert 0 < executor.simulated_points <= len(M_VALUES)
-    assert executor.planned_points + executor.simulated_points \
+    assert executor.stats.planned_points > 0
+    assert 0 < executor.stats.simulated_points <= len(M_VALUES)
+    assert executor.stats.planned_points + executor.stats.simulated_points \
         == len(N_VALUES) * len(M_VALUES)
 
 
@@ -128,7 +128,7 @@ def test_batched_matches_naive_over_job_coordinates(seed, scalar):
         CFG, "daxpy", N_VALUES, M_VALUES, "extended",
         seed=seed, scalars={"a": scalar})
     assert fast == naive
-    assert executor.planned_points > 0
+    assert executor.stats.planned_points > 0
 
 
 def test_batched_matches_naive_on_wide_fabric_with_empty_slices():
@@ -138,7 +138,7 @@ def test_batched_matches_naive_on_wide_fabric_with_empty_slices():
     naive, fast, executor = _ab_sweep(
         config, "daxpy", [1, 5, 40, 512], [1, 31, 32], "extended")
     assert fast == naive
-    assert executor.planned_points > 0
+    assert executor.stats.planned_points > 0
 
 
 # ----------------------------------------------------------------------
@@ -148,9 +148,9 @@ def test_naive_gate_disables_the_planner():
     with _env(NAIVE_BATCH_ENV, "1"):
         executor = SweepExecutor()
         result = executor.run(CFG, "daxpy", [64, 128], [1, 2])
-    assert executor.planned_points == 0
-    assert executor.batch_fallback_points == 0
-    assert executor.simulated_points == len(result)
+    assert executor.stats.planned_points == 0
+    assert executor.stats.batch_fallback_points == 0
+    assert executor.stats.simulated_points == len(result)
 
 
 def test_single_n_groups_ride_the_m_model():
@@ -161,10 +161,10 @@ def test_single_n_groups_ride_the_m_model():
     naive, fast, executor = _ab_sweep(CFG, "daxpy", [96], M_VALUES,
                                       "baseline")
     assert fast == naive
-    assert executor.mmodels_fitted == 1
-    assert executor.simulated_points == 3       # lo, holdout, hi anchors
-    assert executor.planned_points == len(M_VALUES) - 3
-    assert executor.batch_fallback_points == 0
+    assert executor.stats.mmodels_fitted == 1
+    assert executor.stats.simulated_points == 3       # lo, holdout, hi anchors
+    assert executor.stats.planned_points == len(M_VALUES) - 3
+    assert executor.stats.batch_fallback_points == 0
 
 
 def test_single_n_groups_are_not_calibrated_under_the_gate():
@@ -174,11 +174,11 @@ def test_single_n_groups_are_not_calibrated_under_the_gate():
         naive, fast, executor = _ab_sweep(CFG, "daxpy", [96], M_VALUES,
                                           "baseline")
     assert fast == naive
-    assert executor.planned_points == 0
-    assert executor.batch_fallback_points == len(M_VALUES)
-    assert executor.simulated_points == len(M_VALUES)
-    assert executor.mmodels_fitted == 0
-    assert executor.prefixes_predicted == 0
+    assert executor.stats.planned_points == 0
+    assert executor.stats.batch_fallback_points == len(M_VALUES)
+    assert executor.stats.simulated_points == len(M_VALUES)
+    assert executor.stats.mmodels_fitted == 0
+    assert executor.stats.prefixes_predicted == 0
 
 
 def test_unprovable_strategy_type_falls_back():
@@ -195,8 +195,8 @@ def test_unprovable_strategy_type_falls_back():
         naive, fast, executor = _ab_sweep(CFG, "daxpy", [64, 128], [1, 2],
                                           name)
         assert fast == naive
-        assert executor.planned_points == 0
-        assert executor.batch_fallback_points == 4
+        assert executor.stats.planned_points == 0
+        assert executor.stats.batch_fallback_points == 4
     finally:
         _VARIANT_REGISTRY.pop(name, None)
 
@@ -225,8 +225,8 @@ def test_zero_byte_slices_are_refused_per_point():
         naive, fast, executor = _ab_sweep(
             CFG, ComputeOnlyKernel.name, [64, 128], [1, 2], "baseline")
         assert fast == naive
-        assert executor.planned_points == 0
-        assert executor.batch_fallback_points == 4
+        assert executor.stats.planned_points == 0
+        assert executor.stats.batch_fallback_points == 4
     finally:
         _KERNEL_REGISTRY.pop(ComputeOnlyKernel.name, None)
 

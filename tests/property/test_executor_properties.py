@@ -27,4 +27,4 @@ def test_cache_replay_is_bit_identical_to_simulation(grid):
     fresh = executor.run(CFG, "daxpy", n_values, m_values)
     replayed = executor.run(CFG, "daxpy", n_values, m_values)
     assert replayed == fresh
-    assert executor.simulated_points == 0
+    assert executor.stats.simulated_points == 0

@@ -101,11 +101,11 @@ def test_predicted_matches_calibrated_across_kernels_and_variants(
     # Agreement must come from a real fitted model: three anchor
     # calibrations (plus one for multicast's off-domain M = 1 group),
     # every remaining group predicted without simulation.
-    assert executor.mmodels_fitted == 1
-    assert executor.holdout_fallbacks == 0
-    assert executor.prefixes_predicted >= 2
-    assert executor.simulated_points < len(M_VALUES)
-    assert executor.planned_points + executor.simulated_points \
+    assert executor.stats.mmodels_fitted == 1
+    assert executor.stats.holdout_fallbacks == 0
+    assert executor.stats.prefixes_predicted >= 2
+    assert executor.stats.simulated_points < len(M_VALUES)
+    assert executor.stats.planned_points + executor.stats.simulated_points \
         == len(N_VALUES) * len(M_VALUES)
 
 
@@ -117,8 +117,8 @@ def test_predicted_matches_calibrated_over_job_coordinates(seed, scalar):
         CFG, "daxpy", N_VALUES, M_VALUES, "extended",
         seed=seed, scalars={"a": scalar})
     assert fast == naive
-    assert executor.mmodels_fitted == 1
-    assert executor.prefixes_predicted >= 2
+    assert executor.stats.mmodels_fitted == 1
+    assert executor.stats.prefixes_predicted >= 2
 
 
 def test_predicted_matches_calibrated_on_wide_fabric_with_empty_slices():
@@ -128,8 +128,8 @@ def test_predicted_matches_calibrated_on_wide_fabric_with_empty_slices():
     naive, fast, executor = _ab_sweep(
         config, "daxpy", [1, 5, 512], [2, 7, 15, 30, 31, 32], "extended")
     assert fast == naive
-    assert executor.mmodels_fitted == 1
-    assert executor.prefixes_predicted >= 2
+    assert executor.stats.mmodels_fitted == 1
+    assert executor.stats.prefixes_predicted >= 2
 
 
 # ----------------------------------------------------------------------
@@ -162,11 +162,11 @@ def test_sabotaged_fit_is_caught_by_the_holdout_and_falls_back(
     naive, fast, executor = _ab_sweep(CFG, "daxpy", N_VALUES, M_VALUES,
                                       "extended")
     assert fast == naive
-    assert executor.mmodels_fitted == 0
-    assert executor.holdout_fallbacks == 1
-    assert executor.prefixes_predicted == 0
+    assert executor.stats.mmodels_fitted == 0
+    assert executor.stats.holdout_fallbacks == 1
+    assert executor.stats.prefixes_predicted == 0
     # Every M group paid its own calibration, PR-7 style.
-    assert executor.simulated_points == len(M_VALUES)
+    assert executor.stats.simulated_points == len(M_VALUES)
 
 
 def test_sabotaged_fit_on_a_single_n_falls_back_point_by_point(
@@ -179,9 +179,9 @@ def test_sabotaged_fit_on_a_single_n_falls_back_point_by_point(
     naive, fast, executor = _ab_sweep(CFG, "daxpy", [256], M_VALUES,
                                       "extended")
     assert fast == naive
-    assert executor.holdout_fallbacks == 1
-    assert executor.planned_points == 0
-    assert executor.simulated_points == len(M_VALUES)
+    assert executor.stats.holdout_fallbacks == 1
+    assert executor.stats.planned_points == 0
+    assert executor.stats.simulated_points == len(M_VALUES)
 
 
 def test_non_affine_strategy_never_fits_a_model():
@@ -191,10 +191,10 @@ def test_non_affine_strategy_never_fits_a_model():
     naive, fast, executor = _ab_sweep(CFG, "daxpy", N_VALUES, [1, 2, 3],
                                       "multicast_only")
     assert fast == naive
-    assert executor.mmodels_fitted == 0
+    assert executor.stats.mmodels_fitted == 0
     # M = 1 is outside multicast's affine domain and [2, 3] is too
     # small an anchor set, so every group calibrated.
-    assert executor.simulated_points == 3
+    assert executor.stats.simulated_points == 3
 
 
 # ----------------------------------------------------------------------
@@ -205,8 +205,8 @@ def test_warm_store_reproduces_cold_results_without_simulating(tmp_path):
     naive_cold, cold, cold_executor = _ab_sweep(
         CFG, "daxpy", N_VALUES, M_VALUES, "extended", cache=cold_cache)
     assert cold == naive_cold
-    assert cold_executor.calibration_store_hits == 0
-    assert cold_executor.calibration_store_misses > 0
+    assert cold_executor.stats.calibration_store_hits == 0
+    assert cold_executor.stats.calibration_store_misses > 0
 
     # A fresh cache object over the same directory, and N values the
     # store has never seen: every prefix must come from the store.
@@ -215,10 +215,10 @@ def test_warm_store_reproduces_cold_results_without_simulating(tmp_path):
     naive_warm, warm, warm_executor = _ab_sweep(
         CFG, "daxpy", warm_n, M_VALUES, "extended", cache=warm_cache)
     assert warm == naive_warm
-    assert warm_executor.simulated_points == 0
-    assert warm_executor.prefixes_calibrated == 0
-    assert warm_executor.calibration_store_hits > 0
-    assert warm_executor.planned_points == len(warm_n) * len(M_VALUES)
+    assert warm_executor.stats.simulated_points == 0
+    assert warm_executor.stats.prefixes_calibrated == 0
+    assert warm_executor.stats.calibration_store_hits > 0
+    assert warm_executor.stats.planned_points == len(warm_n) * len(M_VALUES)
 
 
 def test_store_entries_are_shared_between_auto_and_explicit_variant(
@@ -231,7 +231,7 @@ def test_store_entries_are_shared_between_auto_and_explicit_variant(
 
     second = SweepExecutor(cache=SweepCache(str(tmp_path)))
     warm = second.run(CFG, "daxpy", [96], M_VALUES, variant="extended")
-    assert second.simulated_points == 0
+    assert second.stats.simulated_points == 0
     with _env(NAIVE_MPREDICT_ENV, "1"):
         reference = SweepExecutor().run(CFG, "daxpy", [96], M_VALUES,
                                         variant="extended")
@@ -248,9 +248,9 @@ def test_auto_and_explicit_variant_share_one_store_file(tmp_path):
     explicit = SweepExecutor(cache=SweepCache(str(tmp_path)))
     explicit.run(CFG, "daxpy", [96], M_VALUES, variant="extended")
     assert list(tmp_path.glob("*.json")) == [written]
-    assert explicit.simulated_points == 0
-    assert explicit.calibration_store_hits > 0
-    assert explicit.prefixes_calibrated == 0
+    assert explicit.stats.simulated_points == 0
+    assert explicit.stats.calibration_store_hits > 0
+    assert explicit.stats.prefixes_calibrated == 0
 
 
 def test_gate_disables_prediction_and_the_store(tmp_path):
@@ -261,11 +261,11 @@ def test_gate_disables_prediction_and_the_store(tmp_path):
         executor = SweepExecutor(cache=cache)
         result = executor.run(CFG, "daxpy", N_VALUES, M_VALUES,
                               variant="extended")
-    assert executor.mmodels_fitted == 0
-    assert executor.prefixes_predicted == 0
-    assert executor.calibration_store_hits == 0
-    assert executor.calibration_store_misses == 0
-    assert executor.simulated_points == len(M_VALUES)
+    assert executor.stats.mmodels_fitted == 0
+    assert executor.stats.prefixes_predicted == 0
+    assert executor.stats.calibration_store_hits == 0
+    assert executor.stats.calibration_store_misses == 0
+    assert executor.stats.simulated_points == len(M_VALUES)
     # Only measured points reached the disk layer — one file for the
     # call, one entry per grid point, no prefix or M-model entries.
     (stored,) = tmp_path.glob("*.json")

@@ -44,7 +44,7 @@ def test_upward_import_is_flagged(tmp_path, capsys):
 
 def test_cross_module_private_import_is_flagged(tmp_path, capsys):
     root = _fake_tree(tmp_path, {
-        "core/offload.py": "from repro.runtime.api import _secret\n",
+        "core/offload.py": "from repro.runtime.protocol import _secret\n",
     })
     assert checker.main([str(CHECKER), str(root)]) == 1
     assert "private name '_secret'" in capsys.readouterr().out

@@ -7,6 +7,12 @@ import pytest
 from repro.cli import main
 
 
+@pytest.fixture(autouse=True)
+def _private_sweep_store(tmp_path, monkeypatch):
+    """Keep ``repro sweep`` out of the user's sweep store."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+
+
 def run_cli(*argv):
     out = io.StringIO()
     code = main(list(argv), out=out)
@@ -96,22 +102,18 @@ def test_report_writes_all_sections(tmp_path):
 
 def _stats_run(tile_class, tile_group, *, points, planned, fallbacks,
                calibrated):
-    """A synthetic executor stats record with every collected key."""
-    predictable = planned + fallbacks
-    return {
-        "points": points, "tile_group": tile_group,
-        "tile_class": tile_class, "elapsed_seconds": 0.5,
-        "points_per_second": points / 0.5, "cache_hits": 0,
-        "cache_misses": points, "simulated_points": points - planned,
-        "planned_points": planned, "batch_fallback_points": fallbacks,
-        "batch_plan_hit_rate": (planned / predictable if predictable
-                                else 0.0),
-        "prefixes_calibrated": calibrated, "prefixes_predicted": 1,
-        "mmodels_fitted": 1, "holdout_fallbacks": 0,
-        "calibration_store_hits": 0, "calibration_store_misses": 1,
-        "cache_evictions": 0, "pool_hits": 2, "pool_builds": 1,
-        "pool_dropped": 0, "sim_resumes": 10,
-    }
+    """A synthetic executor run record with every count set."""
+    from repro.core.executor import SweepStats
+
+    return SweepStats(
+        points=points, tile_group=tile_group, tile_class=tile_class,
+        elapsed_seconds=0.5, cache_hits=0, cache_misses=points,
+        simulated_points=points - planned, planned_points=planned,
+        batch_fallback_points=fallbacks, prefixes_calibrated=calibrated,
+        prefixes_predicted=1, mmodels_fitted=1, holdout_fallbacks=0,
+        calibration_store_hits=0, calibration_store_misses=1,
+        cache_evictions=0, pool_hits=2, pool_builds=1, pool_dropped=0,
+        sim_resumes=10)
 
 
 def test_stats_per_tile_class_breakdown(monkeypatch):

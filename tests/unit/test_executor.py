@@ -10,7 +10,7 @@ import warnings
 import pytest
 
 from repro.core.cache import SweepCache, point_key
-from repro.core.executor import SweepExecutor
+from repro.core.executor import SweepExecutor, SweepStats
 from repro.errors import OffloadError
 from repro.flags import NAIVE_BATCH_ENV, NAIVE_MPREDICT_ENV
 from repro.soc.config import SoCConfig
@@ -30,6 +30,21 @@ def run(executor, **kwargs):
 # ----------------------------------------------------------------------
 # Validation and grid order
 # ----------------------------------------------------------------------
+def test_stats_total_sums_counts_and_keeps_shared_labels():
+    first = SweepStats(points=4, tile_class="snitch", elapsed_seconds=0.5,
+                       planned_points=3, batch_fallback_points=1)
+    second = SweepStats(points=2, tile_group="big", tile_class="snitch",
+                        elapsed_seconds=0.5, batch_fallback_points=2,
+                        sim_resumes=7)
+    total = SweepStats.total([first, second])
+    assert (total.points, total.planned_points, total.batch_fallback_points,
+            total.sim_resumes) == (6, 3, 3, 7)
+    assert total.tile_class == "snitch" and total.tile_group is None
+    assert total.points_per_second == 6.0
+    assert total.batch_plan_hit_rate == 0.5
+    assert SweepStats.total([]) == SweepStats()
+
+
 def test_executor_validates_grid_like_sweep():
     executor = SweepExecutor()
     with pytest.raises(OffloadError):
@@ -55,8 +70,8 @@ def test_progress_streams_in_grid_order(monkeypatch, config, n_values,
     executor = SweepExecutor()
     result = executor.run(config, "daxpy", n_values, m_values,
                           progress=seen.append)
-    assert (executor.simulated_points, executor.planned_points,
-            executor.batch_fallback_points) == counts
+    assert (executor.stats.simulated_points, executor.stats.planned_points,
+            executor.stats.batch_fallback_points) == counts
     assert seen == list(result)
     assert [(p.n, p.num_clusters) for p in seen] == \
         [(n, m) for n in n_values for m in m_values]
@@ -68,17 +83,17 @@ def test_progress_streams_in_grid_order(monkeypatch, config, n_values,
 def test_second_identical_sweep_simulates_nothing():
     executor = SweepExecutor(cache=SweepCache())
     first = run(executor)
-    assert executor.cache_hits == 0
-    assert executor.cache_misses == len(first)
+    assert executor.stats.cache_hits == 0
+    assert executor.stats.cache_misses == len(first)
     # Every point was measured this run: calibrations through the
     # event engine plus batch-planned predictions.
-    assert executor.simulated_points + executor.planned_points \
+    assert executor.stats.simulated_points + executor.stats.planned_points \
         == len(first)
     second = run(executor)
     assert second == first
-    assert executor.cache_hits == len(first)
-    assert executor.cache_misses == 0
-    assert executor.simulated_points == 0
+    assert executor.stats.cache_hits == len(first)
+    assert executor.stats.cache_misses == 0
+    assert executor.stats.simulated_points == 0
 
 
 def test_cached_points_stream_progress_in_grid_order():
@@ -96,8 +111,8 @@ def test_config_change_misses():
     retuned = SweepExecutor(cache=cache)
     retuned.run(SoCConfig.extended(num_clusters=8, noc_store_occupancy=4),
                 "daxpy", N_VALUES, M_VALUES)
-    assert retuned.cache_hits == 0
-    assert retuned.simulated_points + retuned.planned_points \
+    assert retuned.stats.cache_hits == 0
+    assert retuned.stats.simulated_points + retuned.stats.planned_points \
         == len(N_VALUES) * len(M_VALUES)
 
 
@@ -111,7 +126,7 @@ def test_job_coordinate_changes_miss(kwargs):
     run(SweepExecutor(cache=cache))
     executor = SweepExecutor(cache=cache)
     run(executor, **kwargs)
-    assert executor.cache_hits == 0
+    assert executor.stats.cache_hits == 0
 
 
 def test_point_key_is_stable_and_sensitive():
@@ -139,8 +154,8 @@ def test_disk_cache_survives_the_process(tmp_path):
     reloaded = SweepExecutor(cache=SweepCache(directory))
     second = run(reloaded)
     assert second == first
-    assert reloaded.simulated_points == 0
-    assert reloaded.cache_hits == len(first)
+    assert reloaded.stats.simulated_points == 0
+    assert reloaded.stats.cache_hits == len(first)
 
 
 def _store_files(directory):
@@ -210,14 +225,14 @@ def test_a_second_call_appends_to_the_first_calls_file(tmp_path):
     # ...and a call with new N appends their entries after the old bytes.
     grown = SweepExecutor(cache=SweepCache(directory))
     result = run(grown, n_values=N_VALUES + [256])
-    assert grown.cache_hits == len(N_VALUES) * len(M_VALUES)
+    assert grown.stats.cache_hits == len(N_VALUES) * len(M_VALUES)
     with open(path, "rb") as handle:
         data = handle.read()
     assert data.startswith(first) and len(data) > len(first)
     assert os.listdir(directory) == _store_files(directory)
     reloaded = SweepExecutor(cache=SweepCache(directory))
     assert run(reloaded, n_values=N_VALUES + [256]) == result
-    assert reloaded.cache_hits == len(result)
+    assert reloaded.stats.cache_hits == len(result)
 
 
 def test_corrupt_disk_entry_is_a_miss(tmp_path):
@@ -230,8 +245,8 @@ def test_corrupt_disk_entry_is_a_miss(tmp_path):
     recovered = SweepExecutor(cache=SweepCache(directory))
     with pytest.warns(IntegrityWarning, match="malformed store file"):
         result = run(recovered)
-    assert recovered.cache_hits == 0
-    assert recovered.simulated_points + recovered.planned_points \
+    assert recovered.stats.cache_hits == 0
+    assert recovered.stats.simulated_points + recovered.stats.planned_points \
         == len(result)
 
 
@@ -251,8 +266,8 @@ def test_truncated_store_file_is_one_warned_miss(tmp_path):
         assert run(recovered) == first
     assert len([w for w in caught
                 if issubclass(w.category, IntegrityWarning)]) == 1
-    assert recovered.cache_hits == len(first) - 1
-    assert recovered.cache_misses == 1
+    assert recovered.stats.cache_hits == len(first) - 1
+    assert recovered.stats.cache_misses == 1
     # The re-measured entry's write dropped the torn line: the file is
     # clean again, holds every point, and left no temporary file.
     assert os.listdir(directory) == _store_files(directory)
@@ -262,7 +277,7 @@ def test_truncated_store_file_is_one_warned_miss(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(reloaded) == first
-    assert reloaded.cache_hits == len(first)
+    assert reloaded.stats.cache_hits == len(first)
 
 
 def test_stale_schema_is_a_miss(tmp_path):
@@ -274,7 +289,7 @@ def test_stale_schema_is_a_miss(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         run(recovered)
-    assert recovered.cache_hits == 0
+    assert recovered.stats.cache_hits == 0
     # The call rewrote the file whole, under the current schema.
     assert len(_stored_entries(path)) > 0
 
@@ -311,7 +326,7 @@ def test_an_entry_no_call_reads_is_never_decoded(tmp_path, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         run(other, n_values=[256, 512])
-    assert other.calibration_store_hits > 0
+    assert other.stats.calibration_store_hits > 0
 
 
 def test_concurrent_writers_of_one_file_leave_it_readable(tmp_path):
@@ -339,7 +354,7 @@ def test_concurrent_writers_of_one_file_leave_it_readable(tmp_path):
     assert os.listdir(directory) == [f"{group}.json"]
     reader = SweepExecutor(cache=SweepCache(directory))
     assert run(reader) == reference
-    assert reader.cache_hits == len(reference)
+    assert reader.stats.cache_hits == len(reference)
 
 
 def test_a_file_removed_mid_batch_is_written_whole(tmp_path):
@@ -447,7 +462,7 @@ def test_sweep_into_a_full_store_enforces_the_bound_once(tmp_path,
     assert len(listed) == 1
     assert len(_store_files(full)) == bound
     assert cache.evictions == excess
-    assert executor.last_run_stats["cache_evictions"] == excess
+    assert executor.stats.cache_evictions == excess
     assert sorted(os.listdir(full)) == _store_files(full)  # no temp files
 
 
@@ -480,8 +495,8 @@ def test_store_directory_removed_between_sweeps_is_recreated(tmp_path):
     second = run(SweepExecutor(cache=cache), n_values=[256, 512])
     reloaded = SweepExecutor(cache=SweepCache(directory))
     assert run(reloaded, n_values=[256, 512]) == second
-    assert reloaded.cache_hits == len(second)
-    assert reloaded.simulated_points == 0
+    assert reloaded.stats.cache_hits == len(second)
+    assert reloaded.stats.simulated_points == 0
 
 
 # ----------------------------------------------------------------------
@@ -561,8 +576,8 @@ def test_schema_1_store_reads_as_silent_misses(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(reloaded) == reference
-    assert reloaded.cache_hits == 0
-    assert reloaded.cache_misses == len(reference)
+    assert reloaded.stats.cache_hits == 0
+    assert reloaded.stats.cache_misses == len(reference)
     # The old files are left to the LRU bound; the call added its own.
     assert len(_store_files(directory)) == len(old) + 1
 
@@ -642,9 +657,9 @@ def test_malformed_cache_record_is_a_warned_miss(tmp_path, mutate):
             if issubclass(w.category, IntegrityWarning)] \
         == [f"SweepCache: ignoring malformed cache record {mangled} in "
             f"{os.path.join(directory, _store_files(directory)[0])}"]
-    assert recovered.cache_hits == len(first) - 1
-    assert recovered.cache_misses == 1
-    assert recovered.simulated_points + recovered.planned_points == 1
+    assert recovered.stats.cache_hits == len(first) - 1
+    assert recovered.stats.cache_misses == 1
+    assert recovered.stats.simulated_points + recovered.stats.planned_points == 1
     assert result == first   # re-measured, not silently wrong
     # The re-measured entry was appended after the mangled one, and the
     # last line for a key wins on reload.
@@ -655,4 +670,4 @@ def test_malformed_cache_record_is_a_warned_miss(tmp_path, mutate):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(reloaded) == first
-    assert reloaded.cache_hits == len(first)
+    assert reloaded.stats.cache_hits == len(first)

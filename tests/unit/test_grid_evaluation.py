@@ -58,8 +58,8 @@ def _check_warm_sweep(tmp_path, monkeypatch, config, m_values, **kwargs):
     executor = SweepExecutor(cache=SweepCache(str(tmp_path)))
     with _grid_only(monkeypatch) as calls:
         result = executor.run(config, "daxpy", WARM_N, m_values, **kwargs)
-    assert executor.simulated_points == 0
-    assert executor.planned_points == len(WARM_N) * len(m_values)
+    assert executor.stats.simulated_points == 0
+    assert executor.stats.planned_points == len(WARM_N) * len(m_values)
     assert calls == [len(WARM_N) * len(m_values)]
     assert result.points == reference.points
 

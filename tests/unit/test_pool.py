@@ -14,11 +14,11 @@ from repro.errors import (
 )
 from repro.core.offload import offload
 from repro.runtime.protocol import OffloadRuntime
-from repro.runtime.strategies import get_variant
+from repro.runtime.strategies import get_variant, variant_features
 from repro.sim import IntegrityWarning
 from repro.sim.kernel import Simulator
 from repro.sim.resource import SerialResource
-from repro.soc.config import SoCConfig, VARIANT_FEATURES
+from repro.soc.config import SoCConfig
 from repro.soc.manticore import ManticoreSystem
 from repro.soc.pool import SystemPool
 
@@ -105,7 +105,7 @@ def test_pool_discards_instance_on_exception():
 
 
 def test_pool_max_idle_bounds_retention():
-    pool = SystemPool(max_idle=1)
+    pool = SystemPool()
     a = pool.acquire(CFG)
     b = pool.acquire(CFG)
     _drain(a)
@@ -115,8 +115,6 @@ def test_pool_max_idle_bounds_retention():
     assert pool.idle_count == 1
     pool.clear()
     assert pool.idle_count == 0
-    with pytest.raises(ValueError):
-        SystemPool(max_idle=0)
 
 
 def test_fresh_systems_env_disables_pooling():
@@ -191,7 +189,7 @@ def test_serial_resource_charge_bulk():
 # ----------------------------------------------------------------------
 def test_for_variant_sets_feature_flags():
     base = SoCConfig.baseline(num_clusters=2)
-    for variant, (multicast, hw_sync) in VARIANT_FEATURES.items():
+    for variant, (multicast, hw_sync) in variant_features().items():
         derived = base.for_variant(variant)
         assert derived.multicast == multicast, variant
         assert derived.hw_sync == hw_sync, variant

@@ -10,7 +10,7 @@ from repro.core.offload import offload, offload_daxpy
 from repro.energy import EnergyMeter
 from repro.errors import OffloadError
 from repro.kernels import get_kernel
-from repro.runtime.api import make_runtime
+from repro.runtime.protocol import make_runtime
 from repro.soc.config import SoCConfig
 from repro.soc.manticore import ManticoreSystem
 

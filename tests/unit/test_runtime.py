@@ -6,7 +6,7 @@ from repro import abi
 from repro.core.offload import offload_daxpy
 from repro.errors import OffloadError, TraceError
 from repro.noc.packet import TransactionKind
-from repro.runtime import RUNTIME_VARIANTS, make_runtime
+from repro.runtime import make_runtime, variant_names
 from repro.runtime.trace import build_offload_trace
 from repro.soc.config import SoCConfig
 from repro.soc.manticore import ManticoreSystem
@@ -30,7 +30,7 @@ def test_auto_follows_hardware_features():
 
 def test_explicit_variants_on_extended_hardware():
     system = ext_system()
-    for name in RUNTIME_VARIANTS:
+    for name in variant_names():
         assert make_runtime(system, name).name == name
 
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import OffloadError
-from repro.runtime import RUNTIME_VARIANTS
 from repro.runtime.strategies import (
     AmoPollCompletion,
     MulticastDispatch,
@@ -15,7 +14,7 @@ from repro.runtime.strategies import (
     variant_for_features,
     variant_names,
 )
-from repro.soc.config import VARIANT_FEATURES, SoCConfig
+from repro.soc.config import SoCConfig
 
 PAPER_VARIANTS = ("baseline", "multicast_only", "hw_sync_only", "extended")
 
@@ -68,11 +67,6 @@ def test_duplicate_registration_requires_replace():
     spec = register_variant("baseline", SequentialStoreDispatch(),
                             AmoPollCompletion(), replace=True)
     assert spec.features == (False, False)
-
-
-def test_config_view_and_runtime_table_are_the_same_registry():
-    assert dict(VARIANT_FEATURES) == variant_features()
-    assert dict(RUNTIME_VARIANTS) == variant_features()
 
 
 @pytest.mark.parametrize("name", PAPER_VARIANTS)
