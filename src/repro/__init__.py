@@ -17,7 +17,9 @@ The package provides, bottom-up:
   sweeps, the analytic runtime model (Eq. 1), MAPE validation (Eq. 2),
   and the offload decision solver (Eq. 3);
 - :mod:`repro.analysis` — fitting, tables and ASCII charts used by the
-  benchmarks to regenerate every figure in the paper.
+  experiments to regenerate every figure in the paper;
+- :mod:`repro.experiments` — one function per paper artifact,
+  extension and ablation, each behind a ``repro`` command.
 
 Quickstart::
 

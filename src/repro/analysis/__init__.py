@@ -3,31 +3,23 @@
 These utilities turn sweep measurements into the artifacts the paper
 reports: the runtime-vs-M series of Fig. 1 (left), the speedup grid of
 Fig. 1 (right), the fitted Eq.-1 coefficients, and the per-N MAPE
-table.  Rendering is plain text (the benchmarks print reproduction
+table.  Rendering is plain text (the experiments print reproduction
 tables and ASCII charts); raw data can be exported as CSV.
 """
 
 from repro.analysis.fitting import FitReport, fit_report
-from repro.analysis.charts import bar_chart, line_chart
-from repro.analysis.export import grid_to_csv, sweep_to_csv
-from repro.analysis.sensitivity import SensitivityResult, sensitivity
-from repro.analysis.stats import geometric_mean, summarize
+from repro.analysis.charts import line_chart
+from repro.analysis.export import sweep_to_csv
 from repro.analysis.tables import Table
 from repro.analysis.utilization import collect_utilization, utilization_report
 from repro.analysis.vcd import trace_to_vcd, write_vcd
 
 __all__ = [
     "FitReport",
-    "SensitivityResult",
     "Table",
-    "bar_chart",
     "collect_utilization",
     "fit_report",
-    "geometric_mean",
-    "grid_to_csv",
     "line_chart",
-    "sensitivity",
-    "summarize",
     "sweep_to_csv",
     "trace_to_vcd",
     "utilization_report",

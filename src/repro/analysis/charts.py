@@ -5,30 +5,6 @@ from __future__ import annotations
 import typing
 
 
-def bar_chart(series: typing.Mapping[str, float], width: int = 50,
-              title: str = "", unit: str = "") -> str:
-    """Horizontal bar chart of labelled values.
-
-    >>> print(bar_chart({"a": 2.0, "b": 4.0}, width=4))
-    a | ##   2
-    b | #### 4
-    """
-    if not series:
-        raise ValueError("bar chart of an empty series")
-    if width <= 0:
-        raise ValueError(f"chart width must be positive, got {width}")
-    peak = max(series.values())
-    if peak <= 0:
-        raise ValueError("bar chart requires at least one positive value")
-    label_width = max(len(str(label)) for label in series)
-    lines = [title] if title else []
-    for label, value in series.items():
-        bar = "#" * max(0, round(width * value / peak))
-        shown = f"{value:g}{unit}"
-        lines.append(f"{str(label).ljust(label_width)} | {bar.ljust(width)} {shown}")
-    return "\n".join(lines)
-
-
 def line_chart(series: typing.Mapping[str, typing.Mapping[float, float]],
                width: int = 60, height: int = 16, title: str = "") -> str:
     """Multi-series scatter/line chart on a character grid.

@@ -1,10 +1,9 @@
-"""CSV export of sweep measurements and grids."""
+"""CSV export of sweep measurements."""
 
 from __future__ import annotations
 
 import csv
 import io
-import typing
 
 from repro.core.sweep import SweepResult
 
@@ -27,13 +26,3 @@ def sweep_to_csv(result: SweepResult) -> str:
         ])
     return buffer.getvalue()
 
-
-def grid_to_csv(grid: typing.Mapping[typing.Tuple[int, int], float],
-                value_name: str = "value") -> str:
-    """Render a ``{(M, N): value}`` grid as long-format CSV text."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["num_clusters", "n", value_name])
-    for (m, n), value in sorted(grid.items()):
-        writer.writerow([m, n, value])
-    return buffer.getvalue()

@@ -66,13 +66,3 @@ def fit_report(model: OffloadModel,
         residuals=tuple(float(r) for r in residuals),
     )
 
-
-def compare_models(ours: OffloadModel, reference: OffloadModel
-                   ) -> typing.Dict[str, typing.Tuple[float, float]]:
-    """Coefficient-by-coefficient comparison (ours vs reference)."""
-    return {
-        "t0": (ours.t0, reference.t0),
-        "mem_coeff": (ours.mem_coeff, reference.mem_coeff),
-        "compute_coeff": (ours.compute_coeff, reference.compute_coeff),
-        "dispatch_coeff": (ours.dispatch_coeff, reference.dispatch_coeff),
-    }

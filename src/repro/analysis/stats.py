@@ -1,36 +1,8 @@
-"""Small statistics helpers used by reports and benchmarks."""
+"""Statistics helpers for the experiment reports."""
 
 from __future__ import annotations
 
 import typing
-
-import numpy
-
-from repro.errors import ModelError
-
-
-def geometric_mean(values: typing.Sequence[float]) -> float:
-    """Geometric mean (the right average for speedup ratios)."""
-    array = numpy.asarray(values, dtype=float)
-    if array.size == 0:
-        raise ModelError("geometric mean of an empty sequence")
-    if (array <= 0).any():
-        raise ModelError("geometric mean requires positive values")
-    return float(numpy.exp(numpy.mean(numpy.log(array))))
-
-
-def summarize(values: typing.Sequence[float]) -> typing.Dict[str, float]:
-    """Min/max/mean/median/std of a sample, as a dict."""
-    array = numpy.asarray(values, dtype=float)
-    if array.size == 0:
-        raise ModelError("summary of an empty sequence")
-    return {
-        "min": float(array.min()),
-        "max": float(array.max()),
-        "mean": float(array.mean()),
-        "median": float(numpy.median(array)),
-        "std": float(array.std()),
-    }
 
 
 def crossover_m(runtimes: typing.Mapping[int, float]) -> typing.Optional[int]:
@@ -43,23 +15,3 @@ def crossover_m(runtimes: typing.Mapping[int, float]) -> typing.Optional[int]:
         return None
     return min(sorted(runtimes), key=lambda m: (runtimes[m], m))
 
-
-def parallel_efficiency(runtimes: typing.Mapping[int, float]
-                        ) -> typing.Dict[int, float]:
-    """Speedup(M) / M relative to the M=1 entry of the series."""
-    if 1 not in runtimes:
-        raise ModelError("parallel efficiency needs the M=1 measurement")
-    base = runtimes[1]
-    if base <= 0:
-        raise ModelError("non-positive M=1 runtime")
-    return {m: base / (t * m) for m, t in sorted(runtimes.items())}
-
-
-def amdahl_speedup(serial_fraction: float, m: int) -> float:
-    """Textbook Amdahl speedup for a serial fraction ``s`` on ``m`` units."""
-    if not 0.0 <= serial_fraction <= 1.0:
-        raise ModelError(
-            f"serial fraction must be in [0, 1], got {serial_fraction}")
-    if m <= 0:
-        raise ModelError(f"m must be positive, got {m}")
-    return 1.0 / (serial_fraction + (1.0 - serial_fraction) / m)

@@ -1,4 +1,4 @@
-"""Minimal ASCII table rendering for benchmark reports."""
+"""Minimal ASCII table rendering for experiment reports."""
 
 from __future__ import annotations
 

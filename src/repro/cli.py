@@ -14,6 +14,8 @@ Usage::
     repro ablation-dispatch     # A2
     repro kernels               # A3
     repro ablation-poll         # A4
+    repro ablation-dbuf         # A5
+    repro ablation-tiling       # A6
     repro all                   # everything above, in order
     repro offload --kernel daxpy --n 1024 --clusters 8   # one job
 
@@ -72,6 +74,8 @@ _EXPERIMENTS: typing.Dict[str, typing.Tuple[str, typing.Callable]] = {
                       experiments.ablation_poll),
     "ablation-dbuf": ("A5: double-buffered vs phased device execution",
                       experiments.ablation_double_buffer),
+    "ablation-tiling": ("A6: tiling vs double buffering for jobs larger "
+                        "than the TCDM", experiments.ablation_tiling),
 }
 
 

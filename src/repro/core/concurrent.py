@@ -6,7 +6,7 @@ ranges.  Because all jobs' constant offload overheads (descriptor
 stores, dispatch, wake-up, synchronization) overlap in time — and the
 shared memory channels serialize the same aggregate DMA either way —
 space sharing amortizes exactly the overhead the paper attacks; see
-``benchmarks/bench_concurrent.py`` (experiment E10).
+experiment E10 (``repro concurrency``).
 
 Cluster ranges are assigned contiguously in job order.  Completion uses
 a single credit-counter threshold equal to the total cluster count (the

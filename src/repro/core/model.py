@@ -65,27 +65,12 @@ class OffloadModel:
                 + self.mem_coeff * n
                 + self.compute_coeff * n / num_clusters)
 
-    def predict_many(self, points: typing.Sequence[typing.Tuple[int, int]]
-                     ) -> numpy.ndarray:
-        """Vectorized :meth:`predict` over ``(M, N)`` pairs."""
-        return numpy.array([self.predict(m, n) for m, n in points])
-
     # ------------------------------------------------------------------
     # Structure queries
     # ------------------------------------------------------------------
     def serial_cycles(self, n: int) -> float:
         """Amdahl serial fraction numerator: cycles that do not scale with M."""
         return self.t0 + self.mem_coeff * n
-
-    def parallel_cycles(self, n: int) -> float:
-        """Cycles that scale as 1/M."""
-        return self.compute_coeff * n
-
-    def asymptotic_runtime(self, n: int) -> float:
-        """Limit of t̂ as M → ∞ (only finite when dispatch is constant)."""
-        if self.dispatch_coeff > 0:
-            return math.inf
-        return self.serial_cycles(n)
 
     def best_m(self, n: int, max_clusters: int) -> int:
         """The M in ``[1, max_clusters]`` minimizing predicted runtime.
@@ -104,10 +89,6 @@ class OffloadModel:
                       min(max_clusters, max(1, math.floor(star))),
                       min(max_clusters, max(1, math.ceil(star)))}
         return min(candidates, key=lambda m: (self.predict(m, n), m))
-
-    def speedup(self, num_clusters: int, n: int) -> float:
-        """Predicted speedup over the single-cluster offload."""
-        return self.predict(1, n) / self.predict(num_clusters, n)
 
     # ------------------------------------------------------------------
     # Fitting

@@ -65,20 +65,6 @@ class SweepResult:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def filter(self, kernel_name: typing.Optional[str] = None,
-               n: typing.Optional[int] = None,
-               num_clusters: typing.Optional[int] = None,
-               variant: typing.Optional[str] = None) -> "SweepResult":
-        """Sub-grid matching the given coordinates."""
-        selected = tuple(
-            p for p in self.points
-            if (kernel_name is None or p.kernel_name == kernel_name)
-            and (n is None or p.n == n)
-            and (num_clusters is None or p.num_clusters == num_clusters)
-            and (variant is None or p.variant == variant)
-        )
-        return SweepResult(points=selected)
-
     def runtime(self, n: int, num_clusters: int) -> int:
         """The single runtime at (N, M); raises if absent or ambiguous."""
         matches = [p for p in self.points
@@ -86,11 +72,11 @@ class SweepResult:
         if len(matches) != 1:
             raise OffloadError(
                 f"{len(matches)} sweep points at N={n}, M={num_clusters}; "
-                "filter by kernel/variant first")
+                "expected exactly one")
         return matches[0].runtime_cycles
 
     def runtimes_by_m(self, n: int) -> typing.Dict[int, int]:
-        """``{M: cycles}`` at fixed N (after filtering to one variant)."""
+        """``{M: cycles}`` at fixed N (one variant per result)."""
         result: typing.Dict[int, int] = {}
         for point in self.points:
             if point.n != n:
@@ -98,57 +84,36 @@ class SweepResult:
             if point.num_clusters in result:
                 raise OffloadError(
                     f"duplicate M={point.num_clusters} at N={n}; "
-                    "filter by kernel/variant first")
+                    "a result must hold one kernel and variant")
             result[point.num_clusters] = point.runtime_cycles
         return dict(sorted(result.items()))
 
-    def _memo(self, slot: str, compute: typing.Callable[[], typing.Any]
-              ) -> typing.Any:
-        """Lazily cache a derived view (the points tuple is immutable).
-
-        The dataclass is frozen, so cached views go through
-        ``object.__setattr__``; they are plain derived data, never part
-        of equality or ``repr``.
-        """
-        cached = self.__dict__.get(slot)
-        if cached is None:
-            cached = compute()
-            object.__setattr__(self, slot, cached)
-        return cached
-
     def runtime_grid(self) -> typing.Dict[typing.Tuple[int, int], int]:
-        """``{(M, N): cycles}`` over the whole (filtered) result.
+        """``{(M, N): cycles}`` over the whole result.
 
         Memoized: large analyses (model fits, speedup grids) call this
         repeatedly; the scan runs once and callers get a fresh copy.
+        The dataclass is frozen, so the cached grid goes through
+        ``object.__setattr__``; it is plain derived data, never part of
+        equality or ``repr``.
         """
-
-        def compute() -> typing.Dict[typing.Tuple[int, int], int]:
-            grid: typing.Dict[typing.Tuple[int, int], int] = {}
+        grid = self.__dict__.get("_runtime_grid")
+        if grid is None:
+            grid = {}
             for point in self.points:
                 key = (point.num_clusters, point.n)
                 if key in grid:
                     raise OffloadError(
-                        f"duplicate grid point {key}; filter by "
-                        "kernel/variant first")
+                        f"duplicate grid point {key}; a result must hold "
+                        "one kernel and variant")
                 grid[key] = point.runtime_cycles
-            return grid
-
-        return dict(self._memo("_runtime_grid", compute))
+            object.__setattr__(self, "_runtime_grid", grid)
+        return dict(grid)
 
     def triples(self) -> typing.List[typing.Tuple[int, int, float]]:
         """``(M, N, cycles)`` triples for :meth:`OffloadModel.fit`."""
         return [(p.num_clusters, p.n, float(p.runtime_cycles))
                 for p in self.points]
-
-    def n_values(self) -> typing.List[int]:
-        return list(self._memo(
-            "_n_values", lambda: tuple(sorted({p.n for p in self.points}))))
-
-    def m_values(self) -> typing.List[int]:
-        return list(self._memo(
-            "_m_values",
-            lambda: tuple(sorted({p.num_clusters for p in self.points}))))
 
     def speedup_grid(self, baseline: "SweepResult"
                      ) -> typing.Dict[typing.Tuple[int, int], float]:
@@ -163,10 +128,6 @@ class SweepResult:
         if not shared:
             raise OffloadError("the two sweeps share no grid points")
         return {key: theirs[key] / ours[key] for key in shared}
-
-    def merged(self, other: "SweepResult") -> "SweepResult":
-        """Concatenation of two sweeps."""
-        return SweepResult(points=self.points + other.points)
 
 
 def sweep(config: SoCConfig, kernel_name: str,

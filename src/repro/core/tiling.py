@@ -8,7 +8,8 @@ tile pays the full constant offload overhead (~370 cycles), which is
 exactly the cost the paper's extensions minimize — and why, where it
 applies, the double-buffered device protocol
 (:mod:`repro.cluster.dm_core`) is the better tool: it amortizes one
-offload's overhead over the whole job.  ``benchmarks/bench_tiling.py``
+offload's overhead over the whole job.  The A6 experiment
+(:func:`repro.experiments.ablation_tiling`, ``repro ablation-tiling``)
 quantifies that comparison.
 
 Only *tileable* kernels qualify (pure element-wise ones — see

@@ -90,7 +90,3 @@ class DecisionError(ModelError):
 
 class KernelError(ReproError):
     """A device kernel was invoked with invalid arguments."""
-
-
-class ExperimentError(ReproError):
-    """An experiment's measured result fell outside its accepted band."""

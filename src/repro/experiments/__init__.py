@@ -1,11 +1,12 @@
 """The paper's experiments, each as a reusable function.
 
 Every figure, table and equation in the evaluation is regenerated by
-one function here (the per-experiment index lives in DESIGN.md §4):
+one function here, and so is every extension and ablation (the full
+index, E1-E13 and A1-A6, lives in DESIGN.md §4):
 
-========= ===================================== =======================
+========= ===================================== ==========================
 paper     artifact                              function
-========= ===================================== =======================
+========= ===================================== ==========================
 Fig. 1 L  runtime vs M, baseline vs extended    :func:`fig1_left`
 Fig. 1 R  speedup grid over (N, M)              :func:`fig1_right`
 headline  47.9 % max speedup, >300-cycle gap    (asserted on Fig. 1 L)
@@ -16,17 +17,17 @@ A1        multicast vs sync-unit contributions  :func:`ablation_features`
 A2        dispatch-cost sensitivity             :func:`ablation_dispatch`
 A3        model generality across kernels       :func:`kernel_generality`
 A4        poll-period sensitivity               :func:`ablation_poll`
-========= ===================================== =======================
+A5        double-buffered vs phased protocol    :func:`ablation_double_buffer`
+A6        tiling vs double buffering, big jobs  :func:`ablation_tiling`
+========= ===================================== ==========================
 
-The CLI (:mod:`repro.cli`), the benchmark harness (``benchmarks/``) and
-the integration tests all call these functions, so the numbers printed,
-benchmarked and asserted are always the same.
+The CLI (:mod:`repro.cli`) and the integration tests call these
+functions, so the numbers printed and asserted are always the same.
 
 The package splits one module per experiment family; every result type
 subclasses :class:`repro.experiments.base.Experiment`, which adds CSV
-export (:meth:`~repro.experiments.base.Experiment.to_csv`) and banded
-assertions (:meth:`~repro.experiments.base.Experiment.assert_band`) on
-top of the family-specific ``render()``.
+export (:meth:`~repro.experiments.base.Experiment.to_csv`) on top of
+the family-specific ``render()``.
 """
 
 from __future__ import annotations
@@ -36,10 +37,12 @@ from repro.experiments.ablations import (
     DoubleBufferAblation,
     FeatureAblation,
     PollAblation,
+    TilingAblation,
     ablation_dispatch,
     ablation_double_buffer,
     ablation_features,
     ablation_poll,
+    ablation_tiling,
 )
 from repro.experiments.base import (
     FIG1_RIGHT_N_VALUES,
@@ -120,6 +123,8 @@ __all__ = [
     "kernel_generality",
     "PollAblation",
     "ablation_poll",
+    "TilingAblation",
+    "ablation_tiling",
     "TrafficExperiment",
     "traffic_experiment",
 ]

@@ -8,10 +8,7 @@ surface:
   charts, notes) printed by the CLI and embedded in ``repro report``;
 - :meth:`Experiment.to_csv` — the same tabular payload as
   machine-readable CSV, built from each experiment's
-  :meth:`~Experiment.csv_columns` / :meth:`~Experiment.csv_rows`;
-- :meth:`Experiment.assert_band` — guard a measured quantity against
-  an accepted band, raising :class:`~repro.errors.ExperimentError`
-  with a self-describing message (the integration tests' idiom).
+  :meth:`~Experiment.csv_columns` / :meth:`~Experiment.csv_rows`.
 
 The module also hosts the helpers every family shares: the paper's
 baseline/extended config pair and the fabric-size guard for the M axis.
@@ -21,7 +18,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.errors import DecisionError, ExperimentError
+from repro.errors import DecisionError
 from repro.soc.config import SoCConfig
 
 #: Fig. 1 (right) problem sizes: the paper calls 1024 a "low" vector
@@ -64,25 +61,6 @@ class Experiment:
         for row in self.csv_rows():
             lines.append(",".join(_csv_cell(value) for value in row))
         return "\n".join(lines) + "\n"
-
-    # ------------------------------------------------------------------
-    # Acceptance bands
-    # ------------------------------------------------------------------
-    def assert_band(self, value: float, lo: float, hi: float,
-                    label: str) -> float:
-        """Require ``lo <= value <= hi``; return ``value`` on success.
-
-        Raises
-        ------
-        ExperimentError
-            Naming the experiment, the quantity and the violated band —
-            so a failed reproduction claim reads as one sentence.
-        """
-        if not lo <= value <= hi:
-            raise ExperimentError(
-                f"{type(self).__name__}: {label} = {value!r} outside the "
-                f"accepted band [{lo!r}, {hi!r}]")
-        return value
 
 
 def _csv_cell(value: typing.Any) -> str:

@@ -144,12 +144,16 @@ def fabric_experiment(
     """
     if not 0.0 <= margin < 1.0:
         raise DecisionError(f"margin must be in [0, 1), got {margin}")
-    if num_clusters < 2:
-        raise DecisionError(
-            f"a mixed fabric needs at least 2 tiles, got {num_clusters}")
     little_name, big_name = classes
     little_count = num_clusters - num_clusters // 2
     big_count = num_clusters // 2
+    for class_name, count in ((little_name, little_count),
+                              (big_name, big_count)):
+        if count < 2:
+            # One tile gives one M, and a per-class fit needs M to vary.
+            raise DecisionError(
+                f"tile class {class_name!r} gets {count} of "
+                f"{num_clusters} tiles; each class needs at least 2")
     groups = {
         little_name: TileGroup("little", little_name, little_count),
         big_name: TileGroup("big", big_name, big_count),

@@ -10,7 +10,7 @@ Each kernel couples two models:
   per ``cpe`` cycles once configured).
 
 DAXPY is the paper's kernel (2.6 cycles/element/core, matching Eq. 1's
-``2.6·N/(M·8)`` term).  The others let the benchmarks show the runtime
+``2.6·N/(M·8)`` term).  The others let the experiments show the runtime
 model generalizes (ablation A3 in DESIGN.md).
 """
 

@@ -33,6 +33,3 @@ class AxpbyKernel(Kernel):
         x = inputs["x"][work.lo:work.hi]
         y = inputs["y"][work.lo:work.hi]
         return {"y": (work.lo, a * x + b * y)}
-
-    def flops(self, n: int) -> int:
-        return 3 * n

@@ -188,7 +188,8 @@ class Kernel(abc.ABC):
     output_names: typing.Tuple[str, ...] = ()
     #: Whether a sub-range of the job is itself a complete, smaller job
     #: (pure element-wise kernels).  Tileable kernels can be split into
-    #: sequential offloads by :func:`repro.core.tiling.offload_tiled`;
+    #: sequential offloads by :func:`repro.core.tiling.offload_tiled`,
+    #: which the A6 experiment (``repro ablation-tiling``) runs;
     #: reductions (shape-dependent outputs) and stencils (halo coupling
     #: across tile edges) are not tileable.
     tileable: bool = False
@@ -297,7 +298,7 @@ class Kernel(abc.ABC):
 
     def make_inputs(self, n: int,
                     rng: numpy.random.Generator) -> typing.Dict[str, numpy.ndarray]:
-        """Random, well-conditioned input buffers for tests/benchmarks."""
+        """Random, well-conditioned input buffers for a job given none."""
         return {
             name: rng.uniform(-1.0, 1.0, size=self.input_length(name, n))
             for name in self.input_names
@@ -314,10 +315,6 @@ class Kernel(abc.ABC):
         Like :meth:`KernelTiming.cycles` it takes ints or arrays.
         """
         return elements
-
-    def flops(self, n: int) -> int:
-        """Floating-point operations in the whole job (default: 0)."""
-        return 0
 
     # ------------------------------------------------------------------
     # Helpers

@@ -39,7 +39,3 @@ class DaxpyKernel(Kernel):
         x = inputs["x"][work.lo:work.hi]
         y = inputs["y"][work.lo:work.hi]
         return {"y": (work.lo, a * x + y)}
-
-    def flops(self, n: int) -> int:
-        # One fused multiply-add (2 flops) per element.
-        return 2 * n

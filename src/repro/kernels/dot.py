@@ -27,6 +27,3 @@ class DotKernel(Kernel):
         x = inputs["x"][work.lo:work.hi]
         y = inputs["y"][work.lo:work.hi]
         return {"partials": (work.index, numpy.array([numpy.dot(x, y)]))}
-
-    def flops(self, n: int) -> int:
-        return 2 * n

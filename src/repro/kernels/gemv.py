@@ -36,6 +36,3 @@ class GemvKernel(Kernel):
     def work(self, elements, n):
         """A row is ``n`` MACs."""
         return elements * n
-
-    def flops(self, n: int) -> int:
-        return 2 * n * n

@@ -1,4 +1,4 @@
-"""Kernel registry: name-based lookup for runtimes, CLI and benchmarks."""
+"""Kernel registry: name-based lookup for runtimes, CLI and experiments."""
 
 from __future__ import annotations
 

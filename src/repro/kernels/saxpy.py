@@ -38,6 +38,3 @@ class SaxpyKernel(Kernel):
         x = inputs["x"][work.lo:work.hi].astype(numpy.float32)
         y = inputs["y"][work.lo:work.hi].astype(numpy.float32)
         return {"y": (work.lo, (a * x + y).astype(numpy.float64))}
-
-    def flops(self, n: int) -> int:
-        return 2 * n

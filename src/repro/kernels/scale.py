@@ -20,6 +20,3 @@ class ScaleKernel(Kernel):
 
     def compute_slice(self, n, scalars, inputs, work: WorkSlice):
         return {"y": (work.lo, scalars["a"] * inputs["x"][work.lo:work.hi])}
-
-    def flops(self, n: int) -> int:
-        return n

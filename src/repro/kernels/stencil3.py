@@ -36,7 +36,3 @@ class Stencil3Kernel(Kernel):
         values = (scalars["a"] * left + scalars["b"] * mid
                   + scalars["c"] * right)
         return {"y": (lo, values)}
-
-    def flops(self, n: int) -> int:
-        # Three multiplies + two adds per element.
-        return 5 * n

@@ -33,6 +33,3 @@ class VecsumKernel(Kernel):
     def compute_slice(self, n, scalars, inputs, work: WorkSlice):
         partial = numpy.sum(inputs["x"][work.lo:work.hi])
         return {"partials": (work.index, numpy.array([partial]))}
-
-    def flops(self, n: int) -> int:
-        return max(0, n - 1)

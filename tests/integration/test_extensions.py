@@ -2,8 +2,8 @@
 
 Small-grid versions of the extension experiments, so regressions in the
 machinery they compose (host execution, energy metering, double
-buffering, tiling, scheduling) surface in the test suite and not only
-in the benchmark harness.
+buffering, tiling, scheduling) surface quickly; the claims at the
+committed size are in ``test_experiment_claims.py``.
 """
 
 from repro import experiments

@@ -22,6 +22,8 @@ from repro.core.executor import collect_run_stats, drain_run_stats
 from repro.core.model import fit_class_models
 from repro.core.offload import offload
 from repro.core.sweep import sweep
+from repro.errors import DecisionError
+from repro.experiments import fabric_experiment
 from repro.soc.config import SoCConfig
 from repro.soc.manticore import ManticoreSystem
 from repro.soc.tiles import SNITCH, VECWIDE, TileGroup
@@ -169,3 +171,14 @@ def test_gemv_sweep_plans_and_matches_naive(mixed_config, tile_group,
     monkeypatch.setenv("REPRO_NAIVE_BATCH", "1")
     naive = sweep(mixed_config, "gemv", **grid)
     assert planned.points == naive.points
+
+
+@pytest.mark.parametrize("num_clusters, short_class",
+                         [(2, "snitch"), (3, "vecwide")])
+def test_fabric_experiment_refuses_a_class_with_one_tile(num_clusters,
+                                                         short_class):
+    """E12 fits each class over M, so each class needs two tiles; the
+    refusal names the class and its count before anything is swept."""
+    with pytest.raises(DecisionError,
+                       match=f"'{short_class}' gets 1 of {num_clusters}"):
+        fabric_experiment(num_clusters=num_clusters)

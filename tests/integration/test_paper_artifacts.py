@@ -1,8 +1,8 @@
 """The paper's tables, pinned: each experiment regenerates its committed CSV.
 
 ``results/`` holds the Fig. 1 grids, the fitted Eq. 1 constants, the
-Eq. 2 MAPE table, the Eq. 3 decision rows and the A1/A3 ablations, so a
-change that moves any of the paper's numbers shows as a failing test
+Eq. 2 MAPE table, the Eq. 3 decision rows and the A1/A3/A6 ablations,
+so a change that moves any of the paper's numbers shows as a failing test
 (and as a ``cmp`` failure in CI) rather than slipping through a band.
 
 Tables built from NumPy least-squares fits (Eq. 1, Eq. 2, the Eq. 3
@@ -18,6 +18,7 @@ import pytest
 
 from repro.experiments import (
     ablation_features,
+    ablation_tiling,
     decision_experiment,
     fig1_left,
     fig1_right,
@@ -37,6 +38,7 @@ ARTIFACTS = {
     "eq3_decision.csv": (decision_experiment, True),
     "a1_features.csv": (ablation_features, False),
     "a3_generality.csv": (kernel_generality, True),
+    "a6_tiling.csv": (ablation_tiling, False),
 }
 
 

@@ -2,18 +2,12 @@
 
 import pytest
 
-from repro.analysis.charts import bar_chart, line_chart
-from repro.analysis.export import grid_to_csv, sweep_to_csv
-from repro.analysis.fitting import compare_models, fit_report
-from repro.analysis.stats import (
-    amdahl_speedup,
-    crossover_m,
-    geometric_mean,
-    parallel_efficiency,
-    summarize,
-)
+from repro.analysis.charts import line_chart
+from repro.analysis.export import sweep_to_csv
+from repro.analysis.fitting import fit_report
+from repro.analysis.stats import crossover_m
 from repro.analysis.tables import Table
-from repro.core.model import OffloadModel, PAPER_DAXPY_MODEL
+from repro.core.model import PAPER_DAXPY_MODEL
 from repro.core.sweep import SweepPoint, SweepResult
 from repro.errors import ModelError
 
@@ -51,22 +45,6 @@ def test_table_rejects_bad_rows():
 # ----------------------------------------------------------------------
 # Charts
 # ----------------------------------------------------------------------
-def test_bar_chart_scales_to_peak():
-    text = bar_chart({"a": 1.0, "b": 2.0}, width=10)
-    lines = text.splitlines()
-    assert lines[0].count("#") == 5
-    assert lines[1].count("#") == 10
-
-
-def test_bar_chart_validation():
-    with pytest.raises(ValueError):
-        bar_chart({})
-    with pytest.raises(ValueError):
-        bar_chart({"a": 1.0}, width=0)
-    with pytest.raises(ValueError):
-        bar_chart({"a": 0.0})
-
-
 def test_line_chart_contains_all_series():
     text = line_chart({"base": {1: 10.0, 2: 20.0},
                        "ext": {1: 5.0, 2: 8.0}}, width=20, height=6)
@@ -91,46 +69,10 @@ def test_line_chart_flat_series():
 # ----------------------------------------------------------------------
 # Stats
 # ----------------------------------------------------------------------
-def test_geometric_mean():
-    assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-    with pytest.raises(ModelError):
-        geometric_mean([])
-    with pytest.raises(ModelError):
-        geometric_mean([1.0, 0.0])
-
-
-def test_summarize():
-    stats = summarize([1.0, 2.0, 3.0])
-    assert stats["min"] == 1.0
-    assert stats["max"] == 3.0
-    assert stats["mean"] == pytest.approx(2.0)
-    assert stats["median"] == 2.0
-    with pytest.raises(ModelError):
-        summarize([])
-
-
 def test_crossover_m():
     assert crossover_m({1: 100, 4: 80, 8: 90}) == 4
     assert crossover_m({1: 50, 2: 50}) == 1  # ties go to the smaller M
     assert crossover_m({}) is None
-
-
-def test_parallel_efficiency():
-    eff = parallel_efficiency({1: 100, 2: 60, 4: 40})
-    assert eff[1] == pytest.approx(1.0)
-    assert eff[2] == pytest.approx(100 / 120)
-    with pytest.raises(ModelError):
-        parallel_efficiency({2: 60})
-
-
-def test_amdahl_speedup():
-    assert amdahl_speedup(0.0, 8) == pytest.approx(8.0)
-    assert amdahl_speedup(1.0, 8) == pytest.approx(1.0)
-    assert amdahl_speedup(0.5, 2) == pytest.approx(1.0 / 0.75)
-    with pytest.raises(ModelError):
-        amdahl_speedup(1.5, 2)
-    with pytest.raises(ModelError):
-        amdahl_speedup(0.5, 0)
 
 
 # ----------------------------------------------------------------------
@@ -160,13 +102,6 @@ def test_fit_report_empty_rejected():
         fit_report(PAPER_DAXPY_MODEL, [])
 
 
-def test_compare_models():
-    ours = OffloadModel(t0=360, mem_coeff=0.25, compute_coeff=0.45)
-    comparison = compare_models(ours, PAPER_DAXPY_MODEL)
-    assert comparison["t0"] == (360, 367)
-    assert comparison["mem_coeff"][0] == comparison["mem_coeff"][1]
-
-
 # ----------------------------------------------------------------------
 # Export
 # ----------------------------------------------------------------------
@@ -184,11 +119,3 @@ def test_sweep_to_csv():
     lines = text.strip().splitlines()
     assert lines[0].startswith("kernel,n,num_clusters")
     assert lines[1] == "daxpy,64,2,extended,500,100,8,392,20"
-
-
-def test_grid_to_csv():
-    text = grid_to_csv({(2, 64): 1.5, (1, 64): 1.0}, value_name="speedup")
-    lines = text.strip().splitlines()
-    assert lines[0] == "num_clusters,n,speedup"
-    assert lines[1] == "1,64,1.0"  # sorted by (M, N)
-    assert lines[2] == "2,64,1.5"

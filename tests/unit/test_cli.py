@@ -7,12 +7,6 @@ import pytest
 from repro.cli import main
 
 
-@pytest.fixture(autouse=True)
-def _private_sweep_store(tmp_path, monkeypatch):
-    """Keep ``repro sweep`` out of the user's sweep store."""
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-
-
 def run_cli(*argv):
     out = io.StringIO()
     code = main(list(argv), out=out)
@@ -24,7 +18,7 @@ def test_list_shows_every_experiment():
     assert code == 0
     for name in ("fig1-left", "fig1-right", "fit", "mape", "decision",
                  "ablation-features", "ablation-dispatch", "kernels",
-                 "ablation-poll"):
+                 "ablation-poll", "ablation-dbuf", "ablation-tiling"):
         assert name in text
 
 

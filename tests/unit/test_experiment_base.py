@@ -1,11 +1,10 @@
-"""The shared Experiment base: CSV export and banded assertions."""
+"""The shared Experiment base: CSV export."""
 
 import dataclasses
 import typing
 
 import pytest
 
-from repro.errors import ExperimentError
 from repro.experiments.base import Experiment
 
 
@@ -51,18 +50,3 @@ def test_csv_is_not_implemented_by_default():
         _Bare().to_csv()
     with pytest.raises(NotImplementedError):
         _Bare().render()
-
-
-def test_assert_band_accepts_in_band_values():
-    toy = _Toy(rows=())
-    toy.assert_band(0.5, 0.0, 1.0, "speedup")
-    toy.assert_band(0.0, 0.0, 1.0, "at the low edge")
-    toy.assert_band(1.0, 0.0, 1.0, "at the high edge")
-
-
-def test_assert_band_raises_with_the_label_and_band():
-    toy = _Toy(rows=())
-    with pytest.raises(ExperimentError, match="speedup"):
-        toy.assert_band(1.5, 0.0, 1.0, "speedup")
-    with pytest.raises(ExperimentError, match=r"_Toy"):
-        toy.assert_band(-0.1, 0.0, 1.0, "speedup")

@@ -327,9 +327,3 @@ def test_slice_bytes_evaluates_the_declared_shape():
     assert traffic(0, n, n) == (2 + 30) * n + 5 + 70   # no interior edge
     assert traffic(0, 4, n) == (2 + 30) * 4 + 5 + 70 + 11
     assert traffic(4, 6, n) == (2 + 30) * 2 + 5 + 70 + 2 * 11
-
-
-def test_flops_accounting():
-    assert get_kernel("daxpy").flops(100) == 200
-    assert get_kernel("gemv").flops(10) == 200
-    assert get_kernel("memcpy").flops(100) == 0

@@ -92,7 +92,3 @@ def test_relu_double_buffered():
                      exec_mode="double_buffered")
     numpy.testing.assert_array_equal(result.outputs["y"],
                                      numpy.maximum(x, 0.0))
-
-
-def test_relu_has_zero_flops():
-    assert get_kernel("relu").flops(100) == 0

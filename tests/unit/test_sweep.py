@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.sweep import SweepPoint, sweep
+from repro.core.sweep import SweepPoint, SweepResult, sweep
 from repro.errors import OffloadError
 from repro.soc.config import SoCConfig
 
@@ -19,8 +19,6 @@ def small_sweep(**kwargs):
 def test_sweep_covers_the_grid():
     result = small_sweep()
     assert len(result) == 4
-    assert result.n_values() == [64, 128]
-    assert result.m_values() == [1, 4]
     assert set(result.runtime_grid()) == {(1, 64), (4, 64), (1, 128),
                                           (4, 128)}
 
@@ -62,17 +60,9 @@ def test_runtime_lookup():
         result.runtime(999, 4)
 
 
-def test_filter():
-    result = small_sweep()
-    only = result.filter(n=64, num_clusters=4)
-    assert len(only) == 1
-    assert result.filter(kernel_name="gemv").points == ()
-    assert len(result.filter(variant="extended")) == 4
-
-
 def test_duplicate_grid_points_detected():
     result = small_sweep()
-    doubled = result.merged(result)
+    doubled = SweepResult(points=result.points + result.points)
     with pytest.raises(OffloadError):
         doubled.runtime_grid()
     with pytest.raises(OffloadError):
@@ -104,11 +94,3 @@ def test_speedup_grid_requires_shared_points():
     other = sweep(CFG, "daxpy", [32], [2])
     with pytest.raises(OffloadError):
         ext.speedup_grid(other)
-
-
-def test_merged_concatenates():
-    a = small_sweep()
-    b = sweep(CFG, "memcpy", [64], [2])
-    merged = a.merged(b)
-    assert len(merged) == 5
-    assert len(merged.filter(kernel_name="memcpy")) == 1
