@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import struct
+import types
 import typing
 
 from repro.errors import OffloadError
@@ -140,6 +141,11 @@ def descriptor_words(kernel: Kernel) -> int:
             + len(kernel.input_names) + len(kernel.output_names))
 
 
+def descriptor_length(kernel_word: int) -> int:
+    """Descriptor size in words, read off its first (kernel id) word."""
+    return descriptor_words(kernel_from_id(kernel_word))
+
+
 def encode_descriptor(desc: JobDescriptor) -> typing.List[int]:
     """Serialize a descriptor to the word list the host stores to memory."""
     kernel = desc.kernel
@@ -160,14 +166,37 @@ def encode_descriptor(desc: JobDescriptor) -> typing.List[int]:
     return words
 
 
+#: Decoded descriptors keyed on (registered kernel count, words).  Every
+#: cluster of an M-wide job fetches the same words, so one decode
+#: serves the whole job; the kernel count keys the id space, which only
+#: grows.  Reuse spans one launch, so a few entries suffice; bounded by
+#: wholesale clearing.
+_DECODED: typing.Dict[typing.Tuple[int, ...], JobDescriptor] = {}
+_DECODED_MAX = 32
+
+
 def decode_descriptor(words: typing.Sequence[int]) -> JobDescriptor:
     """Parse the word list a DM core fetched back into a descriptor.
+
+    The result is frozen and memoized on the words, so clusters that
+    fetch the same descriptor share one decode.
 
     Raises
     ------
     OffloadError
         On truncated or inconsistent encodings.
     """
+    key = (len(kernel_names()), *words)
+    desc = _DECODED.get(key)
+    if desc is None:
+        desc = _decode(words)
+        if len(_DECODED) >= _DECODED_MAX:
+            _DECODED.clear()
+        _DECODED[key] = desc
+    return desc
+
+
+def _decode(words: typing.Sequence[int]) -> JobDescriptor:
     if len(words) < _HEADER_WORDS:
         raise OffloadError(
             f"descriptor truncated: {len(words)} < {_HEADER_WORDS} words")
@@ -195,10 +224,12 @@ def decode_descriptor(words: typing.Sequence[int]) -> JobDescriptor:
     for name in kernel.output_names:
         output_addrs[name] = words[cursor]
         cursor += 1
+    # Read-only views: the memo hands one descriptor to every cluster.
     return JobDescriptor(
         kernel_name=kernel.name, n=n, num_clusters=num_clusters,
         first_cluster=first_cluster, sync_mode=sync_mode,
         completion_addr=completion_addr, exec_mode=exec_mode,
-        scalars=scalars, input_addrs=input_addrs,
-        output_addrs=output_addrs,
+        scalars=types.MappingProxyType(scalars),
+        input_addrs=types.MappingProxyType(input_addrs),
+        output_addrs=types.MappingProxyType(output_addrs),
     )

@@ -170,6 +170,21 @@ def _run_experiment(name: str, clusters: int, out: typing.TextIO) -> None:
     out.write(fn(num_clusters=clusters).render() + "\n")
 
 
+def _run_all(clusters: int, out: typing.TextIO) -> int:
+    """Every experiment in turn; one that refuses its size prints its
+    error under its own section and the rest still run.  Returns the
+    exit code: 1 if any experiment failed."""
+    status = 0
+    for name in _EXPERIMENTS:
+        out.write(f"\n=== {name} {'=' * max(0, 60 - len(name))}\n")
+        try:
+            _run_experiment(name, clusters, out)
+        except ReproError as error:
+            out.write(f"error: {error}\n")
+            status = 1
+    return status
+
+
 def _run_sweep(args, out: typing.TextIO) -> None:
     from repro.analysis.export import sweep_to_csv
     from repro.core.cache import SweepCache, default_cache_dir
@@ -306,14 +321,13 @@ def main(argv: typing.Optional[typing.Sequence[str]] = None,
     if want_stats:
         from repro.core.executor import collect_run_stats
         collect_run_stats()
+    status = 0
     try:
         if args.command == "list":
             for name, (help_text, _fn) in _EXPERIMENTS.items():
                 out.write(f"{name:20s} {help_text}\n")
         elif args.command == "all":
-            for name in _EXPERIMENTS:
-                out.write(f"\n=== {name} {'=' * max(0, 60 - len(name))}\n")
-                _run_experiment(name, args.clusters, out)
+            status = _run_all(args.clusters, out)
         elif args.command == "traffic":
             _run_traffic(args, out)
         elif args.command == "offload":
@@ -329,7 +343,7 @@ def main(argv: typing.Optional[typing.Sequence[str]] = None,
     except ReproError as error:
         out.write(f"error: {error}\n")
         return 1
-    return 0
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -102,6 +102,9 @@ class Cluster:
             latency=tile.barrier_latency,
             name=f"cluster{cluster_id}.barrier")
         self.jobs_completed = 0
+        #: Doorbell-to-completion cycles of every job served (the DM
+        #: core's active time), charged as each completion is signalled.
+        self.dm_active_cycles = 0
         #: Compute phases resolved through the barrier's closed-form
         #: crossing instead of one spawned process per worker core.
         self.ff_compute_phases = 0
@@ -172,6 +175,7 @@ class Cluster:
         system-wide invariants).
         """
         self.jobs_completed = 0
+        self.dm_active_cycles = 0
         self.ff_compute_phases = 0
         self.mailbox.reset()
         self.dma.reset()

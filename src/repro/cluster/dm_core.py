@@ -23,6 +23,7 @@ always holds an architecturally-consistent snapshot.
 
 from __future__ import annotations
 
+import functools
 import typing
 
 from repro import abi, flags
@@ -43,19 +44,95 @@ def serve_jobs(cluster: "Cluster") -> typing.Generator:
     — doorbell, descriptor fetch, fabric barrier, DMA staging, compute
     phase, completion — into this single generator frame, parking on
     the same events the reference helpers park on.  A generator resume
-    re-activates every frame in its ``yield from`` chain, so with ~5-9
-    parks per job the two-to-four-deep helper chain is the dominant
-    per-job interpreter cost; the flat frame pays for one activation
-    per park.  Cycle- and order-identity with the reference is by
-    construction: both paths issue the identical primitive calls (the
-    non-generator forms ``job_event`` / ``book_arrival`` /
-    ``reserve_in`` / ``compute_phase_fast``) in the identical order.
+    re-activates every frame in its ``yield from`` chain, so the
+    two-to-four-deep helper chain would be the dominant per-job
+    interpreter cost; the flat frame pays for one activation per park.
+    A phased job with a non-empty slice parks seven times:
+
+    1. on the mailbox, until the doorbell;
+    2. once for wake-up, descriptor fetch and decode together (see
+       below);
+    3. on the fabric barrier's release;
+    4. on the DMA-in reservation;
+    5. on the compute phase's barrier crossing;
+    6. on the DMA-out reservation;
+    7. on the completion signal (the AMO response, or the posted
+       write's port release).
+
+    Cycle identity with the reference comes from issuing the identical
+    primitive calls (the non-generator forms ``job_event`` /
+    ``book_arrival`` / ``reserve_in`` / ``compute_phase_fast``) in the
+    identical order.
+
+    **Closed-form descriptor fetch.**  At the doorbell (cycle ``T``)
+    :meth:`~repro.noc.xbar.Interconnect.cluster_read_descriptor`
+    commits both descriptor bursts at once: it logs them, charges the
+    port, and returns the words and the cycle ``F0`` the second burst
+    completes.  The "awake" record is a plain scheduler callback at
+    ``T + W`` (``W`` the wake latency), and the core parks once, until
+    ``F = F0 + D`` (``D`` the decode latency).  The reference chain
+    (wake delay, two burst callback chains, decode delay) runs instead
+    when the launch is not a *plain* one — one job, no host work, a span
+    whose clusters share one ``W`` and one ``D``, a nonzero NoC request
+    latency (the runtime decides per launch; see
+    :class:`~repro.runtime.protocol.OffloadRuntime`) — or when the
+    interconnect refuses (busy port, descriptor outside main memory).
+    Every member of a job fetches the same descriptor over an idle
+    port (the host rings only after observing the previous completion
+    signal, which has left the port by then), so a job's DM cores all
+    take the same path.
+
+    *No same-cycle tie reorders.*  The awake callback is created where
+    the reference creates its wake-delay entry: in the doorbell
+    resume, with nothing scheduled in between; with ``W = 0`` both
+    record "awake" in that resume.  The decode-done wake-up ``Q`` has
+    the reference's kind: a direct process resume when ``D > 0`` (the
+    reference's decode delay), else a timer whose trigger queues the
+    resume (the reference's burst response).  The one thing that moves
+    is ``Q``'s creation, from the reference's ``C`` back to ``T``.
+    ``C`` is ``F0`` when ``D > 0``; when ``D = 0`` it is the second
+    burst's data phase, ``T + W + P`` for a constant ``P`` (the first
+    burst plus the port and request latencies).  So ``Q`` can change
+    places only with an entry ``X`` due at ``F`` and created in
+    ``(T, C]``.  In a plain launch ``X`` belongs to the job's own DM
+    cores or to the host:
+
+    - ``X`` is another member's decode-done wake-up.  Every member has
+      the same descriptor, ``W`` and ``D``, so ``F - T`` is one
+      constant and equal ``F`` means equal ``T``: both chains then run
+      in lockstep from doorbell resumes in mailbox order, which is
+      also the order of the closed form's doorbell resumes.  (Every
+      descriptor is at least ten words — eight header words, an input
+      and an output — so every fetch is two bursts.)
+    - ``X`` is a member's awake callback: it only records.
+    - ``X`` is the host's.  A member's decode-done step records
+      "decoded", computes its slice and books an arrival on the job's
+      fabric-barrier group, a counter only members touch.  Only the
+      *completing* arrival schedules anything — the release chain —
+      and everything that chain leads to (DMA on the memory channels,
+      compute, the completion AMO or sync-unit write) uses state the
+      host never touches, except two hand-offs: the sync unit's
+      interrupt, which finds the host parked in WFI, and the AMO's
+      flag write, which the host may read in the same cycle.  That
+      read's data phase runs from the time heap (nonzero request
+      latency), ahead of the AMO write that the zero-delay queue
+      delivers, whatever the two chains' ranks — the same argument
+      the poll fast path rests on.
+
+    So only the trace's order *within* one cycle across sources can
+    differ, like the NoC log's list order; neither is part of the
+    contract.  ``tests/property/test_fastforward_identity.py`` checks
+    the reference (``REPRO_NAIVE_CHANNEL``) against this path with
+    ``W`` and ``D`` drawn from zero and their defaults.
 
     The ``REPRO_NAIVE_CHANNEL`` / ``REPRO_NAIVE_BARRIER`` gates and the
     double-buffered exec mode delegate to the reference helpers
     (:func:`_run_job` and friends), which remain the readable
-    specification of the protocol.
+    specification of the protocol.  Each cluster adds every job's
+    doorbell-to-completion time to ``cluster.dm_active_cycles`` (the
+    energy meter's DM-core counter).
     """
+    sim = cluster.sim
     mailbox = cluster.mailbox
     noc = cluster.noc
     dma = cluster.dma
@@ -63,35 +140,43 @@ def serve_jobs(cluster: "Cluster") -> typing.Generator:
     record = cluster.trace.record
     cluster_id = cluster.cluster_id
     label = f"cluster{cluster_id}"
+    fetched_name = f"{label}.fetched"
+    awake = functools.partial(record, label, "awake")
     wake_latency = cluster.wake_latency
     decode_cycles = cluster.dm_decode_cycles
     fabric = cluster.fabric_barrier
     while True:
         pointer = yield mailbox.job_event()
+        doorbell = sim.now
         if flags.naive_channel() or flags.naive_barrier():
             # Reference path: simulate every phase's event loop.
             yield from _run_job(cluster, pointer)
             cluster.jobs_completed += 1
+            cluster.dm_active_cycles += sim.now - doorbell
             continue
 
         record(label, "doorbell", pointer)
-        if wake_latency:
-            yield wake_latency
-        record(label, "awake")
-
-        # Fetch and decode the descriptor (see _fetch_descriptor).
-        first = yield noc.cluster_read_burst(
-            cluster_id, pointer, FIRST_BURST_WORDS)
-        total = abi.descriptor_words(abi.kernel_from_id(first[0]))
-        words = list(first)
-        if total > FIRST_BURST_WORDS:
-            rest = yield noc.cluster_read_burst(
-                cluster_id, pointer + 8 * FIRST_BURST_WORDS,
-                total - FIRST_BURST_WORDS)
-            words.extend(rest)
-        desc = abi.decode_descriptor(words[:total])
-        if decode_cycles:
-            yield decode_cycles
+        fetched = noc.cluster_read_descriptor(
+            cluster_id, pointer, doorbell + wake_latency,
+            FIRST_BURST_WORDS, abi.descriptor_length)
+        if fetched is not None:
+            words, fetched_at = fetched
+            desc = abi.decode_descriptor(words)
+            if wake_latency:
+                sim.schedule(wake_latency, awake, None)
+            else:
+                record(label, "awake")
+            if decode_cycles:
+                yield fetched_at + decode_cycles - doorbell
+            else:
+                yield sim.timer(fetched_at - doorbell, fetched_name)
+        else:
+            if wake_latency:
+                yield wake_latency
+            record(label, "awake")
+            desc = yield from _fetch_descriptor(cluster, pointer)
+            if decode_cycles:
+                yield decode_cycles
         record(label, "decoded", desc.kernel_name)
 
         kernel = desc.kernel
@@ -147,6 +232,7 @@ def serve_jobs(cluster: "Cluster") -> typing.Generator:
                 cluster_id, desc.completion_addr, 1).issued
         record(label, "completion_signalled")
         cluster.jobs_completed += 1
+        cluster.dm_active_cycles += sim.now - doorbell
 
 
 def _work_slice(cluster: "Cluster", desc: abi.JobDescriptor,
@@ -360,8 +446,7 @@ def _fetch_descriptor(cluster: "Cluster", pointer: int) -> typing.Generator:
     noc = cluster.noc
     first = yield noc.cluster_read_burst(
         cluster.cluster_id, pointer, FIRST_BURST_WORDS)
-    kernel = abi.kernel_from_id(first[0])
-    total = abi.descriptor_words(kernel)
+    total = abi.descriptor_length(first[0])
     words = list(first)
     if total > FIRST_BURST_WORDS:
         rest = yield noc.cluster_read_burst(

@@ -32,6 +32,7 @@ from repro.core.staging import (
     JobBinding,
     JobRequest,
     launch,
+    released_memory,
 )
 from repro.runtime.protocol import make_runtime
 from repro.runtime.trace import build_offload_trace
@@ -114,10 +115,12 @@ def offload_concurrent(system: ManticoreSystem,
                            inputs=job.inputs, seed=job.seed,
                            exec_mode=job.exec_mode, first_cluster=first)
         for job, first in zip(jobs, firsts)]
-    bindings = [JobBinding.stage(system, request, runtime)
-                for request in requests]
-
-    result_box = launch(runtime, bindings, "offload.concurrent", max_cycles)
+    with released_memory(system):
+        bindings = [JobBinding.stage(system, request, runtime)
+                    for request in requests]
+        result_box = launch(runtime, bindings, "offload.concurrent",
+                            max_cycles)
+        finished = [binding.finish(verify) for binding in bindings]
 
     trace = build_offload_trace(
         system.trace, result_box["start_cycle"], result_box["end_cycle"])
@@ -127,8 +130,7 @@ def offload_concurrent(system: ManticoreSystem,
     }
 
     job_results = []
-    for job, binding in zip(jobs, bindings):
-        outputs, verified = binding.finish(verify)
+    for job, binding, (outputs, verified) in zip(jobs, bindings, finished):
         first_cluster = binding.desc.first_cluster
         completed = max(
             completion_by_cluster[cid]

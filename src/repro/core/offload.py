@@ -23,6 +23,7 @@ from repro.core.staging import (
     EXEC_MODES,
     JobBinding,
     launch,
+    released_memory,
     run_program,
 )
 from repro.runtime.protocol import make_runtime
@@ -76,7 +77,9 @@ def offload(system: ManticoreSystem, kernel_name: str, n: int,
     Parameters
     ----------
     system:
-        The SoC to run on.  Reusable across sequential offloads.
+        The SoC to run on.  Reusable across sequential offloads: the
+        job's main-memory allocations are freed before this returns,
+        and the system's trace and NoC log then hold this run only.
     kernel_name:
         A registered kernel (see :func:`repro.kernels.kernel_names`).
     n:
@@ -108,12 +111,14 @@ def offload(system: ManticoreSystem, kernel_name: str, n: int,
         :meth:`~repro.soc.config.SoCConfig.cluster_span`).
     """
     runtime = make_runtime(system, variant)
-    binding = JobBinding.bind(system, runtime, kernel_name, n, num_clusters,
-                              scalars=scalars, inputs=inputs, seed=seed,
-                              exec_mode=exec_mode, tile_group=tile_group)
-    result_box = launch(runtime, [binding], f"offload.{kernel_name}",
-                        max_cycles)
-    outputs, verified = binding.finish(verify)
+    with released_memory(system):
+        binding = JobBinding.bind(
+            system, runtime, kernel_name, n, num_clusters, scalars=scalars,
+            inputs=inputs, seed=seed, exec_mode=exec_mode,
+            tile_group=tile_group)
+        result_box = launch(runtime, [binding], f"offload.{kernel_name}",
+                            max_cycles)
+        outputs, verified = binding.finish(verify)
     trace = build_offload_trace(
         system.trace, result_box["start_cycle"], result_box["end_cycle"])
     return OffloadResult(
@@ -163,14 +168,17 @@ def run_on_host(system: ManticoreSystem, kernel_name: str, n: int,
     """
     from repro.runtime.hostexec import host_kernel_program
 
-    binding = JobBinding.bind_host(system, kernel_name, n, scalars=scalars,
-                                   inputs=inputs, seed=seed)
-    result_box = run_program(
-        system, functools.partial(
-            host_kernel_program, system, binding.kernel, n, binding.scalars,
-            binding.input_addrs, binding.output_addrs),
-        f"host.{kernel_name}", max_cycles)
-    outputs, verified = binding.finish(verify)
+    with released_memory(system):
+        binding = JobBinding.bind_host(system, kernel_name, n,
+                                       scalars=scalars, inputs=inputs,
+                                       seed=seed)
+        result_box = run_program(
+            system, functools.partial(
+                host_kernel_program, system, binding.kernel, n,
+                binding.scalars, binding.input_addrs,
+                binding.output_addrs),
+            f"host.{kernel_name}", max_cycles)
+        outputs, verified = binding.finish(verify)
     return HostRunResult(
         kernel_name=kernel_name, n=n,
         runtime_cycles=result_box["end_cycle"] - result_box["start_cycle"],

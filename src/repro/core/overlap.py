@@ -29,6 +29,7 @@ from repro.core.staging import (
     JobBinding,
     JobRequest,
     launch,
+    released_memory,
 )
 from repro.runtime.protocol import make_runtime
 from repro.runtime.hostexec import host_kernel_work
@@ -86,19 +87,20 @@ def offload_overlapped(system: ManticoreSystem, accel_kernel: str,
         scalars=accel_scalars, seed=seed)
     host_request = JobRequest.host(host_kernel, host_n,
                                    scalars=host_scalars, seed=seed + 1)
-    accel = JobBinding.stage(system, accel_request, runtime)
-    host_job = JobBinding.stage(system, host_request)
-    hkernel = host_job.kernel
+    with released_memory(system):
+        accel = JobBinding.stage(system, accel_request, runtime)
+        host_job = JobBinding.stage(system, host_request)
+        hkernel = host_job.kernel
 
-    host_work = functools.partial(
-        host_kernel_work, system, hkernel, host_n, host_job.scalars,
-        host_job.input_addrs, host_job.output_addrs)
+        host_work = functools.partial(
+            host_kernel_work, system, hkernel, host_n, host_job.scalars,
+            host_job.input_addrs, host_job.output_addrs)
 
-    result_box = launch(runtime, [accel], "offload.overlapped", max_cycles,
-                        host_work=host_work)
+        result_box = launch(runtime, [accel], "offload.overlapped",
+                            max_cycles, host_work=host_work)
 
-    accel_outputs, accel_verified = accel.finish(verify)
-    host_outputs, _host_verified = host_job.finish(verify)
+        accel_outputs, accel_verified = accel.finish(verify)
+        host_outputs, _host_verified = host_job.finish(verify)
     verified = True if accel_verified else None
 
     total = result_box["end_cycle"] - result_box["start_cycle"]

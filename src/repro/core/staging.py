@@ -18,10 +18,17 @@ fast path, so :meth:`JobBinding.stage` performs its allocations in
 exactly the historical order (inputs, outputs, flag, descriptor) —
 bindings are bit-identical to the code they replaced (asserted by
 ``tests/integration/test_cycle_identity.py``).
+
+A system serves one job after another at constant cost.  Every entry
+point stages inside :func:`released_memory`, which frees the job's
+allocations once its outputs are collected, and :func:`run_program`
+starts each run with an empty trace and NoC transaction log, so
+neither memory nor the logs grow with the jobs a system has served.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import typing
 
@@ -140,6 +147,25 @@ def run_to_completion(system: ManticoreSystem, process,
         raise error from None
 
 
+@contextlib.contextmanager
+def released_memory(system: ManticoreSystem) -> typing.Iterator[None]:
+    """Free every main-memory allocation the block makes when it exits.
+
+    Entry points stage, run, and collect (and verify) their jobs inside
+    the block; on the way out, pass or fail, the allocator is zeroed and
+    rewound to where it stood on entry.  A run cut short (a cycle-limit
+    abort leaves callbacks queued that may still write memory) keeps
+    its allocations: the clock moved and the queue did not drain.
+    """
+    memory, sim = system.memory, system.sim
+    mark, entered = memory.mark(), sim.now
+    try:
+        yield
+    finally:
+        if not sim.pending or sim.now == entered:
+            memory.release(mark)
+
+
 def run_program(system: ManticoreSystem,
                 build: typing.Callable[[typing.Dict[str, int]],
                                        typing.Generator],
@@ -149,9 +175,13 @@ def run_program(system: ManticoreSystem,
     The one run body behind every entry point — :func:`launch` and
     :func:`repro.core.offload.run_on_host`.  ``build(result)`` returns
     the host program, which records ``start_cycle`` and ``end_cycle``
-    into ``result``.  After it ends, the system drains in-flight
-    responses so memory state settles.
+    into ``result``.  The previous run drained before this one starts,
+    so the system's trace and NoC transaction log are cleared first:
+    both hold this run only.  After the program ends, the system drains
+    in-flight responses so memory state settles.
     """
+    system.trace.clear()
+    system.noc.clear_log()
     result: typing.Dict[str, int] = {}
     process = system.host.run_program(build(result), name=name)
     run_to_completion(system, process, max_cycles)

@@ -11,10 +11,17 @@ integrates a :class:`PowerBudget` over the activity deltas:
   win: the baseline's poll loop keeps the host hot);
 - **worker cores** burn active power for their busy cycles and idle
   power otherwise;
-- **DM cores** are active from doorbell to completion signal;
+- **DM cores** are active from doorbell to completion signal (each
+  cluster counts those cycles as each job's completion signal lands);
 - **data movement** costs energy per byte on the shared channels;
 - **control traffic** costs energy per interconnect transaction;
 - everything else is **static/idle** power × elapsed time.
+
+Every input is a monotonic counter that the simulated blocks keep —
+host sleep cycles, worker busy cycles, DM-core active cycles, channel
+bytes, NoC transactions — so a window costs two snapshots however long
+the system has run.  The trace and the NoC log are not read: they hold
+only the latest run (see :func:`repro.core.staging.run_program`).
 
 The default budget's magnitudes are placeholder 22 nm-class numbers
 (pJ/cycle = mW at the paper's 1 GHz); they are configuration, not
@@ -94,10 +101,9 @@ class _Snapshot:
     cycle: int
     host_slept: int
     worker_busy: int
+    dm_active: int
     bytes_moved: int
     noc_transactions: int
-    #: Length of the trace log: stop() reads only the records after it.
-    trace_length: int
 
 
 class EnergyMeter:
@@ -111,8 +117,10 @@ class EnergyMeter:
         report = meter.stop()
         print(report.render())
 
-    The meter only reads cumulative counters, so any mix of offloads
-    and host executions inside the window is accounted correctly.
+    The meter only reads cumulative counters, never the trace or the
+    NoC log (both hold only the latest run), so any mix of offloads and
+    host executions inside the window is accounted correctly, at a cost
+    that does not grow with the jobs the system served before.
     """
 
     def __init__(self, system: ManticoreSystem,
@@ -126,8 +134,9 @@ class EnergyMeter:
     # ------------------------------------------------------------------
     def _snapshot(self) -> _Snapshot:
         system = self.system
+        clusters = system.clusters
         worker_busy = sum(worker.busy_cycles
-                          for cluster in system.clusters
+                          for cluster in clusters
                           for worker in cluster.workers)
         bytes_moved = (system.read_channel.bytes_moved
                        + system.write_channel.bytes_moved)
@@ -135,42 +144,10 @@ class EnergyMeter:
             cycle=system.sim.now,
             host_slept=system.host.slept_cycles,
             worker_busy=worker_busy,
+            dm_active=sum(cluster.dm_active_cycles for cluster in clusters),
             bytes_moved=bytes_moved,
-            noc_transactions=len(system.noc.transactions),
-            trace_length=len(system.trace.records),
+            noc_transactions=system.noc.transactions_logged,
         )
-
-    def _dm_active_since(self, first: int) -> int:
-        """DM-core active time (doorbell to completion) of the jobs
-        that complete in the trace records from index ``first`` on.
-
-        Reads only those records, so the cost does not grow with the
-        jobs the system served before the window.  A doorbell still
-        open at ``first`` is carried over: the first completion of a
-        cluster that rang no doorbell inside the window looks back for
-        the doorbell it closes.
-        """
-        records = self.system.trace.records
-        active = 0
-        opened: typing.Dict[str, int] = {}
-        seen: typing.Set[str] = set()
-        for record in records[first:]:
-            label = record.label
-            if label != "doorbell" and label != "completion_signalled":
-                continue
-            source = record.source
-            if not source.startswith("cluster"):
-                continue
-            if label == "doorbell":
-                opened[source] = record.cycle
-            else:
-                start = opened.pop(source, None)
-                if start is None and source not in seen:
-                    start = _open_doorbell(records, source, first)
-                if start is not None:
-                    active += record.cycle - start
-            seen.add(source)
-        return active
 
     # ------------------------------------------------------------------
     # Window control
@@ -181,6 +158,10 @@ class EnergyMeter:
 
     def stop(self) -> EnergyBreakdown:
         """Close the window and return its energy breakdown.
+
+        DM-core active time is charged whole (doorbell to completion
+        signal) when the job's completion lands in the window, so a
+        doorbell still open when the window starts counts in full.
 
         Raises
         ------
@@ -205,7 +186,7 @@ class EnergyMeter:
         workers = (budget.worker_active * worker_busy
                    + budget.worker_idle * worker_idle)
 
-        dm_busy = self._dm_active_since(begin.trace_length)
+        dm_busy = end.dm_active - begin.dm_active
         dm_idle = max(0, len(self.system.clusters) * window - dm_busy)
         dm_cores = (budget.dm_core_active * dm_busy
                     + budget.dm_core_idle * dm_idle)
@@ -220,20 +201,6 @@ class EnergyMeter:
             window_cycles=window, host=host, workers=workers,
             dm_cores=dm_cores, memory=memory, interconnect=interconnect,
             uncore=uncore)
-
-
-def _open_doorbell(records: typing.Sequence, source: str,
-                   before: int) -> typing.Optional[int]:
-    """Cycle of ``source``'s doorbell if it is still open just before
-    index ``before`` (its last doorbell has no completion yet)."""
-    for position in range(before - 1, -1, -1):
-        record = records[position]
-        if record.source == source:
-            if record.label == "doorbell":
-                return record.cycle
-            if record.label == "completion_signalled":
-                return None
-    return None
 
 
 def measure_offload_energy(config, kernel_name: str, n: int,

@@ -25,9 +25,10 @@ class MainMemory:
     - raw byte blocks (:meth:`read_bytes` / :meth:`write_bytes`) — used
       by the DMA engines' functional copies.
 
-    A bump allocator (:meth:`alloc`) hands out experiment buffers; it is
-    deliberately simple because simulations are short-lived (allocate,
-    run, discard).
+    A bump allocator (:meth:`alloc`) hands out experiment buffers.  It
+    frees in stack order: :meth:`mark` notes the allocation point before
+    a job stages, and :meth:`release` zeroes and frees everything handed
+    out since, so a system that serves job after job never runs out.
 
     Parameters
     ----------
@@ -179,18 +180,39 @@ class MainMemory:
         """Forget all allocations (storage contents are untouched)."""
         self._next_alloc = self.base
 
+    def mark(self) -> int:
+        """The current allocation point, for a later :meth:`release`."""
+        return self._next_alloc
+
+    def release(self, mark: int) -> None:
+        """Zero and free every allocation made since ``mark``.
+
+        Allocations free in stack order, so everything above ``mark``
+        goes at once.  Zeroing keeps the invariant :meth:`reset` relies
+        on: every byte above the allocation point is zero.
+
+        Raises
+        ------
+        MemoryError_
+            If ``mark`` is not an allocation point at or below the
+            current one.
+        """
+        if not self.base <= mark <= self._next_alloc:
+            raise MemoryError_(
+                f"cannot release to {mark:#x}: the allocator is at "
+                f"{self._next_alloc:#x} (base {self.base:#x})")
+        self._data[mark - self.base:self._next_alloc - self.base] = 0
+        self._next_alloc = mark
+
     def reset(self) -> None:
         """Restore boot state: allocator rewound, contents zeroed.
 
-        Only the allocated prefix is cleared: the bump allocator is
-        monotonic, so every functional write since boot landed below
-        ``_next_alloc``, and zeroing just that prefix is much cheaper
+        Only the allocated prefix is cleared: every functional write
+        since boot landed below ``_next_alloc`` (or was zeroed by
+        :meth:`release`), and zeroing just that prefix is much cheaper
         than re-zeroing a multi-megabyte array per sweep point.
         """
-        used = self._next_alloc - self.base
-        if used:
-            self._data[:used] = 0
-        self._next_alloc = self.base
+        self.release(self.base)
 
     @property
     def allocated_bytes(self) -> int:

@@ -29,6 +29,7 @@ import numpy
 
 from repro.errors import ConfigError
 from repro.mem.map import AddressMap, MmioDevice
+from repro.mem.memory import MainMemory
 from repro.noc.packet import Transaction, TransactionKind
 from repro.sim import Event, SerialResource, Simulator
 
@@ -240,13 +241,22 @@ class Interconnect:
         #: each time is measurable across a sweep.
         self._cluster_labels = tuple(
             f"cluster{i}" for i in range(num_clusters))
+        #: This run's transactions (cleared by :meth:`clear_log` when a
+        #: program starts); :attr:`transactions_logged` counts them all.
         self.transactions: typing.List[Transaction] = []
+        self._cleared_transactions = 0
         #: Closed-form host store runs committed by
         #: :meth:`host_write_block` (and the stores they covered) —
         #: fast-forward visibility counters, mirrored into
         #: ``ManticoreSystem.fastforward_stats``.
         self.ff_store_runs = 0
         self.ff_stores = 0
+        #: Descriptor fetches committed by :meth:`cluster_read_descriptor`.
+        self.ff_descriptor_fetches = 0
+        #: Whether :meth:`cluster_read_descriptor` may commit fetches: the
+        #: offload runtime sets it for the duration of a launch whose
+        #: shape ``serve_jobs``'s tie argument covers.
+        self.closed_form_fetch = False
         # Per-initiator routing handles: each port keeps its own
         # last-region hit slot, so one cluster's descriptor burst cannot
         # evict the host's completion-flag region from a shared cache.
@@ -454,6 +464,73 @@ class Interconnect:
             _trigger_at_now, acked)
         return acked
 
+    def cluster_read_descriptor(
+            self, cluster_id: int, addr: int, issue: int, first_words: int,
+            length: typing.Callable[[int], int]
+    ) -> typing.Optional[typing.Tuple[typing.List[int], int]]:
+        """Commit a DM core's descriptor fetch in closed form.
+
+        The reference fetch is two :meth:`cluster_read_burst` calls: a
+        ``first_words`` burst issued at cycle ``issue``, then — once it
+        completes, and only if ``length(first word)`` says the
+        descriptor is longer — a burst of the remaining words.  Each
+        burst completes ``cluster_port_occupancy + request_latency +
+        response_latency + (words - 1)`` cycles after it issues.  This
+        form logs both READ transactions with their true issue cycles,
+        charges the cluster port the same requests and occupancy, reads
+        the words, and returns ``(words, completion cycle)`` without
+        scheduling anything; the caller parks until that cycle.
+
+        Safe only when nothing can observe the skipped cycles, so it
+        returns ``None`` (the caller must run the burst chain) unless:
+
+        - the running launch enabled it (:attr:`closed_form_fetch`);
+        - the cluster port is idle at ``issue`` (its only initiator is
+          the calling DM core, so nothing can claim it in between);
+        - the whole descriptor lies in one main-memory region (MMIO
+          reads have side effects at delivery granularity).
+
+        The words are read at the call rather than at each burst's data
+        phase: a descriptor is immutable from the host's release fence,
+        which precedes every doorbell, until its job completes.  Both
+        transactions are appended at the call, so their *list position*
+        relative to other traffic can differ from the burst chain's;
+        counts, timestamps and port accounting are identical.
+        """
+        port = self._cluster_port(cluster_id)
+        if not self.closed_form_fetch or port.next_free > issue:
+            return None
+        region = self._cluster_routers[cluster_id].region_at(addr)
+        memory = region.target
+        if not isinstance(memory, MainMemory) \
+                or addr + 8 * first_words > region.end:
+            return None
+        words = memory.read_words(addr, first_words)
+        total = length(words[0])
+        if addr + 8 * total > region.end:
+            return None
+        params = self.params
+        occupancy = params.cluster_port_occupancy
+        round_trip = (occupancy + params.request_latency
+                      + params.response_latency - 1)
+        source = self._cluster_labels[cluster_id]
+        self.transactions.append(Transaction(
+            TransactionKind.READ, source, (addr,), None, False, issue))
+        done = issue + round_trip + first_words
+        bursts = 1
+        if total > first_words:
+            tail = addr + 8 * first_words
+            words.extend(memory.read_words(tail, total - first_words))
+            self.transactions.append(Transaction(
+                TransactionKind.READ, source, (tail,), None, False, done))
+            issue = done
+            done += round_trip + total - first_words
+            bursts = 2
+        port.charge_bulk(requests=bursts, busy_cycles=bursts * occupancy,
+                         next_free=issue + occupancy)
+        self.ff_descriptor_fetches += 1
+        return words, done
+
     def charge_host_poll_reads(self, addr: int, first_issue: int,
                                period: int, count: int) -> None:
         """Account ``count`` host poll loads without simulating them.
@@ -483,11 +560,25 @@ class Interconnect:
             requests=count, busy_cycles=count * occupancy,
             next_free=first_issue + (count - 1) * period + occupancy)
 
+    @property
+    def transactions_logged(self) -> int:
+        """Transactions logged since boot, across cleared runs."""
+        return self._cleared_transactions + len(self.transactions)
+
+    def clear_log(self) -> None:
+        """Empty the transaction log; :attr:`transactions_logged` keeps
+        counting across the clear."""
+        self._cleared_transactions += len(self.transactions)
+        self.transactions.clear()
+
     def reset(self) -> None:
         """Restore boot state: empty transaction log, idle ports."""
         self.transactions.clear()
+        self._cleared_transactions = 0
         self.ff_store_runs = 0
         self.ff_stores = 0
+        self.ff_descriptor_fetches = 0
+        self.closed_form_fetch = False
         self.host_port.reset()
         self.amo_port.reset()
         for port in self.cluster_ports:

@@ -126,10 +126,12 @@ class OffloadRuntime:
         else:
             start_data = [desc.kernel_name for desc, _addr in jobs]
             written_data = len(jobs)
+        closed_form_fetch = self._closed_form_fetch(jobs, host_work)
 
         def program() -> typing.Generator:
             result["start_cycle"] = system.sim.now
             system.trace.record("host", "offload_start", start_data)
+            system.noc.closed_form_fetch = closed_form_fetch
 
             # --- 1. Setup: runtime entry + all descriptors ---------------
             yield from host.execute(config.host_setup_cycles)
@@ -180,11 +182,35 @@ class OffloadRuntime:
 
             # --- 5. Wait for all jobs ------------------------------------
             yield from completion.wait(system, completion_jobs)
+            system.noc.closed_form_fetch = False
 
             system.trace.record("host", "offload_end")
             result["end_cycle"] = system.sim.now
 
         return program()
+
+    def _closed_form_fetch(self, jobs, host_work) -> bool:
+        """Whether this launch's DM cores may fetch their descriptors
+        in closed form.
+
+        Only a plain launch qualifies: one job, no host work, on a span
+        whose clusters share one wake and one decode latency, with a
+        nonzero NoC request latency.  While its DM cores fetch, the
+        only other actors are the same job's DM cores and the host's
+        dispatch and wait — the setting in which
+        :func:`repro.cluster.dm_core.serve_jobs` shows that no
+        same-cycle tie can reorder.
+        """
+        if len(jobs) != 1 or host_work is not None:
+            return False
+        system = self.system
+        if system.noc.params.request_latency <= 0:
+            return False
+        desc = jobs[0][0]
+        span = system.clusters[desc.first_cluster:
+                               desc.first_cluster + desc.num_clusters]
+        return len({(cluster.wake_latency, cluster.dm_decode_cycles)
+                    for cluster in span}) == 1
 
 
 def make_runtime(system: ManticoreSystem,

@@ -5,6 +5,12 @@ dispatch done, cluster N woke, DMA-in done, compute done, completion
 signalled, host notified) so experiments can break a measured runtime
 down into the same components the paper discusses.  The recorder is a
 plain append-only log with query helpers; it never affects timing.
+
+On a system the log is per run: every host program starts by clearing
+it (see :func:`repro.core.staging.run_program`), so after an offload
+it holds that offload's records only, however many jobs the system
+served before.  Activity totals across runs live in counters instead
+(see :mod:`repro.energy`).
 """
 
 from __future__ import annotations
@@ -48,6 +54,8 @@ class TraceRecorder:
     runs.  Whoever rewinds the clock must :meth:`clear` the log with
     it, as ``ManticoreSystem.reset()`` does.  :meth:`window` relies on
     that order to find a cycle range by binary search instead of a scan.
+    Each run on a system also starts with a :meth:`clear`, so the log
+    (and the memory it holds) never outgrows one run.
     """
 
     def __init__(self, sim: "Simulator", enabled: bool = True) -> None:

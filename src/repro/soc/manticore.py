@@ -299,6 +299,7 @@ class ManticoreSystem:
             "fabric_arrivals": self.fabric_barrier.ff_arrivals,
             "staged_store_runs": self.noc.ff_store_runs,
             "staged_stores": self.noc.ff_stores,
+            "descriptor_fetches": self.noc.ff_descriptor_fetches,
         }
 
     # ------------------------------------------------------------------

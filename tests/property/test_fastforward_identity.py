@@ -14,7 +14,10 @@ Three timing invariants back the fast-forward layer:
 Each invariant is sampled over grid points and program shapes (plain,
 overlapped, concurrent) with the full observable fingerprint compared:
 cycles, retired ops, per-cluster DMA/worker statistics, shared-channel
-occupancy, and the NoC transaction log.
+and cluster-port occupancy, the energy meter's counters, and the NoC
+transaction log.  The closed-form descriptor fetch is part of the
+channel fast path, so invariant 1 also samples cluster wake and decode
+latencies of zero.
 """
 
 import contextlib
@@ -48,6 +51,12 @@ SETTINGS = hypothesis.settings(
 N_VALUES = [24, 32, 48, 64, 96]
 M_VALUES = [1, 2, 4]
 VARIANTS = ["baseline", "extended"]
+#: Zero and the default, for the latencies that bracket a descriptor
+#: fetch (zero removes the wake-up callback or the decode delay).
+WAKE_VALUES = [0, SoCConfig().cluster_wake_latency]
+DECODE_VALUES = [0, SoCConfig().dm_decode_cycles]
+#: Descriptors of 10 to 13 words, so concurrent jobs' tail bursts differ.
+CONCURRENT_KERNELS = ["memcpy", "dot", "daxpy", "axpby"]
 
 
 @pytest.fixture(autouse=True)
@@ -87,6 +96,10 @@ def _fingerprint(system, runtime_cycles):
         "host_busy": noc.host_port.busy_cycles,
         "amo_requests": noc.amo_port.requests,
         "jobs": tuple(c.jobs_completed for c in system.clusters),
+        "cluster_ports": tuple((port.requests, port.busy_cycles)
+                               for port in noc.cluster_ports),
+        "noc_total": noc.transactions_logged,
+        "dm_active": tuple(c.dm_active_cycles for c in system.clusters),
         "dma": tuple((c.dma.transfers_in, c.dma.bytes_in,
                       c.dma.transfers_out, c.dma.bytes_out)
                      for c in system.clusters),
@@ -105,10 +118,10 @@ def _fingerprint(system, runtime_cycles):
     }
 
 
-def _naive_and_fast(gate, run):
+def _naive_and_fast(gate, run, config=None):
     """Run ``run(system) -> runtime`` twice: ``gate`` enabled, then the
     fast-forward path; returns both fingerprints."""
-    config = SoCConfig.extended(num_clusters=4)
+    config = config or SoCConfig.extended(num_clusters=4)
     with _env(gate, "1"):
         system = ManticoreSystem(config)
         naive = _fingerprint(system, run(system))
@@ -152,6 +165,91 @@ def test_channel_ff_matches_naive_overlapped(accel_n, host_n):
         NAIVE_CHANNEL_ENV,
         lambda system: offload_overlapped(
             system, "daxpy", accel_n, 2, "daxpy", host_n).total_cycles)
+    assert fast == naive
+
+
+FETCH_SETTINGS = hypothesis.settings(SETTINGS, max_examples=25)
+
+
+def _fetch_config(wake, decode):
+    return SoCConfig.extended(num_clusters=4, cluster_wake_latency=wake,
+                              dm_decode_cycles=decode)
+
+
+@FETCH_SETTINGS
+@hypothesis.given(n=st.sampled_from(N_VALUES), m=st.sampled_from(M_VALUES),
+                  variant=st.sampled_from(VARIANTS),
+                  wake=st.sampled_from(WAKE_VALUES),
+                  decode=st.sampled_from(DECODE_VALUES))
+def test_descriptor_fetch_matches_naive_offload(n, m, variant, wake,
+                                                decode):
+    """The closed-form fetch parks once where the reference chain parks
+    up to four times; zero wake or decode latency changes which of its
+    entries are heap resumes and which queue behind a trigger."""
+    naive, fast = _naive_and_fast(
+        NAIVE_CHANNEL_ENV,
+        lambda system: offload(system, "daxpy", n, m,
+                               variant=variant).runtime_cycles,
+        _fetch_config(wake, decode))
+    assert fast == naive
+
+
+@FETCH_SETTINGS
+@hypothesis.given(kernels=st.lists(st.sampled_from(CONCURRENT_KERNELS),
+                                   min_size=2, max_size=3),
+                  n=st.sampled_from(N_VALUES),
+                  variant=st.sampled_from(VARIANTS),
+                  wake=st.sampled_from(WAKE_VALUES),
+                  decode=st.sampled_from(DECODE_VALUES))
+def test_descriptor_fetch_matches_naive_concurrent(kernels, n, variant, wake,
+                                                   decode):
+    """Jobs with descriptors of different lengths, rung at different
+    cycles, can finish their fetches in the same cycle.  A concurrent
+    launch keeps the burst chain (a release may then meet a foreign
+    read-channel request in one cycle), and must still match the
+    reference with the new counters in the fingerprint."""
+    widths = [2, 1, 1][:len(kernels)]
+    jobs = [ConcurrentJob(kernel_name=kernel, n=n + 8 * index,
+                          num_clusters=width)
+            for index, (kernel, width) in enumerate(zip(kernels, widths))]
+    naive, fast = _naive_and_fast(
+        NAIVE_CHANNEL_ENV,
+        lambda system: offload_concurrent(
+            system, jobs, variant=variant).makespan_cycles,
+        _fetch_config(wake, decode))
+    assert fast == naive
+
+
+def test_closed_form_fetch_engages_only_on_plain_launches():
+    """Every doorbell of a one-job launch takes the closed form when the
+    job's clusters share one wake and one decode latency; concurrent
+    and overlapped launches, and a span mixing tile classes, keep the
+    reference chain (and still match it)."""
+    from repro.soc.tiles import SNITCH, VECWIDE, TileGroup
+
+    def fetches(config, run):
+        system = ManticoreSystem(config)
+        run(system)
+        return system.fastforward_stats()["descriptor_fetches"]
+
+    config = SoCConfig.extended(num_clusters=4)
+    assert fetches(config, lambda s: offload(s, "daxpy", 64, 4)) == 4
+    assert fetches(config, lambda s: offload_concurrent(s, [
+        ConcurrentJob("daxpy", 64, 2), ConcurrentJob("dot", 64, 2)])) == 0
+    assert fetches(config, lambda s: offload_overlapped(
+        s, "daxpy", 64, 2, "daxpy", 16)) == 0
+
+    fabric = (TileGroup(name="little", tile=SNITCH, count=2),
+              TileGroup(name="big", tile=VECWIDE, count=2))
+    config = SoCConfig.extended(num_clusters=4, fabric=fabric)
+    assert fetches(config, lambda s: offload(
+        s, "daxpy", 64, 2, tile_group="big")) == 2
+
+    def mixed(system):
+        return offload(system, "daxpy", 64, 4).runtime_cycles
+
+    assert fetches(config, mixed) == 0
+    naive, fast = _naive_and_fast(NAIVE_CHANNEL_ENV, mixed, config)
     assert fast == naive
 
 

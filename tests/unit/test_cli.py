@@ -22,6 +22,34 @@ def test_list_shows_every_experiment():
         assert name in text
 
 
+def test_all_runs_past_a_refusing_experiment(monkeypatch):
+    from repro import cli
+    from repro.errors import ConfigError
+
+    class Rendered:
+        def __init__(self, text):
+            self.text = text
+
+        def render(self):
+            return self.text
+
+    def refuse(num_clusters):
+        raise ConfigError(f"no room on {num_clusters} clusters")
+
+    monkeypatch.setattr(cli, "_EXPERIMENTS", {
+        "first": ("ran first", lambda num_clusters: Rendered("first ok")),
+        "refusing": ("refuses", refuse),
+        "last": ("runs anyway", lambda num_clusters: Rendered("last ok")),
+    })
+    code, text = run_cli("all", "--clusters", "3")
+    assert code == 1
+    first, refusing, last = text.split("\n=== ")[1:]
+    assert first.startswith("first ") and "first ok" in first
+    assert refusing.startswith("refusing ")
+    assert "error: no room on 3 clusters" in refusing
+    assert last.startswith("last ") and "last ok" in last
+
+
 def test_offload_command_prints_result_and_phases():
     code, text = run_cli("offload", "--kernel", "daxpy", "--n", "256",
                          "--clusters", "4", "--fabric", "8")
