@@ -9,7 +9,7 @@ import numpy
 
 from repro import flags
 from repro.cluster.barrier import Barrier
-from repro.cluster.dm_core import serve_jobs
+from repro.cluster.dm_core import LaunchContext, serve_jobs
 from repro.cluster.dma import DmaEngine
 from repro.cluster.mailbox import Mailbox
 from repro.cluster.worker import WorkerCore, split_among_cores
@@ -70,7 +70,7 @@ class Cluster:
                  memory: MainMemory, tcdm: Tcdm, mailbox: Mailbox,
                  read_channel: ThroughputChannel,
                  write_channel: ThroughputChannel,
-                 tile: "ResolvedTile",
+                 tile: "ResolvedTile", launch: LaunchContext,
                  fabric_barrier: typing.Optional["FabricBarrier"] = None,
                  trace: typing.Optional[TraceRecorder] = None) -> None:
         self.sim = sim
@@ -80,6 +80,9 @@ class Cluster:
         self.tcdm = tcdm
         self.mailbox = mailbox
         self.fabric_barrier = fabric_barrier
+        #: The launch context this cluster's DM core reads at each
+        #: doorbell (the system shares one across its clusters).
+        self.launch = launch
         self.wake_latency = tile.wake_latency
         self.dm_decode_cycles = tile.dm_decode_cycles
         #: The resolved tile spec (core count, latencies, kernel rates)
@@ -145,9 +148,21 @@ class Cluster:
         flattened fast path).  Callers must have checked
         ``REPRO_NAIVE_BARRIER`` themselves.
         """
-        cycles = _phase_core_cycles(
-            kernel, work.elements, len(self.workers), n,
-            self.tile.timing_for(kernel))
+        return self.cross_compute_phase(
+            self.phase_cycles(kernel, work.elements, n))
+
+    def phase_cycles(self, kernel: "Kernel", elements: int,
+                     n: int) -> typing.Tuple[int, ...]:
+        """Per-worker cycles of a compute phase over ``elements`` items
+        of an ``n``-item ``kernel`` job on this cluster's tile."""
+        return _phase_core_cycles(kernel, elements, len(self.workers), n,
+                                  self.tile.timing_for(kernel))
+
+    def cross_compute_phase(self, cycles: typing.Tuple[int, ...]
+                            ) -> "typing.Any":
+        """Charge each worker its ``cycles`` and cross the barrier in
+        closed form; returns the release event (see
+        :meth:`compute_phase_fast`)."""
         last = 0
         for worker, worker_cycles in zip(self.workers, cycles):
             worker.jobs_executed += 1

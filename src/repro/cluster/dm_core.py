@@ -32,9 +32,156 @@ from repro.kernels.base import WorkSlice, split_range
 
 if typing.TYPE_CHECKING:
     from repro.cluster.cluster import Cluster
+    from repro.noc.xbar import Interconnect
 
 #: Words fetched by the first descriptor burst (one 64-byte line).
 FIRST_BURST_WORDS = 8
+#: Job plans a launch context keeps before it starts over (a launch
+#: holds one per job and tile class; doorbells rung without the offload
+#: runtime reuse one context indefinitely).
+MAX_PLANS = 16
+
+
+class JobPlan:
+    """One job's constants, built once for all its DM cores.
+
+    ``ranks[r]`` holds rank ``r``'s work slice, its DMA bytes in and
+    out, and its TCDM footprint.  :meth:`phase_cycles` memoizes the
+    per-worker cycles of a compute phase by slice length; it runs at a
+    member's compute phase, where the reference looks the tile's rate
+    up, so a tile without a rate for the kernel fails at that point.
+    """
+
+    __slots__ = ("kernel", "n", "ranks", "_phases")
+
+    def __init__(self, desc: abi.JobDescriptor) -> None:
+        kernel = desc.kernel
+        n = desc.n
+        self.kernel = kernel
+        self.n = n
+        # A slice's bytes depend only on its length and which of its
+        # ends are interior (see SliceBytes), so ranks share them.
+        shapes: typing.Dict[typing.Tuple[int, bool, bool],
+                            typing.Tuple[int, int, int]] = {}
+        ranks = []
+        for work in split_range(n, desc.num_clusters):
+            lo, hi = work.lo, work.hi
+            shape = (hi - lo, lo > 0, hi < n)
+            sizes = shapes.get(shape)
+            if sizes is None:
+                sizes = shapes[shape] = (
+                    kernel.slice_bytes_in(lo, hi, n),
+                    kernel.slice_bytes_out(lo, hi, n),
+                    kernel.slice_tcdm_bytes(lo, hi, n))
+            ranks.append((work, *sizes))
+        self.ranks = tuple(ranks)
+        self._phases: typing.Dict[int, typing.Tuple[int, ...]] = {}
+
+    def phase_cycles(self, cluster: "Cluster",
+                     elements: int) -> typing.Tuple[int, ...]:
+        """Per-worker cycles of ``cluster``'s compute phase over a slice
+        of ``elements`` items (``cluster`` has the plan's tile class)."""
+        cycles = self._phases.get(elements)
+        if cycles is None:
+            cycles = self._phases[elements] = cluster.phase_cycles(
+                self.kernel, elements, self.n)
+        return cycles
+
+
+class LaunchContext:
+    """What the DM cores serving one launch share (one per system).
+
+    :class:`~repro.runtime.protocol.OffloadRuntime` opens it when a
+    launch's host program starts and closes it when the program ends.
+    A DM core reads it at each doorbell instead of working the same
+    answers out for itself.
+    """
+
+    __slots__ = ("reference", "plain", "plans_built", "_plans", "_fetched")
+
+    def __init__(self) -> None:
+        #: Whether ``REPRO_NAIVE_CHANNEL`` or ``REPRO_NAIVE_BARRIER``
+        #: routes this launch's DM cores through the reference helpers,
+        #: read once when the launch opens; ``None`` outside a launch
+        #: (a doorbell rung without the runtime reads the gates itself).
+        self.reference: typing.Optional[bool] = None
+        #: Whether the launch is *plain*, so its DM cores may fetch the
+        #: descriptor and post the completion store in closed form (see
+        #: :func:`serve_jobs`).
+        self.plain = False
+        #: Job plans built (a fast-forward visibility counter).
+        self.plans_built = 0
+        self._plans: typing.Dict[typing.Tuple[int, int],
+                                 typing.Tuple[JobPlan, typing.Any,
+                                              typing.Any]] = {}
+        #: ``(pointer, descriptor, words)`` of the plain launch's
+        #: descriptor, once a member has read it.
+        self._fetched: typing.Optional[
+            typing.Tuple[int, abi.JobDescriptor, int]] = None
+
+    def open(self, plain: bool) -> None:
+        """Start a launch: read the gates, forget earlier jobs."""
+        self.reference = flags.naive_channel() or flags.naive_barrier()
+        self.plain = plain
+        self._plans.clear()
+        self._fetched = None
+
+    def close(self) -> None:
+        """End the launch."""
+        self.reference = None
+        self.plain = False
+        self._plans.clear()
+        self._fetched = None
+
+    def fetch(self, noc: "Interconnect", cluster_id: int, pointer: int,
+              issue: int
+              ) -> typing.Optional[typing.Tuple[abi.JobDescriptor, int]]:
+        """A plain launch member's closed-form descriptor fetch.
+
+        Returns the decoded descriptor and the cycle its second burst
+        completes, or ``None`` when the interconnect refuses (see
+        :meth:`~repro.noc.xbar.Interconnect.cluster_read_descriptor`).
+        The first member to succeed reads and decodes the words; the
+        others pay only the timing, for the descriptor is immutable
+        from the host's release fence until the job completes.
+        """
+        known = self._fetched
+        if known is not None and known[0] == pointer:
+            done = noc.cluster_refetch_descriptor(
+                cluster_id, pointer, issue, FIRST_BURST_WORDS, known[2])
+            return None if done is None else (known[1], done)
+        fetched = noc.cluster_read_descriptor(
+            cluster_id, pointer, issue, FIRST_BURST_WORDS,
+            abi.descriptor_length)
+        if fetched is None:
+            return None
+        words, done = fetched
+        desc = abi.decode_descriptor(words)
+        self._fetched = (pointer, desc, len(words))
+        return desc, done
+
+    def plan(self, desc: abi.JobDescriptor, cluster: "Cluster") -> JobPlan:
+        """The job's plan for ``cluster``'s tile class, built by the
+        first member to ask.
+
+        Keyed on object identity: a job's members decode one memoized
+        descriptor and share their group's tile.  Each entry keeps both
+        alive, so no key is reused while it is stored.
+        """
+        tile = cluster.tile
+        key = (id(desc), id(tile))
+        entry = self._plans.get(key)
+        if entry is None:
+            if len(self._plans) >= MAX_PLANS:
+                self._plans.clear()
+            entry = self._plans[key] = (JobPlan(desc), desc, tile)
+            self.plans_built += 1
+        return entry[0]
+
+    def reset(self) -> None:
+        """Restore boot state."""
+        self.close()
+        self.plans_built = 0
 
 
 def serve_jobs(cluster: "Cluster") -> typing.Generator:
@@ -56,19 +203,35 @@ def serve_jobs(cluster: "Cluster") -> typing.Generator:
     4. on the DMA-in reservation;
     5. on the compute phase's barrier crossing;
     6. on the DMA-out reservation;
-    7. on the completion signal (the AMO response, or the posted
-       write's port release).
+    7. on the completion signal: the AMO response, or the posted
+       store's port release (a plain delay in a plain launch, see
+       below; else the ``issued`` event).
 
     Cycle identity with the reference comes from issuing the identical
     primitive calls (the non-generator forms ``job_event`` /
-    ``book_arrival`` / ``reserve_in`` / ``compute_phase_fast``) in the
+    ``book_arrival`` / ``reserve_in`` / ``cross_compute_phase``) in the
     identical order.
 
+    **One plan per job.**  Everything a member would otherwise work
+    out for itself from the descriptor — its work slice, its DMA bytes
+    in and out, its TCDM footprint, the per-worker cycles of its
+    compute phase — is the same for every member of the job with the
+    same tile class, so the first member to decode builds a
+    :class:`JobPlan` in the system's :class:`LaunchContext` and the
+    rest look their rank up in it.  The context also carries the
+    ``REPRO_NAIVE_*`` gates, read once when the runtime opens the
+    launch, and whether the launch is plain.  The plan only computes;
+    it schedules nothing, so it moves no event.
+
     **Closed-form descriptor fetch.**  At the doorbell (cycle ``T``)
-    :meth:`~repro.noc.xbar.Interconnect.cluster_read_descriptor`
-    commits both descriptor bursts at once: it logs them, charges the
-    port, and returns the words and the cycle ``F0`` the second burst
-    completes.  The "awake" record is a plain scheduler callback at
+    :meth:`LaunchContext.fetch` commits both descriptor bursts at
+    once: it logs them, charges the port, and returns the descriptor
+    and the cycle ``F0`` the second burst completes.  (The first member
+    reads and decodes the words through
+    :meth:`~repro.noc.xbar.Interconnect.cluster_read_descriptor`; the
+    others pay only the timing, through
+    :meth:`~repro.noc.xbar.Interconnect.cluster_refetch_descriptor`.)
+    The "awake" record is a plain scheduler callback at
     ``T + W`` (``W`` the wake latency), and the core parks once, until
     ``F = F0 + D`` (``D`` the decode latency).  The reference chain
     (wake delay, two burst callback chains, decode delay) runs instead
@@ -121,9 +284,56 @@ def serve_jobs(cluster: "Cluster") -> typing.Generator:
 
     So only the trace's order *within* one cycle across sources can
     differ, like the NoC log's list order; neither is part of the
-    contract.  ``tests/property/test_fastforward_identity.py`` checks
-    the reference (``REPRO_NAIVE_CHANNEL``) against this path with
-    ``W`` and ``D`` drawn from zero and their defaults.
+    contract.
+
+    **Closed-form completion store.**  In a plain launch a member
+    signalling the sync unit at cycle ``T`` calls
+    :meth:`~repro.noc.xbar.Interconnect.cluster_post_store`, which logs
+    the WRITE, charges the idle port ``O`` cycles
+    (``cluster_port_occupancy``), schedules the delivery — the
+    functional increment — at ``T + O + L`` (``L`` the request
+    latency, nonzero in a plain launch), and holds the clock's drain
+    horizon at the ack cycle.  The core then parks ``O`` cycles as a
+    direct resume.  The reference issues the same store as a callback
+    chain: a port-grant entry ``G`` due at ``T + O`` created in the
+    core's resume, a kick-off hop, the core's resume queued by ``G``'s
+    trigger, an ``issued`` hop that creates the delivery entry at
+    ``T + O``, and an ack nobody waits for.  Two things move:
+
+    - *The core's resume* runs at ``T + O`` in ``G``'s place in the
+      time heap instead of behind ``G``'s trigger in the zero-delay
+      queue.  All it does is record "completion_signalled", add to its
+      own counters and park on its mailbox, which no one rings before
+      the launch ends (the host rings only after the last completion).
+      So it commutes with everything else in that cycle.
+    - *The delivery entry* is created at ``T`` instead of ``T + O``.
+      It can therefore only pass an entry ``X`` due at ``T + O + L``
+      and created after the store call, no later than cycle ``T + O``.
+      If ``X`` is another member's delivery, both are due in the same
+      cycle only if both members stored at the same ``T``, and both
+      forms create the two entries in store-call order.  Any other
+      ``X`` belongs to a member that has not signalled yet, or to the
+      host, which is parked in WFI.  A delivery that leaves the count
+      below the threshold only adds to a counter that nothing reads
+      before the threshold, so it commutes with ``X``.  The delivery
+      that meets the threshold comes from a member with the latest
+      ``T``, after every other member has signalled, so no other
+      member has an ``X`` left.
+
+    ``tests/property/test_fastforward_identity.py`` checks the
+    reference (``REPRO_NAIVE_CHANNEL``) against this path with ``W``,
+    ``D``, the NoC latencies and the sync unit's interrupt latency
+    drawn at random.
+
+    The compute crossing keeps its two hops
+    (:meth:`~repro.cluster.barrier.Barrier.cross_all_known`).  Merging
+    the release into the call would create it at the crossing's start
+    rather than at its last arrival.  Two compute releases due in one
+    cycle would then be ordered by start cycle instead of by last
+    arrival.  Clusters whose tiles have different barrier latencies
+    (a span that mixes tile classes, or concurrent jobs) can disagree
+    on that order, and the first to resume takes the write channel
+    first.
 
     The ``REPRO_NAIVE_CHANNEL`` / ``REPRO_NAIVE_BARRIER`` gates and the
     double-buffered exec mode delegate to the reference helpers
@@ -133,6 +343,7 @@ def serve_jobs(cluster: "Cluster") -> typing.Generator:
     energy meter's DM-core counter).
     """
     sim = cluster.sim
+    launch = cluster.launch
     mailbox = cluster.mailbox
     noc = cluster.noc
     dma = cluster.dma
@@ -148,7 +359,10 @@ def serve_jobs(cluster: "Cluster") -> typing.Generator:
     while True:
         pointer = yield mailbox.job_event()
         doorbell = sim.now
-        if flags.naive_channel() or flags.naive_barrier():
+        reference = launch.reference
+        if reference is None:
+            reference = flags.naive_channel() or flags.naive_barrier()
+        if reference:
             # Reference path: simulate every phase's event loop.
             yield from _run_job(cluster, pointer)
             cluster.jobs_completed += 1
@@ -156,12 +370,11 @@ def serve_jobs(cluster: "Cluster") -> typing.Generator:
             continue
 
         record(label, "doorbell", pointer)
-        fetched = noc.cluster_read_descriptor(
-            cluster_id, pointer, doorbell + wake_latency,
-            FIRST_BURST_WORDS, abi.descriptor_length)
-        if fetched is not None:
-            words, fetched_at = fetched
-            desc = abi.decode_descriptor(words)
+        plain = launch.plain
+        fetched = plain and launch.fetch(noc, cluster_id, pointer,
+                                         doorbell + wake_latency)
+        if fetched:
+            desc, fetched_at = fetched
             if wake_latency:
                 sim.schedule(wake_latency, awake, None)
             else:
@@ -179,8 +392,12 @@ def serve_jobs(cluster: "Cluster") -> typing.Generator:
                 yield decode_cycles
         record(label, "decoded", desc.kernel_name)
 
-        kernel = desc.kernel
-        work = _work_slice(cluster, desc, label)
+        rank = cluster_id - desc.first_cluster
+        if not 0 <= rank < desc.num_clusters:
+            raise _outside_range(desc, label)
+        plan = launch.plan(desc, cluster)
+        kernel = plan.kernel
+        work, bytes_in, bytes_out, footprint = plan.ranks[rank]
 
         if fabric is not None:
             yield fabric.book_arrival(desc.num_clusters,
@@ -193,8 +410,7 @@ def serve_jobs(cluster: "Cluster") -> typing.Generator:
                     cluster, desc, kernel, work)
             else:
                 # The phased protocol (see _execute_phased).
-                _check_footprint(cluster, kernel, work, desc.n, label)
-                bytes_in = kernel.slice_bytes_in(work.lo, work.hi, desc.n)
+                _check_footprint(cluster, footprint, label)
                 done = dma.reserve_in(bytes_in)
                 if done is not None:
                     yield done
@@ -208,12 +424,12 @@ def serve_jobs(cluster: "Cluster") -> typing.Generator:
                 }
                 record(label, "dma_in_done", bytes_in)
 
-                yield cluster.compute_phase_fast(kernel, work, desc.n)
+                yield cluster.cross_compute_phase(
+                    plan.phase_cycles(cluster, work.elements))
                 fragments = kernel.compute_slice(
                     desc.n, desc.scalars, inputs, work)
                 record(label, "compute_done")
 
-                bytes_out = kernel.slice_bytes_out(work.lo, work.hi, desc.n)
                 done = dma.reserve_out(bytes_out)
                 if done is not None:
                     yield done
@@ -228,11 +444,25 @@ def serve_jobs(cluster: "Cluster") -> typing.Generator:
         if desc.sync_mode == abi.SYNC_MODE_AMO:
             yield noc.cluster_amo_add(cluster_id, desc.completion_addr, 1)
         else:
-            yield noc.cluster_write(
-                cluster_id, desc.completion_addr, 1).issued
+            posted = plain and noc.cluster_post_store(
+                cluster_id, desc.completion_addr, 1)
+            if posted:
+                yield posted
+            else:
+                yield noc.cluster_write(
+                    cluster_id, desc.completion_addr, 1).issued
         record(label, "completion_signalled")
         cluster.jobs_completed += 1
         cluster.dm_active_cycles += sim.now - doorbell
+
+
+def _outside_range(desc: abi.JobDescriptor, label: str) -> OffloadError:
+    return OffloadError(
+        f"{label} received a job for clusters "
+        f"[{desc.first_cluster}, "
+        f"{desc.first_cluster + desc.num_clusters}); the host "
+        "dispatched outside the job's range"
+    )
 
 
 def _work_slice(cluster: "Cluster", desc: abi.JobDescriptor,
@@ -241,19 +471,13 @@ def _work_slice(cluster: "Cluster", desc: abi.JobDescriptor,
     slices = split_range(desc.n, desc.num_clusters)
     rank = cluster.cluster_id - desc.first_cluster
     if not 0 <= rank < desc.num_clusters:
-        raise OffloadError(
-            f"{label} received a job for clusters "
-            f"[{desc.first_cluster}, "
-            f"{desc.first_cluster + desc.num_clusters}); the host "
-            "dispatched outside the job's range"
-        )
+        raise _outside_range(desc, label)
     return slices[rank]
 
 
-def _check_footprint(cluster: "Cluster", kernel, work, n: int,
+def _check_footprint(cluster: "Cluster", footprint: int,
                      label: str) -> None:
     """Reject slices whose working set cannot fit the TCDM."""
-    footprint = kernel.slice_tcdm_bytes(work.lo, work.hi, n)
     if footprint > cluster.tcdm.size_bytes:
         raise OffloadError(
             f"{label}: slice working set of {footprint} bytes exceeds "
@@ -311,7 +535,8 @@ def _execute_phased(cluster: "Cluster", desc: abi.JobDescriptor, kernel,
     what makes the measured runtime obey Eq. 1's additive structure.
     """
     label = f"cluster{cluster.cluster_id}"
-    _check_footprint(cluster, kernel, work, desc.n, label)
+    _check_footprint(
+        cluster, kernel.slice_tcdm_bytes(work.lo, work.hi, desc.n), label)
 
     # --- Stage operands in ------------------------------------------
     bytes_in = kernel.slice_bytes_in(work.lo, work.hi, desc.n)

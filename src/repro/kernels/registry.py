@@ -18,6 +18,9 @@ from repro.kernels.stencil3 import Stencil3Kernel
 from repro.kernels.vecsum import VecsumKernel
 
 _REGISTRY: typing.Dict[str, Kernel] = {}
+#: ``sorted(_REGISTRY)``, rebuilt whenever the registry changes: the
+#: ABI maps kernel ids through it on every descriptor a DM core decodes.
+_NAMES: typing.Tuple[str, ...] = ()
 
 
 def register_kernel(kernel: Kernel) -> Kernel:
@@ -36,7 +39,24 @@ def register_kernel(kernel: Kernel) -> Kernel:
     if kernel.name in _REGISTRY:
         raise KernelError(f"kernel {kernel.name!r} already registered")
     _REGISTRY[kernel.name] = kernel
+    _rebuild_names()
     return kernel
+
+
+def unregister_kernel(name: str) -> None:
+    """Remove a kernel from the registry (no-op if absent).
+
+    Kernel ids are indices into the sorted names, so removing a kernel
+    renumbers every kernel after it; only tests that registered a
+    temporary kernel should call this.
+    """
+    if _REGISTRY.pop(name, None) is not None:
+        _rebuild_names()
+
+
+def _rebuild_names() -> None:
+    global _NAMES
+    _NAMES = tuple(sorted(_REGISTRY))
 
 
 def get_kernel(name: str) -> Kernel:
@@ -55,9 +75,9 @@ def get_kernel(name: str) -> Kernel:
         ) from None
 
 
-def kernel_names() -> typing.List[str]:
+def kernel_names() -> typing.Tuple[str, ...]:
     """Registered kernel names, sorted."""
-    return sorted(_REGISTRY)
+    return _NAMES
 
 
 for _kernel_class in (DaxpyKernel, SaxpyKernel, AxpbyKernel, MemcpyKernel,

@@ -197,6 +197,13 @@ def _trigger_at_now(event: Event) -> None:
     event.trigger(event.sim.now)
 
 
+def _deliver_posted(payload: typing.Tuple[typing.Any, int, int]) -> None:
+    """Scheduler callback: a closed-form posted store reaches its
+    target (see :meth:`Interconnect.cluster_post_store`)."""
+    router, addr, value = payload
+    router.write_word(addr, value)
+
+
 @dataclasses.dataclass(frozen=True)
 class WriteHandle:
     """The three milestones of a store.
@@ -251,12 +258,11 @@ class Interconnect:
         #: ``ManticoreSystem.fastforward_stats``.
         self.ff_store_runs = 0
         self.ff_stores = 0
-        #: Descriptor fetches committed by :meth:`cluster_read_descriptor`.
+        #: Descriptor fetches and completion stores committed in closed
+        #: form (:meth:`cluster_read_descriptor` and
+        #: :meth:`cluster_refetch_descriptor`; :meth:`cluster_post_store`).
         self.ff_descriptor_fetches = 0
-        #: Whether :meth:`cluster_read_descriptor` may commit fetches: the
-        #: offload runtime sets it for the duration of a launch whose
-        #: shape ``serve_jobs``'s tie argument covers.
-        self.closed_form_fetch = False
+        self.ff_completion_stores = 0
         # Per-initiator routing handles: each port keeps its own
         # last-region hit slot, so one cluster's descriptor burst cannot
         # evict the host's completion-flag region from a shared cache.
@@ -481,10 +487,11 @@ class Interconnect:
         the words, and returns ``(words, completion cycle)`` without
         scheduling anything; the caller parks until that cycle.
 
-        Safe only when nothing can observe the skipped cycles, so it
-        returns ``None`` (the caller must run the burst chain) unless:
+        Safe only when nothing can observe the skipped cycles: the
+        caller must be a DM core of a *plain* launch (see
+        :func:`repro.cluster.dm_core.serve_jobs`).  It returns ``None``
+        (the caller must run the burst chain) unless:
 
-        - the running launch enabled it (:attr:`closed_form_fetch`);
         - the cluster port is idle at ``issue`` (its only initiator is
           the calling DM core, so nothing can claim it in between);
         - the whole descriptor lies in one main-memory region (MMIO
@@ -498,7 +505,7 @@ class Interconnect:
         counts, timestamps and port accounting are identical.
         """
         port = self._cluster_port(cluster_id)
-        if not self.closed_form_fetch or port.next_free > issue:
+        if port.next_free > issue:
             return None
         region = self._cluster_routers[cluster_id].region_at(addr)
         memory = region.target
@@ -509,6 +516,36 @@ class Interconnect:
         total = length(words[0])
         if addr + 8 * total > region.end:
             return None
+        if total > first_words:
+            words.extend(memory.read_words(addr + 8 * first_words,
+                                           total - first_words))
+        return words, self._commit_fetch(port, cluster_id, addr, issue,
+                                         first_words, total)
+
+    def cluster_refetch_descriptor(self, cluster_id: int, addr: int,
+                                   issue: int, first_words: int,
+                                   total: int) -> typing.Optional[int]:
+        """The timing half of :meth:`cluster_read_descriptor`, for a
+        ``total``-word descriptor at ``addr`` that an earlier call of
+        the same launch already read and checked.
+
+        Logs and charges the same two bursts and returns their
+        completion cycle, or ``None`` when the port is busy at
+        ``issue``.  Every member of a job fetches one descriptor, which
+        is immutable until the job completes, so one read serves them
+        all.
+        """
+        port = self._cluster_port(cluster_id)
+        if port.next_free > issue:
+            return None
+        return self._commit_fetch(port, cluster_id, addr, issue,
+                                  first_words, total)
+
+    def _commit_fetch(self, port: SerialResource, cluster_id: int,
+                      addr: int, issue: int, first_words: int,
+                      total: int) -> int:
+        """Log and charge a descriptor fetch's bursts; returns the cycle
+        the last one completes."""
         params = self.params
         occupancy = params.cluster_port_occupancy
         round_trip = (occupancy + params.request_latency
@@ -519,17 +556,56 @@ class Interconnect:
         done = issue + round_trip + first_words
         bursts = 1
         if total > first_words:
-            tail = addr + 8 * first_words
-            words.extend(memory.read_words(tail, total - first_words))
             self.transactions.append(Transaction(
-                TransactionKind.READ, source, (tail,), None, False, done))
+                TransactionKind.READ, source, (addr + 8 * first_words,),
+                None, False, done))
             issue = done
             done += round_trip + total - first_words
             bursts = 2
         port.charge_bulk(requests=bursts, busy_cycles=bursts * occupancy,
                          next_free=issue + occupancy)
         self.ff_descriptor_fetches += 1
-        return words, done
+        return done
+
+    def cluster_post_store(self, cluster_id: int, addr: int,
+                           value: int) -> typing.Optional[int]:
+        """Commit a DM core's posted store in closed form.
+
+        The reference is :meth:`cluster_write`: the store takes the
+        cluster port for ``cluster_port_occupancy`` cycles (a posted
+        store releases its initiator there), reaches its target
+        ``request_latency`` cycles later, where the functional write
+        happens, and acks ``response_latency`` cycles after that — a
+        chain of five scheduler callbacks and three events.  This form
+        logs the WRITE with its issue cycle, charges the port, schedules
+        the one callback with an effect — the write at its true cycle —
+        and holds the clock's drain horizon at the ack cycle, which no
+        one waits on.  It returns the port occupancy: the caller parks
+        that many cycles, until the store leaves the port.
+
+        Safe only where :func:`repro.cluster.dm_core.serve_jobs` shows
+        that the moved callbacks cannot reorder a same-cycle tie: the
+        caller is a DM core of a *plain* launch, signalling completion.
+        Returns ``None`` (the caller must issue :meth:`cluster_write`)
+        when the port is busy or has zero occupancy.
+        """
+        port = self._cluster_port(cluster_id)
+        occupancy = self.params.cluster_port_occupancy
+        sim = self.sim
+        now = sim.now
+        if not occupancy or port.next_free > now:
+            return None
+        self.transactions.append(Transaction(
+            TransactionKind.WRITE, self._cluster_labels[cluster_id], (addr,),
+            value, False, now))
+        port.charge_bulk(requests=1, busy_cycles=occupancy,
+                         next_free=now + occupancy)
+        arrival = occupancy + self.params.request_latency
+        sim.schedule(arrival, _deliver_posted,
+                     (self._cluster_routers[cluster_id], addr, value))
+        sim.hold_until(now + arrival + self.params.response_latency)
+        self.ff_completion_stores += 1
+        return occupancy
 
     def charge_host_poll_reads(self, addr: int, first_issue: int,
                                period: int, count: int) -> None:
@@ -578,7 +654,7 @@ class Interconnect:
         self.ff_store_runs = 0
         self.ff_stores = 0
         self.ff_descriptor_fetches = 0
-        self.closed_form_fetch = False
+        self.ff_completion_stores = 0
         self.host_port.reset()
         self.amo_port.reset()
         for port in self.cluster_ports:

@@ -126,12 +126,12 @@ class OffloadRuntime:
         else:
             start_data = [desc.kernel_name for desc, _addr in jobs]
             written_data = len(jobs)
-        closed_form_fetch = self._closed_form_fetch(jobs, host_work)
+        plain = self._plain(jobs, host_work)
 
         def program() -> typing.Generator:
             result["start_cycle"] = system.sim.now
             system.trace.record("host", "offload_start", start_data)
-            system.noc.closed_form_fetch = closed_form_fetch
+            system.launch.open(plain)
 
             # --- 1. Setup: runtime entry + all descriptors ---------------
             yield from host.execute(config.host_setup_cycles)
@@ -182,22 +182,23 @@ class OffloadRuntime:
 
             # --- 5. Wait for all jobs ------------------------------------
             yield from completion.wait(system, completion_jobs)
-            system.noc.closed_form_fetch = False
+            system.launch.close()
 
             system.trace.record("host", "offload_end")
             result["end_cycle"] = system.sim.now
 
         return program()
 
-    def _closed_form_fetch(self, jobs, host_work) -> bool:
-        """Whether this launch's DM cores may fetch their descriptors
-        in closed form.
+    def _plain(self, jobs, host_work) -> bool:
+        """Whether this launch is *plain*, so its DM cores may fetch
+        their descriptors and post their completion stores in closed
+        form.
 
-        Only a plain launch qualifies: one job, no host work, on a span
-        whose clusters share one wake and one decode latency, with a
-        nonzero NoC request latency.  While its DM cores fetch, the
-        only other actors are the same job's DM cores and the host's
-        dispatch and wait — the setting in which
+        A plain launch is one job, no host work, on a span whose
+        clusters share one wake and one decode latency, with a nonzero
+        NoC request latency.  While its DM cores run, the only other
+        actors are the same job's DM cores and the host's dispatch and
+        wait — the setting in which
         :func:`repro.cluster.dm_core.serve_jobs` shows that no
         same-cycle tie can reorder.
         """

@@ -51,6 +51,8 @@ class Simulator:
         self._queue: list = []
         self._now_queue: collections.deque = collections.deque()
         self._sequence = 0
+        #: Latest cycle passed to :meth:`hold_until`.
+        self._horizon = 0
         self._running = False
         self._spawned = 0
         #: Total process-body resumptions (generator ``send`` calls).
@@ -82,6 +84,22 @@ class Simulator:
         heapq.heappush(
             self._queue, (self.now + delay, self._sequence, callback, argument)
         )
+
+    def hold_until(self, cycle: int) -> None:
+        """Keep the clock from settling before ``cycle``.
+
+        Stands in for a callback at ``cycle`` that does nothing — a
+        response no one waits for — without queuing one: a drain that
+        runs out of callbacks earlier advances :attr:`now` to the
+        latest held cycle, as popping such a callback would have.
+        """
+        if cycle > self._horizon:
+            self._horizon = cycle
+
+    def _settle(self) -> None:
+        """Advance an empty queue's clock to the held horizon."""
+        if self._horizon > self.now:
+            self.now = self._horizon
 
     def event(self, name: str = "") -> Event:
         """Create a fresh untriggered :class:`Event`."""
@@ -176,6 +194,7 @@ class Simulator:
                         callback(argument)
                         continue
                     if not queue:
+                        self._settle()
                         return self.now
                     item = pop(queue)
                     self.now = item[0]
@@ -206,19 +225,17 @@ class Simulator:
                         callback(argument)
                     elif queue:
                         if max_cycles is not None and queue[0][0] > max_cycles:
-                            report = diag.build_report(
-                                self, reason="cycle-limit", awaited=until)
-                            error = CycleLimitError(
-                                f"next event at cycle {queue[0][0]} exceeds "
-                                f"the {max_cycles}-cycle budget\n"
-                                + report.describe()
-                            )
-                            error.report = report
-                            raise error
+                            raise self._cycle_limit(queue[0][0], until,
+                                                    max_cycles)
                         item = pop(queue)
                         self.now = item[0]
                         item[2](item[3])
                     else:
+                        if max_cycles is not None \
+                                and self._horizon > max(self.now, max_cycles):
+                            raise self._cycle_limit(self._horizon, until,
+                                                    max_cycles)
+                        self._settle()
                         report = diag.build_report(
                             self, reason="deadlock", awaited=until)
                         error = DeadlockError(
@@ -231,6 +248,16 @@ class Simulator:
             raise SimulationError(f"invalid 'until' argument: {until!r}")
         finally:
             self._running = False
+
+    def _cycle_limit(self, cycle: int, until: Event,
+                     max_cycles: int) -> CycleLimitError:
+        report = diag.build_report(self, reason="cycle-limit", awaited=until)
+        error = CycleLimitError(
+            f"next event at cycle {cycle} exceeds the {max_cycles}-cycle "
+            "budget\n" + report.describe()
+        )
+        error.report = report
+        return error
 
     def reset(self) -> None:
         """Rewind the clock to cycle 0 for a fresh measurement.
@@ -250,6 +277,7 @@ class Simulator:
             raise SimulationError("cannot reset while running")
         self.now = 0
         self._sequence = 0
+        self._horizon = 0
 
     @property
     def pending(self) -> int:

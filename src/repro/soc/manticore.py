@@ -28,6 +28,7 @@ from __future__ import annotations
 import typing
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.dm_core import LaunchContext
 from repro.cluster.mailbox import JOB_PTR_OFFSET, Mailbox
 from repro.errors import ConfigError, QuiescenceError
 from repro.host.cva6 import HostCore
@@ -118,6 +119,9 @@ class ManticoreSystem:
         # one default-class group whose tile equals the config knobs
         # exactly, so this loop is bit-identical to the legacy
         # homogeneous construction.
+        #: What a launch's DM cores share (see
+        #: :class:`~repro.cluster.dm_core.LaunchContext`).
+        self.launch = LaunchContext()
         self.clusters: typing.List[Cluster] = []
         for group in self.config.groups():
             tile = group.tile
@@ -143,7 +147,8 @@ class ManticoreSystem:
                 cluster = Cluster(
                     self.sim, cluster_id, self.noc, self.memory, tcdm,
                     mailbox, self.read_channel, self.write_channel, tile,
-                    fabric_barrier=self.fabric_barrier, trace=self.trace)
+                    self.launch, fabric_barrier=self.fabric_barrier,
+                    trace=self.trace)
                 cluster.start()
                 self.clusters.append(cluster)
 
@@ -268,6 +273,7 @@ class ManticoreSystem:
         self.irq.reset()
         self.syncunit.reset()
         self.fabric_barrier.reset()
+        self.launch.reset()
         self.host.reset()
         for cluster in self.clusters:
             cluster.reset()
@@ -300,6 +306,8 @@ class ManticoreSystem:
             "staged_store_runs": self.noc.ff_store_runs,
             "staged_stores": self.noc.ff_stores,
             "descriptor_fetches": self.noc.ff_descriptor_fetches,
+            "completion_stores": self.noc.ff_completion_stores,
+            "job_plans": self.launch.plans_built,
         }
 
     # ------------------------------------------------------------------

@@ -31,8 +31,11 @@ from repro.flags import (
     NAIVE_MPREDICT_ENV,
 )
 from repro.kernels.base import Kernel, SliceBytes
-from repro.kernels.registry import _REGISTRY as _KERNEL_REGISTRY
-from repro.kernels.registry import get_kernel, register_kernel
+from repro.kernels.registry import (
+    get_kernel,
+    register_kernel,
+    unregister_kernel,
+)
 from repro.runtime.strategies import _REGISTRY as _VARIANT_REGISTRY
 from repro.runtime.strategies import (
     AMO_POLL,
@@ -228,7 +231,7 @@ def test_zero_byte_slices_are_refused_per_point():
         assert executor.stats.planned_points == 0
         assert executor.stats.batch_fallback_points == 4
     finally:
-        _KERNEL_REGISTRY.pop(ComputeOnlyKernel.name, None)
+        unregister_kernel(ComputeOnlyKernel.name)
 
 
 # ----------------------------------------------------------------------

@@ -14,13 +14,16 @@ Three timing invariants back the fast-forward layer:
 Each invariant is sampled over grid points and program shapes (plain,
 overlapped, concurrent) with the full observable fingerprint compared:
 cycles, retired ops, per-cluster DMA/worker statistics, shared-channel
-and cluster-port occupancy, the energy meter's counters, and the NoC
-transaction log.  The closed-form descriptor fetch is part of the
+and cluster-port occupancy, the energy meter's counters, the NoC
+transaction log, and the cycle the drained clock settles at.  The
+closed-form descriptor fetch and completion store are part of the
 channel fast path, so invariant 1 also samples cluster wake and decode
-latencies of zero.
+latencies of zero, and random NoC, interrupt and wake-up latencies.
 """
 
+import collections
 import contextlib
+import heapq
 import os
 
 import hypothesis
@@ -35,6 +38,7 @@ from repro.flags import (
     NAIVE_BARRIER_ENV,
     NAIVE_CHANNEL_ENV,
 )
+from repro.sim import kernel as sim_kernel
 from repro.soc.config import SoCConfig
 from repro.soc.manticore import ManticoreSystem
 from repro.soc.pool import SystemPool
@@ -220,6 +224,76 @@ def test_descriptor_fetch_matches_naive_concurrent(kernels, n, variant, wake,
     assert fast == naive
 
 
+#: Random control-path latencies around the closed-form fetch and
+#: completion store.  A zero port occupancy refuses the closed-form
+#: store, so it stays in range to check the fallback too.  The request
+#: latency starts at 1: at 0 a cluster can record its completion in the
+#: cycle the host ends the offload, outside the trace window, on either
+#: path.
+LATENCIES = st.fixed_dictionaries({
+    "cluster_wake_latency": st.integers(0, 12),
+    "dm_decode_cycles": st.integers(0, 24),
+    "noc_request_latency": st.integers(1, 10),
+    "noc_response_latency": st.integers(0, 20),
+    "noc_cluster_port_occupancy": st.integers(0, 3),
+    "syncunit_irq_latency": st.integers(0, 6),
+    "host_wfi_wake_latency": st.integers(0, 10),
+})
+
+
+@FETCH_SETTINGS
+@hypothesis.given(kernel=st.sampled_from(CONCURRENT_KERNELS),
+                  n=st.sampled_from(N_VALUES), m=st.sampled_from(M_VALUES),
+                  variant=st.sampled_from(VARIANTS), latencies=LATENCIES)
+def test_completion_store_matches_naive_offload(kernel, n, m, variant,
+                                                latencies):
+    """A plain launch's members post their sync-unit stores in closed
+    form; the ack no one waits for still sets where the drained clock
+    settles (``end`` in the fingerprint), even when it lands after the
+    host's wake-up."""
+    naive, fast = _naive_and_fast(
+        NAIVE_CHANNEL_ENV,
+        lambda system: offload(system, kernel, n, m,
+                               variant=variant).runtime_cycles,
+        SoCConfig.extended(num_clusters=4, **latencies))
+    assert fast == naive
+
+
+@FETCH_SETTINGS
+@hypothesis.given(kernels=st.lists(st.sampled_from(CONCURRENT_KERNELS),
+                                   min_size=2, max_size=3),
+                  n=st.sampled_from(N_VALUES),
+                  variant=st.sampled_from(VARIANTS), latencies=LATENCIES)
+def test_random_latencies_match_naive_concurrent(kernels, n, variant,
+                                                 latencies):
+    widths = [2, 1, 1][:len(kernels)]
+    jobs = [ConcurrentJob(kernel_name=kernel, n=n + 8 * index,
+                          num_clusters=width)
+            for index, (kernel, width) in enumerate(zip(kernels, widths))]
+    naive, fast = _naive_and_fast(
+        NAIVE_CHANNEL_ENV,
+        lambda system: offload_concurrent(
+            system, jobs, variant=variant).makespan_cycles,
+        SoCConfig.extended(num_clusters=4, **latencies))
+    assert fast == naive
+
+
+@FETCH_SETTINGS
+@hypothesis.given(accel_n=st.sampled_from(N_VALUES),
+                  host_n=st.sampled_from([16, 32, 256]),
+                  m=st.sampled_from([1, 2]),
+                  variant=st.sampled_from(VARIANTS), latencies=LATENCIES)
+def test_random_latencies_match_naive_overlapped(accel_n, host_n, m,
+                                                 variant, latencies):
+    naive, fast = _naive_and_fast(
+        NAIVE_CHANNEL_ENV,
+        lambda system: offload_overlapped(
+            system, "daxpy", accel_n, m, "daxpy", host_n,
+            variant=variant).total_cycles,
+        SoCConfig.extended(num_clusters=4, **latencies))
+    assert fast == naive
+
+
 def test_closed_form_fetch_engages_only_on_plain_launches():
     """Every doorbell of a one-job launch takes the closed form when the
     job's clusters share one wake and one decode latency; concurrent
@@ -286,20 +360,32 @@ def test_fastforward_skips_simulated_events():
     With both reference paths forced, every DMA hop and barrier arrival
     is a separate scheduled event; the closed forms collapse them.
     Compare simulator sequence numbers as a proxy, and check the
-    engagement counters on the fast side.
+    engagement counters on the fast side.  The job-plan and
+    completion-store counters are nonzero exactly when both gates are
+    clear (the completion store only where the variant signals through
+    the sync unit).
     """
-    config = SoCConfig.baseline(num_clusters=4)
-    with _env(NAIVE_CHANNEL_ENV, "1"), _env(NAIVE_BARRIER_ENV, "1"):
-        system = ManticoreSystem(config)
-        naive = offload(system, "daxpy", 4096, 4)
-        naive_events = system.sim._sequence
-        naive_stats = system.fastforward_stats()
-    system = ManticoreSystem(config)
-    fast = offload(system, "daxpy", 4096, 4)
-    fast_events = system.sim._sequence
-    fast_stats = system.fastforward_stats()
+    for variant in VARIANTS:
+        _check_skips_simulated_events(variant)
 
-    assert fast.runtime_cycles == naive.runtime_cycles
+
+def _check_skips_simulated_events(variant):
+    config = SoCConfig(num_clusters=4).for_variant(variant)
+
+    def run(*gates):
+        with contextlib.ExitStack() as stack:
+            for gate in gates:
+                stack.enter_context(_env(gate, "1"))
+            system = ManticoreSystem(config)
+            result = offload(system, "daxpy", 4096, 4, variant=variant)
+            return (result.runtime_cycles, system.sim._sequence,
+                    system.fastforward_stats())
+
+    naive_cycles, naive_events, naive_stats = run(NAIVE_CHANNEL_ENV,
+                                                  NAIVE_BARRIER_ENV)
+    fast_cycles, fast_events, fast_stats = run()
+
+    assert fast_cycles == naive_cycles
     assert fast_events < naive_events
     assert naive_stats["dma_transfers"] == 0
     assert naive_stats["compute_phases"] == 0
@@ -308,6 +394,47 @@ def test_fastforward_skips_simulated_events():
     assert fast_stats["compute_phases"] > 0
     assert fast_stats["barrier_crossings"] == fast_stats["compute_phases"]
     assert fast_stats["fabric_arrivals"] == 4
+    assert fast_stats["job_plans"] == 1
+    posted = 4 if variant == "extended" else 0
+    assert fast_stats["completion_stores"] == posted
+    for gates in ((NAIVE_CHANNEL_ENV, NAIVE_BARRIER_ENV),
+                  (NAIVE_CHANNEL_ENV,), (NAIVE_BARRIER_ENV,)):
+        _cycles, _events, stats = run(*gates)
+        assert stats["job_plans"] == 0, gates
+        assert stats["completion_stores"] == 0, gates
+
+
+def test_reference_offload_engine_work(monkeypatch):
+    """Pin the engine work of the reference offload: a 32-cluster
+    extended DAXPY, N = 2048, is 907 cycles in at most 533 scheduler
+    callbacks and 231 process resumes (the closed-form completion store
+    takes four callbacks per member off the 661 it took before)."""
+    system = ManticoreSystem(SoCConfig.extended(num_clusters=32))
+    offload(system, "daxpy", 2048, 32)  # warm the memos
+    sim = system.sim
+    callbacks = 0
+
+    class CountingQueue(collections.deque):
+        def popleft(self):
+            nonlocal callbacks
+            callbacks += 1
+            return super().popleft()
+
+    heappop = heapq.heappop
+
+    def counting_heappop(queue):
+        nonlocal callbacks
+        if queue is sim._queue:
+            callbacks += 1
+        return heappop(queue)
+
+    sim._now_queue = CountingQueue(sim._now_queue)
+    monkeypatch.setattr(sim_kernel.heapq, "heappop", counting_heappop)
+    resumes = sim.resumes
+    result = offload(system, "daxpy", 2048, 32)
+    assert result.runtime_cycles == 907
+    assert callbacks <= 533
+    assert sim.resumes - resumes <= 231
 
 
 # ----------------------------------------------------------------------

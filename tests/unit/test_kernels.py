@@ -19,6 +19,7 @@ from repro.kernels import (
     register_kernel,
     split_range,
 )
+from repro.kernels.registry import unregister_kernel
 
 
 RNG = numpy.random.default_rng(1234)
@@ -271,6 +272,22 @@ def test_registry_contains_all_kernels():
     names = kernel_names()
     assert "daxpy" in names
     assert len(names) == 10
+
+
+def test_registry_names_follow_registration():
+    """The sorted names (the descriptor id space) are kept, and rebuilt
+    when a kernel comes or goes."""
+    class Temporary(DaxpyKernel):
+        name = "kerneltest_temporary"
+
+    before = kernel_names()
+    assert before == tuple(sorted(before))
+    register_kernel(Temporary())
+    try:
+        assert kernel_names() == tuple(sorted(before + (Temporary.name,)))
+    finally:
+        unregister_kernel(Temporary.name)
+    assert kernel_names() == before
 
 
 def test_get_unknown_kernel_lists_available():

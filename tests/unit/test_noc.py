@@ -115,6 +115,50 @@ def test_cluster_write_uses_cluster_port():
     assert mem.read_word(BASE + 8) == 5
 
 
+def _store_timeline(noc, sim, mem, store):
+    """When cluster 2's port frees and the word lands, where the drained
+    clock settles, and what the port was charged."""
+    store()
+    port = noc.cluster_ports[2]
+    while mem.read_word(BASE + 8) != 5:
+        sim.step()
+    return port.next_free, sim.now, sim.run(), port.requests, port.busy_cycles
+
+
+def test_cluster_post_store_matches_cluster_write():
+    """The closed-form posted store frees the port, lands the word and
+    settles the drained clock where the callback chain does, and logs
+    the same WRITE."""
+    sim, _amap, mem, noc = make_noc()
+    chain = _store_timeline(noc, sim, mem,
+                            lambda: noc.cluster_write(2, BASE + 8, 5))
+    chain_log = [(t.kind, t.source, t.addresses, t.value, t.issued_at)
+                 for t in noc.transactions]
+
+    sim, _amap, mem, noc = make_noc()
+    parked = []
+    closed = _store_timeline(
+        noc, sim, mem,
+        lambda: parked.append(noc.cluster_post_store(2, BASE + 8, 5)))
+    assert parked == [PARAMS.cluster_port_occupancy]
+    assert closed == chain
+    assert [(t.kind, t.source, t.addresses, t.value, t.issued_at)
+            for t in noc.transactions] == chain_log
+    assert noc.ff_completion_stores == 1
+
+
+def test_cluster_post_store_refuses_busy_port_and_zero_occupancy():
+    sim, _amap, _mem, noc = make_noc()
+    noc.cluster_write(2, BASE, 1)  # holds the port for one cycle
+    assert noc.cluster_post_store(2, BASE + 8, 5) is None
+    assert noc.cluster_post_store(1, BASE + 8, 5) is not None
+    sim, _amap, _mem, noc = make_noc(
+        NocParams(cluster_port_occupancy=0))
+    assert noc.cluster_post_store(2, BASE + 8, 5) is None
+    assert noc.ff_completion_stores == 0
+    assert noc.transactions == []
+
+
 def test_cluster_ports_are_independent():
     sim, _amap, _mem, noc = make_noc()
     a = noc.cluster_write(0, BASE, 1)

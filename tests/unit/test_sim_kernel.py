@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import DeadlockError, SimulationError
+from repro.errors import CycleLimitError, DeadlockError, SimulationError
 from repro.sim import Simulator
 
 
@@ -81,6 +81,39 @@ def test_run_until_event_deadlock_detected():
     sim.schedule(1, lambda arg: None)
     with pytest.raises(DeadlockError):
         sim.run(until=event)
+
+
+def test_hold_until_settles_a_drain_like_a_no_op_callback():
+    """A held cycle acts as a callback that does nothing: a drain that
+    runs out earlier settles there, a later callback wins, and a rewind
+    forgets it."""
+    sim = Simulator()
+    sim.schedule(5, lambda _arg: sim.hold_until(30))
+    sim.schedule(10, lambda _arg: None)
+    assert sim.run() == 30
+    assert sim.pending == 0
+    sim.hold_until(12)  # already past
+    sim.schedule(4, lambda _arg: None)
+    assert sim.run() == 34
+    sim.reset()
+    assert sim.run() == 0
+
+
+def test_hold_until_moves_deadlock_and_cycle_limit_reports():
+    """Waiting on an event that never fires: the held cycle is where the
+    drain would have popped its no-op, so the deadlock is reported
+    there, or a cycle limit before it is hit first."""
+    sim = Simulator()
+    sim.hold_until(50)
+    with pytest.raises(DeadlockError):
+        sim.run(until=sim.event())
+    assert sim.now == 50
+
+    sim = Simulator()
+    sim.hold_until(50)
+    with pytest.raises(CycleLimitError):
+        sim.run(until=sim.event(), max_cycles=40)
+    assert sim.now == 0
 
 
 def test_run_until_invalid_argument():
