@@ -41,7 +41,7 @@ class Barrier:
         self._generation = 0
         self._arrived = 0
         self._release: Event = sim.event(name=f"{name}.gen0")
-        #: Generations crossed through :meth:`wait_all_known` (the
+        #: Generations crossed through :meth:`cross_all_known` (the
         #: closed-form fast-forward) instead of per-party arrivals.
         self.ff_crossings = 0
 
@@ -71,10 +71,11 @@ class Barrier:
             yield release
         return generation
 
-    def wait_all_known(self, last_arrival_delay: int) -> typing.Generator:
-        """Cross the barrier in closed form: the caller arrives now and
-        every other party's arrival delay is already known, the largest
-        being ``last_arrival_delay`` cycles from now.
+    def cross_all_known(self, last_arrival_delay: int) -> Event:
+        """Cross the barrier in closed form and return the release event
+        for the caller to park on: the caller arrives now and every
+        other party's arrival delay is already known, the largest being
+        ``last_arrival_delay`` cycles from now.
 
         This is the compute-phase fast-forward: instead of one parked
         process per party each waking to arrive, the release cycle is
@@ -87,17 +88,9 @@ class Barrier:
         release trigger is scheduled at that same instant.
 
         Only valid as the opening arrival of a generation (nobody
-        already waiting); returns the generation crossed, like
-        :meth:`wait`.
+        already waiting); the release event's value is the generation
+        crossed, like :meth:`wait`'s return value.
         """
-        generation = self._generation
-        yield self.cross_all_known(last_arrival_delay)
-        return generation
-
-    def cross_all_known(self, last_arrival_delay: int) -> Event:
-        """Non-generator form of :meth:`wait_all_known`: commit the
-        crossing and return the release event for the caller to park
-        on directly (the DM core's flattened fast path)."""
         if last_arrival_delay < 0:
             raise SimulationError(
                 f"{self.name}: negative last arrival delay "

@@ -137,18 +137,7 @@ class Cluster:
                 )
             yield from self.barrier.wait()
             return
-        yield self.compute_phase_fast(kernel, work, n)
-
-    def compute_phase_fast(self, kernel: "Kernel", work: "WorkSlice",
-                           n: int) -> "typing.Any":
-        """Non-generator form of :meth:`compute_phase`'s fast path.
-
-        Charges every worker core now and returns the barrier release
-        event for the caller to park on directly (the DM core's
-        flattened fast path).  Callers must have checked
-        ``REPRO_NAIVE_BARRIER`` themselves.
-        """
-        return self.cross_compute_phase(
+        yield self.cross_compute_phase(
             self.phase_cycles(kernel, work.elements, n))
 
     def phase_cycles(self, kernel: "Kernel", elements: int,
@@ -161,8 +150,9 @@ class Cluster:
     def cross_compute_phase(self, cycles: typing.Tuple[int, ...]
                             ) -> "typing.Any":
         """Charge each worker its ``cycles`` and cross the barrier in
-        closed form; returns the release event (see
-        :meth:`compute_phase_fast`)."""
+        closed form; returns the release event for the caller to park
+        on directly (the fast path of :meth:`compute_phase`, and the DM
+        core's flattened one)."""
         last = 0
         for worker, worker_cycles in zip(self.workers, cycles):
             worker.jobs_executed += 1

@@ -55,14 +55,15 @@ one-calibration-per-group path bit-for-bit.
 
 The calibration store
 ---------------------
-Prefixes and fitted M-models are pure functions of
-(config digest, kernel, resolved variant, scalars, seed) — N never
-enters — so :class:`~repro.core.cache.SweepCache` content-addresses
-them persistently (:func:`~repro.core.cache.calibration_key`, schema
-versioned).  A warm store lets a sweep over *new* problem sizes skip
-calibration entirely and go straight to array algebra: the planner
-stores every residual-validated per-M prefix and every
-holdout-validated M-model, and consults the store before simulating.
+Prefixes and fitted M-models are pure functions of the sweep call's
+coordinates (config digest, kernel, resolved variant, resolved scalars,
+tile group) — N and the seed never enter — so they persist in the
+call's :class:`~repro.core.cache.SweepCache` store file beside its
+points, addressed by kind and M (``prefix,4``, ``mmodel``).  A warm
+store lets a sweep over *new* problem sizes skip calibration entirely
+and go straight to array algebra: the planner stores every
+residual-validated per-M prefix and every holdout-validated M-model,
+and consults the store before simulating.
 
 Why the tail is a closed form
 -----------------------------
@@ -96,7 +97,6 @@ import typing
 import numpy
 
 from repro import flags
-from repro.core.cache import calibration_key
 from repro.core.sweep import SweepPoint
 from repro.errors import KernelError, OffloadError
 from repro.kernels.base import Kernel, split_range
@@ -293,28 +293,6 @@ class _Prediction:
     compute_done: typing.Tuple[typing.Optional[int], ...]
     dma_out_done: typing.Tuple[typing.Optional[int], ...]
     completion_signalled: typing.Tuple[int, ...]
-
-
-def store_coords(config: SoCConfig, kernel: Kernel, variant: str,
-                 scalars: typing.Optional[typing.Mapping[str, float]],
-                 seed: int, tile_group: typing.Optional[str]
-                 ) -> typing.Tuple:
-    """The store coordinates of one sweep call.
-
-    They speak the *resolved* variant and scalars, so "auto" and the
-    explicit name (or default and explicit scalars) share calibration
-    entries and one store file (:func:`~repro.core.cache.group_key`).
-    The group name joins them because one config digest covers every
-    group of a heterogeneous fabric.
-    """
-    from repro.core.staging import resolve_scalars
-
-    try:
-        variant = resolve_variant(variant, config).name
-    except OffloadError:
-        pass  # the event path raises its own error for a bad name
-    return (config, kernel.name, variant, resolve_scalars(kernel, scalars),
-            seed, tile_group or "")
 
 
 def resolve_spec(config: SoCConfig,
@@ -635,8 +613,6 @@ class _Call:
     spec: VariantSpec
     #: Keyword arguments of every calibration ``offload``.
     run: typing.Dict[str, typing.Any]
-    #: Calibration-store coordinates.
-    store: typing.Tuple
     slots: typing.List[typing.Optional[SweepPoint]]
     #: M -> the clusters an M-wide job occupies.
     spans: typing.Dict[int, "ClusterSpan"] = (
@@ -724,15 +700,15 @@ class BatchPlanner:
         if spec is None:
             self.fallback_points += len(pending)
             return list(pending)
+        from repro.core.staging import resolve_scalars
+
         kernel = get_kernel(kernel_name)
-        coords = store_coords(config, kernel, variant, scalars, seed,
-                              tile_group)
-        resolved = coords[3]
+        resolved = resolve_scalars(kernel, scalars)
         mpredict = not flags.naive_mpredict()
         call = _Call(config, kernel, spec,
                      dict(scalars=scalars, variant=variant, seed=seed,
                           verify=verify, tile_group=tile_group),
-                     coords, slots)
+                     slots)
 
         provable_by_m: typing.Dict[int, typing.List[_Entry]] = {}
         for entry in pending:
@@ -755,10 +731,10 @@ class BatchPlanner:
         model: typing.Optional[MPrefixModel] = None
         if mpredict:
             for m in provable_by_m:
-                stored = self._load(call.store, "prefix", decode_prefix, m)
+                stored = self._load("prefix", decode_prefix, m)
                 if stored is not None:
                     prefixes[m] = stored
-            model = self._load(call.store, "mmodel", decode_mmodel)
+            model = self._load("mmodel", decode_mmodel)
             if model is None:
                 model = self._fit_model(call, provable_by_m, prefixes)
 
@@ -780,8 +756,7 @@ class BatchPlanner:
                 continue
             validated = self._calibrate_group(call, m, provable)
             if mpredict and validated is not None:
-                self._store(call.store, "prefix", encode_prefix(validated),
-                            m)
+                self._store("prefix", encode_prefix(validated), m)
 
         self._time_rows(call)
         order = {id(entry): rank for rank, entry in enumerate(pending)}
@@ -888,38 +863,33 @@ class BatchPlanner:
                 self.holdout_fallbacks += 1
                 return None
             prefixes[m] = validated
-            self._store(call.store, "prefix", encode_prefix(validated),
-                        m)
+            self._store("prefix", encode_prefix(validated), m)
         model = fit_prefix_model(floor, m_lo, prefixes[m_lo], m_hi,
                                  prefixes[m_hi])
         if model is None or model.predict(m_mid) != prefixes[m_mid]:
             self.holdout_fallbacks += 1
             return None
         self.mmodels_fitted += 1
-        self._store(call.store, "mmodel", encode_mmodel(model))
+        self._store("mmodel", encode_mmodel(model))
         return model
 
     # ------------------------------------------------------------------
     # Calibration store plumbing
     # ------------------------------------------------------------------
-    def _load(self, coords: typing.Tuple, kind: str,
+    def _load(self, kind: str,
               decode: typing.Callable[[typing.Any], typing.Any],
               m: typing.Optional[int] = None) -> typing.Any:
         """The stored ``kind`` artifact decoded, or ``None`` (a miss)."""
         if self.cache is None:
             return None
-        key = calibration_key(kind, *coords[:5], m=m, tile_group=coords[5])
-        found = decode(self.cache.get_record(key, kind))
+        found = decode(self.cache.get_record(kind, m))
         if found is None:
             self.store_misses += 1
         else:
             self.store_hits += 1
         return found
 
-    def _store(self, coords: typing.Tuple, kind: str,
-               payload: typing.Mapping[str, typing.Any],
+    def _store(self, kind: str, payload: typing.Mapping[str, typing.Any],
                m: typing.Optional[int] = None) -> None:
         if self.cache is not None:
-            key = calibration_key(kind, *coords[:5], m=m,
-                                  tile_group=coords[5])
-            self.cache.put_record(key, kind, payload)
+            self.cache.put_record(kind, payload, m)

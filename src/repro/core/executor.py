@@ -6,9 +6,11 @@ and any execution order yields the same measurements.
 :class:`SweepExecutor` runs a grid in-process along one path:
 
 - **memoization** — an optional :class:`~repro.core.cache.SweepCache`
-  is consulted first, keyed on the content address of each point
-  (config digest, kernel, N, M, variant, scalars, seed), so repeated
-  sweeps skip simulation entirely;
+  is consulted first: the call's coordinates (config, kernel, resolved
+  variant, resolved scalars, tile group) open one store file, and each
+  point is looked up there by its (N, M), so repeated sweeps skip
+  simulation entirely.  The seed is not a coordinate: it changes no
+  cycle, and a stored point is timing only;
 - **batch planning** — the :class:`~repro.core.batch.BatchPlanner`
   times every point it can prove from a few calibration runs, filling
   the grid's slots out of order;
@@ -40,12 +42,15 @@ import time
 import typing
 
 from repro import flags
-from repro.core.batch import BatchPlanner, store_coords
-from repro.core.cache import SweepCache, group_key, point_key
+from repro.core.batch import BatchPlanner
+from repro.core.cache import SweepCache
 from repro.core.offload import offload
+from repro.core.staging import resolve_scalars
 from repro.core.sweep import SweepPoint, SweepResult
 from repro.errors import OffloadError
+from repro.kernels.base import Kernel
 from repro.kernels.registry import get_kernel
+from repro.runtime.strategies import resolve_variant
 from repro.soc.config import SoCConfig
 from repro.soc.pool import SystemPool
 
@@ -159,6 +164,21 @@ def drain_run_stats() -> typing.List[SweepStats]:
     return drained
 
 
+def _store_coords(config: SoCConfig, kernel: Kernel, variant: str,
+                  scalars: typing.Optional[typing.Mapping[str, float]],
+                  tile_group: typing.Optional[str]) -> typing.Tuple:
+    """The coordinates of one sweep call's store file (see
+    :meth:`~repro.core.cache.SweepCache.batch`): the *resolved* variant
+    and scalars, so "auto" and the explicit name (or default and
+    explicit scalars) share one file."""
+    try:
+        variant = resolve_variant(variant, config).name
+    except OffloadError:
+        pass  # the event path raises its own error for a bad name
+    return (config, kernel.name, variant, resolve_scalars(kernel, scalars),
+            tile_group or "")
+
+
 def measure_point(config: SoCConfig, kernel_name: str, n: int, m: int,
                   variant: str,
                   scalars: typing.Optional[typing.Mapping[str, float]],
@@ -230,7 +250,6 @@ class SweepExecutor:
         slots: typing.List[typing.Optional[SweepPoint]] = [None] * len(coords)
         pending: typing.List[typing.Tuple[int, int, int]] = []  # (slot, n, m)
         remaining: typing.Sequence[typing.Tuple[int, int, int]] = ()
-        keys: typing.Dict[int, str] = {}
 
         # Stream ``progress`` over the longest completed prefix, so the
         # callback sees points in grid order even though the planner
@@ -248,15 +267,12 @@ class SweepExecutor:
         # before the lookups, the put-back's new entries are appended
         # once after it, and the LRU bound (if any) is enforced after
         # that write.
-        with (self.cache.batch(group_key(*store_coords(
-                config, kernel, variant, scalars, seed, tile_group)))
+        with (self.cache.batch(*_store_coords(config, kernel, variant,
+                                              scalars, tile_group))
               if self.cache is not None else contextlib.nullcontext()):
             for index, (n, m) in enumerate(coords):
                 if self.cache is not None:
-                    key = point_key(config, kernel_name, n, m, variant,
-                                    scalars, seed, tile_group=tile_group or "")
-                    keys[index] = key
-                    cached = self.cache.get(key)
+                    cached = self.cache.get(n, m)
                     if cached is not None:
                         slots[index] = cached
                         continue
@@ -279,8 +295,8 @@ class SweepExecutor:
                         verify, tile_group=tile_group)
                     emit_ready()
                 if self.cache is not None:
-                    for index, _n, _m in pending:
-                        self.cache.put(keys[index], slots[index])
+                    for index, n, m in pending:
+                        self.cache.put(n, m, slots[index])
 
         self.stats = SweepStats(
             points=len(coords), tile_group=tile_group, tile_class=tile_class,

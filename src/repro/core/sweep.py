@@ -157,7 +157,9 @@ def sweep(config: SoCConfig, kernel_name: str,
         order (used by the CLI to stream results).
     cache:
         Optional :class:`~repro.core.cache.SweepCache`; previously
-        measured points are replayed from it instead of re-simulated.
+        measured points are replayed from it instead of re-simulated,
+        whatever ``seed`` measured them (cycles do not depend on it),
+        and a replayed point is not verified again.
     tile_group:
         Name of the fabric group to sweep over (heterogeneous fabrics);
         every ``m`` must fit within that group's tile count.  ``None``

@@ -59,6 +59,23 @@ class NocParams:
                 raise ConfigError(f"NocParams.{field.name} must be >= 0, got {value}")
         if self.store_occupancy == 0:
             raise ConfigError("store_occupancy must be at least 1 cycle")
+        check_request_latency("NocParams.request_latency",
+                              self.request_latency)
+
+
+def check_request_latency(name: str, latency: int) -> None:
+    """Refuse a NoC request latency below one cycle.
+
+    A request that lands in the cycle it leaves its port lets the host
+    end an offload in the same cycle a member's completion store is
+    recorded, outside the offload's trace window; the closed-form
+    launch and poll paths also order every delivery after its issue
+    cycle.
+    """
+    if latency < 1:
+        raise ConfigError(
+            f"{name} must be >= 1, got {latency}: a request must land "
+            "at least one cycle after it is issued")
 
 
 class _StoreFlight:

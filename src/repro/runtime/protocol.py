@@ -195,8 +195,8 @@ class OffloadRuntime:
         form.
 
         A plain launch is one job, no host work, on a span whose
-        clusters share one wake and one decode latency, with a nonzero
-        NoC request latency.  While its DM cores run, the only other
+        clusters share one wake and one decode latency.  While its DM
+        cores run, the only other
         actors are the same job's DM cores and the host's dispatch and
         wait — the setting in which
         :func:`repro.cluster.dm_core.serve_jobs` shows that no
@@ -205,8 +205,6 @@ class OffloadRuntime:
         if len(jobs) != 1 or host_work is not None:
             return False
         system = self.system
-        if system.noc.params.request_latency <= 0:
-            return False
         desc = jobs[0][0]
         span = system.clusters[desc.first_cluster:
                                desc.first_cluster + desc.num_clusters]

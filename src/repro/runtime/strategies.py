@@ -224,19 +224,18 @@ class AmoPollCompletion(CompletionStrategy):
         ``k``'s load reads the flag at ``u_k = u_0 + k * period`` where
         ``period = load_occupancy + request_latency + response_latency +
         poll_gap``.  A read in the same cycle as the write still
-        observes the *old* value — with ``request_latency > 0`` the read
-        resumes via the time heap, which the kernel drains before the
-        zero-delay FIFO that delivers the write — so the first
-        successful iteration is the first with ``u_k > t_w``.  The
-        skipped loads/compares/branches are charged in one step (logged
-        READ transactions at their true issue cycles, host-port
+        observes the *old* value — the request latency is at least one
+        cycle, so the read resumes via the time heap, which the kernel
+        drains before the zero-delay FIFO that delivers the write — so
+        the first successful iteration is the first with ``u_k > t_w``.
+        The skipped loads/compares/branches are charged in one step
+        (logged READ transactions at their true issue cycles, host-port
         occupancy, retired-operation and load counters) and the host
         resumes exactly at ``u_k + response_latency``.
 
-        The fast path requires ``request_latency > 0`` (the ordering
-        argument above) and a non-MMIO flag region (the arming peek must
-        be side-effect free); otherwise, or when ``REPRO_NAIVE_POLL`` is
-        set, the reference loop runs unchanged.
+        The fast path requires a non-MMIO flag region (the arming peek
+        must be side-effect free); otherwise, or when
+        ``REPRO_NAIVE_POLL`` is set, the reference loop runs unchanged.
         """
         host = system.host
         config = system.config
@@ -244,7 +243,7 @@ class AmoPollCompletion(CompletionStrategy):
         gap = config.host_poll_gap_cycles
 
         region = None
-        if not flags.naive_poll() and params.request_latency > 0:
+        if not flags.naive_poll():
             try:
                 region = system.address_map.region_at(flag_addr)
             except MemoryError_:

@@ -28,7 +28,7 @@ import typing
 
 from repro.errors import ConfigError, OffloadError
 from repro.kernels.base import Kernel
-from repro.noc.xbar import NocParams
+from repro.noc.xbar import NocParams, check_request_latency
 from repro.soc.tiles import (
     INHERITED_FIELDS,
     ClusterSpan,
@@ -222,8 +222,9 @@ class SoCConfig:
         for name, value in positive.items():
             if value <= 0:
                 raise ConfigError(f"SoCConfig.{name} must be positive, got {value}")
+        check_request_latency("SoCConfig.noc_request_latency",
+                              self.noc_request_latency)
         non_negative = {
-            "noc_request_latency": self.noc_request_latency,
             "noc_response_latency": self.noc_response_latency,
             "noc_load_occupancy": self.noc_load_occupancy,
             "noc_cluster_port_occupancy": self.noc_cluster_port_occupancy,

@@ -270,8 +270,8 @@ def test_gate_disables_prediction_and_the_store(tmp_path):
     # call, one entry per grid point, no prefix or M-model entries.
     (stored,) = tmp_path.glob("*.json")
     entries = _stored_entries(stored)
-    assert len(entries) == len(result)
-    assert all("calibration_schema" not in e for _key, e in entries)
+    assert [key for key, _e in entries] == [
+        f"{p.n},{p.num_clusters}" for p in result]
 
 
 # ----------------------------------------------------------------------

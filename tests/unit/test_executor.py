@@ -9,16 +9,22 @@ import warnings
 
 import pytest
 
-from repro.core.cache import SweepCache, point_key
+from repro.core.cache import SweepCache, _group_key
 from repro.core.executor import SweepExecutor, SweepStats
 from repro.errors import OffloadError
 from repro.flags import NAIVE_BATCH_ENV, NAIVE_MPREDICT_ENV
 from repro.soc.config import SoCConfig
+from repro.soc.tiles import SNITCH, TileGroup
 
 
 CFG = SoCConfig.extended(num_clusters=8)
 N_VALUES = [64, 128]
 M_VALUES = [1, 4]
+
+
+#: The store coordinates ``run`` resolves to: ``auto`` is ``extended``
+#: on ``CFG``, and daxpy's default scalar is ``a = 1.0``.
+RUN_COORDS = (CFG, "daxpy", "extended", {"a": 1.0})
 
 
 def run(executor, **kwargs):
@@ -117,7 +123,7 @@ def test_config_change_misses():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"seed": 1},
+    {"m_values": [2]},
     {"variant": "baseline"},
     {"scalars": {"a": 2.0}},
 ])
@@ -129,13 +135,42 @@ def test_job_coordinate_changes_miss(kwargs):
     assert executor.stats.cache_hits == 0
 
 
-def test_point_key_is_stable_and_sensitive():
-    key = point_key(CFG, "daxpy", 64, 4, "auto", None, 0)
-    assert key == point_key(CFG, "daxpy", 64, 4, "auto", None, 0)
-    assert key != point_key(CFG, "daxpy", 64, 4, "auto", None, 1)
-    assert key != point_key(CFG, "daxpy", 128, 4, "auto", None, 0)
-    assert key != point_key(CFG.with_features(multicast=False, hw_sync=True),
-                            "daxpy", 64, 4, "auto", None, 0)
+def test_store_addresses_points_by_their_timing_coordinates(tmp_path):
+    """A stored point is addressed by config, kernel, resolved variant,
+    resolved scalars, tile group, N and M, and by nothing else."""
+    directory = str(tmp_path / "cache")
+    fabric = SoCConfig.with_fabric(
+        [TileGroup(name="left", tile=SNITCH, count=4),
+         TileGroup(name="right", tile=SNITCH, count=4)],
+        multicast=True, hw_sync=True)
+    first = run(SweepExecutor(cache=SweepCache(directory)))
+    grouped = SweepExecutor(cache=SweepCache(directory)).run(
+        fabric, "daxpy", N_VALUES, M_VALUES, tile_group="left")
+    # Another seed, the variant ``auto`` resolves to, or the default
+    # scalars spelled out: the same measurements, all hits.
+    for kwargs in ({"seed": 1}, {"variant": "extended"},
+                   {"scalars": {"a": 1.0}}):
+        again = SweepExecutor(cache=SweepCache(directory))
+        assert run(again, **kwargs) == first
+        assert (again.stats.cache_hits, again.stats.cache_misses,
+                again.stats.simulated_points) == (len(first), 0, 0)
+    # Another N, M, kernel, config or tile group: all misses.
+    for config, kernel, n_values, m_values, group in (
+            (CFG, "daxpy", [96], M_VALUES, None),
+            (CFG, "daxpy", N_VALUES, [2], None),
+            (CFG, "scale", N_VALUES, M_VALUES, None),
+            (SoCConfig.extended(num_clusters=8, dma_setup_cycles=17),
+             "daxpy", N_VALUES, M_VALUES, None),
+            (fabric, "daxpy", N_VALUES, M_VALUES, "right"),
+            (fabric, "daxpy", N_VALUES, M_VALUES, None)):
+        other = SweepExecutor(cache=SweepCache(directory))
+        other.run(config, kernel, n_values, m_values, tile_group=group)
+        assert other.stats.cache_hits == 0
+    # ``left`` itself still hits every point.
+    again = SweepExecutor(cache=SweepCache(directory))
+    assert again.run(fabric, "daxpy", N_VALUES, M_VALUES,
+                     tile_group="left") == grouped
+    assert again.stats.cache_hits == len(grouped)
 
 
 def test_config_digest_reflects_every_knob():
@@ -162,34 +197,30 @@ def _store_files(directory):
     return sorted(n for n in os.listdir(directory) if n.endswith(".json"))
 
 
-def _group_of(directory):
-    """The group name of the only store file under ``directory``."""
-    (name,) = _store_files(directory)
-    return name[:-len(".json")]
-
-
 def _only_store_file(directory):
     (name,) = _store_files(directory)
     return os.path.join(directory, name)
 
 
-def _stored_entries(path, schema=3):
+def _stored_entries(path, schema=4):
     """``(key, record)`` per entry line of one store file, in file order.
 
-    The store file format, as the tests know it: a ``{"schema": 3}``
-    header line, then one ``<64-hex key> <record JSON>`` line per entry,
-    each ending in a newline.
+    The store file format, as the tests know it: a ``{"schema": 4}``
+    header line, then one ``<key> <record JSON>`` line per entry, each
+    ending in a newline.  A point's key is ``N,M``; a calibration
+    record's is ``prefix,M`` or ``mmodel``.
     """
     with open(path) as handle:
         text = handle.read()
     assert text.endswith("\n")
     header, *lines = text[:-1].split("\n")
     assert json.loads(header) == {"schema": schema}
-    assert all(line[64] == " " for line in lines)
-    return [(line[:64], json.loads(line[65:])) for line in lines]
+    return [(key, json.loads(record))
+            for key, _space, record in (line.partition(" ")
+                                        for line in lines)]
 
 
-def _write_entries(path, entries, schema=3):
+def _write_entries(path, entries, schema=4):
     """Write ``(key, record)`` pairs as one store file (see above)."""
     with open(path, "w") as handle:
         handle.write(json.dumps({"schema": schema}) + "\n")
@@ -284,7 +315,10 @@ def test_stale_schema_is_a_miss(tmp_path):
     directory = str(tmp_path / "cache")
     run(SweepExecutor(cache=SweepCache(directory)))
     path = _only_store_file(directory)
-    _write_entries(path, _stored_entries(path), schema=-1)
+    # The same entries under the previous schema's header and keys.
+    _write_entries(path, [(hashlib.sha256(key.encode()).hexdigest(), record)
+                          for key, record in _stored_entries(path)],
+                   schema=3)
     recovered = SweepExecutor(cache=SweepCache(directory))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -302,8 +336,8 @@ def _mangle_entries(directory, mutate, *, points):
     for name in _store_files(directory):
         path = os.path.join(directory, name)
         entries = _stored_entries(path)
-        index = next(i for i, (_key, entry) in enumerate(entries)
-                     if ("calibration_schema" not in entry) == points)
+        index = next(i for i, (key, _entry) in enumerate(entries)
+                     if key[0].isdigit() == points)
         key, entry = entries[index]
         entries[index] = (key, mutate(entry))
         mangled.append(key)
@@ -332,26 +366,22 @@ def test_an_entry_no_call_reads_is_never_decoded(tmp_path, monkeypatch):
 def test_concurrent_writers_of_one_file_leave_it_readable(tmp_path):
     # Both caches open the same existing file and append different N:
     # each appends whole lines, so the file keeps both writers' points.
-    scout = str(tmp_path / "scout")
-    reference = run(SweepExecutor(cache=SweepCache(scout)))
-    group = _group_of(scout)
-    keyed = [(point_key(CFG, "daxpy", p.n, p.num_clusters, "auto", None, 0),
-              p) for p in reference]
+    reference = run(SweepExecutor())
     directory = str(tmp_path / "cache")
     # One unrelated entry makes the file exist before both open it.
     seed = SweepCache(directory)
-    with seed.batch(group):
-        seed.put_record("00" * 32, "prefix", {"start_cycle": 0})
+    with seed.batch(*RUN_COORDS):
+        seed.put_record("prefix", {"start_cycle": 0}, m=99)
     first, second = SweepCache(directory), SweepCache(directory)
-    with first.batch(group):
-        with second.batch(group):
-            for key, point in keyed:
+    with first.batch(*RUN_COORDS):
+        with second.batch(*RUN_COORDS):
+            for point in reference:
                 if point.n == N_VALUES[1]:
-                    second.put(key, point)
-        for key, point in keyed:
+                    second.put(point.n, point.num_clusters, point)
+        for point in reference:
             if point.n == N_VALUES[0]:
-                first.put(key, point)
-    assert os.listdir(directory) == [f"{group}.json"]
+                first.put(point.n, point.num_clusters, point)
+    assert os.listdir(directory) == [_file(RUN_COORDS)]
     reader = SweepExecutor(cache=SweepCache(directory))
     assert run(reader) == reference
     assert reader.stats.cache_hits == len(reference)
@@ -360,27 +390,31 @@ def test_concurrent_writers_of_one_file_leave_it_readable(tmp_path):
 def test_a_file_removed_mid_batch_is_written_whole(tmp_path):
     directory = str(tmp_path / "cache")
     _put_in_own_file(SweepCache(directory), 0)
-    path = os.path.join(directory, f"{_group(0)}.json")
+    path = os.path.join(directory, _file(_coords(0)))
     cache = SweepCache(directory)
-    with cache.batch(_group(0)):
+    with cache.batch(*_coords(0)):
         os.remove(path)   # e.g. evicted by another process's bound
-        cache.put_record(_group(1), "prefix", {"value": 1})
+        cache.put_record("prefix", {"value": 1}, m=2)
     # Appending would have restarted the file without its header.
-    assert _stored_entries(path) == [
-        (_group(1), {"calibration_schema": 1, "kind": "prefix",
-                     "payload": {"value": 1}})]
+    assert _stored_entries(path) == [("prefix,2", {"value": 1})]
 
 
 # ----------------------------------------------------------------------
 # Cache: the LRU bound on the disk layer
 # ----------------------------------------------------------------------
-def _group(i):
-    return f"{i:064x}"
+def _coords(i):
+    """The store coordinates of file ``i``: one per scalar value."""
+    return CFG, "daxpy", "extended", {"a": float(i)}
+
+
+def _file(coords):
+    """The store file name of ``coords``."""
+    return f"{_group_key(*coords, '')}.json"
 
 
 def _put_in_own_file(cache, i):
-    with cache.batch(_group(i)):
-        cache.put_record(_group(i), "prefix", {"value": i})
+    with cache.batch(*_coords(i)):
+        cache.put_record("prefix", {"value": i}, m=1)
 
 
 def test_max_entries_is_validated():
@@ -397,8 +431,7 @@ def test_disk_layer_is_lru_bounded(tmp_path):
     assert len(files) == 3
     assert cache.evictions == 3
     # The survivors are the most recently written files.
-    survivors = {name[:-len(".json")] for name in files}
-    assert survivors == {_group(i) for i in (3, 4, 5)}
+    assert set(files) == {_file(_coords(i)) for i in (3, 4, 5)}
 
 
 def test_lru_reads_refresh_recency(tmp_path):
@@ -408,16 +441,16 @@ def test_lru_reads_refresh_recency(tmp_path):
     _put_in_own_file(cache, 1)
     # Age the first file's mtime, then *use* it from a fresh cache
     # (the in-memory layer must not mask the disk read).
-    past = os.path.getmtime(os.path.join(directory, f"{_group(1)}.json")) - 60
-    os.utime(os.path.join(directory, f"{_group(0)}.json"), (past, past))
+    past = os.path.getmtime(os.path.join(directory, _file(_coords(1)))) - 60
+    os.utime(os.path.join(directory, _file(_coords(0))), (past, past))
     reader = SweepCache(directory, max_entries=2)
-    with reader.batch(_group(0)):
-        assert reader.get_record(_group(0), "prefix") == {"value": 0}
-    os.utime(os.path.join(directory, f"{_group(1)}.json"), (past, past))
+    with reader.batch(*_coords(0)):
+        assert reader.get_record("prefix", 1) == {"value": 0}
+    os.utime(os.path.join(directory, _file(_coords(1))), (past, past))
     _put_in_own_file(reader, 2)
     # File 1 (stale mtime) was evicted; the freshly read 0 survived.
-    assert set(_store_files(directory)) == {f"{_group(0)}.json",
-                                            f"{_group(2)}.json"}
+    assert set(_store_files(directory)) == {_file(_coords(0)),
+                                            _file(_coords(2))}
     assert reader.evictions == 1
 
 
@@ -439,8 +472,9 @@ def test_sweep_into_a_full_store_enforces_the_bound_once(tmp_path,
     # sweep call adds (one); the bounded store starts at its bound.
     full, twin = str(tmp_path / "full"), str(tmp_path / "twin")
     for directory in (full, twin):
-        for seed in (1, 2, 3):
-            run(SweepExecutor(cache=SweepCache(directory)), seed=seed)
+        for a in (2.0, 3.0, 4.0):
+            run(SweepExecutor(cache=SweepCache(directory)),
+                scalars={"a": a})
     bound = len(_store_files(full))
     run(SweepExecutor(cache=SweepCache(twin)), n_values=[256, 512])
     excess = len(_store_files(twin)) - bound
@@ -510,14 +544,13 @@ POINT_ENTRY_BYTES = (
     b'{"setup": 178, "dispatch": 8, "completion_wait": 302, '
     b'"sync_overhead": 20, "total": 488}}')
 CALIBRATION_ENTRY_BYTES = (
-    b'{"calibration_schema": 1, "kind": "mmodel", "payload": '
     b'{"min_m": 1, "m_lo": 2, "m_hi": 4, "base": [10, 20, 30, 40], '
-    b'"slope": [0, 3, 5, 7]}}')
+    b'"slope": [0, 3, 5, 7]}')
 #: The store file of one sweep call holding exactly those two entries.
 STORE_FILE_BYTES = (
-    b'{"schema": 3}\n'
-    + b"ab" * 32 + b" " + POINT_ENTRY_BYTES + b"\n"
-    + b"cd" * 32 + b" " + CALIBRATION_ENTRY_BYTES + b"\n")
+    b'{"schema": 4}\n'
+    + b"256,2 " + POINT_ENTRY_BYTES + b"\n"
+    + b"mmodel " + CALIBRATION_ENTRY_BYTES + b"\n")
 
 
 def test_record_file_bytes_are_pinned(tmp_path):
@@ -531,23 +564,22 @@ def test_record_file_bytes_are_pinned(tmp_path):
                 "sync_overhead": 20, "total": 488})
     payload = {"min_m": 1, "m_lo": 2, "m_hi": 4, "base": [10, 20, 30, 40],
                "slope": [0, 3, 5, 7]}
-    with cache.batch("ef" * 32):
-        cache.put("ab" * 32, point)
-        cache.put_record("cd" * 32, "mmodel", payload)
-    assert _store_files(directory) == ["ef" * 32 + ".json"]
-    path = os.path.join(directory, "ef" * 32 + ".json")
+    with cache.batch(*RUN_COORDS):
+        cache.put(256, 2, point)
+        cache.put_record("mmodel", payload)
+    assert _store_files(directory) == [_file(RUN_COORDS)]
+    path = os.path.join(directory, _file(RUN_COORDS))
     with open(path, "rb") as f:
         assert f.read() == STORE_FILE_BYTES
     fresh = SweepCache(directory)
-    with fresh.batch("ef" * 32):
-        assert fresh.get("ab" * 32) == point
-        assert fresh.get_record("cd" * 32, "mmodel") == payload
-        fresh.put_record("12" * 32, "prefix", {"start_cycle": 10})
+    with fresh.batch(*RUN_COORDS):
+        assert fresh.get(256, 2) == point
+        assert fresh.get_record("mmodel") == payload
+        fresh.put_record("prefix", {"start_cycle": 10}, m=4)
     # A second batch appends exactly its one new line.
     with open(path, "rb") as f:
-        assert f.read() == STORE_FILE_BYTES + b"12" * 32 + (
-            b' {"calibration_schema": 1, "kind": "prefix", "payload": '
-            b'{"start_cycle": 10}}\n')
+        assert f.read() == STORE_FILE_BYTES + (
+            b'prefix,4 {"start_cycle": 10}\n')
 
 
 def _schema_1_key(n, m):
@@ -588,50 +620,54 @@ def test_schema_1_store_reads_as_silent_misses(tmp_path):
 def test_calibration_records_round_trip_and_check_kind(tmp_path):
     directory = str(tmp_path / "cache")
     cache = SweepCache(directory)
-    key = "ab" * 32
-    with cache.batch(_group(0)):
-        cache.put_record(key, "prefix", {"start_cycle": 10})
-        assert cache.get_record(key, "prefix") == {"start_cycle": 10}
+    with cache.batch(*_coords(0)):
+        cache.put_record("prefix", {"start_cycle": 10}, m=4)
+        assert cache.get_record("prefix", 4) == {"start_cycle": 10}
         # A prefix key can never answer an M-model request.
-        assert cache.get_record(key, "mmodel") is None
+        assert cache.get_record("mmodel") is None
+        assert cache.get_record("mmodel", 4) is None
     # It survives the process (a fresh cache over the same file)...
     fresh = SweepCache(directory)
-    with fresh.batch(_group(0)):
-        assert fresh.get_record(key, "prefix") == {"start_cycle": 10}
-        assert fresh.get_record("cd" * 32, "prefix") is None
+    with fresh.batch(*_coords(0)):
+        assert fresh.get_record("prefix", 4) == {"start_cycle": 10}
+        assert fresh.get_record("prefix", 5) is None
     # ...and the disk layer is only consulted inside a batch.
-    assert SweepCache(directory).get_record(key, "prefix") is None
+    assert SweepCache(directory).get_record("prefix", 4) is None
 
 
 def test_malformed_calibration_record_is_a_warned_miss(tmp_path):
     from repro.sim import IntegrityWarning
     directory = str(tmp_path / "cache")
     cache = SweepCache(directory)
-    key = "ab" * 32
-    with cache.batch(_group(0)):
-        cache.put_record(key, "prefix", {"start_cycle": 10})
-    _mangle_entries(directory, lambda r: {**r, "payload": [1, 2]},
-                    points=False)
+    with cache.batch(*_coords(0)):
+        cache.put_record("prefix", {"start_cycle": 10}, m=4)
+    _mangle_entries(directory, lambda r: [1, 2], points=False)
     fresh = SweepCache(directory)
-    with fresh.batch(_group(0)):
+    with fresh.batch(*_coords(0)):
         with pytest.warns(IntegrityWarning,
                           match="malformed calibration record"):
-            assert fresh.get_record(key, "prefix") is None
+            assert fresh.get_record("prefix", 4) is None
 
 
-def test_calibration_key_separates_namespaces():
-    from repro.core.cache import calibration_key
-    base = dict(config=CFG, kernel_name="daxpy", variant_name="extended",
-                scalars=None, seed=0)
-    assert calibration_key("prefix", m=2, **base) \
-        != calibration_key("prefix", m=3, **base)
-    assert calibration_key("prefix", m=2, **base) \
-        != calibration_key("mmodel", **base)
-    assert calibration_key("mmodel", **base) \
-        == calibration_key("mmodel", **base)
-    other = dict(base, config=SoCConfig.baseline(num_clusters=8))
-    assert calibration_key("mmodel", **base) \
-        != calibration_key("mmodel", **other)
+def test_calibration_key_separates_namespaces(tmp_path):
+    directory = str(tmp_path / "cache")
+    cache = SweepCache(directory)
+    with cache.batch(*RUN_COORDS):
+        cache.put_record("prefix", {"value": 2}, m=2)
+        cache.put_record("prefix", {"value": 3}, m=3)
+        cache.put_record("mmodel", {"value": 0})
+    assert [key for key, _r in _stored_entries(
+        os.path.join(directory, _file(RUN_COORDS)))] == [
+            "prefix,2", "prefix,3", "mmodel"]
+    fresh = SweepCache(directory)
+    with fresh.batch(*RUN_COORDS):
+        assert fresh.get_record("prefix", 2) == {"value": 2}
+        assert fresh.get_record("prefix", 3) == {"value": 3}
+        assert fresh.get_record("mmodel") == {"value": 0}
+    # Another config's file holds none of them.
+    with fresh.batch(SoCConfig.baseline(num_clusters=8), *RUN_COORDS[1:]):
+        assert fresh.get_record("mmodel") is None
+        assert fresh.get_record("prefix", 2) is None
 
 
 @pytest.mark.parametrize("mutate", [

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.errors import ConfigError
+from repro.noc.xbar import NocParams
 from repro.soc.config import SoCConfig
 
 
@@ -76,6 +77,17 @@ def test_noc_params_carry_latencies():
     params = config.noc_params()
     assert params.request_latency == 3
     assert params.store_occupancy == 5
+
+
+def test_zero_noc_request_latency_is_refused():
+    # A request must land at least one cycle after it leaves its port.
+    with pytest.raises(ConfigError, match="request_latency must be >= 1"):
+        NocParams(request_latency=0).validate()
+    with pytest.raises(ConfigError,
+                       match="noc_request_latency must be >= 1, got 0"):
+        SoCConfig.extended(num_clusters=4, noc_request_latency=0)
+    assert SoCConfig.extended(num_clusters=4,
+                              noc_request_latency=1).noc_request_latency == 1
 
 
 def test_describe():
