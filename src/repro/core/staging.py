@@ -35,7 +35,12 @@ import typing
 import numpy
 
 from repro import abi
-from repro.errors import CycleLimitError, DeadlockError, OffloadError
+from repro.errors import (
+    CycleLimitError,
+    DeadlockError,
+    OffloadError,
+    annotated,
+)
 from repro.kernels.base import Kernel, split_range
 from repro.kernels.registry import get_kernel
 from repro.soc.manticore import ManticoreSystem
@@ -125,26 +130,25 @@ def run_to_completion(system: ManticoreSystem, process,
     Both failure modes re-raise as :class:`~repro.errors.OffloadError`
     with the kernel's :class:`~repro.sim.SimulationReport` (which
     process is blocked on what, plus the trace tail) carried through on
-    the ``report`` attribute and quoted in the message.
+    the ``report`` attribute and quoted in the message.  Either way
+    the program is closed first (the report already describes it): it
+    will never be resumed, and its frame holds the system, which would
+    otherwise keep a dropped system alive in a reference cycle.
     """
     try:
         system.sim.run(until=process, max_cycles=max_cycles)
-    except CycleLimitError as err:
+    except (CycleLimitError, DeadlockError) as err:
+        process.close()
+        if isinstance(err, CycleLimitError):
+            reason = (f"offload exceeded {max_cycles} cycles; the completion "
+                      "protocol likely deadlocked")
+        else:
+            reason = ("simulation ran out of events before the offload "
+                      "completed (lost doorbell or completion signal)")
         report = getattr(err, "report", None)
-        error = OffloadError(
-            f"offload exceeded {max_cycles} cycles; the completion "
-            "protocol likely deadlocked"
-            + (f"\n{report.describe()}" if report is not None else ""))
-        error.report = report
-        raise error from None
-    except DeadlockError as err:
-        report = getattr(err, "report", None)
-        error = OffloadError(
-            "simulation ran out of events before the offload "
-            "completed (lost doorbell or completion signal)"
-            + (f"\n{report.describe()}" if report is not None else ""))
-        error.report = report
-        raise error from None
+        raise annotated(OffloadError(
+            reason + (f"\n{report.describe()}" if report is not None else "")),
+            report=report) from None
 
 
 @contextlib.contextmanager

@@ -7,6 +7,24 @@ assert on precise subclasses.
 
 from __future__ import annotations
 
+import typing
+
+_Error = typing.TypeVar("_Error", bound=BaseException)
+
+
+def annotated(error: _Error, **attributes: typing.Any) -> _Error:
+    """Set ``attributes`` on ``error`` and return it, to be raised at once.
+
+    ``raise annotated(QuiescenceError(...), report=report)`` keeps the
+    error out of the raising frame's locals.  An error held in such a
+    local forms a cycle with its traceback, which holds the frame, so
+    everything the frame references (a whole system, say) would stay
+    alive until a full collection.
+    """
+    for name, value in attributes.items():
+        setattr(error, name, value)
+    return error
+
 
 class ReproError(Exception):
     """Base class for every error raised by the repro package."""

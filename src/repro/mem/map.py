@@ -94,33 +94,15 @@ class Region:
         return self.base < other.end and other.base < self.end
 
 
-class PortRouter:
-    """A routing handle for one initiator port.
+class _Routing:
+    """Word accesses routed to the owning region's target.
 
-    Wraps an :class:`AddressMap` with a private last-region hit slot:
-    real access streams are overwhelmingly same-region runs (a DM core
-    bursting a descriptor, the host hammering one completion flag), so
-    nearly every lookup resolves with two comparisons instead of a
-    bisect.  Each port gets its own slot so interleaved streams from
-    different initiators cannot thrash a shared one.
+    Shared by :class:`AddressMap` and its :class:`PortRouter` handles:
+    each supplies ``region_at`` and ``_watchpoints``, the map's one
+    watchpoint table.
     """
 
-    __slots__ = ("_map", "_hit")
-
-    def __init__(self, address_map: "AddressMap") -> None:
-        self._map = address_map
-        self._hit: typing.Optional[Region] = None
-
-    def region_at(self, addr: int) -> Region:
-        """The region containing ``addr`` (port-cached lookup)."""
-        if self._map._linear:
-            return self._map.region_at(addr)
-        hit = self._hit
-        if hit is not None and hit.base <= addr < hit.end:
-            return hit
-        region = self._map.region_at(addr)
-        self._hit = region
-        return region
+    __slots__ = ()
 
     def read_word(self, addr: int) -> int:
         """Route a word read to the owning region's target."""
@@ -154,7 +136,7 @@ class PortRouter:
             target.write_register(addr - region.base, value)
         else:
             target.write_word(addr, value)
-        watchpoints = self._map._watchpoints
+        watchpoints = self._watchpoints
         if watchpoints:
             callback = watchpoints.get(addr)
             if callback is not None:
@@ -172,7 +154,37 @@ class PortRouter:
         return old
 
 
-class AddressMap:
+class PortRouter(_Routing):
+    """A routing handle for one initiator port.
+
+    Wraps an :class:`AddressMap` with a private last-region hit slot:
+    real access streams are overwhelmingly same-region runs (a DM core
+    bursting a descriptor, the host hammering one completion flag), so
+    nearly every lookup resolves with two comparisons instead of a
+    bisect.  Each port gets its own slot so interleaved streams from
+    different initiators cannot thrash a shared one.
+    """
+
+    __slots__ = ("_map", "_hit", "_watchpoints")
+
+    def __init__(self, address_map: "AddressMap") -> None:
+        self._map = address_map
+        self._hit: typing.Optional[Region] = None
+        self._watchpoints = address_map._watchpoints
+
+    def region_at(self, addr: int) -> Region:
+        """The region containing ``addr`` (port-cached lookup)."""
+        if self._map._linear:
+            return self._map.region_at(addr)
+        hit = self._hit
+        if hit is not None and hit.base <= addr < hit.end:
+            return hit
+        region = self._map.region_at(addr)
+        self._hit = region
+        return region
+
+
+class AddressMap(_Routing):
     """An ordered, non-overlapping collection of :class:`Region` objects.
 
     Regions are kept sorted by base at all times (bisect insertion, so
@@ -189,12 +201,12 @@ class AddressMap:
         self._by_name: typing.Dict[str, Region] = {}
         self._hit: typing.Optional[Region] = None
         #: addr -> callback(value), invoked after a routed word write
-        #: lands at that exact address (see :meth:`watch`).
+        #: lands at that exact address (see :meth:`watch`).  Every port
+        #: router shares this dict, so it is cleared, never rebound.
         self._watchpoints: typing.Dict[int, typing.Callable[[int], None]] = {}
         #: A/B lever (``REPRO_LINEAR_ROUTING``): sampled once at
         #: construction so the hot path pays one attribute read.
         self._linear = flags.linear_routing()
-        self._router = PortRouter(self)
 
     def add(self, region: Region) -> Region:
         """Register a region; rejects overlaps and duplicate names.
@@ -313,21 +325,6 @@ class AddressMap:
         """Whether any watchpoint is armed (bulk store paths must then
         fall back to per-word delivery so callbacks fire on time)."""
         return bool(self._watchpoints)
-
-    # ------------------------------------------------------------------
-    # Word-level routed access (used by the interconnect at delivery time)
-    # ------------------------------------------------------------------
-    def read_word(self, addr: int) -> int:
-        """Route a word read to the owning region's target."""
-        return self._router.read_word(addr)
-
-    def write_word(self, addr: int, value: int) -> None:
-        """Route a word write to the owning region's target."""
-        self._router.write_word(addr, value)
-
-    def amo_add(self, addr: int, operand: int) -> int:
-        """Atomic fetch-and-add on a word; returns the *old* value."""
-        return self._router.amo_add(addr, operand)
 
     @property
     def regions(self) -> typing.Tuple[Region, ...]:

@@ -88,16 +88,18 @@ class _StoreFlight:
     runs where the corresponding generator resume would, and every
     scheduler entry consumes the same sequence number — so the chain is
     bit-identical to the process form, transaction for transaction.
+    The kick-off hop is handed the port's ``issued`` event rather than
+    the flight keeping it: that event's callback holds the flight, so
+    the reverse link would leave an aborted store in a reference cycle.
     """
 
-    __slots__ = ("noc", "issued", "latency", "addresses", "value", "router",
+    __slots__ = ("noc", "latency", "addresses", "value", "router",
                  "delivered", "acked")
 
-    def __init__(self, noc: "Interconnect", issued: Event, latency: int,
+    def __init__(self, noc: "Interconnect", latency: int,
                  addresses: typing.Tuple[int, ...], value: int, router,
                  delivered: Event, acked: Event) -> None:
         self.noc = noc
-        self.issued = issued
         self.latency = latency
         self.addresses = addresses
         self.value = value
@@ -105,8 +107,8 @@ class _StoreFlight:
         self.delivered = delivered
         self.acked = acked
 
-    def _kick(self, _arg) -> None:
-        self.issued.add_callback(self._issued)
+    def _kick(self, issued: Event) -> None:
+        issued.add_callback(self._issued)
 
     def _issued(self, _event) -> None:
         self.noc.sim.schedule(self.latency, self._deliver, None)
@@ -397,12 +399,12 @@ class Interconnect:
         issued = port.request(occupancy)
         delivered = self.sim.event(name="write.delivered")
         acked = self.sim.event(name="write.acked")
-        flight = _StoreFlight(self, issued, latency, addresses, value,
-                              router, delivered, acked)
+        flight = _StoreFlight(self, latency, addresses, value, router,
+                              delivered, acked)
         # The kick-off hop keeps the issued-event callback registration
         # at the queue position a spawned body's first resume would use,
         # so waiter ordering on ``issued`` matches the process form.
-        self.sim.schedule(0, flight._kick, None)
+        self.sim.schedule(0, flight._kick, issued)
         return WriteHandle(issued=issued, delivered=delivered, acked=acked)
 
     def _read(self, port: SerialResource, occupancy: int, addr: int,

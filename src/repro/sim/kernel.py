@@ -6,7 +6,12 @@ import collections
 import heapq
 import typing
 
-from repro.errors import CycleLimitError, DeadlockError, SimulationError
+from repro.errors import (
+    CycleLimitError,
+    DeadlockError,
+    SimulationError,
+    annotated,
+)
 from repro.sim import diag
 from repro.sim.event import AllOf, AnyOf, Event
 from repro.sim.process import Process
@@ -61,9 +66,9 @@ class Simulator:
         #: helper report it; deliberately *not* part of reset state
         #: (it measures host work, not simulated state).
         self.resumes = 0
-        #: Live (unfinished) processes; parked DM cores stay here for
-        #: the lifetime of the system, which is exactly what deadlock
-        #: reports need to enumerate.
+        #: Live (unfinished) processes, which deadlock reports
+        #: enumerate.  Parked DM cores stay here while their system
+        #: lives; when it dies, :meth:`teardown` closes them.
         self._processes: set = set()
         #: The system's trace recorder, if one registered (the first
         #: :class:`~repro.sim.record.TraceRecorder` built on this
@@ -238,12 +243,10 @@ class Simulator:
                         self._settle()
                         report = diag.build_report(
                             self, reason="deadlock", awaited=until)
-                        error = DeadlockError(
+                        raise annotated(DeadlockError(
                             f"event queue drained at cycle {self.now} but "
                             f"{until!r} never triggered\n" + report.describe()
-                        )
-                        error.report = report
-                        raise error
+                        ), report=report)
                 return self.now
             raise SimulationError(f"invalid 'until' argument: {until!r}")
         finally:
@@ -278,6 +281,23 @@ class Simulator:
         self.now = 0
         self._sequence = 0
         self._horizon = 0
+
+    def teardown(self) -> None:
+        """Break the simulator's reference cycles once its owner is gone.
+
+        Every live process and this simulator reference each other, a
+        parked process's frame reaches the models it drives, and the
+        system trace recorder points back here.  Closing each live
+        process (see :meth:`Process.close`), dropping the queued
+        callbacks and detaching the recorder lets reference counting
+        free all of it, without waiting for a full collection.  Only
+        for a simulator that will not run again.
+        """
+        for process in tuple(self._processes):
+            process.close()
+        self._queue.clear()
+        self._now_queue.clear()
+        self.trace = None
 
     @property
     def pending(self) -> int:

@@ -113,6 +113,19 @@ class Process(Event):
             "delay, an Event, or a Process"
         )
 
+    def close(self) -> None:
+        """End a body that will never be resumed.
+
+        Closes the generator (its frame, and everything the frame
+        holds, goes with it) and forgets the wait, so neither the
+        process nor the event it was parked on keeps the other alive.
+        A wake-up still queued for the process finds the body closed
+        and finishes it with value ``None``.
+        """
+        self.generator.close()
+        self._waiting_on = None
+        self.sim._processes.discard(self)
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

@@ -26,11 +26,12 @@ for successive same-config measurements.
 from __future__ import annotations
 
 import typing
+import weakref
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.dm_core import LaunchContext
 from repro.cluster.mailbox import JOB_PTR_OFFSET, Mailbox
-from repro.errors import ConfigError, QuiescenceError
+from repro.errors import ConfigError, QuiescenceError, annotated
 from repro.host.cva6 import HostCore
 from repro.host.irq import InterruptController
 from repro.host.lsu import LoadStoreUnit
@@ -60,6 +61,13 @@ CLUSTER_PERIPH_SIZE = 0x1000
 TCDM_BASE = 0x1000_0000
 TCDM_STRIDE = 0x0010_0000
 DRAM_BASE = 0x8000_0000
+
+
+def _teardown(sim_ref: "weakref.ref[Simulator]") -> None:
+    """A dropped system's finalizer (see ``ManticoreSystem.__init__``)."""
+    sim = sim_ref()
+    if sim is not None:
+        sim.teardown()
 
 
 class ManticoreSystem:
@@ -151,6 +159,14 @@ class ManticoreSystem:
                     trace=self.trace)
                 cluster.start()
                 self.clusters.append(cluster)
+
+        # The parts reference one another in cycles (parked DM cores and
+        # the simulator, the simulator and its trace recorder), so they
+        # would outlive the system until a full collection.  Break them
+        # when the system goes.  The finalizer holds the simulator
+        # weakly: a parked frame that holds this system must not make
+        # it immortal.
+        weakref.finalize(self, _teardown, weakref.ref(self.sim)).atexit = False
 
     # ------------------------------------------------------------------
     # Address helpers
@@ -258,11 +274,9 @@ class ManticoreSystem:
         if not audited:
             quiescence = self.audit_quiescence()
             if not quiescence.ok:
-                error = QuiescenceError(
+                raise annotated(QuiescenceError(
                     "cannot reset a non-quiescent system\n"
-                    + quiescence.describe())
-                error.report = quiescence
-                raise error
+                    + quiescence.describe()), report=quiescence)
         self.sim.reset()  # validates the queues are drained
         self.trace.clear()
         self.address_map.clear_watchpoints()

@@ -1,6 +1,6 @@
 """Reusable :class:`~repro.soc.manticore.ManticoreSystem` instances.
 
-Building a 32-cluster system allocates an 8 MB main memory, 32 TCDMs,
+Building a 32-cluster system allocates a 32 MiB main memory, 32 TCDMs,
 and a ~66-region address map — roughly a fifth of the wall time of a
 short sweep point.  Measurements that run many points on identical
 hardware (every sweep in the paper) can instead lease one system per
@@ -22,7 +22,7 @@ import typing
 import warnings
 
 from repro import flags
-from repro.errors import QuiescenceError
+from repro.errors import QuiescenceError, annotated
 from repro.sim import IntegrityWarning
 from repro.soc.config import SoCConfig
 from repro.soc.manticore import ManticoreSystem
@@ -95,11 +95,9 @@ class SystemPool:
         if not report.ok:
             self.dropped += 1
             if flags.strict():
-                error = QuiescenceError(
+                raise annotated(QuiescenceError(
                     "released system failed its quiescence audit\n"
-                    + report.describe())
-                error.report = report
-                raise error
+                    + report.describe()), report=report)
             warnings.warn(
                 "SystemPool.release: dropping non-quiescent system "
                 f"({report.violations[0].describe()}"

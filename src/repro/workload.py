@@ -33,7 +33,7 @@ from repro.core.decision import HostExecutionModel
 from repro.core.model import OffloadModel
 from repro.core.offload import DEFAULT_MAX_CYCLES, offload, run_on_host
 from repro.core.sweep import sweep
-from repro.errors import OffloadError, ReproError, WorkloadError
+from repro.errors import OffloadError, ReproError, WorkloadError, annotated
 from repro.kernels.registry import get_kernel
 from repro.soc.config import SoCConfig
 from repro.soc.manticore import ManticoreSystem
@@ -352,15 +352,13 @@ class WorkloadServer:
         except ReproError as err:
             where = (f"{placement.num_clusters} clusters"
                      if placement.offload else "the host")
-            error = WorkloadError(
-                f"job {self._index}/{self._total} of policy "
-                f"{self._policy_name!r} failed: {job.kernel_name}"
-                f"(n={job.n}) on {where}: {err}")
-            error.job = job
-            error.job_index = self._index
-            error.placement = placement
-            error.report = getattr(err, "report", None)
-            raise error from err
+            raise annotated(
+                WorkloadError(
+                    f"job {self._index}/{self._total} of policy "
+                    f"{self._policy_name!r} failed: {job.kernel_name}"
+                    f"(n={job.n}) on {where}: {err}"),
+                job=job, job_index=self._index, placement=placement,
+                report=getattr(err, "report", None)) from err
         return JobOutcome(spec=job, placement=placement,
                           cycles=result.runtime_cycles)
 

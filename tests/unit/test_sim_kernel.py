@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import CycleLimitError, DeadlockError, SimulationError
-from repro.sim import Simulator
+from repro.sim import Simulator, TraceRecorder
 
 
 def test_time_starts_at_zero():
@@ -183,3 +183,21 @@ def test_determinism_two_identical_runs():
         return seen
 
     assert build() == build()
+
+
+def test_teardown_closes_processes_drops_callbacks_and_the_trace():
+    sim = Simulator()
+    recorder = TraceRecorder(sim)
+
+    def body():
+        yield sim.event(name="never")
+
+    parked = sim.spawn(body(), name="parked")
+    sim.run()
+    sim.schedule(5, lambda _arg: None)
+    sim.timer(0)
+    assert sim.trace is recorder and sim.pending == 2
+    sim.teardown()
+    assert sim.live_processes == () and sim.pending == 0
+    assert sim.trace is None
+    assert parked.waiting_on is None

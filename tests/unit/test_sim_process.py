@@ -207,3 +207,37 @@ def test_named_processes_get_default_names():
     assert p1.name == "process-1"
     assert p2.name == "custom"
     sim.run()
+
+
+def test_close_ends_a_parked_body_and_forgets_its_wait():
+    sim = Simulator()
+    never = sim.event(name="never")
+    ended = []
+
+    def body():
+        try:
+            yield never
+        finally:
+            ended.append(sim.now)
+
+    process = sim.spawn(body())
+    sim.run()
+    assert process.waiting_on is never
+    process.close()
+    assert ended == [0]
+    assert process.waiting_on is None
+    assert process not in sim.live_processes
+
+
+def test_a_stale_wakeup_finishes_a_closed_process():
+    sim = Simulator()
+
+    def body():
+        yield 10
+        raise AssertionError("a closed body never resumes")
+
+    process = sim.spawn(body())
+    sim.run(until=5)
+    process.close()
+    sim.run()
+    assert process.finished and process.value is None
