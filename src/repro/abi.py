@@ -169,8 +169,11 @@ def encode_descriptor(desc: JobDescriptor) -> typing.List[int]:
 #: Decoded descriptors keyed on (registered kernel count, words).  Every
 #: cluster of an M-wide job fetches the same words, so one decode
 #: serves the whole job; the kernel count keys the id space, which only
-#: grows.  Reuse spans one launch, so a few entries suffice; bounded by
-#: wholesale clearing.
+#: grows.  A plain launch's members already share one decode through
+#: their :class:`~repro.cluster.dm_core.LaunchContext`, so this serves
+#: the other launches (concurrent, overlapped, reference paths).  Reuse
+#: spans one launch, so a few entries suffice; bounded by wholesale
+#: clearing.
 _DECODED: typing.Dict[typing.Tuple[int, ...], JobDescriptor] = {}
 _DECODED_MAX = 32
 

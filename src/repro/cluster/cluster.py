@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import functools
 import typing
-
-import numpy
 
 from repro import flags
 from repro.cluster.barrier import Barrier
@@ -22,27 +19,6 @@ if typing.TYPE_CHECKING:
     from repro.kernels.base import Kernel, KernelTiming, WorkSlice
     from repro.soc.fabricbarrier import FabricBarrier
     from repro.soc.tiles import ResolvedTile
-
-
-@functools.lru_cache(maxsize=4096)
-def _phase_core_cycles(kernel: "Kernel", elements: int, num_cores: int,
-                       n: int, timing: "KernelTiming"
-                       ) -> typing.Tuple[int, ...]:
-    """Per-core compute cycles for one cluster compute phase.
-
-    The whole phase's timing is a function of the cluster slice's
-    element count alone (the block schedule splits counts, not
-    positions), so one NumPy pass over the per-core counts covers
-    every cluster and every job of a sweep that shares the shape.
-    Kernel instances are registry singletons and ``KernelTiming`` is
-    frozen, so keying the memo on the objects is stable.  ``timing``
-    is the tile class's rate for ``kernel``.
-    """
-    from repro.kernels.base import split_range
-    counts = numpy.fromiter(
-        (sub.hi - sub.lo for sub in split_range(elements, num_cores)),
-        dtype=numpy.int64, count=num_cores)
-    return tuple(int(c) for c in timing.cycles(kernel.work(counts, n)))
 
 
 def _worker_body(cluster: "Cluster", worker: WorkerCore, kernel: "Kernel",
@@ -143,9 +119,17 @@ class Cluster:
     def phase_cycles(self, kernel: "Kernel", elements: int,
                      n: int) -> typing.Tuple[int, ...]:
         """Per-worker cycles of a compute phase over ``elements`` items
-        of an ``n``-item ``kernel`` job on this cluster's tile."""
-        return _phase_core_cycles(kernel, elements, len(self.workers), n,
-                                  self.tile.timing_for(kernel))
+        of an ``n``-item ``kernel`` job on this cluster's tile.
+
+        The block schedule gives the first ``r`` of ``c`` cores ``q + 1``
+        items and the rest ``q``, where ``q, r = divmod(elements, c)``,
+        so the phase takes two timing evaluations whatever ``c`` is.
+        """
+        timing = self.tile.timing_for(kernel)
+        cores = len(self.workers)
+        q, r = divmod(elements, cores)
+        return ((timing.cycles(kernel.work(q + 1, n)),) * r
+                + (timing.cycles(kernel.work(q, n)),) * (cores - r))
 
     def cross_compute_phase(self, cycles: typing.Tuple[int, ...]
                             ) -> "typing.Any":

@@ -28,7 +28,7 @@ import typing
 
 from repro import abi, flags
 from repro.errors import OffloadError
-from repro.kernels.base import WorkSlice, split_range
+from repro.kernels.base import WorkSlice, slice_bounds, split_range
 
 if typing.TYPE_CHECKING:
     from repro.cluster.cluster import Cluster
@@ -46,10 +46,12 @@ class JobPlan:
     """One job's constants, built once for all its DM cores.
 
     ``ranks[r]`` holds rank ``r``'s work slice, its DMA bytes in and
-    out, and its TCDM footprint.  :meth:`phase_cycles` memoizes the
-    per-worker cycles of a compute phase by slice length; it runs at a
-    member's compute phase, where the reference looks the tile's rate
-    up, so a tile without a rate for the kernel fails at that point.
+    out, and its TCDM footprint.  :meth:`phase_cycles` keeps the
+    per-worker cycles of a compute phase for each of the job's slice
+    lengths (two at most), and lives only as long as the plan; it runs
+    at a member's compute phase, where the reference looks the tile's
+    rate up, so a tile without a rate for the kernel fails at that
+    point.
     """
 
     __slots__ = ("kernel", "n", "ranks", "_phases")
@@ -439,6 +441,8 @@ def serve_jobs(cluster: "Cluster") -> typing.Generator:
                     memory.write_f64(
                         desc.output_addrs[name] + 8 * start, values)
                 record(label, "dma_out_done", bytes_out)
+                # Park on the mailbox holding no copy of this job's data.
+                inputs = fragments = values = None
 
         # Signal completion (see _signal_completion).
         if desc.sync_mode == abi.SYNC_MODE_AMO:
@@ -468,11 +472,10 @@ def _outside_range(desc: abi.JobDescriptor, label: str) -> OffloadError:
 def _work_slice(cluster: "Cluster", desc: abi.JobDescriptor,
                 label: str) -> WorkSlice:
     """This cluster's slice of the job, validating the dispatch range."""
-    slices = split_range(desc.n, desc.num_clusters)
     rank = cluster.cluster_id - desc.first_cluster
     if not 0 <= rank < desc.num_clusters:
         raise _outside_range(desc, label)
-    return slices[rank]
+    return WorkSlice(rank, *slice_bounds(desc.n, desc.num_clusters, rank))
 
 
 def _check_footprint(cluster: "Cluster", footprint: int,

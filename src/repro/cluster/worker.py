@@ -10,7 +10,6 @@ model when the split is ragged — visible in the MAPE experiment).
 
 from __future__ import annotations
 
-import functools
 import typing
 
 from repro.errors import ConfigError
@@ -57,24 +56,13 @@ class WorkerCore:
         self.jobs_executed = 0
         self.busy_cycles = 0
 
-@functools.lru_cache(maxsize=4096)
-def _split_among_cores_cached(
-        elements: int, lo: int,
-        num_cores: int) -> typing.Tuple[WorkSlice, ...]:
-    relative = split_range(elements, num_cores)
-    return tuple(
-        WorkSlice(index=sub.index, lo=lo + sub.lo, hi=lo + sub.hi)
-        for sub in relative
-    )
-
 
 def split_among_cores(work: WorkSlice, num_cores: int) -> typing.List[WorkSlice]:
     """Split a cluster's slice into per-core sub-slices (block schedule).
 
-    Memoized per ``(elements, lo, num_cores)`` the way ``split_range``
-    is per ``(total, parts)``: a sweep recomputes the same splits for
-    every job, and ``WorkSlice`` is frozen so cached slices are safely
-    shared.
+    Only the ``REPRO_NAIVE_BARRIER`` reference path spawns one process
+    per sub-slice; the default path times the phase in closed form
+    (:meth:`~repro.cluster.cluster.Cluster.phase_cycles`).
     """
-    return list(_split_among_cores_cached(
-        work.elements, work.lo, num_cores))
+    return [WorkSlice(sub.index, work.lo + sub.lo, work.lo + sub.hi)
+            for sub in split_range(work.elements, num_cores)]

@@ -99,7 +99,7 @@ import numpy
 from repro import flags
 from repro.core.sweep import SweepPoint
 from repro.errors import KernelError, OffloadError
-from repro.kernels.base import Kernel, split_range
+from repro.kernels.base import Kernel, slice_bounds
 from repro.kernels.registry import get_kernel
 from repro.runtime.strategies import (
     AmoPollCompletion,
@@ -332,11 +332,9 @@ def point_provable(config: SoCConfig, kernel: Kernel, n: int, m: int,
     """
     try:
         kernel.validate(n, scalars)
-        slices = split_range(n, m)
     except KernelError:
         return False
-    largest = slices[0]
-    if kernel.slice_tcdm_bytes(largest.lo, largest.hi, n) > tile.tcdm_bytes:
+    if kernel.slice_tcdm_bytes(*slice_bounds(n, m, 0), n) > tile.tcdm_bytes:
         return False
     staged = sum(8 * kernel.input_length(name, n)
                  for name in kernel.input_names)
@@ -348,9 +346,9 @@ def point_provable(config: SoCConfig, kernel: Kernel, n: int, m: int,
     # Declared bytes never shrink with slice length or interior edges,
     # so the last non-empty slice (shortest, one edge at most) moves
     # the fewest: if it moves bytes both ways, every working slice does.
-    smallest = slices[min(n, m) - 1]
-    return (kernel.slice_bytes_in(smallest.lo, smallest.hi, n) > 0
-            and kernel.slice_bytes_out(smallest.lo, smallest.hi, n) > 0)
+    lo, hi = slice_bounds(n, m, min(n, m) - 1)
+    return (kernel.slice_bytes_in(lo, hi, n) > 0
+            and kernel.slice_bytes_out(lo, hi, n) > 0)
 
 
 def extract_prefix(config: SoCConfig, trace: "OffloadTrace", m: int,
@@ -462,12 +460,11 @@ def predict_grid(config: SoCConfig, kernel: Kernel, spec: VariantSpec,
     in_range = cid < m[:, None]
     row_ids = numpy.arange(m.size)[:, None]
 
-    # split_range's static block schedule: the first n mod m slices
-    # take one extra element, so working clusters are a prefix.
-    base, extra = numpy.divmod(n, m)
-    elems = numpy.where(in_range, base[:, None] + (cid < extra[:, None]), 0)
+    # The static block schedule: the first n mod m slices take one
+    # extra element, so working clusters are a prefix.
+    lo, hi = slice_bounds(n[:, None], m[:, None], cid)
+    elems = numpy.where(in_range, hi - lo, 0)
     working = elems > 0
-    lo = cid * base[:, None] + numpy.minimum(cid, extra[:, None])
     hi = lo + elems
 
     # Input DMA: every working cluster issues its read reservation at

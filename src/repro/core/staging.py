@@ -41,7 +41,7 @@ from repro.errors import (
     OffloadError,
     annotated,
 )
-from repro.kernels.base import Kernel, split_range
+from repro.kernels.base import Kernel, slice_bounds
 from repro.kernels.registry import get_kernel
 from repro.soc.manticore import ManticoreSystem
 from repro.soc.tiles import ClusterSpan
@@ -74,8 +74,7 @@ def check_offload_shape(kernel: Kernel, n: int, span: ClusterSpan,
     double-buffered slice never has to fit whole; the device runtime
     re-checks its chosen chunk pair.
     """
-    largest = split_range(n, span.count)[0]
-    footprint = kernel.slice_tcdm_bytes(largest.lo, largest.hi, n)
+    footprint = kernel.slice_tcdm_bytes(*slice_bounds(n, span.count, 0), n)
     if not double_buffered and footprint > span.tcdm_bytes:
         raise OffloadError(
             f"{kernel.name}(n={n}) on {span.count} clusters needs "
@@ -84,31 +83,16 @@ def check_offload_shape(kernel: Kernel, n: int, span: ClusterSpan,
             "or shrink the job (or use exec_mode='double_buffered')")
 
 
-#: Deterministic generated inputs, keyed ``(kernel, n, seed)``.  Sweeps
-#: revisit the same few problem sizes hundreds of times (once per M and
-#: variant), and re-seeding a generator per point is pure overhead.
-#: Bounded by wholesale clearing — sweep grids touch a handful of keys.
-_INPUT_CACHE: typing.Dict[tuple, typing.Dict[str, numpy.ndarray]] = {}
-_INPUT_CACHE_MAX = 64
-
-
 def prepare_inputs(kernel: Kernel, n: int,
                    inputs: typing.Optional[
                        typing.Mapping[str, numpy.ndarray]],
                    seed: int) -> typing.Dict[str, numpy.ndarray]:
-    """Generate deterministic inputs, or validate caller-provided ones."""
+    """Generate deterministic inputs, or validate caller-provided ones.
+
+    Generated inputs are drawn afresh from ``seed`` on every call.
+    """
     if inputs is None:
-        key = (kernel.name, n, seed)
-        cached = _INPUT_CACHE.get(key)
-        if cached is None:
-            rng = numpy.random.default_rng(seed)
-            cached = kernel.make_inputs(n, rng)
-            if len(_INPUT_CACHE) >= _INPUT_CACHE_MAX:
-                _INPUT_CACHE.clear()
-            _INPUT_CACHE[key] = cached
-        # Hand out copies: callers treat the buffers as their own (the
-        # cached master must stay bit-identical to a fresh generation).
-        return {name: array.copy() for name, array in cached.items()}
+        return kernel.make_inputs(n, numpy.random.default_rng(seed))
     prepared = {}
     for name in kernel.input_names:
         if name not in inputs:

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-import functools
 import typing
 
 import numpy
@@ -65,35 +64,38 @@ class WorkSlice:
         return self.hi == self.lo
 
 
-@functools.lru_cache(maxsize=4096)
-def _split_range_cached(n: int, parts: int) -> typing.Tuple[WorkSlice, ...]:
+def slice_bounds(n, parts, index):
+    """Bounds ``(lo, hi)`` of slice ``index`` of :func:`split_range`.
+
+    The block schedule in closed form: with ``base, extra = divmod(n,
+    parts)``, slice ``i`` starts at ``i·base + min(i, extra)`` and holds
+    ``base + 1`` items if ``i < extra``, else ``base``.  Callers that
+    need one or two slices read them here instead of building all
+    ``parts``.  ``min`` is written as branch-free arithmetic, so the
+    same function returns Python ints for ints and ``int64`` arrays for
+    arrays (the batch planner's form).
+    """
     base, extra = divmod(n, parts)
-    slices = []
-    lo = 0
-    for index in range(parts):
-        hi = lo + base + (1 if index < extra else 0)
-        slices.append(WorkSlice(index=index, lo=lo, hi=hi))
-        lo = hi
-    return tuple(slices)
+    first = index < extra
+    lo = index * base + extra + (index - extra) * first
+    return lo, lo + base + first
 
 
 def split_range(n: int, parts: int) -> typing.List[WorkSlice]:
     """Split ``range(n)`` into ``parts`` contiguous, balanced slices.
 
     The first ``n % parts`` slices get one extra element, matching the
-    static block schedule the device runtime uses.  Empty slices are
-    legal (more clusters than work items) and clusters receiving one
-    simply report completion immediately.
-
-    Splits are memoized: every cluster recomputes the same block
-    schedule for every job of a sweep, and :class:`WorkSlice` is frozen
-    so cached instances are safely shared.
+    static block schedule the device runtime uses (see
+    :func:`slice_bounds`).  Empty slices are legal (more clusters than
+    work items) and clusters receiving one simply report completion
+    immediately.
     """
     if n < 0:
         raise KernelError(f"cannot split a negative range ({n})")
     if parts <= 0:
         raise KernelError(f"cannot split into {parts} parts")
-    return list(_split_range_cached(n, parts))
+    return [WorkSlice(index, *slice_bounds(n, parts, index))
+            for index in range(parts)]
 
 
 @dataclasses.dataclass(frozen=True)

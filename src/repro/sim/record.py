@@ -73,7 +73,10 @@ class TraceRecorder:
         """Append an entry stamped with the current cycle (if enabled)."""
         if not self.enabled:
             return
-        self.records.append(TraceRecord(self.sim.now, source, label, data))
+        # ``tuple.__new__`` builds the record without the named tuple's
+        # Python-level ``__new__`` frame; the fields are the same.
+        self.records.append(
+            tuple.__new__(TraceRecord, (self.sim.now, source, label, data)))
 
     # ------------------------------------------------------------------
     # Queries

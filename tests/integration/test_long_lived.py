@@ -2,8 +2,12 @@
 
 Every entry point frees the main memory its job staged once the outputs
 are collected (pass or fail), and the system's trace and NoC log hold
-only the latest run, so neither grows with the jobs served before.
+only the latest run, so neither grows with the jobs served before.  Nor
+does the process: no memo keyed on a job's shape outlives the job.
 """
+
+import gc
+import tracemalloc
 
 import numpy
 import pytest
@@ -16,6 +20,8 @@ from repro.core.tiling import offload_tiled
 from repro.errors import OffloadError, ReproError
 from repro.soc.config import SoCConfig
 from repro.soc.manticore import ManticoreSystem
+from repro.workload import (characterize_platform, generate_workload,
+                            run_workload)
 
 ENTRY_POINTS = {
     "offload": lambda system: offload(system, "daxpy", 256, 4),
@@ -107,3 +113,55 @@ def test_logs_hold_only_the_latest_run():
     transactions = system.noc.transactions
     assert min(t.issued_at for t in transactions) >= second.start_cycle
     assert system.noc.transactions_logged == first_total + len(transactions)
+
+
+#: Traced bytes 300 jobs of a stream may leave behind.  Memos keyed on
+#: each new N (the block schedule's, the compute phase's, generated
+#: inputs) held about 1.5 MB here.
+STREAM_SLACK_BYTES = 400_000
+
+
+def test_a_long_job_stream_holds_constant_memory():
+    """After a 50-job warm-up, 300 more jobs over 248 distinct N leave
+    the process's traced memory where it was."""
+    config = SoCConfig.extended(num_clusters=32)
+    kernels = ("daxpy", "memcpy", "scale", "dot")
+    policy = characterize_platform(config, kernels)
+    jobs = generate_workload(350, kernels=kernels, seed=7)
+    assert len({job.n for job in jobs[50:]}) == 248
+    system = ManticoreSystem(config)
+    run_workload(system, jobs[:50], policy, verify=True)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        run_workload(system, jobs[50:], policy, verify=True)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - baseline
+    finally:
+        tracemalloc.stop()
+    assert held < STREAM_SLACK_BYTES, f"300 jobs left {held} bytes behind"
+
+
+def _arrays_in(value, depth=3):
+    """The NumPy arrays ``value`` holds, through nested containers."""
+    if isinstance(value, numpy.ndarray):
+        return [value]
+    if depth == 0:
+        return []
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [array for item in value
+                for array in _arrays_in(item, depth - 1)]
+    return []
+
+
+def test_parked_dm_cores_hold_no_job_data():
+    system = ManticoreSystem(SoCConfig.extended(num_clusters=8))
+    offload(system, "memcpy", 512, 8)
+    dm_cores = system.sim.live_processes
+    assert len(dm_cores) == 8
+    for process in dm_cores:
+        frame_locals = process.generator.gi_frame.f_locals
+        assert not _arrays_in(list(frame_locals.values())), process.name

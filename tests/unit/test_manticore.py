@@ -193,7 +193,7 @@ def traced_without_collection():
 @pytest.mark.parametrize("use", sorted(DROPPED_AFTER))
 def test_a_dropped_system_frees_its_memory(use):
     run = DROPPED_AFTER[use]
-    run(small_system())   # warm the memos on a throwaway system
+    run(small_system())   # imports and the decode table fill first
     with traced_without_collection():
         baseline = tracemalloc.get_traced_memory()[0]
         system = small_system()
