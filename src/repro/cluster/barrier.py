@@ -106,6 +106,20 @@ class Barrier:
                           (last_arrival_delay, release))
         return release
 
+    def cross_closed(self) -> None:
+        """Account a crossing whose release cycle the caller has timed
+        itself and parks past, scheduling nothing: the generation
+        advances as :meth:`cross_all_known`'s would (the DM cores'
+        closed-form data phase)."""
+        if self._arrived:
+            raise SimulationError(
+                f"{self.name}: closed-form crossing with {self._arrived} "
+                "parties already waiting")
+        self._generation += 1
+        self._release = self.sim.event(
+            name=f"{self.name}.gen{self._generation}")
+        self.ff_crossings += 1
+
     def _ff_kickoff(self, payload: typing.Tuple[int, Event]) -> None:
         """Runs where the naive path's first spawned party would kick
         off; places (or runs) the crossing at the last arrival cycle."""

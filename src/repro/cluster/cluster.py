@@ -137,6 +137,12 @@ class Cluster:
         closed form; returns the release event for the caller to park
         on directly (the fast path of :meth:`compute_phase`, and the DM
         core's flattened one)."""
+        return self.barrier.cross_all_known(
+            self.charge_compute_phase(cycles))
+
+    def charge_compute_phase(self, cycles: typing.Tuple[int, ...]) -> int:
+        """Charge each worker its ``cycles`` of a closed-form compute
+        phase; returns the last worker's barrier arrival delay."""
         last = 0
         for worker, worker_cycles in zip(self.workers, cycles):
             worker.jobs_executed += 1
@@ -145,7 +151,7 @@ class Cluster:
             if delay > last:
                 last = delay
         self.ff_compute_phases += 1
-        return self.barrier.cross_all_known(last)
+        return last
 
     def start(self):
         """Spawn the DM core's job-serving loop (idempotent)."""

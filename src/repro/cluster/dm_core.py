@@ -18,7 +18,10 @@ data-mover core runs :func:`serve_jobs` forever:
 
 Functional state changes (reading operands, writing results) happen at
 the simulated instants the corresponding transfers complete, so memory
-always holds an architecturally-consistent snapshot.
+always holds an architecturally-consistent snapshot.  (The closed-form
+data phase reads a member's operands at its write-back instead, and
+takes only jobs where that reads the same values; see
+:func:`serve_jobs`.)
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from repro.kernels.base import WorkSlice, slice_bounds, split_range
 
 if typing.TYPE_CHECKING:
     from repro.cluster.cluster import Cluster
+    from repro.mem.memory import MainMemory
     from repro.noc.xbar import Interconnect
 
 #: Words fetched by the first descriptor burst (one 64-byte line).
@@ -52,9 +56,17 @@ class JobPlan:
     at a member's compute phase, where the reference looks the tile's
     rate up, so a tile without a rate for the kernel fails at that
     point.
+
+    ``closable`` says whether the descriptor admits the closed-form data
+    phase (see :func:`serve_jobs`); ``arrivals`` lists, in fabric-barrier
+    booking order, each member's ``(rank, DMA setup, barrier latency)``
+    for :meth:`close_tail`, and ``tail`` holds its answer once a member
+    has asked.  :meth:`input_views` keeps the job's inputs as views of
+    main memory for the members that take the closed form.
     """
 
-    __slots__ = ("kernel", "n", "ranks", "_phases")
+    __slots__ = ("kernel", "n", "ranks", "_phases", "closable",
+                 "arrivals", "tail", "_views")
 
     def __init__(self, desc: abi.JobDescriptor) -> None:
         kernel = desc.kernel
@@ -78,6 +90,11 @@ class JobPlan:
             ranks.append((work, *sizes))
         self.ranks = tuple(ranks)
         self._phases: typing.Dict[int, typing.Tuple[int, ...]] = {}
+        self.closable = _closable(desc, self.ranks)
+        self.arrivals: typing.List[typing.Tuple[int, int, int]] = []
+        self.tail: typing.Union[
+            None, bool, typing.Dict[int, typing.Tuple[int, int, int]]] = None
+        self._views: typing.Optional[typing.Dict[str, typing.Any]] = None
 
     def phase_cycles(self, cluster: "Cluster",
                      elements: int) -> typing.Tuple[int, ...]:
@@ -89,6 +106,117 @@ class JobPlan:
                 self.kernel, elements, self.n)
         return cycles
 
+    def input_views(self, memory: "MainMemory", desc: abi.JobDescriptor
+                    ) -> typing.Dict[str, typing.Any]:
+        """The job's input arrays as read-only views of ``memory``,
+        built by the first member to ask.  A view shows the memory as it
+        is when read, so members that read at different cycles share
+        it."""
+        views = self._views
+        if views is None:
+            kernel = self.kernel
+            views = self._views = {
+                name: memory.view_f64(desc.input_addrs[name],
+                                      kernel.input_length(name, self.n))
+                for name in kernel.input_names}
+        return views
+
+    def close_tail(self, cluster: "Cluster"
+                   ) -> typing.Optional[
+                       typing.Dict[int, typing.Tuple[int, int, int]]]:
+        """Time the whole job's data phase from the fabric release.
+
+        Called by the first working member to resume from the start
+        barrier, in the release cycle ``R``.  Books every working
+        rank's read-channel slot in booking order (the order the
+        members resume at ``R``), giving DMA-in done ``d``; its compute
+        release ``c = d + max(worker wake + cycles) + L`` (``L`` the
+        cluster-barrier latency); then every write-channel slot in
+        ``(c, booking)`` order, giving write-back done ``o``.  Returns
+        ``{rank: (d, c, o)}``, or ``None`` with nothing booked when the
+        span is not one tile with one DMA setup and one barrier latency,
+        a channel refuses reservations, or a slice would overflow the
+        TCDM (each member then takes the stepped path, which reports
+        it).  ``cluster`` is the caller; with one tile across the span
+        its workers time every rank.
+        """
+        arrivals = self.arrivals
+        shape = arrivals[0][1:]
+        if len(arrivals) != len(self.ranks) or any(
+                arrival[1:] != shape for arrival in arrivals):
+            return None
+        setup, latency = shape
+        dma = cluster.dma
+        read = dma.read_channel
+        write = dma.write_channel
+        if not (read.can_reserve(setup) and write.can_reserve(setup)):
+            return None
+        tcdm_bytes = cluster.tcdm.size_bytes
+        if any(footprint > tcdm_bytes
+               for _work, _in, _out, footprint in self.ranks):
+            return None
+        issue = cluster.sim.now + setup
+        workers = cluster.workers
+        delays: typing.Dict[int, int] = {}
+        computed = []
+        for rank, _setup, _latency in arrivals:
+            work, bytes_in, _out, _footprint = self.ranks[rank]
+            if work.empty:
+                continue
+            elements = work.elements
+            delay = delays.get(elements)
+            if delay is None:
+                delay = delays[elements] = latency + max(
+                    worker.wake_latency + cycles for worker, cycles
+                    in zip(workers, self.phase_cycles(cluster, elements)))
+            done_in = read.commit_transfer(issue, bytes_in)
+            computed.append((done_in + delay, len(computed), rank, done_in))
+        # Compute releases due in one cycle take the write channel in
+        # booking order, as in the reference (see serve_jobs).
+        computed.sort()
+        return {
+            rank: (done_in, released, write.commit_transfer(
+                released + setup, self.ranks[rank][2]))
+            for released, _booked, rank, done_in in computed}
+
+
+def _closable(desc: abi.JobDescriptor, ranks) -> bool:
+    """Whether the descriptor admits the closed-form data phase.
+
+    Sync-unit completion (a member's AMO could tie with a host poll at
+    the AMO port), the phased exec mode, nonzero DMA bytes in and out
+    for every working rank, and no input a member reads that another
+    member's write-back could change first: the closed form reads a
+    member's inputs at its write-back instead of at its DMA-in.  An
+    output may overlap an input only in place — both at one address,
+    the output one element per work item, the input read only inside
+    the member's own slice (no halo, no fixed or ``n``-scaled term in
+    ``slice_bytes_in``).
+    """
+    if (desc.sync_mode == abi.SYNC_MODE_AMO
+            or desc.exec_mode == abi.EXEC_MODE_DOUBLE_BUFFERED):
+        return False
+    if any(not (bytes_in and bytes_out)
+           for work, bytes_in, bytes_out, _footprint in ranks
+           if not work.empty):
+        return False
+    kernel = desc.kernel
+    n = desc.n
+    declared = kernel.slice_bytes_in
+    own_slice = not (declared.per_item_n or declared.fixed
+                     or declared.fixed_n or declared.halo)
+    for name in kernel.output_names:
+        out_lo = desc.output_addrs[name]
+        length = kernel.output_length(name, n, desc.num_clusters)
+        out_hi = out_lo + 8 * length
+        for source in kernel.input_names:
+            in_lo = desc.input_addrs[source]
+            in_hi = in_lo + 8 * kernel.input_length(source, n)
+            if in_lo < out_hi and out_lo < in_hi and not (
+                    in_lo == out_lo and length == n and own_slice):
+                return False
+    return True
+
 
 class LaunchContext:
     """What the DM cores serving one launch share (one per system).
@@ -99,7 +227,8 @@ class LaunchContext:
     answers out for itself.
     """
 
-    __slots__ = ("reference", "plain", "plans_built", "_plans", "_fetched")
+    __slots__ = ("reference", "plain", "plans_built", "closed_tails",
+                 "_plans", "_fetched")
 
     def __init__(self) -> None:
         #: Whether ``REPRO_NAIVE_CHANNEL`` or ``REPRO_NAIVE_BARRIER``
@@ -113,6 +242,8 @@ class LaunchContext:
         self.plain = False
         #: Job plans built (a fast-forward visibility counter).
         self.plans_built = 0
+        #: Jobs whose data phase was timed in closed form (likewise).
+        self.closed_tails = 0
         self._plans: typing.Dict[typing.Tuple[int, int],
                                  typing.Tuple[JobPlan, typing.Any,
                                               typing.Any]] = {}
@@ -180,10 +311,23 @@ class LaunchContext:
             self.plans_built += 1
         return entry[0]
 
+    def tail(self, plan: JobPlan, cluster: "Cluster", rank: int
+             ) -> typing.Optional[typing.Tuple[int, int, int]]:
+        """Rank ``rank``'s ``(d, c, o)`` in the job's closed-form data
+        phase, which the first member to ask commits (see
+        :meth:`JobPlan.close_tail`); ``None`` when the job refuses it."""
+        tail = plan.tail
+        if tail is None:
+            tail = plan.tail = plan.close_tail(cluster) or False
+            if tail:
+                self.closed_tails += 1
+        return tail[rank] if tail else None
+
     def reset(self) -> None:
         """Restore boot state."""
         self.close()
         self.plans_built = 0
+        self.closed_tails = 0
 
 
 def serve_jobs(cluster: "Cluster") -> typing.Generator:
@@ -196,7 +340,7 @@ def serve_jobs(cluster: "Cluster") -> typing.Generator:
     re-activates every frame in its ``yield from`` chain, so the
     two-to-four-deep helper chain would be the dominant per-job
     interpreter cost; the flat frame pays for one activation per park.
-    A phased job with a non-empty slice parks seven times:
+    A phased job with a non-empty slice parks at most seven times:
 
     1. on the mailbox, until the doorbell;
     2. once for wake-up, descriptor fetch and decode together (see
@@ -206,13 +350,16 @@ def serve_jobs(cluster: "Cluster") -> typing.Generator:
     5. on the compute phase's barrier crossing;
     6. on the DMA-out reservation;
     7. on the completion signal: the AMO response, or the posted
-       store's port release (a plain delay in a plain launch, see
-       below; else the ``issued`` event).
+       store's ``issued`` event (not at all for a plain launch's
+       closed-form store, see below).
 
-    Cycle identity with the reference comes from issuing the identical
-    primitive calls (the non-generator forms ``job_event`` /
-    ``book_arrival`` / ``reserve_in`` / ``cross_compute_phase``) in the
-    identical order.
+    A member of a plain launch whose job takes the closed-form data
+    phase (below) parks four times: parks 4 to 6 become one park,
+    until its write-back, and park 7 goes.  Cycle identity with the
+    reference comes from issuing the identical primitive calls (the
+    non-generator forms ``job_event`` / ``book_arrival`` /
+    ``reserve_in`` / ``cross_compute_phase``) in the identical order,
+    or, for the closed forms, from the arguments below.
 
     **One plan per job.**  Everything a member would otherwise work
     out for itself from the descriptor — its work slice, its DMA bytes
@@ -295,19 +442,23 @@ def serve_jobs(cluster: "Cluster") -> typing.Generator:
     (``cluster_port_occupancy``), schedules the delivery — the
     functional increment — at ``T + O + L`` (``L`` the request
     latency, nonzero in a plain launch), and holds the clock's drain
-    horizon at the ack cycle.  The core then parks ``O`` cycles as a
-    direct resume.  The reference issues the same store as a callback
-    chain: a port-grant entry ``G`` due at ``T + O`` created in the
-    core's resume, a kick-off hop, the core's resume queued by ``G``'s
-    trigger, an ``issued`` hop that creates the delivery entry at
-    ``T + O``, and an ack nobody waits for.  Two things move:
+    horizon at the ack cycle.  The core schedules its
+    "completion_signalled" record at ``T + O``, adds to its own
+    counters and parks on its mailbox at once.  The reference issues
+    the same store as a callback chain: a port-grant entry ``G`` due at
+    ``T + O`` created in the core's resume, a kick-off hop, the core's
+    resume queued by ``G``'s trigger, an ``issued`` hop that creates
+    the delivery entry at ``T + O``, and an ack nobody waits for.  Two
+    things move:
 
-    - *The core's resume* runs at ``T + O`` in ``G``'s place in the
-      time heap instead of behind ``G``'s trigger in the zero-delay
-      queue.  All it does is record "completion_signalled", add to its
-      own counters and park on its mailbox, which no one rings before
-      the launch ends (the host rings only after the last completion).
-      So it commutes with everything else in that cycle.
+    - *The core's last step* runs at ``T + O`` as a callback in ``G``'s
+      place in the time heap instead of as a resume behind ``G``'s
+      trigger in the zero-delay queue, and all that is left of it is
+      the record.  The counters and the mailbox park move to ``T``.
+      No one reads a DM core's counters during a launch, and no one
+      rings its mailbox before the launch ends (the host rings only
+      after the last completion), so both commute with everything in
+      between.
     - *The delivery entry* is created at ``T`` instead of ``T + O``.
       It can therefore only pass an entry ``X`` due at ``T + O + L``
       and created after the store call, no later than cycle ``T + O``.
@@ -322,10 +473,81 @@ def serve_jobs(cluster: "Cluster") -> typing.Generator:
       ``T``, after every other member has signalled, so no other
       member has an ``X`` left.
 
+    **Closed-form data phase.**  After the start barrier the rest of a
+    phased job is a closed form in the slice shapes (the batch planner
+    times it the same way; see :mod:`repro.core.batch`).  In a plain
+    launch each member books its arrival in the job's plan
+    (:attr:`JobPlan.arrivals`) along with the fabric barrier's, and
+    the first working member to resume at the fabric release ``R``
+    commits the whole job's tail (:meth:`JobPlan.close_tail`): every
+    working rank's read-channel slot in booking order, giving DMA-in
+    done ``d``; its compute release ``c = d + max(worker wake +
+    cycles) + L``; every write-channel slot in ``(c, booking)`` order,
+    giving write-back done ``o``.  Each member then charges its own
+    DMA, worker and barrier counters, schedules its "dma_in_done" and
+    "compute_done" records as callbacks at ``d`` and ``c``, and parks
+    once, until ``o``, as a direct resume.  There it reads its inputs
+    through the job's read-only views of main memory
+    (:meth:`JobPlan.input_views`; no copy), computes, writes its
+    fragments back and posts its completion store.
+
+    A job takes this path only when all of these hold, else every one
+    of its members steps through the phases (all or nothing: the tail
+    books every member's channel slots at once): the launch is plain
+    and neither reference gate is set; completion goes through the
+    sync unit (a member's AMO could tie with a host poll at the AMO
+    port); the exec mode is phased; the span is one tile with one DMA
+    setup and one barrier latency (every member booked into one plan,
+    with one setup and one latency); both channels accept
+    reservations; every working rank moves bytes in and out; and no
+    output overlaps an input except in place over an input each member
+    reads only inside its own slice (see :func:`_closable`).
+
+    *No same-cycle tie reorders.*  The members resume at ``R`` in
+    booking order (the order they parked on the release), and the
+    reference books every read slot in those resumes, in that order,
+    so the read slots agree.  The reference books the write slots in
+    the resumes at the compute releases.  Two releases due in one
+    cycle resume in the order of their members' ``d``: each release's
+    entry descends from the crossing hop created at its ``d``, and a
+    member whose crossing takes no cycles triggers in the zero-delay
+    pass, behind every heap entry of that cycle.  The ``d`` are
+    distinct (the read channel serves one transfer at a time, each of
+    at least a cycle) and rise in booking order, so sorting on ``(c,
+    booking)`` reproduces the reference's order.  In a plain launch the
+    channels' only requesters are the job's members, which all take
+    the closed form, so booking slots early passes no one; a cluster's
+    barrier and workers belong to its DM core.  Three things move:
+
+    - *The write-back wake* is created at ``R`` instead of ``c + S``
+      (``S`` the DMA setup), and resumes the core directly in the heap
+      pass of cycle ``o`` instead of behind a trigger in the
+      zero-delay queue.  The resume reads and writes main memory,
+      appends to the trace and the NoC log, and posts its store
+      through its own cluster port.  Anything else due at ``o`` is
+      another member's record callback (trace only), a write-back of
+      another member (never: the write channel serves one transfer at
+      a time, each of at least a cycle), the delivery of an earlier
+      completion store (below the threshold, for this member's store
+      is still to come, so it only adds to the sync unit's count), or
+      the host's, which is parked in WFI.  None touches what the
+      resume touches, so they commute.
+    - *The two records* become callbacks at ``d`` and ``c`` instead of
+      resumes; they only append to the trace.
+    - *The functional read* moves from ``d`` to ``o``.  In between,
+      main memory changes only by other members' write-backs (the host
+      waits in WFI), each of which writes only its own output
+      fragments.  The gate admits an output over an input only in
+      place, where each member reads only its own slice, which only it
+      writes, after reading.
+
+    So, as for the fetch, only the trace's and the NoC log's order
+    within one cycle can differ.
+
     ``tests/property/test_fastforward_identity.py`` checks the
-    reference (``REPRO_NAIVE_CHANNEL``) against this path with ``W``,
-    ``D``, the NoC latencies and the sync unit's interrupt latency
-    drawn at random.
+    reference (``REPRO_NAIVE_CHANNEL``, and ``REPRO_NAIVE_BARRIER``
+    for the data phase) against these paths with ``W``, ``D``, the
+    NoC, DMA-setup, barrier and interrupt latencies drawn at random.
 
     The compute crossing keeps its two hops
     (:meth:`~repro.cluster.barrier.Barrier.cross_all_known`).  Merging
@@ -355,6 +577,9 @@ def serve_jobs(cluster: "Cluster") -> typing.Generator:
     label = f"cluster{cluster_id}"
     fetched_name = f"{label}.fetched"
     awake = functools.partial(record, label, "awake")
+    dma_in_done = functools.partial(record, label, "dma_in_done")
+    compute_done = functools.partial(record, label, "compute_done")
+    signalled = functools.partial(record, label, "completion_signalled")
     wake_latency = cluster.wake_latency
     decode_cycles = cluster.dm_decode_cycles
     fabric = cluster.fabric_barrier
@@ -400,6 +625,10 @@ def serve_jobs(cluster: "Cluster") -> typing.Generator:
         plan = launch.plan(desc, cluster)
         kernel = plan.kernel
         work, bytes_in, bytes_out, footprint = plan.ranks[rank]
+        closable = plain and plan.closable and fabric is not None
+        if closable:
+            plan.arrivals.append(
+                (rank, dma.setup_cycles, cluster.barrier.latency))
 
         if fabric is not None:
             yield fabric.book_arrival(desc.num_clusters,
@@ -407,7 +636,27 @@ def serve_jobs(cluster: "Cluster") -> typing.Generator:
             record(label, "start_barrier_crossed")
 
         if not work.empty:
-            if desc.exec_mode == abi.EXEC_MODE_DOUBLE_BUFFERED:
+            tail = closable and launch.tail(plan, cluster, rank)
+            if tail:
+                # The closed-form data phase (see above).
+                dma_in, released, dma_out = tail
+                now = sim.now
+                dma.charge_reserved(bytes_in, bytes_out)
+                cluster.charge_compute_phase(
+                    plan.phase_cycles(cluster, work.elements))
+                cluster.barrier.cross_closed()
+                sim.schedule(dma_in - now, dma_in_done, bytes_in)
+                sim.schedule(released - now, compute_done, None)
+                yield dma_out - now
+                fragments = kernel.compute_slice(
+                    desc.n, desc.scalars, plan.input_views(memory, desc),
+                    work)
+                for name, (start, values) in fragments.items():
+                    memory.write_f64(
+                        desc.output_addrs[name] + 8 * start, values)
+                record(label, "dma_out_done", bytes_out)
+                fragments = values = None
+            elif desc.exec_mode == abi.EXEC_MODE_DOUBLE_BUFFERED:
                 yield from _execute_double_buffered(
                     cluster, desc, kernel, work)
             else:
@@ -451,10 +700,14 @@ def serve_jobs(cluster: "Cluster") -> typing.Generator:
             posted = plain and noc.cluster_post_store(
                 cluster_id, desc.completion_addr, 1)
             if posted:
-                yield posted
-            else:
-                yield noc.cluster_write(
-                    cluster_id, desc.completion_addr, 1).issued
+                # Record the signal when the store leaves the port, but
+                # park on the mailbox now (see above).
+                sim.schedule(posted, signalled, None)
+                cluster.jobs_completed += 1
+                cluster.dm_active_cycles += sim.now + posted - doorbell
+                continue
+            yield noc.cluster_write(
+                cluster_id, desc.completion_addr, 1).issued
         record(label, "completion_signalled")
         cluster.jobs_completed += 1
         cluster.dm_active_cycles += sim.now - doorbell

@@ -85,6 +85,15 @@ class DmaEngine:
         """Outbound counterpart of :meth:`reserve_in`."""
         return self._reserve(self.write_channel, nbytes, inbound=False)
 
+    def charge_reserved(self, bytes_in: int, bytes_out: int) -> None:
+        """Count one reserved transfer each way whose channel slots the
+        caller booked itself (the DM cores' closed-form data phase)."""
+        self.transfers_in += 1
+        self.bytes_in += bytes_in
+        self.transfers_out += 1
+        self.bytes_out += bytes_out
+        self.ff_transfers += 2
+
     def _reserve(self, channel: ThroughputChannel, nbytes: int,
                  inbound: bool) -> typing.Optional[Event]:
         if nbytes <= 0 or not channel.can_reserve(self.setup_cycles):

@@ -133,7 +133,10 @@ class KernelTiming:
         array for an array, so the event path and the batch planner
         read the same numbers.
         """
-        lowest = numpy.min(work, initial=0)
+        if type(work) is int:
+            lowest = work
+        else:
+            lowest = numpy.min(work, initial=0)
         if lowest < 0:
             raise KernelError(f"negative work: {lowest}")
         return (work > 0) * (self.setup_cycles + (
@@ -280,8 +283,18 @@ class Kernel(abc.ABC):
         self, n: int, scalars: typing.Mapping[str, float],
         inputs: typing.Mapping[str, numpy.ndarray], num_slices: int,
     ) -> typing.Dict[str, numpy.ndarray]:
-        """Golden outputs, computed by applying every slice in order."""
-        slices = split_range(n, num_slices)
+        """Golden outputs of the job offloaded as ``num_slices`` slices.
+
+        A tileable (element-wise) kernel computes them in one pass over
+        the whole range, so checking a device's outputs against them
+        checks its slicing too; a reduction's outputs depend on the
+        slicing and a stencil's halo couples slices, so those apply
+        every slice in order.
+        """
+        if self.tileable:
+            slices = [WorkSlice(0, 0, n)]
+        else:
+            slices = split_range(n, num_slices)
         outputs = {
             name: numpy.zeros(self.output_length(name, n, num_slices))
             for name in self.output_names

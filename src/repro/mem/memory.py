@@ -20,8 +20,9 @@ class MainMemory:
 
     - single 64-bit words (:meth:`read_word` / :meth:`write_word`) —
       used by MMIO-style and host accesses;
-    - float64 vectors (:meth:`read_f64` / :meth:`write_f64`) — used by
-      experiment setup and result checking;
+    - float64 vectors (:meth:`read_f64` / :meth:`write_f64`, and the
+      copy-free :meth:`view_f64`) — used by experiment setup, result
+      checking and the DM cores' functional reads;
     - raw byte blocks (:meth:`read_bytes` / :meth:`write_bytes`) — used
       by the DMA engines' functional copies.
 
@@ -122,6 +123,18 @@ class MainMemory:
         offset = self._offset(addr, count * WORD_BYTES)
         return self._data[offset:offset + count * WORD_BYTES] \
             .view(numpy.float64).copy()
+
+    def view_f64(self, addr: int, count: int) -> numpy.ndarray:
+        """Read ``count`` float64 values starting at ``addr`` as a
+        read-only view, which later writes to that range show through.
+        For a reader that is done with it before anything writes
+        there."""
+        self._check_aligned(addr)
+        offset = self._offset(addr, count * WORD_BYTES)
+        view = self._data[offset:offset + count * WORD_BYTES] \
+            .view(numpy.float64)
+        view.flags.writeable = False
+        return view
 
     def write_f64(self, addr: int, values: numpy.ndarray) -> None:
         """Write a float64 vector starting at ``addr``."""

@@ -175,15 +175,7 @@ class SerialResource:
                 f"{self.name}: negative service time {cycles}"
             )
         now = self.sim.now
-        issue = now + lead
-        start = max(issue, self._next_free)
-        finish = start + cycles
-        self._next_free = finish
-        self._busy_cycles += cycles
-        self._requests += 1
-        self.ff_requests += 1
-        if issue > self._reserve_horizon:
-            self._reserve_horizon = issue
+        finish = self.commit(now + lead, cycles)
         done = Event(self.sim, name=self._done_name)
         if lead:
             # The requester parks once (on ``done``) instead of once on
@@ -194,6 +186,26 @@ class SerialResource:
         else:
             self.sim.schedule(finish - now, _fire_completion, done)
         return done
+
+    def commit(self, issue: int, cycles: int) -> int:
+        """Book the slot of a reserved request issuing at cycle ``issue``
+        and return its completion cycle, scheduling nothing.
+
+        The occupancy arithmetic of :meth:`request_at`, which calls it;
+        a caller that times a whole batch of requests in closed form
+        (the DM cores' closed-form data phase) calls it directly, in
+        the order the requests would issue, having checked
+        :meth:`can_reserve`.
+        """
+        start = max(issue, self._next_free)
+        finish = start + cycles
+        self._next_free = finish
+        self._busy_cycles += cycles
+        self._requests += 1
+        self.ff_requests += 1
+        if issue > self._reserve_horizon:
+            self._reserve_horizon = issue
+        return finish
 
     def acquire(self, cycles: int) -> typing.Generator:
         """Process-style helper: ``yield from resource.acquire(n)``."""
@@ -309,6 +321,12 @@ class ThroughputChannel(SerialResource):
         """
         self._bytes_moved += nbytes
         return self.request_at(lead, self.cycles_for(nbytes))
+
+    def commit_transfer(self, issue: int, nbytes: int) -> int:
+        """Book an ``nbytes`` transfer issuing at cycle ``issue`` (see
+        :meth:`SerialResource.commit`); returns its completion cycle."""
+        self._bytes_moved += nbytes
+        return self.commit(issue, self.cycles_for(nbytes))
 
     @property
     def bytes_moved(self) -> int:

@@ -322,6 +322,7 @@ class ManticoreSystem:
             "descriptor_fetches": self.noc.ff_descriptor_fetches,
             "completion_stores": self.noc.ff_completion_stores,
             "job_plans": self.launch.plans_built,
+            "closed_tails": self.launch.closed_tails,
         }
 
     # ------------------------------------------------------------------

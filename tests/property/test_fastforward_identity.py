@@ -33,6 +33,9 @@ import pytest
 from repro.core.concurrent import ConcurrentJob, offload_concurrent
 from repro.core.offload import offload
 from repro.core.overlap import offload_overlapped
+from repro.kernels import kernel_names
+from repro.kernels.registry import register_kernel, unregister_kernel
+from repro.kernels.stencil3 import Stencil3Kernel
 from repro.flags import (
     FRESH_SYSTEMS_ENV,
     NAIVE_BARRIER_ENV,
@@ -327,6 +330,131 @@ def test_closed_form_fetch_engages_only_on_plain_launches():
     assert fast == naive
 
 
+#: The latencies around the closed-form data phase: the fetch's and the
+#: completion store's, plus the DMA setup (the channels' reservation
+#: lead follows it), the cluster barrier and the worker wake-up.
+TAIL_LATENCIES = st.fixed_dictionaries({
+    "cluster_wake_latency": st.integers(0, 12),
+    "dm_decode_cycles": st.integers(0, 24),
+    "noc_request_latency": st.integers(1, 10),
+    "noc_response_latency": st.integers(0, 20),
+    "noc_cluster_port_occupancy": st.integers(0, 3),
+    "dma_setup_cycles": st.integers(0, 24),
+    "barrier_latency": st.integers(0, 4),
+    "worker_wake_latency": st.integers(0, 4),
+    "syncunit_irq_latency": st.integers(0, 6),
+    "host_wfi_wake_latency": st.integers(0, 10),
+})
+
+
+@FETCH_SETTINGS
+@hypothesis.given(kernel=st.sampled_from(kernel_names()),
+                  n=st.integers(1, 120),
+                  m=st.sampled_from([1, 2, 4, 8]),
+                  variant=st.sampled_from(VARIANTS),
+                  gate=st.sampled_from([NAIVE_CHANNEL_ENV,
+                                        NAIVE_BARRIER_ENV]),
+                  latencies=TAIL_LATENCIES)
+# A rank with one item more than the next computes long enough that
+# the next rank's compute release comes first, and takes the write
+# channel first.
+@hypothesis.example(kernel="daxpy", n=65, m=8, variant="extended",
+                    gate=NAIVE_CHANNEL_ENV,
+                    latencies={"dma_setup_cycles": 3, "barrier_latency": 4,
+                               "worker_wake_latency": 0})
+# Two compute releases due in one cycle take the write channel in
+# booking order.
+@hypothesis.example(kernel="vecsum", n=33, m=4, variant="extended",
+                    gate=NAIVE_BARRIER_ENV,
+                    latencies={"dma_setup_cycles": 1, "barrier_latency": 4,
+                               "worker_wake_latency": 1})
+def test_closed_data_phase_matches_naive(kernel, n, m, variant, gate,
+                                         latencies):
+    """A plain sync-unit launch times its data phase in closed form and
+    parks each member once until its write-back; the reference steps
+    through every DMA and compute hop.  Cycles, every per-cluster trace
+    marker and the fingerprint agree, with empty ranks (N < M) and
+    every registered kernel.  The baseline variant completes through
+    the AMO unit, so it refuses the closed form and steps too."""
+    closed = []
+
+    def run(system):
+        result = offload(system, kernel, n, m, variant=variant)
+        assert result.verified
+        closed.append(system.fastforward_stats()["closed_tails"])
+        return result.runtime_cycles, result.trace.clusters
+
+    naive, fast = _naive_and_fast(
+        gate, run, SoCConfig.extended(num_clusters=8, **latencies))
+    assert fast == naive
+    assert closed == [0, int(variant == "extended")]
+
+
+class _InPlaceStencil(Stencil3Kernel):
+    """A stencil written over its own input: each member reads a halo
+    element that its neighbour's write-back overwrites."""
+
+    name = "fftest_inplace_stencil"
+
+    def output_alias(self, name):
+        self._check_name(name, self.output_names, "output")
+        return "x"
+
+
+def _mixed_tile_config():
+    """Two tile classes with one wake and one decode latency, so the
+    launch is plain but its members build two job plans."""
+    import dataclasses
+
+    from repro.soc.tiles import SNITCH, TileGroup
+
+    wide = dataclasses.replace(SNITCH, name="snitch16", cores_per_tile=16)
+    fabric = (TileGroup(name="eight", tile=SNITCH, count=2),
+              TileGroup(name="sixteen", tile=wide, count=2))
+    return SoCConfig.extended(num_clusters=4, fabric=fabric)
+
+
+CLOSED_TAIL_REFUSALS = {
+    "amo-completion": lambda system: offload(
+        system, "daxpy", 64, 4, variant="baseline"),
+    "double-buffered": lambda system: offload(
+        system, "daxpy", 512, 4, exec_mode="double_buffered"),
+    "mixed-tiles": lambda system: offload(system, "daxpy", 64, 4),
+    "aliased-halo": lambda system: offload(
+        system, _InPlaceStencil.name, 64, 4, verify=False),
+}
+
+
+@pytest.mark.parametrize("refusal", sorted(CLOSED_TAIL_REFUSALS))
+def test_closed_data_phase_refusal_falls_back(refusal):
+    """Each refused job steps through its data phase on every member
+    (no closed tail is counted) and still matches the reference, down
+    to the outputs it leaves in memory."""
+    use = CLOSED_TAIL_REFUSALS[refusal]
+    config = (_mixed_tile_config() if refusal == "mixed-tiles"
+              else SoCConfig.extended(num_clusters=4))
+    closed = []
+
+    def run(system):
+        result = use(system)
+        closed.append(system.fastforward_stats()["closed_tails"])
+        return (result.runtime_cycles, result.trace.clusters,
+                {name: values.tolist()
+                 for name, values in result.outputs.items()})
+
+    register_kernel(_InPlaceStencil())
+    try:
+        naive, fast = _naive_and_fast(NAIVE_CHANNEL_ENV, run, config)
+    finally:
+        unregister_kernel(_InPlaceStencil.name)
+    assert fast == naive
+    assert closed == [0, 0]
+    # The same launch without the refused property takes the closed form.
+    system = ManticoreSystem(SoCConfig.extended(num_clusters=4))
+    offload(system, "daxpy", 64, 4)
+    assert system.fastforward_stats()["closed_tails"] == 1
+
+
 # ----------------------------------------------------------------------
 # Invariant 2: closed-form crossings == spawned per-core arrivals
 # ----------------------------------------------------------------------
@@ -397,18 +525,21 @@ def _check_skips_simulated_events(variant):
     assert fast_stats["job_plans"] == 1
     posted = 4 if variant == "extended" else 0
     assert fast_stats["completion_stores"] == posted
+    assert fast_stats["closed_tails"] == int(variant == "extended")
     for gates in ((NAIVE_CHANNEL_ENV, NAIVE_BARRIER_ENV),
                   (NAIVE_CHANNEL_ENV,), (NAIVE_BARRIER_ENV,)):
         _cycles, _events, stats = run(*gates)
         assert stats["job_plans"] == 0, gates
         assert stats["completion_stores"] == 0, gates
+        assert stats["closed_tails"] == 0, gates
 
 
 def test_reference_offload_engine_work(monkeypatch):
     """Pin the engine work of the reference offload: a 32-cluster
-    extended DAXPY, N = 2048, is 907 cycles in at most 533 scheduler
-    callbacks and 231 process resumes (the closed-form completion store
-    takes four callbacks per member off the 661 it took before)."""
+    extended DAXPY, N = 2048, is 907 cycles in at most 309 scheduler
+    callbacks and 135 process resumes (the closed-form data phase takes
+    seven callbacks and three resumes per member off the 533 and 231
+    it took before)."""
     system = ManticoreSystem(SoCConfig.extended(num_clusters=32))
     offload(system, "daxpy", 2048, 32)  # warm the memos
     sim = system.sim
@@ -433,8 +564,8 @@ def test_reference_offload_engine_work(monkeypatch):
     resumes = sim.resumes
     result = offload(system, "daxpy", 2048, 32)
     assert result.runtime_cycles == 907
-    assert callbacks <= 533
-    assert sim.resumes - resumes <= 231
+    assert callbacks <= 309
+    assert sim.resumes - resumes <= 135
 
 
 # ----------------------------------------------------------------------

@@ -67,6 +67,41 @@ def test_reservation_matches_deferred_request():
         (naive_res.requests, naive_res.busy_cycles)
 
 
+def test_commit_books_the_slots_request_at_books():
+    """``commit`` is ``request_at``'s occupancy arithmetic at an explicit
+    issue cycle: a batch committed up front, in issue order, finishes
+    where reservations made at each issue's lead would."""
+    def run(book):
+        sim = Simulator()
+        channel = ThroughputChannel(sim, 64, name="c", reserve_lead=4)
+        finishes = book(sim, channel)
+        sim.run()
+        return finishes, (channel.requests, channel.busy_cycles,
+                          channel.bytes_moved, channel.ff_requests,
+                          channel.next_free)
+
+    transfers = [(0, 640), (3, 64), (30, 128)]
+
+    def reserved(sim, channel):
+        finishes = []
+
+        def requester(delay, nbytes):
+            if delay:
+                yield delay
+            finishes.append((yield channel.reserve_transfer(4, nbytes)))
+
+        for delay, nbytes in transfers:
+            sim.spawn(requester(delay, nbytes))
+        return finishes
+
+    def committed(sim, channel):
+        return [channel.commit_transfer(delay + 4, nbytes)
+                for delay, nbytes in transfers]
+
+    assert run(committed) == run(reserved) == ([14, 15, 36],
+                                               (3, 13, 832, 3, 36))
+
+
 def test_can_reserve_requires_matching_lead():
     sim = Simulator()
     plain = SerialResource(sim, name="plain")
@@ -239,6 +274,23 @@ def test_cross_all_known_matches_spawned_arrivals():
     assert fast_times == [times[0]] == [11]
     assert fast.generation == naive.generation == 1
     assert fast.ff_crossings == 1
+
+
+def test_cross_closed_advances_the_generation_without_events():
+    sim = Simulator()
+    barrier = Barrier(sim, parties=3, latency=2)
+    barrier.cross_closed()
+    assert sim.pending == 0
+    assert (barrier.generation, barrier.waiting, barrier.ff_crossings) \
+        == (1, 0, 1)
+
+    def one():
+        yield from barrier.wait()
+
+    sim.spawn(one())
+    sim.run()  # drains with one party parked
+    with pytest.raises(SimulationError):
+        barrier.cross_closed()
 
 
 def test_cross_all_known_validation():

@@ -92,6 +92,20 @@ def test_timing_validation():
         timing.cycles(-1)
 
 
+def test_timing_takes_ints_and_arrays_alike():
+    """A Python int skips the array reduction but returns the same int
+    the array form returns element-wise, and is refused the same way."""
+    timing = KernelTiming(setup_cycles=7, cpe_num=13, cpe_den=5)
+    work = numpy.arange(60)
+    scalars = [timing.cycles(int(w)) for w in work]
+    assert all(type(c) is int for c in scalars)
+    assert scalars == timing.cycles(work).tolist()
+    assert timing.cycles(numpy.int64(9)) == scalars[9]
+    for bad in (-3, numpy.array([4, -3])):
+        with pytest.raises(KernelError, match="negative work: -3"):
+            timing.cycles(bad)
+
+
 # ----------------------------------------------------------------------
 # Functional correctness against NumPy oracles
 # ----------------------------------------------------------------------
@@ -147,6 +161,38 @@ def test_reference_matches_oracle(kernel, n, num_slices):
     assert set(got) == set(want)
     for name in got:
         numpy.testing.assert_allclose(got[name], want[name], rtol=1e-12)
+
+
+@pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.name)
+def test_reference_passes(kernel, monkeypatch):
+    """A tileable kernel's golden outputs come from one pass over the
+    whole range, bit for bit what applying every slice gives; other
+    kernels apply each non-empty slice."""
+    n, num_slices = 61, 8
+    scalars = default_scalars(kernel)
+    inputs = kernel.make_inputs(n, RNG)
+    sliced = {name: numpy.zeros(kernel.output_length(name, n, num_slices))
+              for name in kernel.output_names}
+    for name in kernel.output_names:
+        if kernel.output_alias(name) is not None:
+            sliced[name][:] = inputs[kernel.output_alias(name)]
+    for work in split_range(n, num_slices):
+        for name, (start, values) in kernel.compute_slice(
+                n, scalars, inputs, work).items():
+            sliced[name][start:start + len(values)] = values
+
+    passes = []
+    compute_slice = kernel.compute_slice
+
+    def counted(*args):
+        passes.append(args[-1])
+        return compute_slice(*args)
+
+    monkeypatch.setattr(kernel, "compute_slice", counted)
+    got = kernel.reference(n, scalars, inputs, num_slices)
+    assert len(passes) == (1 if kernel.tileable else num_slices)
+    for name in got:
+        numpy.testing.assert_array_equal(got[name], sliced[name])
 
 
 @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.name)

@@ -64,6 +64,18 @@ def test_f64_read_returns_copy():
     assert mem.read_f64(BASE, 1)[0] == 1.0
 
 
+def test_f64_view_is_read_only_and_live():
+    mem = make_memory()
+    mem.write_f64(BASE, numpy.array([1.0, 2.0]))
+    view = mem.view_f64(BASE, 2)
+    with pytest.raises(ValueError):
+        view[0] = 99.0
+    mem.write_f64(BASE + 8, numpy.array([5.0]))
+    numpy.testing.assert_array_equal(view, [1.0, 5.0])
+    with pytest.raises(MemoryError_):
+        mem.view_f64(BASE + 4, 1)
+
+
 def test_f64_out_of_range_rejected():
     mem = make_memory(size=64)
     with pytest.raises(MemoryError_):
