@@ -26,7 +26,6 @@ takes only jobs where that reads the same values; see
 
 from __future__ import annotations
 
-import functools
 import typing
 
 from repro import abi, flags
@@ -343,8 +342,8 @@ def serve_jobs(cluster: "Cluster") -> typing.Generator:
     A phased job with a non-empty slice parks at most seven times:
 
     1. on the mailbox, until the doorbell;
-    2. once for wake-up, descriptor fetch and decode together (see
-       below);
+    2. for wake-up, descriptor fetch and decode (not at all in a plain
+       launch, whose members fetch in closed form, see below);
     3. on the fabric barrier's release;
     4. on the DMA-in reservation;
     5. on the compute phase's barrier crossing;
@@ -354,12 +353,23 @@ def serve_jobs(cluster: "Cluster") -> typing.Generator:
        closed-form store, see below).
 
     A member of a plain launch whose job takes the closed-form data
-    phase (below) parks four times: parks 4 to 6 become one park,
-    until its write-back, and park 7 goes.  Cycle identity with the
-    reference comes from issuing the identical primitive calls (the
-    non-generator forms ``job_event`` / ``book_arrival`` /
-    ``reserve_in`` / ``cross_compute_phase``) in the identical order,
-    or, for the closed forms, from the arguments below.
+    phase (below) parks three times — mailbox, release, write-back:
+    park 2 goes, parks 4 to 6 become one park, until its write-back,
+    and park 7 goes.  Cycle identity with the reference comes from
+    issuing the identical primitive calls (the non-generator forms
+    ``job_event`` / ``book_arrival`` / ``reserve_in`` /
+    ``cross_compute_phase``) in the identical order, or, for the closed
+    forms, from the arguments below.
+
+    **Stamped records.**  Where a member knows the cycle of a marker
+    ahead — "awake", "decoded", "dma_in_done", "compute_done" and
+    "completion_signalled" in the closed forms — it stamps it with
+    :meth:`~repro.sim.TraceRecorder.record_at` instead of scheduling a
+    callback that only appends it.  A stamped record stays invisible
+    until the clock reaches its cycle and then lands ahead of the
+    records made in that cycle, where a heap callback would have
+    appended it, so it moves no event; only the trace's order within
+    one cycle across sources can differ.
 
     **One plan per job.**  Everything a member would otherwise work
     out for itself from the descriptor — its work slice, its DMA bytes
@@ -380,56 +390,61 @@ def serve_jobs(cluster: "Cluster") -> typing.Generator:
     :meth:`~repro.noc.xbar.Interconnect.cluster_read_descriptor`; the
     others pay only the timing, through
     :meth:`~repro.noc.xbar.Interconnect.cluster_refetch_descriptor`.)
-    The "awake" record is a plain scheduler callback at
-    ``T + W`` (``W`` the wake latency), and the core parks once, until
-    ``F = F0 + D`` (``D`` the decode latency).  The reference chain
-    (wake delay, two burst callback chains, decode delay) runs instead
+    In the same doorbell resume the core stamps "awake" for ``T + W``
+    (``W`` the wake latency) and "decoded" for ``F = F0 + D`` (``D`` the
+    decode latency), looks its rank up in the job's plan, appends its
+    arrival to the plan (see the data phase below), books its
+    fabric-barrier arrival for cycle ``F``
+    (:meth:`~repro.soc.fabricbarrier.FabricBarrier.book_arrival_at`)
+    and parks on the release.  The reference chain (wake delay, two
+    burst callback chains, decode delay, then the arrival) runs instead
     when the launch is not a *plain* one — one job, no host work, a span
     whose clusters share one ``W`` and one ``D``, a nonzero NoC request
     latency (the runtime decides per launch; see
-    :class:`~repro.runtime.protocol.OffloadRuntime`) — or when the
-    interconnect refuses (busy port, descriptor outside main memory).
-    Every member of a job fetches the same descriptor over an idle
-    port (the host rings only after observing the previous completion
-    signal, which has left the port by then), so a job's DM cores all
-    take the same path.
+    :class:`~repro.runtime.protocol.OffloadRuntime`) — when the cluster
+    has no fabric barrier, or when the interconnect refuses (busy port,
+    descriptor outside main memory).  Every member of a job fetches the
+    same descriptor over an idle port (the host rings only after
+    observing the previous completion signal, which has left the port
+    by then), so a job's DM cores all take the same path.
 
-    *No same-cycle tie reorders.*  The awake callback is created where
-    the reference creates its wake-delay entry: in the doorbell
-    resume, with nothing scheduled in between; with ``W = 0`` both
-    record "awake" in that resume.  The decode-done wake-up ``Q`` has
-    the reference's kind: a direct process resume when ``D > 0`` (the
-    reference's decode delay), else a timer whose trigger queues the
-    resume (the reference's burst response).  The one thing that moves
-    is ``Q``'s creation, from the reference's ``C`` back to ``T``.
-    ``C`` is ``F0`` when ``D > 0``; when ``D = 0`` it is the second
-    burst's data phase, ``T + W + P`` for a constant ``P`` (the first
-    burst plus the port and request latencies).  So ``Q`` can change
-    places only with an entry ``X`` due at ``F`` and created in
-    ``(T, C]``.  In a plain launch ``X`` belongs to the job's own DM
-    cores or to the host:
+    *No same-cycle tie reorders.*  Against the reference, the member's
+    wake, fetch and decode entries go, and so does its decode-done
+    step at ``F``, which records "decoded" and books the arrival.  The
+    records are stamped.  An arrival only adds to the job's
+    fabric-barrier counter, which only members touch, so the bookings
+    commute with everything but each other; every member has the same
+    descriptor, ``W``, ``D`` and idle port, so ``F - T`` is one constant,
+    and booking at ``T`` in doorbell order books in the reference's
+    order (members with one ``T`` run their chains in lockstep from
+    doorbell resumes in mailbox order; every descriptor is at least ten
+    words — eight header words, an input and an output — so every
+    fetch is two bursts).  The same member completes the generation,
+    and :attr:`JobPlan.arrivals` is in the same order.
 
-    - ``X`` is another member's decode-done wake-up.  Every member has
-      the same descriptor, ``W`` and ``D``, so ``F - T`` is one
-      constant and equal ``F`` means equal ``T``: both chains then run
-      in lockstep from doorbell resumes in mailbox order, which is
-      also the order of the closed form's doorbell resumes.  (Every
-      descriptor is at least ten words — eight header words, an input
-      and an output — so every fetch is two bursts.)
-    - ``X`` is a member's awake callback: it only records.
-    - ``X`` is the host's.  A member's decode-done step records
-      "decoded", computes its slice and books an arrival on the job's
-      fabric-barrier group, a counter only members touch.  Only the
-      *completing* arrival schedules anything — the release chain —
-      and everything that chain leads to (DMA on the memory channels,
-      compute, the completion AMO or sync-unit write) uses state the
-      host never touches, except two hand-offs: the sync unit's
-      interrupt, which finds the host parked in WFI, and the AMO's
-      flag write, which the host may read in the same cycle.  That
-      read's data phase runs from the time heap (nonzero request
-      latency), ahead of the AMO write that the zero-delay queue
-      delivers, whatever the two chains' ranks — the same argument
-      the poll fast path rests on.
+    The one thing that moves is the completing arrival's wire hop
+    ``H``, due at ``F + A`` (``A`` the arrival latency, maybe 0).  The
+    reference creates it in the decode-done step at ``F``, or with
+    ``A = 0`` runs its body right there; the closed form creates it in
+    the doorbell resume at ``T``, and with ``A = 0`` runs it from the
+    heap at ``F``, ahead of everything else created after ``T`` that
+    runs in that cycle.  So ``H`` can change places only with an entry
+    ``X`` that runs at ``F + A`` and was created after ``T``.  In a
+    plain launch ``X`` belongs to the job's own DM cores or to the
+    host:
+
+    - ``X`` is a member's wake, fetch or decode step.  Such a step
+      records, reads over its own port or books a non-completing
+      arrival; ``H`` only starts the release wave, so they commute.
+    - ``X`` is the host's.  Everything ``H`` leads to (the release, DMA
+      on the memory channels, compute, the completion AMO or sync-unit
+      write) uses state the host never touches, except two hand-offs:
+      the sync unit's interrupt, which finds the host parked in WFI,
+      and the AMO's flag write, which the host may read in the same
+      cycle.  That read's data phase runs from the time heap (nonzero
+      request latency), ahead of the AMO write that the zero-delay
+      queue delivers, whatever the two chains' ranks — the same
+      argument the poll fast path rests on.
 
     So only the trace's order *within* one cycle across sources can
     differ, like the NoC log's list order; neither is part of the
@@ -442,8 +457,8 @@ def serve_jobs(cluster: "Cluster") -> typing.Generator:
     (``cluster_port_occupancy``), schedules the delivery — the
     functional increment — at ``T + O + L`` (``L`` the request
     latency, nonzero in a plain launch), and holds the clock's drain
-    horizon at the ack cycle.  The core schedules its
-    "completion_signalled" record at ``T + O``, adds to its own
+    horizon at the ack cycle.  The core stamps its
+    "completion_signalled" record for ``T + O``, adds to its own
     counters and parks on its mailbox at once.  The reference issues
     the same store as a callback chain: a port-grant entry ``G`` due at
     ``T + O`` created in the core's resume, a kick-off hop, the core's
@@ -451,10 +466,10 @@ def serve_jobs(cluster: "Cluster") -> typing.Generator:
     the delivery entry at ``T + O``, and an ack nobody waits for.  Two
     things move:
 
-    - *The core's last step* runs at ``T + O`` as a callback in ``G``'s
-      place in the time heap instead of as a resume behind ``G``'s
-      trigger in the zero-delay queue, and all that is left of it is
-      the record.  The counters and the mailbox park move to ``T``.
+    - *The core's last step* is all gone but its record, which is
+      stamped for ``T + O`` instead of appended in a resume behind
+      ``G``'s trigger; ``G`` goes with it.  The counters and the
+      mailbox park move to ``T``.
       No one reads a DM core's counters during a launch, and no one
       rings its mailbox before the launch ends (the host rings only
       after the last completion), so both commute with everything in
@@ -477,16 +492,17 @@ def serve_jobs(cluster: "Cluster") -> typing.Generator:
     phased job is a closed form in the slice shapes (the batch planner
     times it the same way; see :mod:`repro.core.batch`).  In a plain
     launch each member books its arrival in the job's plan
-    (:attr:`JobPlan.arrivals`) along with the fabric barrier's, and
-    the first working member to resume at the fabric release ``R``
-    commits the whole job's tail (:meth:`JobPlan.close_tail`): every
-    working rank's read-channel slot in booking order, giving DMA-in
-    done ``d``; its compute release ``c = d + max(worker wake +
-    cycles) + L``; every write-channel slot in ``(c, booking)`` order,
-    giving write-back done ``o``.  Each member then charges its own
-    DMA, worker and barrier counters, schedules its "dma_in_done" and
-    "compute_done" records as callbacks at ``d`` and ``c``, and parks
-    once, until ``o``, as a direct resume.  There it reads its inputs
+    (:attr:`JobPlan.arrivals`) at its doorbell, along with the fabric
+    barrier's, and the first working member to resume at the fabric
+    release ``R`` commits the whole job's tail
+    (:meth:`JobPlan.close_tail`): every working rank's read-channel
+    slot in booking order, giving DMA-in done ``d``; its compute
+    release ``c = d + max(worker wake + cycles) + L``; every
+    write-channel slot in ``(c, booking)`` order, giving write-back
+    done ``o``.  Each member then charges its own DMA, worker and
+    barrier counters, stamps its "dma_in_done" and "compute_done"
+    records for ``d`` and ``c``, and parks once, until ``o``, as a
+    direct resume.  There it reads its inputs
     through the job's read-only views of main memory
     (:meth:`JobPlan.input_views`; no copy), computes, writes its
     fragments back and posts its completion store.
@@ -524,16 +540,15 @@ def serve_jobs(cluster: "Cluster") -> typing.Generator:
       pass of cycle ``o`` instead of behind a trigger in the
       zero-delay queue.  The resume reads and writes main memory,
       appends to the trace and the NoC log, and posts its store
-      through its own cluster port.  Anything else due at ``o`` is
-      another member's record callback (trace only), a write-back of
-      another member (never: the write channel serves one transfer at
-      a time, each of at least a cycle), the delivery of an earlier
-      completion store (below the threshold, for this member's store
-      is still to come, so it only adds to the sync unit's count), or
-      the host's, which is parked in WFI.  None touches what the
-      resume touches, so they commute.
-    - *The two records* become callbacks at ``d`` and ``c`` instead of
-      resumes; they only append to the trace.
+      through its own cluster port.  Anything else due at ``o`` is a
+      write-back of another member (never: the write channel serves one
+      transfer at a time, each of at least a cycle), the delivery of an
+      earlier completion store (below the threshold, for this member's
+      store is still to come, so it only adds to the sync unit's
+      count), or the host's, which is parked in WFI.  None touches what
+      the resume touches, so they commute.
+    - *The two records* are stamped for ``d`` and ``c`` instead of
+      appended in resumes; they only append to the trace.
     - *The functional read* moves from ``d`` to ``o``.  In between,
       main memory changes only by other members' write-backs (the host
       waits in WFI), each of which writes only its own output
@@ -547,7 +562,8 @@ def serve_jobs(cluster: "Cluster") -> typing.Generator:
     ``tests/property/test_fastforward_identity.py`` checks the
     reference (``REPRO_NAIVE_CHANNEL``, and ``REPRO_NAIVE_BARRIER``
     for the data phase) against these paths with ``W``, ``D``, the
-    NoC, DMA-setup, barrier and interrupt latencies drawn at random.
+    NoC, DMA-setup, cluster- and fabric-barrier and interrupt latencies
+    drawn at random, zero included.
 
     The compute crossing keeps its two hops
     (:meth:`~repro.cluster.barrier.Barrier.cross_all_known`).  Merging
@@ -573,13 +589,9 @@ def serve_jobs(cluster: "Cluster") -> typing.Generator:
     dma = cluster.dma
     memory = cluster.memory
     record = cluster.trace.record
+    record_at = cluster.trace.record_at
     cluster_id = cluster.cluster_id
     label = f"cluster{cluster_id}"
-    fetched_name = f"{label}.fetched"
-    awake = functools.partial(record, label, "awake")
-    dma_in_done = functools.partial(record, label, "dma_in_done")
-    compute_done = functools.partial(record, label, "compute_done")
-    signalled = functools.partial(record, label, "completion_signalled")
     wake_latency = cluster.wake_latency
     decode_cycles = cluster.dm_decode_cycles
     fabric = cluster.fabric_barrier
@@ -598,18 +610,14 @@ def serve_jobs(cluster: "Cluster") -> typing.Generator:
 
         record(label, "doorbell", pointer)
         plain = launch.plain
-        fetched = plain and launch.fetch(noc, cluster_id, pointer,
-                                         doorbell + wake_latency)
+        fetched = plain and fabric is not None and launch.fetch(
+            noc, cluster_id, pointer, doorbell + wake_latency)
         if fetched:
-            desc, fetched_at = fetched
-            if wake_latency:
-                sim.schedule(wake_latency, awake, None)
-            else:
-                record(label, "awake")
-            if decode_cycles:
-                yield fetched_at + decode_cycles - doorbell
-            else:
-                yield sim.timer(fetched_at - doorbell, fetched_name)
+            # The closed-form fetch (see above): ``decoded`` is F.
+            desc, decoded = fetched
+            decoded += decode_cycles
+            record_at(doorbell + wake_latency, label, "awake")
+            record_at(decoded, label, "decoded", desc.kernel_name)
         else:
             if wake_latency:
                 yield wake_latency
@@ -617,7 +625,7 @@ def serve_jobs(cluster: "Cluster") -> typing.Generator:
             desc = yield from _fetch_descriptor(cluster, pointer)
             if decode_cycles:
                 yield decode_cycles
-        record(label, "decoded", desc.kernel_name)
+            record(label, "decoded", desc.kernel_name)
 
         rank = cluster_id - desc.first_cluster
         if not 0 <= rank < desc.num_clusters:
@@ -630,7 +638,12 @@ def serve_jobs(cluster: "Cluster") -> typing.Generator:
             plan.arrivals.append(
                 (rank, dma.setup_cycles, cluster.barrier.latency))
 
-        if fabric is not None:
+        if fetched:
+            # Book the arrival at the doorbell, for cycle F (see above).
+            yield fabric.book_arrival_at(desc.num_clusters,
+                                         desc.first_cluster, decoded)
+            record(label, "start_barrier_crossed")
+        elif fabric is not None:
             yield fabric.book_arrival(desc.num_clusters,
                                       group=desc.first_cluster)
             record(label, "start_barrier_crossed")
@@ -645,8 +658,8 @@ def serve_jobs(cluster: "Cluster") -> typing.Generator:
                 cluster.charge_compute_phase(
                     plan.phase_cycles(cluster, work.elements))
                 cluster.barrier.cross_closed()
-                sim.schedule(dma_in - now, dma_in_done, bytes_in)
-                sim.schedule(released - now, compute_done, None)
+                record_at(dma_in, label, "dma_in_done", bytes_in)
+                record_at(released, label, "compute_done")
                 yield dma_out - now
                 fragments = kernel.compute_slice(
                     desc.n, desc.scalars, plan.input_views(memory, desc),
@@ -702,7 +715,7 @@ def serve_jobs(cluster: "Cluster") -> typing.Generator:
             if posted:
                 # Record the signal when the store leaves the port, but
                 # park on the mailbox now (see above).
-                sim.schedule(posted, signalled, None)
+                record_at(sim.now + posted, label, "completion_signalled")
                 cluster.jobs_completed += 1
                 cluster.dm_active_cycles += sim.now + posted - doorbell
                 continue

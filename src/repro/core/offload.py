@@ -28,6 +28,7 @@ from repro.core.staging import (
 )
 from repro.runtime.protocol import make_runtime
 from repro.runtime.trace import OffloadTrace, build_offload_trace
+from repro.sim import TraceRecorder
 from repro.soc.manticore import ManticoreSystem
 
 __all__ = [
@@ -43,7 +44,12 @@ __all__ = [
 
 @dataclasses.dataclass(frozen=True)
 class OffloadResult:
-    """One measured offload."""
+    """One measured offload.
+
+    Its phase breakdown, :attr:`trace`, is built from the run's trace
+    records on first read, so an offload that no one inspects (a job
+    stream reads only the cycles) never pays for it.
+    """
 
     kernel_name: str
     n: int
@@ -53,11 +59,19 @@ class OffloadResult:
     start_cycle: int
     end_cycle: int
     outputs: typing.Mapping[str, numpy.ndarray]
-    trace: OffloadTrace
     verified: typing.Optional[bool]
+    #: A detached copy of the run's trace records (the system's own log
+    #: is cleared by its next run), read by :attr:`trace`.
+    trace_log: TraceRecorder = dataclasses.field(repr=False, compare=False)
     #: Fabric group the job ran on (``None`` = the whole fabric from
     #: cluster 0, the homogeneous default).
     tile_group: typing.Optional[str] = None
+
+    @functools.cached_property
+    def trace(self) -> OffloadTrace:
+        """The offload's phase breakdown, built on first read."""
+        return build_offload_trace(self.trace_log, self.start_cycle,
+                                   self.end_cycle)
 
     def __str__(self) -> str:
         return (f"{self.kernel_name}(n={self.n}) on {self.num_clusters} "
@@ -119,15 +133,13 @@ def offload(system: ManticoreSystem, kernel_name: str, n: int,
         result_box = launch(runtime, [binding], f"offload.{kernel_name}",
                             max_cycles)
         outputs, verified = binding.finish(verify)
-    trace = build_offload_trace(
-        system.trace, result_box["start_cycle"], result_box["end_cycle"])
     return OffloadResult(
         kernel_name=kernel_name, n=n, num_clusters=num_clusters,
         variant=runtime.name,
         runtime_cycles=result_box["end_cycle"] - result_box["start_cycle"],
         start_cycle=result_box["start_cycle"],
         end_cycle=result_box["end_cycle"],
-        outputs=outputs, trace=trace, verified=verified,
+        outputs=outputs, verified=verified, trace_log=system.trace.copy(),
         tile_group=tile_group)
 
 

@@ -166,7 +166,10 @@ def run_program(system: ManticoreSystem,
     into ``result``.  The previous run drained before this one starts,
     so the system's trace and NoC transaction log are cleared first:
     both hold this run only.  After the program ends, the system drains
-    in-flight responses so memory state settles.
+    in-flight responses so memory state settles, and the trace merges
+    the records the DM cores stamped ahead
+    (:meth:`~repro.sim.TraceRecorder.merge_due`), so its ``records``
+    list holds the whole run.
     """
     system.trace.clear()
     system.noc.clear_log()
@@ -174,6 +177,7 @@ def run_program(system: ManticoreSystem,
     process = system.host.run_program(build(result), name=name)
     run_to_completion(system, process, max_cycles)
     system.run()
+    system.trace.merge_due()
     if "end_cycle" not in result:
         raise OffloadError(f"host program {name!r} finished without "
                            "recording completion (runtime bug)")

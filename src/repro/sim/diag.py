@@ -174,8 +174,8 @@ def build_report(sim: "Simulator", reason: str,
     blocked.sort(key=lambda entry: (entry.since_cycle, entry.name))
     recorder = getattr(sim, "trace", None)
     tail: typing.Tuple[TraceRecord, ...] = ()
-    if recorder is not None and recorder.records:
-        tail = tuple(recorder.records[-TRACE_TAIL:])
+    if recorder is not None:
+        tail = recorder.tail(TRACE_TAIL)
     return SimulationReport(
         reason=reason, cycle=sim.now, pending=sim.pending,
         blocked=tuple(blocked),

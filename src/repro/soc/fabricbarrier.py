@@ -59,6 +59,9 @@ class FabricBarrier:
         #: Arrivals absorbed by the fast path (counter bookkeeping at
         #: the arrival write, wire latency virtualized).
         self.ff_arrivals = 0
+        #: Of those, arrivals booked ahead of their arrival cycle
+        #: (:meth:`book_arrival_at`).
+        self.ff_arrivals_ahead = 0
 
     def arrive(self, parties: int, group: int = 0) -> typing.Generator:
         """Arrive at ``group`` and wait for all its ``parties`` clusters.
@@ -115,16 +118,35 @@ class FabricBarrier:
         arrival and return the release event for the caller to park on
         directly (the DM core's flattened fast path).  Callers must
         have checked ``REPRO_NAIVE_BARRIER`` themselves."""
+        return self.book_arrival_at(parties, group, self.sim.now)
+
+    def book_arrival_at(self, parties: int, group: int, cycle: int) -> Event:
+        """:meth:`book_arrival` for an arrival written at ``cycle``,
+        which may lie ahead.
+
+        The counter is updated now.  A completing arrival schedules its
+        wire hop ``(cycle - now) + arrival_latency`` cycles ahead —
+        through the heap even with zero ``arrival_latency`` when
+        ``cycle`` lies ahead — so the release wave starts where an
+        arrival booked at ``cycle`` would start it.  The counter takes
+        arrivals in booking order, so their cycles must not fall as
+        bookings go on.  A DM core of a plain launch books at its
+        doorbell for the cycle it will have decoded its descriptor;
+        :func:`~repro.cluster.dm_core.serve_jobs` argues why that
+        reorders no same-cycle tie.
+        """
         if parties <= 0:
             raise SimulationError(
                 f"barrier party count must be positive, got {parties}")
         if group < 0:
             raise SimulationError(f"barrier group must be >= 0, got {group}")
+        lead = cycle - self.sim.now
+        if lead < 0:
+            raise SimulationError(
+                f"cannot book a barrier arrival for past cycle {cycle}")
         self.ff_arrivals += 1
-        return self._book_arrival(parties, group)
-
-    def _book_arrival(self, parties: int, group: int) -> Event:
-        """Fast-path counter bookkeeping at the arrival write."""
+        if lead:
+            self.ff_arrivals_ahead += 1
         if group not in self._groups:
             release = self.sim.event(
                 name=f"fabric_barrier.g{group}.gen{self.generations}")
@@ -139,12 +161,12 @@ class FabricBarrier:
             del self._groups[group]
             self.generations += 1
             # The completing arrival still travels the wire: the
-            # release wave starts ``arrival_latency`` cycles from now,
-            # exactly where the naive path's last in-flight arrival
-            # would schedule it.
-            if self.arrival_latency:
-                self.sim.schedule(self.arrival_latency,
-                                  self._ff_complete, release)
+            # release wave starts ``arrival_latency`` cycles after the
+            # arrival, exactly where the naive path's last in-flight
+            # arrival would schedule it.
+            delay = lead + self.arrival_latency
+            if delay:
+                self.sim.schedule(delay, self._ff_complete, release)
             else:
                 self._ff_complete(release)
         else:
@@ -167,6 +189,7 @@ class FabricBarrier:
                 f"{self.open_groups}")
         self.generations = 0
         self.ff_arrivals = 0
+        self.ff_arrivals_ahead = 0
 
     def waiting(self, group: int = 0) -> int:
         """Clusters currently blocked in ``group``'s open generation."""

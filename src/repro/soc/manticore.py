@@ -317,6 +317,7 @@ class ManticoreSystem:
             "compute_phases": sum(
                 cluster.ff_compute_phases for cluster in self.clusters),
             "fabric_arrivals": self.fabric_barrier.ff_arrivals,
+            "doorbell_arrivals": self.fabric_barrier.ff_arrivals_ahead,
             "staged_store_runs": self.noc.ff_store_runs,
             "staged_stores": self.noc.ff_stores,
             "descriptor_fetches": self.noc.ff_descriptor_fetches,

@@ -139,3 +139,23 @@ def test_cycle_limit_report_on_a_livelocked_host():
     report = info.value.report
     assert report.reason == "cycle-limit"
     assert report.pending > 0   # the next poll is still queued
+
+
+def test_cycle_limit_report_shows_no_record_from_beyond_the_abort():
+    """A plain launch's DM cores stamp their DMA-in, compute and
+    completion records ahead.  A cycle limit that cuts the job between
+    the fabric release and the write-backs must leave those records out
+    of the report's trace tail."""
+    from repro.core.offload import offload
+    whole = offload(ext_system(), "daxpy", 4096, 8)
+    released = max(c.decoded for c in whole.trace.clusters)
+    written = min(c.dma_out_done for c in whole.trace.clusters)
+    assert released < written - 1
+    with pytest.raises(OffloadError) as info:
+        offload(ext_system(), "daxpy", 4096, 8, max_cycles=written - 1)
+    report = info.value.report
+    assert report.reason == "cycle-limit"
+    assert report.trace_tail
+    assert {r.label for r in report.trace_tail} >= {"start_barrier_crossed"}
+    assert all(r.cycle <= report.cycle for r in report.trace_tail)
+    assert "dma_out_done" not in {r.label for r in report.trace_tail}

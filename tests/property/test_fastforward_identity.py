@@ -18,13 +18,17 @@ and cluster-port occupancy, the energy meter's counters, the NoC
 transaction log, and the cycle the drained clock settles at.  The
 closed-form descriptor fetch and completion store are part of the
 channel fast path, so invariant 1 also samples cluster wake and decode
-latencies of zero, and random NoC, interrupt and wake-up latencies.
+latencies of zero, and random NoC, fabric-barrier, interrupt and
+wake-up latencies (a plain launch books its start-barrier arrivals at
+the doorbell).  Every run must also leave its trace sorted by cycle,
+with the records its DM cores stamped ahead merged in.
 """
 
 import collections
 import contextlib
 import heapq
 import os
+import sys
 
 import hypothesis
 import hypothesis.strategies as st
@@ -40,6 +44,7 @@ from repro.flags import (
     FRESH_SYSTEMS_ENV,
     NAIVE_BARRIER_ENV,
     NAIVE_CHANNEL_ENV,
+    NAIVE_POLL_ENV,
 )
 from repro.sim import kernel as sim_kernel
 from repro.soc.config import SoCConfig
@@ -125,6 +130,14 @@ def _fingerprint(system, runtime_cycles):
     }
 
 
+def _assert_trace_sorted(system):
+    """The run left its whole trace in the cycle-sorted ``records``
+    list: every stamped record is merged, none out of order."""
+    cycles = [record.cycle for record in system.trace.records]
+    assert cycles == sorted(cycles)
+    assert len(system.trace) == len(cycles)
+
+
 def _naive_and_fast(gate, run, config=None):
     """Run ``run(system) -> runtime`` twice: ``gate`` enabled, then the
     fast-forward path; returns both fingerprints."""
@@ -132,8 +145,10 @@ def _naive_and_fast(gate, run, config=None):
     with _env(gate, "1"):
         system = ManticoreSystem(config)
         naive = _fingerprint(system, run(system))
+        _assert_trace_sorted(system)
     system = ManticoreSystem(config)
     fast = _fingerprint(system, run(system))
+    _assert_trace_sorted(system)
     return naive, fast
 
 
@@ -227,18 +242,21 @@ def test_descriptor_fetch_matches_naive_concurrent(kernels, n, variant, wake,
     assert fast == naive
 
 
-#: Random control-path latencies around the closed-form fetch and
-#: completion store.  A zero port occupancy refuses the closed-form
-#: store, so it stays in range to check the fallback too.  The request
-#: latency starts at 1: at 0 a cluster can record its completion in the
-#: cycle the host ends the offload, outside the trace window, on either
-#: path.
+#: Random control-path latencies around the closed-form fetch, the
+#: start-barrier arrival booked at the doorbell (zero fabric-barrier
+#: latencies move its completing hop most) and the completion store.
+#: A zero port occupancy refuses the closed-form store, so it stays in
+#: range to check the fallback too.  The request latency starts at 1:
+#: at 0 a cluster can record its completion in the cycle the host ends
+#: the offload, outside the trace window, on either path.
 LATENCIES = st.fixed_dictionaries({
     "cluster_wake_latency": st.integers(0, 12),
     "dm_decode_cycles": st.integers(0, 24),
     "noc_request_latency": st.integers(1, 10),
     "noc_response_latency": st.integers(0, 20),
     "noc_cluster_port_occupancy": st.integers(0, 3),
+    "fabric_barrier_arrival_latency": st.integers(0, 10),
+    "fabric_barrier_release_latency": st.integers(0, 10),
     "syncunit_irq_latency": st.integers(0, 6),
     "host_wfi_wake_latency": st.integers(0, 10),
 })
@@ -342,6 +360,8 @@ TAIL_LATENCIES = st.fixed_dictionaries({
     "dma_setup_cycles": st.integers(0, 24),
     "barrier_latency": st.integers(0, 4),
     "worker_wake_latency": st.integers(0, 4),
+    "fabric_barrier_arrival_latency": st.integers(0, 10),
+    "fabric_barrier_release_latency": st.integers(0, 10),
     "syncunit_irq_latency": st.integers(0, 6),
     "host_wfi_wake_latency": st.integers(0, 10),
 })
@@ -491,7 +511,8 @@ def test_fastforward_skips_simulated_events():
     engagement counters on the fast side.  The job-plan and
     completion-store counters are nonzero exactly when both gates are
     clear (the completion store only where the variant signals through
-    the sync unit).
+    the sync unit; the start-barrier arrivals booked at the doorbell in
+    both variants).
     """
     for variant in VARIANTS:
         _check_skips_simulated_events(variant)
@@ -522,6 +543,7 @@ def _check_skips_simulated_events(variant):
     assert fast_stats["compute_phases"] > 0
     assert fast_stats["barrier_crossings"] == fast_stats["compute_phases"]
     assert fast_stats["fabric_arrivals"] == 4
+    assert fast_stats["doorbell_arrivals"] == 4
     assert fast_stats["job_plans"] == 1
     posted = 4 if variant == "extended" else 0
     assert fast_stats["completion_stores"] == posted
@@ -530,18 +552,14 @@ def _check_skips_simulated_events(variant):
                   (NAIVE_CHANNEL_ENV,), (NAIVE_BARRIER_ENV,)):
         _cycles, _events, stats = run(*gates)
         assert stats["job_plans"] == 0, gates
+        assert stats["doorbell_arrivals"] == 0, gates
         assert stats["completion_stores"] == 0, gates
         assert stats["closed_tails"] == 0, gates
 
 
-def test_reference_offload_engine_work(monkeypatch):
-    """Pin the engine work of the reference offload: a 32-cluster
-    extended DAXPY, N = 2048, is 907 cycles in at most 309 scheduler
-    callbacks and 135 process resumes (the closed-form data phase takes
-    seven callbacks and three resumes per member off the 533 and 231
-    it took before)."""
-    system = ManticoreSystem(SoCConfig.extended(num_clusters=32))
-    offload(system, "daxpy", 2048, 32)  # warm the memos
+def _engine_work(monkeypatch, system, run):
+    """``run()``'s result, and the scheduler callbacks and process
+    resumes it takes on ``system``."""
     sim = system.sim
     callbacks = 0
 
@@ -562,10 +580,95 @@ def test_reference_offload_engine_work(monkeypatch):
     sim._now_queue = CountingQueue(sim._now_queue)
     monkeypatch.setattr(sim_kernel.heapq, "heappop", counting_heappop)
     resumes = sim.resumes
-    result = offload(system, "daxpy", 2048, 32)
-    assert result.runtime_cycles == 907
-    assert callbacks <= 309
-    assert sim.resumes - resumes <= 135
+    result = run()
+    return result, callbacks, sim.resumes - resumes
+
+
+def _daxpy_engine_work(monkeypatch, variant):
+    """Cycles, callbacks and resumes of a 32-cluster DAXPY, N = 2048,
+    on a warmed system of the variant."""
+    monkeypatch.delenv(NAIVE_POLL_ENV, raising=False)
+    system = ManticoreSystem(SoCConfig(num_clusters=32).for_variant(variant))
+    offload(system, "daxpy", 2048, 32, variant=variant)  # warm the memos
+    result, callbacks, resumes = _engine_work(
+        monkeypatch, system,
+        lambda: offload(system, "daxpy", 2048, 32, variant=variant))
+    return result.runtime_cycles, callbacks, resumes
+
+
+def test_reference_offload_engine_work(monkeypatch):
+    """Pin the engine work of the reference offload: a 32-cluster
+    extended DAXPY, N = 2048, is 907 cycles in at most 149 scheduler
+    callbacks and 103 process resumes (stamped trace records and the
+    start-barrier arrival booked at the doorbell take five callbacks
+    and one resume per member off the 309 and 135 it took before)."""
+    cycles, callbacks, resumes = _daxpy_engine_work(monkeypatch, "extended")
+    assert cycles == 907
+    assert callbacks <= 149
+    assert resumes <= 103
+
+
+def test_baseline_offload_engine_work(monkeypatch):
+    """The same DAXPY on the baseline (AMO completion, polling host) is
+    1,220 cycles in at most 885 callbacks and 263 resumes (949 and 295
+    before the start-barrier arrival was booked at the doorbell)."""
+    cycles, callbacks, resumes = _daxpy_engine_work(monkeypatch, "baseline")
+    assert cycles == 1220
+    assert callbacks <= 885
+    assert resumes <= 263
+
+
+def test_closed_member_parks_three_times():
+    """A member of a plain launch whose job takes the closed-form data
+    phase resumes three times per job: at its doorbell (from the
+    mailbox), at the fabric release and at its write-back."""
+    system = ManticoreSystem(SoCConfig.extended(num_clusters=4))
+    offload(system, "daxpy", 256, 4)  # start the DM cores
+    resumes = collections.Counter()
+    for cluster in system.clusters:
+        process = cluster.start()
+        send = process._send
+
+        def counting(value, send=send, name=process.name):
+            resumes[name] += 1
+            return send(value)
+
+        process._send = counting
+    offload(system, "daxpy", 256, 4)
+    assert system.fastforward_stats()["closed_tails"] == 2
+    assert resumes == {f"cluster{index}.dm": 3 for index in range(4)}
+
+
+def test_stream_engine_work(monkeypatch):
+    """Pin a job stream's engine work exactly: the first 20 jobs of
+    ``generate_workload(seed=1)`` served by ``run_workload`` with
+    verify on, on a 32-cluster extended system, twelve of them
+    offloaded 32 wide.  No job builds an ``OffloadTrace``: the stream
+    reads only cycles."""
+    from repro.workload import (characterize_platform, generate_workload,
+                                run_workload)
+    monkeypatch.delenv(NAIVE_POLL_ENV, raising=False)
+    config = SoCConfig.extended(num_clusters=32)
+    kernels = ("daxpy", "memcpy", "scale", "dot")
+    policy = characterize_platform(config, kernels)
+    jobs = generate_workload(20, kernels=kernels, seed=1)
+    built = []
+    offload_module = sys.modules["repro.core.offload"]
+    build = offload_module.build_offload_trace
+    monkeypatch.setattr(offload_module, "build_offload_trace",
+                        lambda *args: built.append(args) or build(*args))
+    system = ManticoreSystem(config)
+    result, callbacks, resumes = _engine_work(
+        monkeypatch, system,
+        lambda: run_workload(system, jobs, policy, verify=True))
+    assert sum(o.cycles for o in result.outcomes) == 8862
+    assert [o.placement.num_clusters for o in result.outcomes
+            if o.placement.offload] == [32] * 12
+    assert (callbacks, resumes) == (1836, 1284)
+    assert built == []
+    stats = system.fastforward_stats()
+    assert stats["closed_tails"] == 12
+    assert stats["doorbell_arrivals"] == stats["fabric_arrivals"] == 384
 
 
 # ----------------------------------------------------------------------

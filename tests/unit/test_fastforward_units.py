@@ -345,6 +345,46 @@ def test_book_arrival_validation():
         fabric.book_arrival(3, group=3)  # mismatched party count
 
 
+@pytest.mark.parametrize("arrival, release", [(8, 8), (0, 3), (4, 0),
+                                              (0, 0)])
+def test_book_arrival_at_releases_as_if_booked_at_its_cycle(arrival,
+                                                            release):
+    """Arrivals booked at cycle 0 for cycles 6 and 9 release where the
+    same arrivals booked at 6 and 9 do, zero latencies included."""
+    def run(ahead):
+        sim = Simulator()
+        fabric = FabricBarrier(sim, arrival_latency=arrival,
+                               release_latency=release)
+        times = []
+
+        def member(cycle):
+            if ahead:
+                event = fabric.book_arrival_at(2, 0, cycle)
+            else:
+                yield cycle
+                event = fabric.book_arrival(2)
+            yield event
+            times.append(sim.now)
+
+        sim.spawn(member(6))
+        sim.spawn(member(9))
+        sim.run()
+        return times, fabric.ff_arrivals, fabric.ff_arrivals_ahead
+
+    assert run(ahead=True) == ([9 + arrival + release] * 2, 2, 2)
+    assert run(ahead=False) == ([9 + arrival + release] * 2, 2, 0)
+
+
+def test_book_arrival_at_refuses_the_past():
+    sim = Simulator()
+    fabric = FabricBarrier(sim)
+    sim.run(until=5)
+    with pytest.raises(SimulationError):
+        fabric.book_arrival_at(2, 0, 4)
+    fabric.book_arrival_at(1, 0, 5)  # the current cycle books at once
+    assert fabric.ff_arrivals_ahead == 0
+
+
 # ----------------------------------------------------------------------
 # Mailbox doorbell event
 # ----------------------------------------------------------------------

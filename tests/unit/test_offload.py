@@ -162,3 +162,51 @@ def test_baseline_variant_on_extended_hardware_matches_baseline_soc():
         ManticoreSystem(SoCConfig.baseline(num_clusters=8)), n=512,
         num_clusters=4)
     assert on_ext.runtime_cycles == on_base.runtime_cycles
+
+
+def test_trace_is_built_on_first_read(monkeypatch):
+    """The phase breakdown is built once, when first read, and equals an
+    eager build over the run's log, however many jobs the system served
+    in between."""
+    import sys
+
+    from repro.runtime.trace import build_offload_trace
+    module = sys.modules["repro.core.offload"]
+    built = []
+    monkeypatch.setattr(module, "build_offload_trace",
+                        lambda *args: built.append(args[1:])
+                        or build_offload_trace(*args))
+    system = ext_system()
+    first = offload(system, "daxpy", 256, 4)
+    eager = build_offload_trace(system.trace, first.start_cycle,
+                                first.end_cycle)
+    assert built == []
+    for seed in range(3):
+        offload(system, "scale", 128, 8, seed=seed)
+    assert built == []
+    assert first.trace == eager
+    assert first.trace is first.trace
+    assert built == [(first.start_cycle, first.end_cycle)]
+    assert len(first.trace.clusters) == 4
+
+
+def test_a_run_leaves_its_stamped_records_in_the_list():
+    """A run ends by merging the records its DM cores stamped ahead, so
+    code reading ``records`` directly sees every marker in order, even
+    when nothing queried the trace."""
+    from repro.core.staging import (DEFAULT_MAX_CYCLES, JobBinding, launch,
+                                    released_memory)
+    from repro.runtime.protocol import make_runtime
+    system = ext_system()
+    runtime = make_runtime(system, "extended")
+    with released_memory(system):
+        binding = JobBinding.bind(system, runtime, "daxpy", 256, 4)
+        launch(runtime, [binding], "probe", DEFAULT_MAX_CYCLES)
+    mine = [record for record in system.trace.records
+            if record.source == "cluster0"]
+    assert [record.label for record in mine] == [
+        "doorbell", "awake", "decoded", "start_barrier_crossed",
+        "dma_in_done", "compute_done", "dma_out_done",
+        "completion_signalled"]
+    cycles = [record.cycle for record in system.trace.records]
+    assert cycles == sorted(cycles)
